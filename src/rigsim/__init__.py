@@ -11,6 +11,7 @@ from .graphs import (
     loc_distance,
 )
 from .canon import canonical_code, unrooted_code
+from .ballcode import ball_codes
 from .laws import DegreeLaw, WeightLaw, offspring_law, size_biased
 from .generators import (
     ModelConfig,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, RootedGraph
+from .graphs import AdjacencyGraph, Graph, RootedGraph
 
 __all__ = ["canonical_code", "unrooted_code"]
 
@@ -39,14 +39,20 @@ Label = tuple  # nested tuples of str/int, e.g. ('K', 5, ('v',))
 
 
 def canonical_code(rg: RootedGraph) -> bytes:
-    """Canonical byte string of a rooted connected graph."""
+    """Canonical byte string of a rooted connected graph.
+
+    The graph may also be an ``AdjacencyGraph`` ball from the ball coder,
+    which is connected by construction and skips the connectivity pass."""
     g, root = rg.graph, rg.root
     n = g.vertex_count
     if n == 0:
         raise ValueError("cannot canonicalize the empty graph")
-    if not _connected(g):
-        raise ValueError("canonical_code requires a connected graph")
-    adj = [set(map(int, g.neighbors(v))) for v in range(n)]
+    if isinstance(g, AdjacencyGraph):
+        adj = [set(nb) for nb in g]
+    else:
+        if not _connected(g):
+            raise ValueError("canonical_code requires a connected graph")
+        adj = [set(map(int, g.neighbors(v))) for v in range(n)]
     labels: list[Label] = [("v",)] * n
     labels[root] = ("R", ("v",))
     adj, labels = _twin_reduce(adj, labels)

@@ -199,16 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rigsim", description="Random intersection graph simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed=None):
+        # seed None: a plan keeps its own "seed" unless --seed is given
         if config:
             p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("generate", help="generate a graph and write edge lists")
-    common(p)
+    common(p, seed=0)
     p.add_argument("--plant", type=int, default=None, help="plant a clique of this size")
     p.set_defaults(fn=cmd_generate)
 
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_limits)
 
     p = sub.add_parser("balls", help="ball distributions (model MC or graph file)")
-    common(p)
+    common(p, seed=0)
     p.add_argument("--graph", default=None, help="compute the empirical distribution of this graph")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--samples", type=int, default=10**5)
@@ -243,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:

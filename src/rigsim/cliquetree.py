@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .ballcode import clique_sizes_code, tree_ball_code
 from .graphs import BipartiteMultigraph, RootedGraph, ball, intersection_graph
 from .laws import DegreeLaw, offspring_law
 
@@ -193,68 +194,84 @@ def ball_distribution_mc(
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> CodeHistogram:
-    """Monte Carlo distribution of the canonical code of the radius-r clique
-    tree ball.
+    """Monte Carlo distribution of the code of the radius-r clique tree ball.
 
     Radius-1 balls are a join of cliques at the root, determined by the
     multiset of non-trivial attribute offspring counts, so sampling is
-    batched and each distinct multiset is canonicalized once; larger radii
-    sample trees one by one with a memo on the labelled ball (BFS labelling
-    makes equal structures collide often).
+    batched and each distinct multiset is coded once; larger radii sample
+    trees one by one and code each straight from its parent pointers.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     hist = CodeHistogram()
     if r == 0:
-        from .graphs import Graph
-
-        code = RootedGraph(Graph.empty(1), 0).code
-        hist.add(code, samples)
+        hist.add(clique_sizes_code(()), samples)
         return hist
     if r == 1:
         d1s = D1.sample(rng, samples)
         total = int(d1s.sum())
         zs = offspring_law(D2).sample(rng, total) if total else np.empty(0, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(d1s)])
-        cache: dict[tuple[int, ...], bytes] = {}
-        for i in range(samples):
-            sizes = zs[offsets[i] : offsets[i + 1]]
-            if 1 + sizes.size + int(sizes.sum()) > node_cap:
-                hist.add(CAP_BUCKET)
-                continue
-            key = tuple(sorted(int(z) for z in sizes if z > 0))
-            code = cache.get(key)
-            if code is None:
-                code = _ball_code_from_clique_sizes(key)
-                cache[key] = code
-            hist.add(code)
+        groups, capped = radius1_groups(d1s, zs, node_cap)
+        for sizes, count in groups.items():
+            hist.add(clique_sizes_code(sizes), count)
+        if capped:
+            hist.add(CAP_BUCKET, capped)
         return hist
-    memo: dict[tuple, bytes] = {}
     for _ in range(samples):
         try:
-            b = sample_clique_tree_ball(D1, D2, r, rng, node_cap)
+            tree = sample_gw_tree(D1, D2, 2 * r, rng, node_cap)
         except CapExceeded:
             hist.add(CAP_BUCKET)
             continue
-        g = b.rooted.graph
-        key = (g.vertex_count, g.indptr.tobytes(), g.indices.tobytes())
-        code = memo.get(key)
-        if code is None:
-            code = b.rooted.code
-            memo[key] = code
-        hist.add(code)
+        hist.add(tree_ball_code(tree.parents.tolist(), tree.generation.tolist(), r))
     return hist
 
 
-def _ball_code_from_clique_sizes(sizes: tuple[int, ...]) -> bytes:
-    """Canonical code of the radius-1 ball with the given attribute offspring
-    counts: the root joined to disjoint cliques of the given sizes."""
-    parents = [-1] + [0] * len(sizes)
-    gens = [0] + [1] * len(sizes)
-    nxt = 1 + len(sizes)
-    for ai, z in enumerate(sizes, start=1):
-        parents.extend([ai] * z)
-        gens.extend([2] * z)
-        nxt += z
-    tree = GWTree(np.asarray(parents, dtype=np.int64), np.asarray(gens, dtype=np.int64))
-    return clique_tree_ball_from_tree(tree, 1).rooted.code
+_R1_CHUNK = 1 << 12  # samples per numpy pass: temporaries of ~100 kB keep peak memory flat
+
+
+def radius1_groups(
+    d1s: np.ndarray, zs: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Group radius-1 draws by their sorted multiset of positive clique sizes.
+
+    Sample i owns the attribute offspring counts ``zs[o_i : o_i + d1s[i]]``
+    (o the running sum of ``d1s``).  Returns the count per multiset and the
+    number of samples whose ball, 1 + d1 + sum of sizes vertices, exceeds
+    ``node_cap``.  Samples are taken in chunks, so no temporary outgrows
+    ``zs``.
+    """
+    groups: dict[tuple[int, ...], int] = {}
+    capped = 0
+    zstart = 0
+    for a in range(0, d1s.size, _R1_CHUNK):
+        counts = d1s[a : a + _R1_CHUNK]
+        n = counts.size
+        seg = zs[zstart : zstart + int(counts.sum())]
+        zstart += seg.size
+        ids = np.repeat(np.arange(n), counts)
+        ends = np.cumsum(counts)
+        csum = np.concatenate([[0], np.cumsum(seg)])
+        over = 1 + counts + csum[ends] - csum[ends - counts] > node_cap
+        capped += int(over.sum())
+        keep = (seg > 0) & ~over[ids]
+        ids, z = ids[keep], seg[keep]
+        m = np.bincount(ids, minlength=n)  # positive sizes per sample
+        empty = int(n - over.sum() - np.count_nonzero(m))
+        if empty:
+            groups[()] = groups.get((), 0) + empty
+        if not z.size:
+            continue
+        mz = m[ids]
+        order = np.lexsort((z, ids, mz))  # by multiset size, sample, size
+        z, mz = z[order], mz[order]
+        bounds = np.flatnonzero(np.diff(mz)) + 1
+        for s, e in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [z.size]])):
+            rows = z[s:e].reshape(-1, int(mz[s]))
+            rows = rows[np.lexsort(rows.T[::-1])]  # np.unique(axis=0) sorts far slower
+            firsts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+            num = np.diff(np.append(firsts, len(rows)))
+            for row, c in zip(rows[firsts].tolist(), num.tolist()):
+                key = tuple(row)
+                groups[key] = groups.get(key, 0) + c
+    return groups, capped

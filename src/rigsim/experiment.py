@@ -287,12 +287,16 @@ def _limit_estimate(
         return limit_clustering(spec)
     if s.kind == "assort":
         return limit_assortativity(spec)
+    # Monte Carlo fallback for laws without exact pmfs (e.g. Pareto weights);
+    # rows on exact paths never touch this rng
+    rng = substream(plan.seed, _REF_STREAM, 4, plan.statistics.index(s))
+    mc = {"mc_samples": plan.mc_reference_samples, "rng": rng}
     if s.kind == "alpha_k":
-        return limit_conditional_clustering(spec, s.k)
+        return limit_conditional_clustering(spec, s.k, **mc)
     if s.kind == "r_k":
-        return limit_conditional_assortativity(spec, s.k)
+        return limit_conditional_assortativity(spec, s.k, **mc)
     if s.kind == "pi":
-        return limit_degree_pmf(spec, s.k)
+        return limit_degree_pmf(spec, s.k, **mc)
     if s.kind == "moment":
         return dstar_moment(spec, s.k)
     if s.kind == "emb":

@@ -11,16 +11,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Graph",
+    "AdjacencyGraph",
     "BipartiteMultigraph",
     "RootedGraph",
     "intersection_graph",
     "ball",
+    "ball_adjacency",
     "degree_sequence",
     "loc_distance",
     "LocDistance",
@@ -130,6 +132,17 @@ class Graph:
         return hash((self.vertex_count, self.indices.tobytes(), self.indptr.tobytes()))
 
 
+class AdjacencyGraph(list):
+    """A small graph as plain Python adjacency lists on vertices 0..n-1.
+
+    The ball coder builds balls in this form, connected by construction, so
+    that a ball it hands to canon costs no CSR arrays."""
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self)
+
+
 @dataclass(frozen=True)
 class BipartiteMultigraph:
     """Bipartite multigraph: parts of sizes n1, n2 and an edge multiset.
@@ -186,7 +199,8 @@ class BipartiteMultigraph:
 @dataclass
 class RootedGraph:
     """A connected graph with a distinguished root and a lazily computed
-    canonical code (equal codes <=> root-preserving isomorphic)."""
+    canonical code (equal codes <=> root-preserving isomorphic), from the
+    ball coder in ``rigsim.ballcode``."""
 
     graph: Graph
     root: int
@@ -199,9 +213,9 @@ class RootedGraph:
     @property
     def code(self) -> bytes:
         if self._code is None:
-            from .canon import canonical_code
+            from .ballcode import rooted_code
 
-            self._code = canonical_code(self)
+            self._code = rooted_code(self)
         return self._code
 
     def __eq__(self, other: object) -> bool:
@@ -247,30 +261,30 @@ def ball(G: Graph, v: int, r: int) -> RootedGraph:
         raise ValueError("ball centre out of range")
     if r < 0:
         raise ValueError("radius must be non-negative")
+    ladj = ball_adjacency(lambda u: G.neighbors(u).tolist(), v, r)
+    edges = [(i, j) for i, nbrs in enumerate(ladj) for j in nbrs if i < j]
+    return RootedGraph(Graph.from_edges(len(ladj), edges), 0)
+
+
+def ball_adjacency(neighbors: Callable[[int], list[int]], v: int, r: int | None) -> list[list[int]]:
+    """Local adjacency lists of B_r(v) in the labelling of ``ball``; r None
+    takes the whole component.  ``neighbors(u)`` lists u's neighbours in
+    index order."""
+    loc = {v: 0}
     order = [v]
-    newid = {v: 0}
     frontier = [v]
-    for _ in range(r):
+    depth = 0
+    while frontier and (r is None or depth < r):
         nxt = []
         for u in frontier:
-            for w in G.neighbors(u):
-                w = int(w)
-                if w not in newid:
-                    newid[w] = len(order)
+            for w in neighbors(u):
+                if w not in loc:
+                    loc[w] = len(order)
                     order.append(w)
                     nxt.append(w)
-        if not nxt:
-            break
         frontier = nxt
-    edges = []
-    for u in order:
-        iu = newid[u]
-        for w in G.neighbors(u):
-            w = int(w)
-            iw = newid.get(w)
-            if iw is not None and iu < iw:
-                edges.append((iu, iw))
-    return RootedGraph(Graph.from_edges(len(order), edges), 0)
+        depth += 1
+    return [[loc[w] for w in neighbors(u) if w in loc] for u in order]
 
 
 def degree_sequence(G: Graph) -> list[int]:

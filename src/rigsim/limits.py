@@ -436,20 +436,20 @@ def limit_conditional_clustering(
 
     methods: 'exact' (truncated convolution), 'poisson' (the shortcut
     lam P(d*=k-1) / (k P(d*=k)), valid when D2 is Poisson), 'mc'
-    (rejection), 'auto' (exact if pmfs exist, else poisson, else mc).
+    (rejection), 'auto' (exact when the pmfs and a certified D1 tail exist,
+    else mc).
     """
     if k < 2:
         raise ValueError("conditional clustering needs k >= 2")
     _check_pk_positive(spec, k, mc_samples, rng)
-    if method == "auto":
+    if method in ("auto", "exact"):
         try:
-            spec.D2.pmf(0)
-            method = "exact"
+            num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * (m - 1))
+            return Estimate(num / (k * (k - 1) * pk), deficit=deficit)
         except MomentUnavailable:
-            method = "poisson" if spec.D2.kind == "poisson" else "mc"
-    if method == "exact":
-        num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * (m - 1))
-        return Estimate(num / (k * (k - 1) * pk), deficit=deficit)
+            if method == "exact":
+                raise
+            method = "mc"
     if method == "poisson":
         if spec.D2.kind != "poisson":
             raise ValueError("the Poisson shortcut needs D2 ~ Poisson")
@@ -483,15 +483,14 @@ def limit_conditional_assortativity(
         * float(spec.D2.factorial_moment(2))
         / (float(spec.D1.mean()) * float(spec.D2.mean()))
     )
-    if method == "auto":
+    if method in ("auto", "exact"):
         try:
-            spec.D2.pmf(0)
-            method = "exact"
+            num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * m)
+            return Estimate(num / (k * pk) + additive, deficit=deficit)
         except MomentUnavailable:
+            if method == "exact":
+                raise
             method = "mc"
-    if method == "exact":
-        num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * m)
-        return Estimate(num / (k * pk) + additive, deficit=deficit)
     if method == "mc":
         if rng is None:
             raise ValueError("Monte Carlo needs an rng")

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ballcode import ball_codes
 from .cliquetree import CodeHistogram
-from .counting import emb_count, pattern_from_name
-from .graphs import Graph, ball
+from .counting import _exact_sum, emb_count, pattern_from_name
+from .graphs import Graph
 
 __all__ = [
     "StatReport",
@@ -53,14 +54,6 @@ def _ratio(name: str, num: int, den: int) -> StatReport:
     if den == 0:
         return StatReport(name, 0.0, num, den, degenerate=True)
     return StatReport(name, float(Fraction(num, den)), num, den)
-
-
-def _exact_sum_int(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    if int(arr.size) * int(np.abs(arr).max()) < 2**62:
-        return int(arr.sum(dtype=np.int64))
-    return int(sum(int(x) for x in arr))
 
 
 def degree_moment(G: Graph, k: int) -> float:
@@ -127,7 +120,7 @@ def assortativity(G: Graph) -> StatReport:
     if two_e == 0:
         return StatReport("assort", 0.0, 0, 0, degenerate=True)
     src = np.repeat(np.arange(G.vertex_count), np.diff(G.indptr))
-    P = _exact_sum_int(d[src] * d[G.indices])
+    P = _exact_sum(d[src] * d[G.indices])
     S1 = sum(int(x) ** 2 for x in d)
     S2 = sum(int(x) ** 3 for x in d)
     num = two_e * P - S1 * S1
@@ -157,30 +150,21 @@ def empirical_ball_dist(
     sample_size: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> CodeHistogram:
-    """Distribution of the canonical code of B_r(G, v) over vertices v.
+    """Distribution of the code of B_r(G, v) over vertices v.
 
     Exact mode (all vertices) when sample_size is None, otherwise a uniform
     with-replacement vertex sample; counts are kept so callers can attach
-    binomial standard errors.  Equal labelled balls are canonicalized once
-    (BFS relabelling in ``ball`` makes repeats frequent).
+    binomial standard errors.  Codes come from ``ballcode.ball_codes``.
     """
     if G.vertex_count < 1:
         raise ValueError("empirical_ball_dist needs a non-empty graph")
     if sample_size is None:
-        vertices = range(G.vertex_count)
+        vertices = None
     else:
         if rng is None:
             raise ValueError("sampled mode needs an rng")
         vertices = rng.integers(0, G.vertex_count, size=sample_size).tolist()
     hist = CodeHistogram()
-    memo: dict[tuple, bytes] = {}
-    for v in vertices:
-        b = ball(G, int(v), r)
-        g = b.graph
-        key = (g.vertex_count, g.indptr.tobytes(), g.indices.tobytes())
-        code = memo.get(key)
-        if code is None:
-            code = b.code
-            memo[key] = code
+    for code in ball_codes(G, r, vertices):
         hist.add(code)
     return hist

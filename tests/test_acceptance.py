@@ -33,6 +33,8 @@ from rigsim.limits import (
 from rigsim.rng import substream
 from rigsim import stats as netstats
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 271828
 N1 = 100_000
 REPS_FULL = 48  # pooled conditional statistics

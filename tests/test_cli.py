@@ -1,11 +1,15 @@
+import csv
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
 
 from rigsim.cli import main
 
 MODEL = {"model": "active", "n1": 500, "n2": 500, "P": {"kind": "constant", "value": 3}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_json(path, obj):
@@ -110,6 +114,39 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg):
         assert rc == 0
         outs.append((out / "converge.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_converge_keeps_the_plan_seed(tmp_path):
+    # without --seed the plan's own "seed" drives the run
+    plan = write_json(
+        tmp_path / "seeded.json",
+        {"model": MODEL, "ladder": [200], "statistics": ["alpha", "ball:1"], "replications": 2,
+         "seed": 42, "mc_reference_samples": 2000},
+    )
+    csvs = {}
+    for name, seed in (("plan", []), ("flag", ["--seed", "42"]), ("zero", ["--seed", "0"])):
+        out = tmp_path / name
+        assert main(["converge", "--config", plan, "--out", str(out), *seed]) == 0
+        csvs[name] = (out / "converge.csv").read_bytes()
+    assert csvs["plan"] == csvs["flag"]
+    assert csvs["plan"] != csvs["zero"]
+
+
+def test_converge_pareto_conditional_limits(tmp_path):
+    # Pareto weights have no exact pmf or certified tail: pi, alpha_k and r_k
+    # limits fall back to Monte Carlo instead of aborting
+    laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
+    plan = write_json(
+        tmp_path / "pareto.json",
+        {"model": laws, "ladder": [300], "statistics": ["pi:2", "alpha_k:2", "r_k:2"],
+         "replications": 2, "seed": 3, "mc_reference_samples": 20000},
+    )
+    out = tmp_path / "pareto"
+    assert main(["converge", "--config", plan, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "converge.csv")))
+    assert [r["statistic"] for r in rows] == ["pi(2)", "alpha_k(2)", "r_k(2)"]
+    for r in rows:
+        assert math.isfinite(float(r["limit"])) and math.isfinite(float(r["limit_stderr"]))
 
 
 def test_theorem21_cli(tmp_path, plan_cfg):
