@@ -73,7 +73,6 @@ from .experiment import (
     ConvergenceRow,
     ExperimentPlan,
     StatisticSpec,
-    ball_convergence,
     perturbation_report,
     run_experiment,
     theorem21_suite,

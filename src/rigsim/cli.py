@@ -11,10 +11,12 @@ import json
 import os
 import sys
 
-from .cliquetree import ball_distribution_mc
-from .generators import ModelConfig, generate_bipartite, plant_clique
+from .cliquetree import CodeHistogram, ball_distribution_mc
+from .generators import ModelConfig, check_config_keys, generate_bipartite, plant_clique
 from .graphs import intersection_graph, read_graph, write_bipartite, write_graph
+from .laws import degree_law_from_config
 from .limits import (
+    LimitSpec,
     dstar_moment,
     limit_assortativity,
     limit_clustering,
@@ -23,7 +25,7 @@ from .limits import (
     limit_degree_pmf,
     limit_spec_for,
 )
-from .experiment import ExperimentPlan, StatisticSpec, ball_convergence, perturbation_report, rows_to_csv, run_experiment, theorem21_suite
+from .experiment import STATISTICS, ExperimentPlan, StatisticSpec, row_converged, rows_to_csv, run_experiment, theorem21_suite
 from .rng import substream
 from . import stats as netstats
 
@@ -71,30 +73,14 @@ def cmd_stats(args) -> int:
     rows = []
     for text in args.stats.split(","):
         s = StatisticSpec.parse(text)
-        if s.kind == "ball":
-            hist = netstats.empirical_ball_dist(G, s.r)
+        rep = STATISTICS[s.kind].graph(G, s)
+        if isinstance(rep, CodeHistogram):
             path = _out_path(args, f"ball_{s.r}.json")
             with open(path, "w") as fh:
-                json.dump(hist.to_rows(), fh, indent=1)
+                json.dump(rep.to_rows(), fh, indent=1)
             print(path)
             continue
-        if s.kind == "alpha":
-            rep = netstats.clustering(G)
-        elif s.kind == "assort":
-            rep = netstats.assortativity(G)
-        elif s.kind == "alpha_k":
-            rep = netstats.conditional_clustering(G, s.k)
-        elif s.kind == "r_k":
-            rep = netstats.conditional_assortativity(G, s.k)
-        elif s.kind == "pi":
-            rep = {"name": s.label(), "value": netstats.degree_fraction(G, s.k)}
-        elif s.kind == "moment":
-            rep = {"name": s.label(), "value": netstats.degree_moment(G, s.k)}
-        else:
-            from .counting import emb_count, pattern_from_name
-
-            rep = {"name": s.label(), "value": emb_count(pattern_from_name(s.pattern), G)}
-        rows.append(rep.to_row() if hasattr(rep, "to_row") else rep)
+        rows.append(rep.to_row() if isinstance(rep, netstats.StatReport) else {"name": s.label(), "value": rep})
     path = _out_path(args, "stats.json")
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=1)
@@ -102,14 +88,19 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_limits(args) -> int:
-    cfg = _load_config(args.config)
-    spec = limit_spec_for(ModelConfig.from_config(cfg["model"])) if "model" in cfg else None
-    if spec is None:
-        from .laws import degree_law_from_config
-        from .limits import LimitSpec
+def _limit_spec(cfg: dict) -> LimitSpec:
+    """Limit laws from a model file, a file whose "model" is a model object
+    (a plan, say), or direct {"D1", "D2"} laws."""
+    if isinstance(cfg, dict) and isinstance(cfg.get("model"), dict):
+        cfg = cfg["model"]
+    if isinstance(cfg, dict) and "model" in cfg:
+        return limit_spec_for(ModelConfig.from_config(cfg))
+    check_config_keys(cfg, "laws", ("D1", "D2"))
+    return LimitSpec(degree_law_from_config(cfg["D1"]), degree_law_from_config(cfg["D2"]))
 
-        spec = LimitSpec(degree_law_from_config(cfg["D1"]), degree_law_from_config(cfg["D2"]))
+
+def cmd_limits(args) -> int:
+    spec = _limit_spec(_load_config(args.config))
     out = []
 
     def add(name, est):
@@ -153,8 +144,7 @@ def cmd_balls(args) -> int:
         G = read_graph(args.graph)
         hist = netstats.empirical_ball_dist(G, args.r)
     else:
-        cfg = _load_config(args.config)
-        spec = limit_spec_for(ModelConfig.from_config(cfg["model"] if "model" in cfg else cfg))
+        spec = _limit_spec(_load_config(args.config))
         hist = ball_distribution_mc(spec.D1, spec.D2, args.r, args.samples, substream(args.seed))
     path = _out_path(args, f"balls_r{args.r}.json")
     with open(path, "w") as fh:
@@ -175,15 +165,9 @@ def _plan_from_args(args) -> ExperimentPlan:
 def cmd_converge(args) -> int:
     plan = _plan_from_args(args)
     rows = run_experiment(plan)
-    from .experiment import row_converged
-
-    verdicts = [row_converged(r, plan) for r in rows]
-    scored = [v for v in verdicts if v is not None]
+    scored = [v for v in (row_converged(r, plan) for r in rows) if v is not None]
     if scored:
         print(f"converged: {sum(scored)}/{len(scored)} scalar rows within tolerance")
-    if plan.gamma is not None:
-        ball = [s for s in plan.statistics if s.kind == "ball"]
-        rows += perturbation_report(plan, r=ball[0].r if ball else 1)
     _write_rows(args, rows, "converge")
     return 0
 

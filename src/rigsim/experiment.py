@@ -5,6 +5,12 @@ count and a seed.  Every replication draws from its own substream
 (seed, size-index, replication), so results are independent of execution
 order and thread count, and two runs of the same plan produce byte-identical
 CSV.
+
+Each statistic kind is one entry of ``STATISTICS``: the field carrying its
+parameter, its value on a finite graph and its limit.  One worker builds the
+graph of each (size, replication) once and evaluates every statistic on it;
+with a clique-planting perturbation it also compares the planted graph G'
+with the graph G it was planted on.
 """
 
 from __future__ import annotations
@@ -12,13 +18,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .cliquetree import CodeHistogram, ball_distribution_mc, tv_distance
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
-from .generators import ModelConfig, generate_bipartite, plant_clique
+from .generators import ModelConfig, check_config_keys, generate_bipartite, plant_clique
 from .graphs import Graph, intersection_graph
 from .laws import stirling1_signed
 from .limits import (
@@ -38,11 +44,11 @@ from .rng import substream
 from . import stats as netstats
 
 __all__ = [
+    "STATISTICS",
     "StatisticSpec",
     "ExperimentPlan",
     "ConvergenceRow",
     "run_experiment",
-    "ball_convergence",
     "perturbation_report",
     "theorem21_suite",
     "check_edge_budget",
@@ -67,43 +73,32 @@ class StatisticSpec:
     pattern: str | None = None
     r: int | None = None
 
-    _KINDS = ("alpha", "assort", "alpha_k", "r_k", "pi", "moment", "emb", "ball")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in STATISTICS:
             raise ValueError(f"unknown statistic {self.kind!r}")
-        if self.kind in ("alpha_k", "r_k", "pi", "moment") and self.k is None:
-            raise ValueError(f"statistic {self.kind} needs k")
-        if self.kind == "emb" and self.pattern is None:
-            raise ValueError("emb statistic needs a pattern name")
-        if self.kind == "ball" and self.r is None:
-            raise ValueError("ball statistic needs a radius")
+        arg = STATISTICS[self.kind].arg
+        if arg is not None and getattr(self, arg) is None:
+            raise ValueError(f"statistic {self.kind} needs {arg}")
+        if self.r is not None and self.r < 0:
+            raise ValueError("radius must be non-negative")
 
     @staticmethod
     def parse(text: str) -> "StatisticSpec":
         """Parse 'alpha', 'assort', 'alpha_k:2', 'r_k:2', 'pi:3', 'moment:2',
         'emb:K3', 'ball:1'."""
-        kind, _, arg = text.partition(":")
-        kind = kind.strip()
-        arg = arg.strip()
-        if kind in ("alpha", "assort"):
+        kind, _, arg = (part.strip() for part in text.partition(":"))
+        if kind not in STATISTICS:
+            raise ValueError(f"cannot parse statistic {text!r}")
+        field = STATISTICS[kind].arg
+        if field is None:
+            if arg:
+                raise ValueError(f"statistic {kind} takes no argument: {text!r}")
             return StatisticSpec(kind)
-        if kind in ("alpha_k", "r_k", "pi", "moment"):
-            return StatisticSpec(kind, k=int(arg))
-        if kind == "emb":
-            return StatisticSpec(kind, pattern=arg)
-        if kind == "ball":
-            return StatisticSpec(kind, r=int(arg))
-        raise ValueError(f"cannot parse statistic {text!r}")
+        return StatisticSpec(kind, **{field: arg if field == "pattern" else int(arg)})
 
     def label(self) -> str:
-        if self.kind in ("alpha", "assort"):
-            return self.kind
-        if self.kind in ("alpha_k", "r_k", "pi", "moment"):
-            return f"{self.kind}({self.k})"
-        if self.kind == "emb":
-            return f"emb({self.pattern})"
-        return f"ball({self.r})"
+        arg = STATISTICS[self.kind].arg
+        return self.kind if arg is None else f"{self.kind}({getattr(self, arg)})"
 
 
 @dataclass(frozen=True)
@@ -135,9 +130,14 @@ class ExperimentPlan:
 
     @staticmethod
     def from_config(cfg: Mapping) -> "ExperimentPlan":
+        optional = ("replications", "seed", "perturbation", "mc_reference_samples", "edge_budget", "threads",
+                    "gap_tolerance")
+        check_config_keys(cfg, "plan", ("model", "ladder", "statistics"), optional)
         model = ModelConfig.from_config(cfg["model"])
         stats = tuple(StatisticSpec.parse(s) for s in cfg["statistics"])
-        pert = cfg.get("perturbation") or {}
+        pert = cfg.get("perturbation")
+        if pert is not None:
+            check_config_keys(pert, "perturbation", ("gamma",))
         tol = cfg.get("gap_tolerance")
         return ExperimentPlan(
             model=model,
@@ -145,7 +145,7 @@ class ExperimentPlan:
             statistics=stats,
             replications=int(cfg.get("replications", 1)),
             seed=int(cfg.get("seed", 0)),
-            gamma=pert.get("gamma"),
+            gamma=None if pert is None else float(pert["gamma"]),
             mc_reference_samples=int(cfg.get("mc_reference_samples", 10**5)),
             edge_budget=int(cfg.get("edge_budget", 5 * 10**7)),
             threads=int(cfg.get("threads", 1)),
@@ -193,75 +193,126 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
     return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
 
 
-# -- replication plumbing --------------------------------------------------------------
+# -- the statistic table -------------------------------------------------------------------
 
 
-def _realize_graph(plan: ExperimentPlan, n1: int, rep: int) -> Graph:
-    config = plan.sized_model(n1)
-    rng = substream(plan.seed, _ladder_index(plan, n1), rep)
-    G = intersection_graph(generate_bipartite(config, rng))
-    s = plan.clique_size(n1)
-    if s is not None:
-        G = plant_clique(G, s, substream(plan.seed, _ladder_index(plan, n1), rep, 1))
-    return G
+class Statistic(NamedTuple):
+    """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
+    finite graph (a StatReport, a number or a ball histogram); ``limit`` gives
+    the plan's limit for it (an Estimate, or the clique-tree reference
+    histogram for balls)."""
+
+    arg: str | None  # the StatisticSpec field carrying the parameter
+    graph: Callable[[Graph, StatisticSpec], object]
+    limit: Callable[[ExperimentPlan, LimitSpec, StatisticSpec], object]
+    per_vertex: bool = False  # plans report the graph value divided by n1
 
 
-def _ladder_index(plan: ExperimentPlan, n1: int) -> int:
-    return plan.ladder.index(n1)
+def _mc(plan: ExperimentPlan, s: StatisticSpec) -> dict:
+    # Monte Carlo fallback for laws without exact pmfs (e.g. Pareto weights);
+    # rows on exact paths never touch this rng
+    rng = substream(plan.seed, _REF_STREAM, 4, plan.statistics.index(s))
+    return {"mc_samples": plan.mc_reference_samples, "rng": rng}
 
 
-def _scalar_value(G: Graph, s: StatisticSpec) -> float:
-    if s.kind == "alpha":
-        return netstats.clustering(G).value
-    if s.kind == "assort":
-        return netstats.assortativity(G).value
-    if s.kind == "alpha_k":
-        return netstats.conditional_clustering(G, s.k).value
-    if s.kind == "r_k":
-        return netstats.conditional_assortativity(G, s.k).value
-    if s.kind == "pi":
-        return netstats.degree_fraction(G, s.k)
-    if s.kind == "moment":
-        return netstats.degree_moment(G, s.k)
-    if s.kind == "emb":
-        pat = pattern_from_name(s.pattern)
-        hom, bound, holds = sidorenko_bound(pat, G)
-        if not holds:
-            raise AssertionError(f"degree-power bound violated for {s.pattern}: {hom} > {bound}")
-        return emb_count(pat, G) / G.vertex_count
-    raise AssertionError(s.kind)
+def _emb(G: Graph, s: StatisticSpec) -> int:
+    pat = pattern_from_name(s.pattern)
+    hom, bound, holds = sidorenko_bound(pat, G)
+    if not holds:
+        raise AssertionError(f"degree-power bound violated for {s.pattern}: {hom} > {bound}")
+    return emb_count(pat, G)
 
 
-def _replicate_worker(args: tuple) -> tuple[int, dict[str, float], dict[bytes, int] | None, int]:
-    """Compute all requested statistics for one (size, replication).
+# The lambdas look module globals up at call time, so a caller that rebinds
+# one of them (a tracer, a test counter) sees every call.
+STATISTICS: dict[str, Statistic] = {
+    "alpha": Statistic(None, lambda G, s: netstats.clustering(G), lambda plan, spec, s: limit_clustering(spec)),
+    "assort": Statistic(None, lambda G, s: netstats.assortativity(G),
+                        lambda plan, spec, s: limit_assortativity(spec)),
+    "alpha_k": Statistic("k", lambda G, s: netstats.conditional_clustering(G, s.k),
+                         lambda plan, spec, s: limit_conditional_clustering(spec, s.k, **_mc(plan, s))),
+    "r_k": Statistic("k", lambda G, s: netstats.conditional_assortativity(G, s.k),
+                     lambda plan, spec, s: limit_conditional_assortativity(spec, s.k, **_mc(plan, s))),
+    "pi": Statistic("k", lambda G, s: netstats.degree_fraction(G, s.k),
+                    lambda plan, spec, s: limit_degree_pmf(spec, s.k, **_mc(plan, s))),
+    "moment": Statistic("k", lambda G, s: netstats.degree_moment(G, s.k),
+                        lambda plan, spec, s: dstar_moment(spec, s.k)),
+    "emb": Statistic("pattern", _emb, lambda plan, spec, s: limit_emb_per_vertex(
+        spec, pattern_from_name(s.pattern), plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 1)
+    ), per_vertex=True),
+    "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), lambda plan, spec, s: (
+        ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 2))
+    )),
+}
 
-    Returns (rep, scalar values by label, radius-r ball counts or None, n1).
-    Runs in worker processes; everything passed in is picklable.
+
+def _measure(G: Graph, s: StatisticSpec):
+    """The value a plan reports for ``s`` on ``G``: a float, or the ball histogram."""
+    kind = STATISTICS[s.kind]
+    out = kind.graph(G, s)
+    if isinstance(out, netstats.StatReport):
+        out = out.value
+    return out / G.vertex_count if kind.per_vertex else out
+
+
+# -- the replication pass ------------------------------------------------------------------
+
+
+def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
+    """One (size index, replication): draw H once, project it to G and plant
+    the clique on G when the plan has a perturbation, giving G'.
+
+    Returns the statistics of the plan and of ``pert`` on G' (G without a
+    perturbation), by label.  ``pert`` is empty or a (moment, ball) pair of
+    specs; when it is given the worker also returns the ratio of the moment on
+    G' over G and the TV distance between their ball distributions.  Runs in
+    worker processes; everything passed in is picklable.
     """
-    plan, n1, rep, ball_r = args
+    plan, i, rep, pert = task
+    n1 = plan.ladder[i]
     try:
-        G = _realize_graph(plan, n1, rep)
-        scalars: dict[str, float] = {}
-        for s in plan.statistics:
-            if s.kind != "ball":
-                scalars[s.label()] = _scalar_value(G, s)
-        counts = None
-        if ball_r is not None:
-            counts = netstats.empirical_ball_dist(G, ball_r).counts
+        G0 = intersection_graph(generate_bipartite(plan.sized_model(n1), substream(plan.seed, i, rep)))
+        s = plan.clique_size(n1)
+        G = G0 if s is None else plant_clique(G0, s, substream(plan.seed, i, rep, 1))
+        values = {st.label(): _measure(G, st) for st in dict.fromkeys(plan.statistics + pert)}
+        if not pert:
+            return values, None
+        mom, ball = (st.label() for st in pert)
+        base = {st.label(): _measure(G0, st) for st in pert}
+        tv = tv_distance(values[ball].probabilities(), base[ball].probabilities())
+        return values, (values[mom] / base[mom], tv)
     except Exception as e:
         raise RuntimeError(f"replication failed at n1={n1}, replication={rep}: {e}") from e
-    return rep, scalars, counts, n1
 
 
-def _run_replications(plan: ExperimentPlan, n1: int, ball_r: int | None):
-    tasks = [(plan, n1, rep, ball_r) for rep in range(plan.replications)]
+def _replications(plan: ExperimentPlan, i: int, pert: tuple[StatisticSpec, ...] = ()) -> list:
+    """Worker results for every replication at ladder index ``i``, in
+    replication order."""
+    tasks = [(plan, i, rep, pert) for rep in range(plan.replications)]
     if plan.threads > 1:
         with ProcessPoolExecutor(max_workers=plan.threads) as ex:
-            results = list(ex.map(_replicate_worker, tasks))
-    else:
-        results = [_replicate_worker(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    return results
+            return list(ex.map(_replicate, tasks))
+    return [_replicate(t) for t in tasks]
+
+
+def _mean_se(xs) -> tuple[float, float]:
+    a = np.asarray(xs, dtype=float)
+    return float(a.mean()), float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
+
+
+def _scalar_row(n1: int, label: str, xs, lim: Estimate) -> ConvergenceRow:
+    emp, emp_se = _mean_se(xs)
+    return ConvergenceRow(n1, label, emp, emp_se, lim.value, lim.stderr, abs(emp - lim.value), None)
+
+
+def _perturbation_rows(n1: int, pert: tuple[StatisticSpec, ...], results: list) -> list[ConvergenceRow]:
+    mom, ball = pert
+    ratio, r_se = _mean_se([p[0] for _, p in results])
+    tv = float(np.mean([p[1] for _, p in results]))
+    return [
+        ConvergenceRow(n1, f"moment_ratio({mom.k})", ratio, r_se, None, None, None, None),
+        ConvergenceRow(n1, f"ball_perturb_tv({ball.r})", None, None, None, None, None, tv),
+    ]
 
 
 def check_edge_budget(plan: ExperimentPlan) -> None:
@@ -278,32 +329,6 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
             raise ValueError(
                 f"estimated {est:.3g} edges at n1={n1} exceeds the edge budget {plan.edge_budget}"
             )
-
-
-def _limit_estimate(
-    plan: ExperimentPlan, spec: LimitSpec, s: StatisticSpec
-) -> Estimate:
-    if s.kind == "alpha":
-        return limit_clustering(spec)
-    if s.kind == "assort":
-        return limit_assortativity(spec)
-    # Monte Carlo fallback for laws without exact pmfs (e.g. Pareto weights);
-    # rows on exact paths never touch this rng
-    rng = substream(plan.seed, _REF_STREAM, 4, plan.statistics.index(s))
-    mc = {"mc_samples": plan.mc_reference_samples, "rng": rng}
-    if s.kind == "alpha_k":
-        return limit_conditional_clustering(spec, s.k, **mc)
-    if s.kind == "r_k":
-        return limit_conditional_assortativity(spec, s.k, **mc)
-    if s.kind == "pi":
-        return limit_degree_pmf(spec, s.k, **mc)
-    if s.kind == "moment":
-        return dstar_moment(spec, s.k)
-    if s.kind == "emb":
-        return limit_emb_per_vertex(
-            spec, pattern_from_name(s.pattern), plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 1)
-        )
-    raise AssertionError(s.kind)
 
 
 def limit_emb_per_vertex(
@@ -344,84 +369,53 @@ def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
 def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     """Run the full plan: per size, replicate graphs, compare statistics with
     their limits; ball statistics compare pooled empirical code histograms
-    against a clique-tree Monte Carlo reference by total variation."""
+    against a clique-tree Monte Carlo reference by total variation.  A plan
+    with a perturbation then gets, per size, the rows of
+    ``perturbation_report`` at the plan's ball radius (1 without a ball
+    statistic), from the same graphs."""
     check_edge_budget(plan)
-    spec = limit_spec_for(plan.model)
-    ball_specs = [s for s in plan.statistics if s.kind == "ball"]
-    if len(ball_specs) > 1:
+    balls = [s for s in plan.statistics if s.kind == "ball"]
+    if len(balls) > 1:
         raise ValueError("at most one ball statistic per plan")
-    ball_r = ball_specs[0].r if ball_specs else None
-    scalar_specs = [s for s in plan.statistics if s.kind != "ball"]
-    limits = {s.label(): _limit_estimate(plan, spec, s) for s in scalar_specs}
-    references: dict[int, CodeHistogram] = {}
-    if ball_r is not None:
-        references[ball_r] = ball_distribution_mc(
-            spec.D1, spec.D2, ball_r, plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 2)
-        )
+    spec = limit_spec_for(plan.model)
+    limits = {s.label(): STATISTICS[s.kind].limit(plan, spec, s) for s in plan.statistics}
+    pert = () if plan.gamma is None else _perturbation(2, balls[0].r if balls else 1)
     rows: list[ConvergenceRow] = []
-    for n1 in plan.ladder:
-        results = _run_replications(plan, n1, ball_r)
-        for s in scalar_specs:
-            vals = np.array([res[1][s.label()] for res in results])
-            emp = float(vals.mean())
-            emp_se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-            lim = limits[s.label()]
-            rows.append(
-                ConvergenceRow(
-                    n1, s.label(), emp, emp_se, lim.value, lim.stderr, abs(emp - lim.value), None
-                )
-            )
-        if ball_r is not None:
+    pert_rows: list[ConvergenceRow] = []  # appended after all the main rows
+    for i, n1 in enumerate(plan.ladder):
+        results = _replications(plan, i, pert)
+        for s in plan.statistics:
+            if s.kind != "ball":
+                rows.append(_scalar_row(n1, s.label(), [values[s.label()] for values, _ in results], limits[s.label()]))
+        for s in balls:  # after the scalar rows of the size
             pooled = CodeHistogram()
-            for res in results:
-                for code, c in sorted(res[2].items()):
+            for values, _ in results:
+                for code, c in values[s.label()].counts.items():
                     pooled.add(code, c)
-            tv = tv_distance(pooled.probabilities(), references[ball_r].probabilities())
-            rows.append(ConvergenceRow(n1, f"ball({ball_r})", None, None, None, None, None, tv))
-    return rows
+            tv = tv_distance(pooled.probabilities(), limits[s.label()].probabilities())
+            rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, tv))
+        if pert:
+            pert_rows += _perturbation_rows(n1, pert, results)
+    return rows + pert_rows
 
 
-def ball_convergence(plan: ExperimentPlan, r: int) -> list[ConvergenceRow]:
-    """Total-variation rows between the empirical radius-r ball distribution
-    of G_n and the clique-tree Monte Carlo reference, per ladder size."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    pl = replace(plan, statistics=(StatisticSpec("ball", r=r),))
-    return run_experiment(pl)
+def _perturbation(moment_order: int, r: int) -> tuple[StatisticSpec, StatisticSpec]:
+    return StatisticSpec("moment", k=moment_order), StatisticSpec("ball", r=r)
 
 
 def perturbation_report(plan: ExperimentPlan, r: int = 1, moment_order: int = 2) -> list[ConvergenceRow]:
     """Clique-planting demonstration: per size, the perturbed/unperturbed
     degree-moment ratio and the TV distance between their radius-r ball
-    distributions.  Requires the plan to carry a perturbation exponent."""
+    distributions, both from the same base graphs.  Requires the plan to
+    carry a perturbation exponent."""
     if plan.gamma is None:
         raise ValueError("perturbation_report needs a plan with gamma")
     check_edge_budget(plan)
+    pert = _perturbation(moment_order, r)
+    plan = replace(plan, statistics=pert)
     rows: list[ConvergenceRow] = []
-    mom = StatisticSpec("moment", k=moment_order)
-    pert = replace(plan, statistics=(mom,))
-    base = replace(pert, gamma=None)  # same substreams: G' is G plus the clique
-    for n1 in plan.ladder:
-        res_pert = _run_replications(pert, n1, r)
-        res_base = _run_replications(base, n1, r)
-        ratios = []
-        tvs = []
-        for (_, sc_p, counts_p, _), (_, sc_b, counts_b, _) in zip(res_pert, res_base):
-            ratios.append(sc_p[mom.label()] / sc_b[mom.label()])
-            hp, hb = CodeHistogram(), CodeHistogram()
-            for code, c in sorted(counts_p.items()):
-                hp.add(code, c)
-            for code, c in sorted(counts_b.items()):
-                hb.add(code, c)
-            tvs.append(tv_distance(hp.probabilities(), hb.probabilities()))
-        ratio = float(np.mean(ratios))
-        r_se = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-        rows.append(
-            ConvergenceRow(n1, f"moment_ratio({moment_order})", ratio, r_se, None, None, None, None)
-        )
-        rows.append(
-            ConvergenceRow(n1, f"ball_perturb_tv({r})", None, None, None, None, None, float(np.mean(tvs)))
-        )
+    for i, n1 in enumerate(plan.ladder):
+        rows += _perturbation_rows(n1, pert, _replications(plan, i, pert))
     return rows
 
 
@@ -436,6 +430,7 @@ def theorem21_suite(plan: ExperimentPlan, pattern_name: str) -> list[Convergence
         raise ValueError("theorem21 suite is limited to patterns on at most 4 vertices")
     check_edge_budget(plan)
     spec = limit_spec_for(plan.model)
+    mom_s, emb_s = StatisticSpec("moment", k=h - 1), StatisticSpec("emb", pattern=pattern_name)
     mom_limit = dstar_moment(spec, h - 1)
     rootings = distinct_rootings(pattern)
     emb_limits = [
@@ -449,36 +444,12 @@ def theorem21_suite(plan: ExperimentPlan, pattern_name: str) -> list[Convergence
         for i, rp in enumerate(rootings)
     ]
     rows: list[ConvergenceRow] = []
-    for n1 in plan.ladder:
-        moments = []
-        embs = []
-        sid_ok = 0
-        for rep in range(plan.replications):
-            G = _realize_graph(plan, n1, rep)
-            moments.append(netstats.degree_moment(G, h - 1))
-            embs.append(emb_count(pattern, G) / G.vertex_count)
-            _, _, holds = sidorenko_bound(pattern, G)
-            if not holds:
-                raise AssertionError(f"Sidorenko bound violated at n1={n1} rep={rep}")
-            sid_ok += 1
-        mom = float(np.mean(moments))
-        mom_se = float(np.std(moments, ddof=1) / math.sqrt(len(moments))) if len(moments) > 1 else 0.0
-        rows.append(
-            ConvergenceRow(
-                n1, f"moment({h - 1})", mom, mom_se, mom_limit.value, mom_limit.stderr,
-                abs(mom - mom_limit.value), None,
-            )
-        )
-        emb = float(np.mean(embs))
-        emb_se = float(np.std(embs, ddof=1) / math.sqrt(len(embs))) if len(embs) > 1 else 0.0
-        for i, lim in enumerate(emb_limits):
-            rows.append(
-                ConvergenceRow(
-                    n1, f"emb({pattern_name})@root{rootings[i].root}", emb, emb_se,
-                    lim.value, lim.stderr, abs(emb - lim.value), None,
-                )
-            )
-        rows.append(
-            ConvergenceRow(n1, f"sidorenko({pattern_name})", sid_ok / plan.replications, 0.0, 1.0, 0.0, 0.0, None)
-        )
+    plan = replace(plan, statistics=(mom_s, emb_s))
+    for i, n1 in enumerate(plan.ladder):
+        results = _replications(plan, i)
+        rows.append(_scalar_row(n1, mom_s.label(), [values[mom_s.label()] for values, _ in results], mom_limit))
+        embs = [values[emb_s.label()] for values, _ in results]
+        rows += [_scalar_row(n1, f"{emb_s.label()}@root{rp.root}", embs, lim) for rp, lim in zip(rootings, emb_limits)]
+        # the emb entry raises on a Sidorenko violation, so the bound held on every replication
+        rows.append(ConvergenceRow(n1, f"sidorenko({pattern_name})", 1.0, 0.0, 1.0, 0.0, 0.0, None))
     return rows

@@ -14,7 +14,7 @@ matching (multi-edges allowed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "gen_degree_sequences",
     "plant_clique",
     "generate_bipartite",
+    "check_config_keys",
 ]
 
 
@@ -169,6 +170,24 @@ def plant_clique(G: Graph, s: int, rng: np.random.Generator) -> Graph:
 # -- model configuration --------------------------------------------------------
 
 
+def check_config_keys(cfg, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Reject a JSON config object with a key outside ``required`` and
+    ``optional``, or without one of ``required``, naming the key."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"{what} config must be a JSON object, got {cfg!r}")
+    allowed = (*required, *optional)
+    for key in cfg:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}; allowed keys: {', '.join(allowed)}")
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{what} config is missing the required key {key!r}")
+
+
+# law keys each model carries
+_MODEL_LAWS = {"active": ("P",), "passive": ("P",), "inhomogeneous": ("xi1", "xi2"), "configuration": ("D1", "D2")}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """One of the four bipartite models plus its laws and sizes.
@@ -188,48 +207,41 @@ class ModelConfig:
     xi2: WeightLaw | None = None
     D1: DegreeLaw | None = None
     D2: DegreeLaw | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.model not in ("active", "passive", "inhomogeneous", "configuration"):
+        if self.model not in _MODEL_LAWS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("part sizes must be >= 1")
+        missing = [law for law in _MODEL_LAWS[self.model] if getattr(self, law) is None]
+        if missing:
+            raise ValueError(f"{self.model} model needs {' and '.join(missing)}")
         if self.model in ("active", "passive"):
-            if self.P is None:
-                raise ValueError(f"{self.model} model needs P")
             cap = self.n2 if self.model == "active" else self.n1
             mx = self.P.max_support()
             if mx is None or mx > cap:
                 raise ValueError(
                     f"P support must lie in {{0,..,{cap}}} for the {self.model} model"
                 )
-        if self.model == "inhomogeneous" and (self.xi1 is None or self.xi2 is None):
-            raise ValueError("inhomogeneous model needs xi1 and xi2")
-        if self.model == "configuration" and (self.D1 is None or self.D2 is None):
-            raise ValueError("configuration model needs D1 and D2")
 
     @property
     def beta(self) -> float:
         return self.n2 / self.n1
 
     def with_sizes(self, n1: int, n2: int) -> "ModelConfig":
-        return ModelConfig(self.model, n1, n2, self.P, self.xi1, self.xi2, self.D1, self.D2, self.seed)
+        return replace(self, n1=n1, n2=n2)
 
     @staticmethod
     def from_config(cfg: Mapping) -> "ModelConfig":
-        model = cfg["model"]
-        kw = dict(model=model, n1=int(cfg["n1"]), n2=int(cfg.get("n2", 0)), seed=int(cfg.get("seed", 0)))
-        if model in ("active", "passive"):
-            kw["P"] = degree_law_from_config(cfg["P"])
-        elif model == "inhomogeneous":
-            kw["xi1"] = weight_law_from_config(cfg["xi1"])
-            kw["xi2"] = weight_law_from_config(cfg["xi2"])
-        elif model == "configuration":
-            kw["D1"] = degree_law_from_config(cfg["D1"])
-            kw["D2"] = degree_law_from_config(cfg["D2"])
-            if not kw["n2"]:
-                kw["n2"] = int(math.floor(float(kw["D1"].mean()) / float(kw["D2"].mean()) * kw["n1"]))
+        model = cfg.get("model") if isinstance(cfg, Mapping) else None
+        if not isinstance(model, str) or model not in _MODEL_LAWS:
+            raise ValueError(f"unknown model {model!r}")
+        check_config_keys(cfg, "model", ("model", "n1", *_MODEL_LAWS[model]), ("n2",))
+        kw = dict(model=model, n1=int(cfg["n1"]), n2=int(cfg.get("n2", 0)))
+        law_from_config = weight_law_from_config if model == "inhomogeneous" else degree_law_from_config
+        kw.update((law, law_from_config(cfg[law])) for law in _MODEL_LAWS[model])
+        if model == "configuration" and not kw["n2"]:
+            kw["n2"] = int(math.floor(float(kw["D1"].mean()) / float(kw["D2"].mean()) * kw["n1"]))
         if not kw["n2"]:
             raise ValueError("n2 required")
         return ModelConfig(**kw)

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import rigsim.experiment
 from rigsim.cli import main
+from rigsim.experiment import ExperimentPlan
+from rigsim.generators import ModelConfig
 
 MODEL = {"model": "active", "n1": 500, "n2": 500, "P": {"kind": "constant", "value": 3}}
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_json(path, obj):
@@ -105,15 +109,78 @@ def test_balls_mc_and_empirical(tmp_path, model_cfg):
 
 
 def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg):
-    outs = []
-    for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
-        out = tmp_path / name
-        rc = main(
-            ["converge", "--config", plan_cfg, "--seed", "5", "--threads", threads, "--out", str(out), "--format", "csv"]
-        )
-        assert rc == 0
-        outs.append((out / "converge.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    planted = json.loads(Path(plan_cfg).read_text())
+    planted.update(statistics=["moment:2", "ball:1"], perturbation={"gamma": 0.5})
+    planted_cfg = write_json(tmp_path / "planted.json", planted)
+    for cfg in (plan_cfg, planted_cfg):
+        outs = []
+        for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
+            out = tmp_path / f"{Path(cfg).stem}_{name}"
+            rc = main(
+                ["converge", "--config", cfg, "--seed", "5", "--threads", threads, "--out", str(out), "--format", "csv"]
+            )
+            assert rc == 0
+            outs.append((out / "converge.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+    assert b"ball_perturb_tv(1)" in outs[0]
+
+
+def test_converge_builds_each_graph_once(tmp_path, monkeypatch):
+    calls = []
+    generate = rigsim.experiment.generate_bipartite
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return generate(*a, **kw)
+
+    monkeypatch.setattr(rigsim.experiment, "generate_bipartite", counting)
+    plan = write_json(
+        tmp_path / "planted.json",
+        {"model": MODEL, "ladder": [200, 300, 400], "statistics": ["moment:2", "ball:1"], "replications": 2,
+         "seed": 5, "perturbation": {"gamma": 0.5}, "mc_reference_samples": 2000},
+    )
+    assert main(["converge", "--config", plan, "--threads", "1", "--out", str(tmp_path / "o")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "o" / "converge.csv")))
+    assert [r["statistic"] for r in rows[6:]] == ["moment_ratio(2)", "ball_perturb_tv(1)"] * 3
+    assert len(calls) == 3 * 2
+
+
+def test_balls_and_limits_on_a_plain_model_file(tmp_path):
+    model = str(CONFIGS / "active_p3.json")
+    assert main(["balls", "--config", model, "--r", "1", "--samples", "2000", "--out", str(tmp_path)]) == 0
+    assert main(["limits", "--config", model, "--out", str(tmp_path)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
+    assert vals["alpha"]["value"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"model": MODEL, "ladder": [200], "statistics": ["alpha"], "replication": 3},
+         "unknown plan key 'replication'"),
+        ({"model": MODEL, "ladder": [200], "statistics": ["alpha"], "perturbation": {"gama": 0.5}},
+         "unknown perturbation key 'gama'"),
+        ({"model": {**MODEL, "seed": 3}, "ladder": [200], "statistics": ["alpha"]}, "unknown model key 'seed'"),
+        ({"model": MODEL, "statistics": ["alpha"]}, "missing the required key 'ladder'"),
+        ({"model": {k: v for k, v in MODEL.items() if k != "n1"}, "ladder": [200], "statistics": ["alpha"]},
+         "missing the required key 'n1'"),
+    ],
+)
+def test_config_keys_are_checked(tmp_path, capsys, cfg, message):
+    plan = write_json(tmp_path / "plan.json", cfg)
+    assert main(["converge", "--config", plan, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_shipped_configs_parse():
+    paths = sorted(CONFIGS.glob("*.json")) + sorted((ROOT / "perfbench" / "plans").glob("*/*.json"))
+    assert len(paths) >= 11
+    for path in paths:
+        cfg = json.loads(path.read_text())
+        if "ladder" in cfg:
+            ExperimentPlan.from_config(cfg)
+        else:
+            ModelConfig.from_config(cfg)
 
 
 def test_converge_keeps_the_plan_seed(tmp_path):

@@ -8,7 +8,6 @@ from rigsim.experiment import (
     ConvergenceRow,
     ExperimentPlan,
     StatisticSpec,
-    ball_convergence,
     check_edge_budget,
     limit_emb_per_vertex,
     perturbation_report,
@@ -45,6 +44,8 @@ class TestPlanParsing:
             StatisticSpec.parse("nonsense")
         with pytest.raises(ValueError):
             StatisticSpec.parse("alpha_k")
+        with pytest.raises(ValueError):
+            StatisticSpec.parse("alpha:3")
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -136,18 +137,18 @@ class TestBallConvergence:
             {
                 "model": {"model": "active", "n1": 50, "n2": 50, "P": {"kind": "constant", "value": 0}},
                 "ladder": [50],
-                "statistics": ["pi:0"],
+                "statistics": ["ball:1"],
                 "replications": 1,
                 "seed": 1,
                 "mc_reference_samples": 500,
             }
         )
-        rows = ball_convergence(plan, 1)
+        rows = run_experiment(plan)
         assert rows[0].tv == 0.0
 
     def test_tv_shrinks_along_ladder(self):
-        plan = active_plan(ladder=[200, 1600], replications=2, mc_reference_samples=60000)
-        rows = ball_convergence(plan, 1)
+        plan = active_plan(statistics=["ball:1"], ladder=[200, 1600], replications=2, mc_reference_samples=60000)
+        rows = run_experiment(plan)
         assert rows[0].tv > rows[1].tv
 
 
@@ -159,6 +160,12 @@ class TestPerturbation:
         assert labels == ["moment_ratio(2)", "ball_perturb_tv(1)"] * 2
         ratios = [r.empirical for r in rows if r.statistic == "moment_ratio(2)"]
         assert all(x > 1.0 for x in ratios)  # planting only adds edges
+
+    def test_converge_rows_follow_the_main_rows(self):
+        plan = active_plan(statistics=["moment:2", "ball:1"], perturbation={"gamma": 0.5})
+        rows = run_experiment(plan)
+        assert [r.statistic for r in rows[4:]] == ["moment_ratio(2)", "ball_perturb_tv(1)"] * 2
+        assert rows_to_csv(rows[4:]) == rows_to_csv(perturbation_report(plan, r=1))
 
     def test_requires_gamma(self):
         with pytest.raises(ValueError):
