@@ -12,9 +12,9 @@ import os
 import sys
 
 from .cliquetree import CodeHistogram, ball_distribution_mc
-from .generators import ModelConfig, check_config_keys, generate_bipartite, plant_clique
+from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import intersection_graph, read_graph, write_bipartite, write_graph
-from .laws import degree_law_from_config
+from .laws import check_config_keys, degree_law_from_config
 from .limits import (
     LimitSpec,
     dstar_moment,

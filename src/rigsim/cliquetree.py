@@ -110,20 +110,18 @@ class CliqueTreeBall:
 
 
 def _tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
+    """Even generations become part 1, odd ones part 2, each numbered in node
+    order; every tree edge becomes one incidence."""
     even = tree.generation % 2 == 0
-    ids = np.arange(tree.node_count)
-    part1 = ids[even]
-    part2 = ids[~even]
-    idx1 = {int(v): i for i, v in enumerate(part1)}
-    idx2 = {int(v): i for i, v in enumerate(part2)}
-    pairs = []
-    for child in range(1, tree.node_count):
-        parent = int(tree.parents[child])
-        if even[child]:
-            pairs.append((idx1[child], idx2[parent]))
-        else:
-            pairs.append((idx1[parent], idx2[child]))
-    return BipartiteMultigraph.from_pairs(part1.size, max(part2.size, 1), pairs)
+    index = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
+    child = np.arange(1, tree.node_count)
+    parent = tree.parents[child]
+    child_even = even[child]
+    pairs = np.stack(
+        [np.where(child_even, index[child], index[parent]), np.where(child_even, index[parent], index[child])],
+        axis=1,
+    )
+    return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
 
 
 def clique_tree_ball_from_tree(tree: GWTree, r: int) -> CliqueTreeBall:

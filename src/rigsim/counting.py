@@ -564,12 +564,15 @@ def hom_count(H: Pattern, G: Graph) -> int:
     return _hom_raw(H.h, H.edge_tuple(), G, dense, host)
 
 
-def emb_count(H: Pattern, G: Graph) -> int:
-    """Exact number of embeddings (injective homomorphisms) H -> G."""
+def emb_count(H: Pattern, G: Graph, hom: int | None = None) -> int:
+    """Exact number of embeddings (injective homomorphisms) H -> G.
+
+    ``hom``, when given, is hom(H, G): the term of the identity partition
+    (the only one with h blocks), which is then not counted again."""
     dense, host = _prepare_host(G, H.h)
     total = 0
     for q_h, q_edges, _, mu in _coincidence_terms(H.h, H.edge_tuple(), None):
-        total += mu * _hom_raw(q_h, q_edges, G, dense, host)
+        total += mu * (hom if hom is not None and q_h == H.h else _hom_raw(q_h, q_edges, G, dense, host))
     return total
 
 

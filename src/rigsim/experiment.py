@@ -24,9 +24,9 @@ import numpy as np
 
 from .cliquetree import CodeHistogram, ball_distribution_mc, tv_distance
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
-from .generators import ModelConfig, check_config_keys, generate_bipartite, plant_clique
+from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, intersection_graph
-from .laws import stirling1_signed
+from .laws import check_config_keys, stirling1_signed
 from .limits import (
     Estimate,
     LimitSpec,
@@ -220,7 +220,7 @@ def _emb(G: Graph, s: StatisticSpec) -> int:
     hom, bound, holds = sidorenko_bound(pat, G)
     if not holds:
         raise AssertionError(f"degree-power bound violated for {s.pattern}: {hom} > {bound}")
-    return emb_count(pat, G)
+    return emb_count(pat, G, hom=hom)
 
 
 # The lambdas look module globals up at call time, so a caller that rebinds

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import BipartiteMultigraph, Graph
-from .laws import DegreeLaw, WeightLaw, degree_law_from_config, weight_law_from_config
+from .laws import DegreeLaw, WeightLaw, check_config_keys, degree_law_from_config, weight_law_from_config
 
 __all__ = [
     "ModelConfig",
@@ -31,17 +31,45 @@ __all__ = [
     "gen_degree_sequences",
     "plant_clique",
     "generate_bipartite",
-    "check_config_keys",
 ]
 
 
-def _floyd_subset(rng: np.random.Generator, m: int, k: int) -> list[int]:
-    """Floyd's algorithm: uniform k-subset of {0, ..., m-1} in O(k) expected time."""
+def _floyd_resolve(draws: list[int], m: int) -> list[int]:
+    """Floyd's subset from its draws t ~ U{0..j}, j = m - k, ..., m - 1: each
+    t joins unless already chosen, and then j joins instead.  Listed in the
+    set's iteration order."""
     chosen: set[int] = set()
-    for j in range(m - k, m):
-        t = int(rng.integers(0, j + 1))
+    for j, t in enumerate(draws, start=m - len(draws)):
         chosen.add(t if t not in chosen else j)
     return list(chosen)
+
+
+def _floyd_subset(rng: np.random.Generator, m: int, k: int) -> list[int]:
+    """Floyd's algorithm: uniform k-subset of {0, ..., m-1} in O(k) expected time.
+
+    One ``integers`` call with an array of upper bounds consumes the stream
+    exactly as one call per draw does, and leaves the generator in the same
+    state."""
+    return _floyd_resolve(rng.integers(0, np.arange(m - k + 1, m + 1)).tolist(), m)
+
+
+def _floyd_pairs(rng: np.random.Generator, m: int, k: np.ndarray) -> np.ndarray:
+    """(owner, member) rows of a Floyd k[i]-subset of {0, ..., m-1} for each
+    owner i, from the stream of one ``_floyd_subset`` call per owner in turn.
+
+    An owner whose draws are distinct keeps them as drawn: each draw then
+    misses the earlier picks, which are the earlier draws.  Only owners with
+    a repeated draw, rare when k is small against m, go through
+    ``_floyd_resolve``."""
+    k = np.asarray(k, dtype=np.int64)
+    owner = np.repeat(np.arange(k.size), k)
+    start = np.cumsum(k) - k
+    member = rng.integers(0, m - k[owner] + np.arange(owner.size) - start[owner] + 1)
+    key = np.sort(owner * np.int64(m) + member)
+    for i in np.unique(key[1:][np.diff(key) == 0] // m):
+        run = slice(start[i], start[i] + k[i])
+        member[run] = _floyd_resolve(member[run].tolist(), m)
+    return np.stack([owner, member], axis=1)
 
 
 def gen_active(n1: int, n2: int, P: DegreeLaw, rng: np.random.Generator) -> BipartiteMultigraph:
@@ -49,11 +77,7 @@ def gen_active(n1: int, n2: int, P: DegreeLaw, rng: np.random.Generator) -> Bipa
     X = P.sample(rng, n1)
     if X.size and int(X.max()) > n2:
         raise ValueError(f"sampled attribute-set size {int(X.max())} exceeds n2={n2}")
-    pairs: list[tuple[int, int]] = []
-    for v in range(n1):
-        for w in _floyd_subset(rng, n2, int(X[v])):
-            pairs.append((v, w))
-    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    return BipartiteMultigraph.from_pairs(n1, n2, _floyd_pairs(rng, n2, X))
 
 
 def gen_passive(n1: int, n2: int, P: DegreeLaw, rng: np.random.Generator) -> BipartiteMultigraph:
@@ -61,11 +85,7 @@ def gen_passive(n1: int, n2: int, P: DegreeLaw, rng: np.random.Generator) -> Bip
     X = P.sample(rng, n2)
     if X.size and int(X.max()) > n1:
         raise ValueError(f"sampled member-set size {int(X.max())} exceeds n1={n1}")
-    pairs: list[tuple[int, int]] = []
-    for w in range(n2):
-        for u in _floyd_subset(rng, n1, int(X[w])):
-            pairs.append((u, w))
-    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    return BipartiteMultigraph.from_pairs(n1, n2, _floyd_pairs(rng, n1, X)[:, ::-1])
 
 
 def gen_inhomogeneous(
@@ -84,24 +104,32 @@ def gen_inhomogeneous(
     norm = math.sqrt(n1 * n2)
     w2max = float(w2.max()) if n2 else 0.0
     pmax = np.minimum(w1 * w2max / norm, 1.0)
-    pairs: list[tuple[int, int]] = []
     # thinning pays off while the candidate draws stay well below the full grid
     if float(pmax.sum()) * n2 <= 0.05 * n1 * n2:
-        for v in range(n1):
-            pv = float(pmax[v])
-            if pv <= 0.0:
-                continue
-            k = int(rng.binomial(n2, pv))
-            if k == 0:
-                continue
-            cand = _floyd_subset(rng, n2, k)
-            keep = rng.random(k) * pv <= np.minimum(w1[v] * w2[np.asarray(cand)] / norm, 1.0)
-            pairs.extend((v, cand[i]) for i in np.flatnonzero(keep))
+        # per vertex in turn: a Binomial(n2, pmax) candidate count, the Floyd
+        # subset of candidates and one uniform each; the draws interleave, so
+        # only the acceptance test runs on all candidates at once
+        counts = np.zeros(n1, dtype=np.int64)
+        cand: list[int] = []
+        unif = [np.empty(0)]
+        for v in np.flatnonzero(pmax > 0.0).tolist():
+            k = int(rng.binomial(n2, float(pmax[v])))
+            if k:
+                counts[v] = k
+                cand += _floyd_subset(rng, n2, k)
+                unif.append(rng.random(k))
+        owner = np.repeat(np.arange(n1), counts)
+        member = np.asarray(cand, dtype=np.int64)
+        keep = np.concatenate(unif) * pmax[owner] <= np.minimum(w1[owner] * w2[member] / norm, 1.0)
+        pairs = np.stack([owner[keep], member[keep]], axis=1)
     else:
-        for v in range(n1):
-            row = np.minimum(w1[v] * w2 / norm, 1.0)
-            hits = np.flatnonzero(rng.random(n2) < row)
-            pairs.extend((v, int(w)) for w in hits)
+        # a block of rows of uniforms is the stream of one random(n2) call per row
+        block = max(1, (1 << 16) // max(n2, 1))
+        hits = [np.empty((0, 2), dtype=np.int64)]
+        for v0 in range(0, n1, block):
+            p = np.minimum(w1[v0 : v0 + block, None] * w2 / norm, 1.0)
+            hits.append(np.argwhere(rng.random(p.shape) < p) + (v0, 0))
+        pairs = np.concatenate(hits)
     return BipartiteMultigraph.from_pairs(n1, n2, pairs)
 
 
@@ -118,7 +146,7 @@ def gen_configuration(
     stubs1 = np.repeat(np.arange(d1.size), d1)
     stubs2 = np.repeat(np.arange(d2.size), d2)
     stubs2 = stubs2[rng.permutation(stubs2.size)]
-    return BipartiteMultigraph.from_pairs(d1.size, d2.size, zip(stubs1.tolist(), stubs2.tolist()))
+    return BipartiteMultigraph.from_pairs(d1.size, d2.size, np.stack([stubs1, stubs2], axis=1))
 
 
 def gen_degree_sequences(
@@ -159,29 +187,11 @@ def plant_clique(G: Graph, s: int, rng: np.random.Generator) -> Graph:
         raise ValueError("clique size out of range")
     members = np.sort(rng.choice(G.vertex_count, size=s, replace=False))
     iu, jv = np.triu_indices(s, k=1)
-    src = np.repeat(np.arange(G.vertex_count), np.diff(G.indptr))
-    keep = src < G.indices
-    edges = np.concatenate(
-        [np.stack([src[keep], G.indices[keep]], axis=1), np.stack([members[iu], members[jv]], axis=1)]
-    )
+    edges = np.concatenate([G.edge_array(), np.stack([members[iu], members[jv]], axis=1)])
     return Graph.from_edges(G.vertex_count, edges)
 
 
 # -- model configuration --------------------------------------------------------
-
-
-def check_config_keys(cfg, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
-    """Reject a JSON config object with a key outside ``required`` and
-    ``optional``, or without one of ``required``, naming the key."""
-    if not isinstance(cfg, Mapping):
-        raise ValueError(f"{what} config must be a JSON object, got {cfg!r}")
-    allowed = (*required, *optional)
-    for key in cfg:
-        if key not in allowed:
-            raise ValueError(f"unknown {what} key {key!r}; allowed keys: {', '.join(allowed)}")
-    for key in required:
-        if key not in cfg:
-            raise ValueError(f"{what} config is missing the required key {key!r}")
 
 
 # law keys each model carries

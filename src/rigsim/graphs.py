@@ -8,6 +8,7 @@ reproducible: no operation depends on set/dict iteration order.
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,19 +60,20 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
             raise ValueError("edge endpoint out of range")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        packed = np.unique(lo * np.int64(n) + hi)
-        lo, hi = packed // n, packed % n
-        return Graph._from_half_edges(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
+        return Graph._from_endpoints(n, u, v)
 
     @staticmethod
-    def _from_half_edges(n: int, src: np.ndarray, dst: np.ndarray) -> "Graph":
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+    def _from_endpoints(n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """The graph with edges {u[i], v[i]}, u[i] != v[i], repeats allowed.
+
+        Sorting the keys src * n + dst of both half-edges gives the CSR order
+        directly; numpy 2's ``np.unique`` hashes int64 keys and is many times
+        slower than this one sort."""
+        half = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
+        half = half[np.concatenate(([True], half[1:] != half[:-1]))]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return Graph(n, indptr, dst.astype(np.int64))
+        np.cumsum(np.bincount(half // n, minlength=n), out=indptr[1:])
+        return Graph(n, indptr, half % n)
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -95,12 +97,15 @@ class Graph:
         i = np.searchsorted(nbrs, v)
         return bool(i < nbrs.size and nbrs[i] == v)
 
+    def edge_array(self) -> np.ndarray:
+        """Each edge once as a row (u, v) with u < v, rows in sorted order."""
+        src = np.repeat(np.arange(self.vertex_count, dtype=np.int64), np.diff(self.indptr))
+        keep = src < self.indices
+        return np.stack([src[keep], self.indices[keep]], axis=1)
+
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.vertex_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        return map(tuple, self.edge_array().tolist())
 
     def adjacency_sets(self) -> list[set[int]]:
         return [set(map(int, self.neighbors(v))) for v in range(self.vertex_count)]
@@ -158,14 +163,17 @@ class BipartiteMultigraph:
     mult: np.ndarray
 
     @staticmethod
-    def from_pairs(n1: int, n2: int, pairs: Iterable[tuple[int, int]]) -> "BipartiteMultigraph":
-        """Aggregate (u, w) incidences, counting repeats as multiplicity."""
+    def from_pairs(n1: int, n2: int, pairs: np.ndarray | Iterable[tuple[int, int]]) -> "BipartiteMultigraph":
+        """Aggregate (u, w) incidences, an (m, 2) array or an iterable of
+        pairs, counting repeats as multiplicity."""
         if n1 < 0 or n2 < 0:
             raise ValueError("part sizes must be non-negative")
-        arr = np.asarray(list(pairs), dtype=np.int64)
+        arr = pairs.astype(np.int64, copy=False) if isinstance(pairs, np.ndarray) else np.asarray(list(pairs), dtype=np.int64)
         if arr.size == 0:
             z = np.empty(0, dtype=np.int64)
             return BipartiteMultigraph(n1, n2, z, z.copy(), z.copy())
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("pairs must be (u, w) pairs")
         u, w = arr[:, 0], arr[:, 1]
         if u.min() < 0 or u.max() >= n1 or w.min() < 0 or w.max() >= n2:
             raise ValueError("edge endpoint out of range")
@@ -184,16 +192,6 @@ class BipartiteMultigraph:
         if part == 2:
             return np.bincount(self.edge_w, weights=self.mult, minlength=self.n2).astype(np.int64)
         raise ValueError("part must be 1 or 2")
-
-    def attribute_groups(self) -> Iterable[tuple[int, np.ndarray]]:
-        """Yield (attribute, member array) for attributes with at least one edge."""
-        if self.edge_w.size == 0:
-            return
-        bounds = np.flatnonzero(np.diff(self.edge_w)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [self.edge_w.size]])
-        for s, e in zip(starts, ends):
-            yield int(self.edge_w[s]), self.edge_u[s:e]
 
 
 @dataclass
@@ -233,21 +231,17 @@ def intersection_graph(H: BipartiteMultigraph) -> Graph:
     Two part-1 vertices are adjacent iff some attribute is incident to both;
     multiplicities and repeated witnesses collapse to a single edge.
     """
-    packed: list[np.ndarray] = []
-    n1 = max(H.n1, 1)
-    for _, members in H.attribute_groups():
-        m = members.size
-        if m < 2:
-            continue
-        iu, jv = np.triu_indices(m, k=1)
-        a, b = members[iu], members[jv]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        packed.append(lo * np.int64(n1) + hi)
-    if not packed:
+    # from_pairs stores the edges sorted by (attribute, vertex), so each
+    # attribute's members form one run: pair every edge with the later edges
+    # of its run
+    run_end = np.cumsum(np.bincount(H.edge_w, minlength=H.n2))[H.edge_w]
+    later = run_end - np.arange(H.edge_w.size) - 1
+    total = int(later.sum())
+    if total == 0:
         return Graph.empty(H.n1)
-    uniq = np.unique(np.concatenate(packed))
-    lo, hi = uniq // n1, uniq % n1
-    return Graph._from_half_edges(H.n1, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
+    first = np.repeat(np.arange(H.edge_w.size), later)
+    second = first + np.arange(1, total + 1) - np.repeat(np.cumsum(later) - later, later)
+    return Graph._from_endpoints(H.n1, H.edge_u[first], H.edge_u[second])
 
 
 def ball(G: Graph, v: int, r: int) -> RootedGraph:
@@ -318,25 +312,37 @@ def loc_distance(g1: RootedGraph, g2: RootedGraph, r_max: int) -> LocDistance:
 # -- edge-list serialization ------------------------------------------------
 
 
+def _write_rows(path: str, header: str, rows: np.ndarray) -> None:
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
+def _read_rows(path: str, what: str, header_fields: int, width: int) -> tuple[list[int], np.ndarray]:
+    """The integer header of an edge-list file and its rows as an (m, width)
+    array; blank lines are skipped, every other line must hold ``width``
+    integers."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != header_fields:
+            raise ValueError(f"expected {what} header")
+        body = fh.read()
+    if body.strip():
+        rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    else:  # loadtxt warns on an empty body
+        rows = np.empty((0, width), dtype=np.int64)
+    if rows.shape[1] != width:
+        raise ValueError(f"expected {width} integers per line, found {rows.shape[1]}")
+    return [int(x) for x in header], rows
+
+
 def write_graph(G: Graph, path: str) -> None:
     """Text edge list: header ``n m`` then one ``u v`` line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"{G.vertex_count} {G.edge_count}\n")
-        for u, v in G.edges():
-            fh.write(f"{u} {v}\n")
+    _write_rows(path, f"{G.vertex_count} {G.edge_count}", G.edge_array())
 
 
 def read_graph(path: str) -> Graph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("expected graph header 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            if line.strip():
-                a, b = line.split()
-                edges.append((int(a), int(b)))
+    (n, m), edges = _read_rows(path, "graph header 'n m'", 2, 2)
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -344,26 +350,14 @@ def read_graph(path: str) -> Graph:
 
 def write_bipartite(H: BipartiteMultigraph, path: str) -> None:
     """Text format: header ``n1 n2 m`` then one ``u w mult`` line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"{H.n1} {H.n2} {H.edge_u.size}\n")
-        for u, w, c in zip(H.edge_u, H.edge_w, H.mult):
-            fh.write(f"{u} {w} {c}\n")
+    _write_rows(path, f"{H.n1} {H.n2} {H.edge_u.size}", np.stack([H.edge_u, H.edge_w, H.mult], axis=1))
 
 
 def read_bipartite(path: str) -> BipartiteMultigraph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("expected bipartite header 'n1 n2 m'")
-        n1, n2, m = map(int, header)
-        pairs: list[tuple[int, int]] = []
-        for line in fh:
-            if line.strip():
-                u, w, c = map(int, line.split())
-                if c < 1:
-                    raise ValueError("multiplicity must be >= 1")
-                pairs.extend([(u, w)] * c)
-    H = BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    (n1, n2, m), rows = _read_rows(path, "bipartite header 'n1 n2 m'", 3, 3)
+    if (rows[:, 2] < 1).any():
+        raise ValueError("multiplicity must be >= 1")
+    H = BipartiteMultigraph.from_pairs(n1, n2, np.repeat(rows[:, :2], rows[:, 2], axis=0))
     if H.edge_u.size != m:
         raise ValueError(f"expected {m} distinct edges, found {H.edge_u.size}")
     return H

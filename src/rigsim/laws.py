@@ -32,6 +32,7 @@ __all__ = [
     "offspring_law",
     "degree_law_from_config",
     "weight_law_from_config",
+    "check_config_keys",
 ]
 
 
@@ -400,29 +401,48 @@ def offspring_law(law: DegreeLaw) -> DegreeLaw:
 # -- config parsing (used by the CLI and experiment plans) ----------------------
 
 
+def check_config_keys(cfg, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Reject a JSON config object with a key outside ``required`` and
+    ``optional``, or without one of ``required``, naming the key."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"{what} config must be a JSON object, got {cfg!r}")
+    allowed = (*required, *optional)
+    for key in cfg:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}; allowed keys: {', '.join(allowed)}")
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{what} config is missing the required key {key!r}")
+
+
+# constructor and config keys, in argument order, of each law kind
+_WEIGHT_LAWS = {
+    "point": (WeightLaw.point, ("value",)),
+    "finite": (WeightLaw.finite, ("values", "probs")),
+    "exponential": (WeightLaw.exponential, ("rate",)),
+    "gamma": (WeightLaw.gamma, ("shape", "rate")),
+    "pareto": (WeightLaw.pareto, ("shape", "scale")),
+}
+_DEGREE_LAWS = {
+    "pmf": (lambda pmf: DegreeLaw.from_pmf({int(k): v for k, v in pmf.items()}), ("pmf",)),
+    "constant": (DegreeLaw.constant, ("value",)),
+    "poisson": (DegreeLaw.poisson, ("lam",)),
+    "mixed_poisson": (lambda weight: DegreeLaw.mixed_poisson(weight_law_from_config(weight)), ("weight",)),
+}
+
+
+def _law_from_config(cfg: Mapping, what: str, table: Mapping):
+    kind = cfg.get("kind") if isinstance(cfg, Mapping) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    make, keys = table[kind]
+    check_config_keys(cfg, f"{kind} {what}", ("kind", *keys))
+    return make(*(cfg[key] for key in keys))
+
+
 def weight_law_from_config(cfg: Mapping) -> WeightLaw:
-    kind = cfg["kind"]
-    if kind == "point":
-        return WeightLaw.point(cfg["value"])
-    if kind == "finite":
-        return WeightLaw.finite(cfg["values"], cfg["probs"])
-    if kind == "exponential":
-        return WeightLaw.exponential(cfg["rate"])
-    if kind == "gamma":
-        return WeightLaw.gamma(cfg["shape"], cfg["rate"])
-    if kind == "pareto":
-        return WeightLaw.pareto(cfg["shape"], cfg["scale"])
-    raise ValueError(f"unknown weight law kind: {kind!r}")
+    return _law_from_config(cfg, "weight law", _WEIGHT_LAWS)
 
 
 def degree_law_from_config(cfg: Mapping) -> DegreeLaw:
-    kind = cfg["kind"]
-    if kind == "pmf":
-        return DegreeLaw.from_pmf({int(k): v for k, v in cfg["pmf"].items()})
-    if kind == "constant":
-        return DegreeLaw.constant(cfg["value"])
-    if kind == "poisson":
-        return DegreeLaw.poisson(cfg["lam"])
-    if kind == "mixed_poisson":
-        return DegreeLaw.mixed_poisson(weight_law_from_config(cfg["weight"]))
-    raise ValueError(f"unknown degree law kind: {kind!r}")
+    return _law_from_config(cfg, "degree law", _DEGREE_LAWS)

@@ -164,6 +164,13 @@ def test_balls_and_limits_on_a_plain_model_file(tmp_path):
         ({"model": MODEL, "statistics": ["alpha"]}, "missing the required key 'ladder'"),
         ({"model": {k: v for k, v in MODEL.items() if k != "n1"}, "ladder": [200], "statistics": ["alpha"]},
          "missing the required key 'n1'"),
+        ({"model": {**MODEL, "P": {"kind": "constant", "value": 3, "vale": 4}}, "ladder": [200],
+          "statistics": ["alpha"]}, "unknown constant degree law key 'vale'"),
+        ({"model": {**MODEL, "P": {"kind": "poisson"}}, "ladder": [200], "statistics": ["alpha"]},
+         "poisson degree law config is missing the required key 'lam'"),
+        ({"model": {"model": "inhomogeneous", "n1": 200, "n2": 200, "xi1": {"kind": "point", "value": 1},
+                    "xi2": {"kind": "gamma", "shape": 2, "rate": 1, "scale": 1}},
+          "ladder": [200], "statistics": ["alpha"]}, "unknown gamma weight law key 'scale'"),
     ],
 )
 def test_config_keys_are_checked(tmp_path, capsys, cfg, message):

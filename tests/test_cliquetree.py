@@ -8,12 +8,13 @@ from rigsim.cliquetree import (
     CAP_BUCKET,
     CapExceeded,
     CodeHistogram,
+    _tree_to_bipartite,
     ball_distribution_mc,
     sample_clique_tree_ball,
     sample_gw_tree,
     tv_distance,
 )
-from rigsim.graphs import Graph, RootedGraph
+from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
 from rigsim.laws import DegreeLaw
 from rigsim.limits import LimitSpec, limit_degree_pmf_vector
 from rigsim.rng import substream
@@ -53,7 +54,30 @@ class TestGWTree:
             sample_gw_tree(DegreeLaw.constant(5), DegreeLaw.constant(5), 10, substream(5), node_cap=1000)
 
 
+def tree_to_bipartite_loop(tree):
+    """The tree's incidence graph built one tuple per edge, as it was written."""
+    even = tree.generation % 2 == 0
+    ids = np.arange(tree.node_count)
+    idx1 = {int(v): i for i, v in enumerate(ids[even])}
+    idx2 = {int(v): i for i, v in enumerate(ids[~even])}
+    pairs = []
+    for child in range(1, tree.node_count):
+        parent = int(tree.parents[child])
+        pairs.append((idx1[child], idx2[parent]) if even[child] else (idx1[parent], idx2[child]))
+    return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
+
+
 class TestCliqueTreeBall:
+    def test_tree_to_bipartite_matches_loop(self):
+        gen = substream(9)
+        for depth in (0, 1, 2, 4):
+            for _ in range(25):
+                t = sample_gw_tree(DegreeLaw.poisson(2), DegreeLaw.poisson(1.5), depth, gen)
+                new, old = _tree_to_bipartite(t), tree_to_bipartite_loop(t)
+                assert (new.n1, new.n2) == (old.n1, old.n2)
+                for x, y in ((new.edge_u, old.edge_u), (new.edge_w, old.edge_w), (new.mult, old.mult)):
+                    assert np.array_equal(x, y)
+
     def test_isolated_root(self):
         b = sample_clique_tree_ball(DegreeLaw.constant(0), DegreeLaw.constant(2), 1, substream(6))
         assert b.rooted.code == ISOLATED

@@ -77,8 +77,10 @@ class TestCounts:
         for _ in range(25):
             g = random_graph(rng, n_max=9)
             for p in pats:
-                assert hom_count(p, g) == brute_force_maps(p, g, False)
-                assert emb_count(p, g) == brute_force_maps(p, g, True)
+                hom, emb = brute_force_maps(p, g, False), brute_force_maps(p, g, True)
+                assert hom_count(p, g) == hom
+                assert emb_count(p, g) == emb
+                assert emb_count(p, g, hom=hom) == emb  # hom stands in for the identity term
 
     def test_h5_against_brute_force(self, rng):
         pats = connected_patterns(5)

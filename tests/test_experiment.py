@@ -47,6 +47,19 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             StatisticSpec.parse("alpha:3")
 
+    def test_emb_value_is_the_embedding_count(self):
+        # the emb statistic hands sidorenko_bound's hom to emb_count
+        from rigsim.counting import emb_count
+        from rigsim.experiment import STATISTICS
+        from tests.conftest import random_graph
+
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            g = random_graph(rng)
+            for name in ("K3", "P4", "C4", "S3", "paw"):
+                value = STATISTICS["emb"].graph(g, StatisticSpec.parse(f"emb:{name}"))
+                assert value == emb_count(pattern_from_name(name), g), name
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             active_plan(ladder=[100, 100])

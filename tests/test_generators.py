@@ -1,9 +1,14 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from rigsim import generators
 from rigsim.generators import (
     ModelConfig,
     gen_active,
@@ -14,7 +19,7 @@ from rigsim.generators import (
     generate_bipartite,
     plant_clique,
 )
-from rigsim.graphs import Graph, intersection_graph
+from rigsim.graphs import BipartiteMultigraph, Graph, intersection_graph
 from rigsim.laws import DegreeLaw, WeightLaw
 from rigsim.rng import substream
 
@@ -169,31 +174,37 @@ class TestPlantClique:
             plant_clique(Graph.empty(3), 4, substream(21))
 
 
+# H per model at substream(99, 5), pinned so that any change to a sampler's
+# random stream fails loudly: SHA-256 of the little-endian int64 rows
+# edge_u, edge_w, mult
+PINNED_MODELS = [
+    ({"model": "active", "n1": 200, "n2": 150, "P": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}}},
+     "56b6fc36c4dad35e074a45d03f08543861277addbadbf3dcd54cdf996b9f2fac"),
+    ({"model": "passive", "n1": 150, "n2": 200, "P": {"kind": "constant", "value": 2}},
+     "ed0afc828f0f6a72970ce82c967afc58a7d2ecf4f627673f9bad44796239cc0f"),
+    ({"model": "inhomogeneous", "n1": 100, "n2": 100,
+      "xi1": {"kind": "exponential", "rate": 1.0}, "xi2": {"kind": "point", "value": 1.0}},
+     "9c3d75f391354547e48b9af3ba2dd06d6d8c634dc510b5c825684ae119cbf998"),  # thinning path
+    ({"model": "inhomogeneous", "n1": 100, "n2": 80,
+      "xi1": {"kind": "pareto", "shape": 2.5, "scale": 10.0}, "xi2": {"kind": "exponential", "rate": 1.0}},
+     "191edbe6c6292915e101feaedb82ff53a28c44758b9b31fac697a56dd7d9e19e"),  # row path
+    ({"model": "configuration", "n1": 100,
+      "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}}, "D2": {"kind": "constant", "value": 2}},
+     "c185bf92afcaf4b6ac6c05e8e0f8a816af1897ca63acb1e34a5160070d157fa4"),
+]
+
+
 class TestDeterminismAndConfig:
     def test_bitwise_determinism(self):
-        for model_cfg in (
-            {"model": "active", "n1": 200, "n2": 150, "P": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}}},
-            {"model": "passive", "n1": 150, "n2": 200, "P": {"kind": "constant", "value": 2}},
-            {
-                "model": "inhomogeneous",
-                "n1": 100,
-                "n2": 100,
-                "xi1": {"kind": "exponential", "rate": 1.0},
-                "xi2": {"kind": "point", "value": 1.0},
-            },
-            {
-                "model": "configuration",
-                "n1": 100,
-                "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}},
-                "D2": {"kind": "constant", "value": 2},
-            },
-        ):
+        for model_cfg, digest in PINNED_MODELS:
             config = ModelConfig.from_config(model_cfg)
             a = generate_bipartite(config, substream(99, 5))
             b = generate_bipartite(config, substream(99, 5))
             assert np.array_equal(a.edge_u, b.edge_u)
             assert np.array_equal(a.edge_w, b.edge_w)
             assert np.array_equal(a.mult, b.mult)
+            rows = np.stack([a.edge_u, a.edge_w, a.mult]).astype("<i8")
+            assert hashlib.sha256(rows.tobytes()).hexdigest() == digest, model_cfg["model"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -204,3 +215,129 @@ class TestDeterminismAndConfig:
             {"model": "configuration", "n1": 100, "D1": {"kind": "constant", "value": 4}, "D2": {"kind": "constant", "value": 2}}
         )
         assert cfg.n2 == 200 and cfg.beta == 2.0
+
+
+# -- batched draws against the per-vertex loops they replace ----------------------
+#
+# These are the samplers as they were written with one ``integers`` call per
+# Floyd draw and a list of (u, w) tuples; the array versions must give the same
+# H and leave the generator at the same point of its stream.
+
+
+def floyd_loop(rng, m, k):
+    chosen = set()
+    for j in range(m - k, m):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(t if t not in chosen else j)
+    return list(chosen)
+
+
+def active_loop(n1, n2, P, rng):
+    X = P.sample(rng, n1)
+    pairs = [(v, w) for v in range(n1) for w in floyd_loop(rng, n2, int(X[v]))]
+    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+
+
+def passive_loop(n1, n2, P, rng):
+    X = P.sample(rng, n2)
+    pairs = [(u, w) for w in range(n2) for u in floyd_loop(rng, n1, int(X[w]))]
+    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+
+
+def inhomogeneous_loop(n1, n2, xi1, xi2, rng):
+    w1 = xi1.sample(rng, n1)
+    w2 = xi2.sample(rng, n2)
+    norm = math.sqrt(n1 * n2)
+    w2max = float(w2.max()) if n2 else 0.0
+    pmax = np.minimum(w1 * w2max / norm, 1.0)
+    pairs = []
+    if float(pmax.sum()) * n2 <= 0.05 * n1 * n2:
+        for v in range(n1):
+            pv = float(pmax[v])
+            if pv <= 0.0:
+                continue
+            k = int(rng.binomial(n2, pv))
+            if k == 0:
+                continue
+            cand = floyd_loop(rng, n2, k)
+            keep = rng.random(k) * pv <= np.minimum(w1[v] * w2[np.asarray(cand)] / norm, 1.0)
+            pairs.extend((v, cand[i]) for i in np.flatnonzero(keep))
+    else:
+        for v in range(n1):
+            row = np.minimum(w1[v] * w2 / norm, 1.0)
+            pairs.extend((v, int(w)) for w in np.flatnonzero(rng.random(n2) < row))
+    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+
+
+def assert_same_draws(new, old, rng_new, rng_old):
+    assert new.n1 == old.n1 and new.n2 == old.n2
+    assert np.array_equal(new.edge_u, old.edge_u)
+    assert np.array_equal(new.edge_w, old.edge_w)
+    assert np.array_equal(new.mult, old.mult)
+    assert rng_new.integers(0, 2**62) == rng_old.integers(0, 2**62)
+
+
+EQUIVALENCE = settings(max_examples=60, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def subset_sizes(draw, m):
+    """A law on {0..m} with a few support points, often hitting 0 and m."""
+    support = draw(st.lists(st.sampled_from(sorted({0, 1, m // 2, max(m - 1, 0), m})) | st.integers(0, m),
+                            min_size=1, max_size=4, unique=True))
+    return DegreeLaw.from_pmf({k: 1 / len(support) for k in support})
+
+
+@EQUIVALENCE
+@given(data=st.data(), n_own=st.integers(1, 40), m=st.integers(1, 25), seed=SEEDS, passive=st.booleans())
+def test_batched_floyd_matches_loop(data, n_own, m, seed, passive):
+    P = data.draw(subset_sizes(m))
+    new_rng, old_rng = substream(seed), substream(seed)
+    if passive:
+        new, old = gen_passive(m, n_own, P, new_rng), passive_loop(m, n_own, P, old_rng)
+    else:
+        new, old = gen_active(n_own, m, P, new_rng), active_loop(n_own, m, P, old_rng)
+    assert_same_draws(new, old, new_rng, old_rng)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 6])
+def test_floyd_edge_cases(k):
+    # k = 0 draws nothing, k = m gives the complete graph, one owner
+    for n_own in (1, 7):
+        new_rng, old_rng = substream(40, k, n_own), substream(40, k, n_own)
+        new = gen_active(n_own, 6, DegreeLaw.constant(k), new_rng)
+        assert_same_draws(new, active_loop(n_own, 6, DegreeLaw.constant(k), old_rng), new_rng, old_rng)
+        assert new.edge_count == n_own * k
+
+
+@EQUIVALENCE
+@given(n1=st.integers(1, 40), n2=st.integers(1, 40), seed=SEEDS,
+       scale=st.sampled_from([0.0, 0.2, 1.0, 3.0, 30.0]), spread=st.booleans())
+def test_batched_inhomogeneous_matches_loop(n1, n2, seed, scale, spread):
+    xi1 = WeightLaw.exponential(1 / scale) if spread and scale else WeightLaw.point(scale)
+    xi2 = WeightLaw.finite([0.5, 2.0], [0.5, 0.5])
+    new_rng, old_rng = substream(seed), substream(seed)
+    new = gen_inhomogeneous(n1, n2, xi1, xi2, new_rng)
+    assert_same_draws(new, inhomogeneous_loop(n1, n2, xi1, xi2, old_rng), new_rng, old_rng)
+
+
+@pytest.mark.parametrize("scale, thinning", [(0.2, True), (30.0, False)])
+def test_inhomogeneous_paths_match_loop(scale, thinning):
+    xi1, xi2 = WeightLaw.point(scale), WeightLaw.finite([0.5, 2.0], [0.5, 0.5])
+    new_rng, old_rng = substream(43), substream(43)
+    with mock.patch.object(generators, "_floyd_subset", wraps=generators._floyd_subset) as floyd:
+        new = gen_inhomogeneous(300, 200, xi1, xi2, new_rng)
+    assert floyd.called == thinning  # only the thinning path draws candidate subsets
+    assert new.edge_count > 0
+    assert_same_draws(new, inhomogeneous_loop(300, 200, xi1, xi2, old_rng), new_rng, old_rng)
+
+
+def test_configuration_array_pairs_match_tuples():
+    d1, d2 = gen_degree_sequences(300, DegreeLaw.from_pmf({1: 0.5, 4: 0.5}), DegreeLaw.constant(2), substream(41))
+    new_rng, old_rng = substream(42), substream(42)
+    new = gen_configuration(d1, d2, new_rng)
+    stubs2 = np.repeat(np.arange(d2.size), d2)[old_rng.permutation(int(d2.sum()))]
+    old = BipartiteMultigraph.from_pairs(d1.size, d2.size, zip(np.repeat(np.arange(d1.size), d1).tolist(), stubs2.tolist()))
+    assert new.mult.max() > 1  # repeated incidences are aggregated the same way
+    assert_same_draws(new, old, new_rng, old_rng)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigsim.graphs import (
     BipartiteMultigraph,
@@ -16,6 +18,7 @@ from rigsim.graphs import (
     write_bipartite,
     write_graph,
 )
+from rigsim.rng import substream
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -44,8 +47,47 @@ class TestGraph:
         assert degree_sequence(star) == [3, 1, 1, 1]
         assert degree_sequence(Graph.empty(4)) == [0, 0, 0, 0]
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 15), data=st.data())
+    def test_from_edges_matches_lexsort_build(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                   .filter(lambda e: e[0] != e[1]), min_size=1, max_size=40))
+        arr = np.array(pairs)
+        g, old = Graph.from_edges(n, pairs), csr_by_lexsort(n, arr.min(axis=1) * n + arr.max(axis=1))
+        assert np.array_equal(g.indptr, old.indptr) and np.array_equal(g.indices, old.indices)
+
     def test_has_edge(self):
         assert K3.has_edge(0, 2) and not P3.has_edge(0, 2)
+
+
+def per_attribute_projection(H: BipartiteMultigraph) -> Graph:
+    """The projection as it was written: one ``triu_indices`` per attribute,
+    ``np.unique`` and a ``lexsort`` of the half-edges."""
+    packed = []
+    n1 = max(H.n1, 1)
+    bounds = np.flatnonzero(np.diff(H.edge_w)) + 1
+    for members in np.split(H.edge_u, bounds) if H.edge_w.size else []:
+        m = members.size
+        if m < 2:
+            continue
+        iu, jv = np.triu_indices(m, k=1)
+        a, b = members[iu], members[jv]
+        packed.append(np.minimum(a, b) * np.int64(n1) + np.maximum(a, b))
+    if not packed:
+        return Graph.empty(H.n1)
+    return csr_by_lexsort(H.n1, np.concatenate(packed))
+
+
+def csr_by_lexsort(n: int, packed: np.ndarray) -> Graph:
+    """CSR arrays from edge keys lo * n + hi as they were built: ``np.unique``,
+    then a ``lexsort`` of both half-edges and ``np.add.at`` for indptr."""
+    uniq = np.unique(packed)
+    src = np.concatenate([uniq // n, uniq % n])
+    dst = np.concatenate([uniq % n, uniq // n])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    return Graph(n, np.cumsum(indptr), dst[order])
 
 
 class TestIntersectionGraph:
@@ -81,6 +123,26 @@ class TestIntersectionGraph:
             G = intersection_graph(BipartiteMultigraph.from_pairs(n1, n2, pairs))
             assert G.vertex_count == n1
             G.validate()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n1=st.integers(0, 12), n2=st.integers(0, 8), data=st.data())
+    def test_matches_per_attribute_projection(self, n1, n2, data):
+        # repeated incidences, single-member attributes and an empty H included
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), max_size=40)
+                          if n1 and n2 else st.just([]))
+        H = BipartiteMultigraph.from_pairs(n1, n2, pairs)
+        G, old = intersection_graph(H), per_attribute_projection(H)
+        assert G.vertex_count == old.vertex_count == n1
+        assert np.array_equal(G.indptr, old.indptr) and np.array_equal(G.indices, old.indices)
+
+    def test_from_pairs_array_matches_tuples(self):
+        pairs = [(2, 0), (0, 1), (2, 0), (1, 1), (0, 0)]
+        a = BipartiteMultigraph.from_pairs(3, 2, np.array(pairs))
+        b = BipartiteMultigraph.from_pairs(3, 2, pairs)
+        for x, y in ((a.edge_u, b.edge_u), (a.edge_w, b.edge_w), (a.mult, b.mult)):
+            assert np.array_equal(x, y)
+        with pytest.raises(ValueError):
+            BipartiteMultigraph.from_pairs(3, 2, np.array([0, 1, 2]))
 
     def test_part_degrees(self):
         H = BipartiteMultigraph.from_pairs(3, 2, [(0, 0), (0, 1), (2, 1), (2, 1)])
@@ -183,3 +245,40 @@ class TestSerialization:
         assert H2.n1 == 3 and H2.n2 == 2
         assert np.array_equal(H2.mult, H.mult)
         assert np.array_equal(H2.edge_u, H.edge_u)
+
+    def test_files_match_the_line_writer(self, tmp_path):
+        # the text each writer produced one f-string line at a time
+        from rigsim.generators import gen_configuration
+
+        H = gen_configuration([3, 0, 2, 4], [2, 2, 5], substream(3))
+        G = intersection_graph(H)
+        assert H.mult.max() > 1
+        for g in (G, Graph.empty(3)):
+            text = f"{g.vertex_count} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            write_graph(g, str(tmp_path / "g.txt"))
+            assert (tmp_path / "g.txt").read_text() == text
+            assert read_graph(str(tmp_path / "g.txt")) == g
+        text = f"{H.n1} {H.n2} {H.edge_u.size}\n" + "".join(
+            f"{u} {w} {c}\n" for u, w, c in zip(H.edge_u, H.edge_w, H.mult)
+        )
+        write_bipartite(H, str(tmp_path / "h.txt"))
+        assert (tmp_path / "h.txt").read_text() == text
+        H2 = read_bipartite(str(tmp_path / "h.txt"))
+        for x, y in ((H2.edge_u, H.edge_u), (H2.edge_w, H.edge_w), (H2.mult, H.mult)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 2\n0 1\n", "3 1\n0 1 2\n", "3 1\n0 x\n", "3\n", "3 2\n0 1\n2\n"],
+    )
+    def test_malformed_graph_files_rejected(self, tmp_path, text):
+        (tmp_path / "g.txt").write_text(text)
+        with pytest.raises(ValueError):
+            read_graph(str(tmp_path / "g.txt"))
+
+    def test_blank_lines_and_bad_multiplicity(self, tmp_path):
+        (tmp_path / "g.txt").write_text("3 2\n\n0 1\n  \n1 2\n")
+        assert read_graph(str(tmp_path / "g.txt")).edge_count == 2
+        (tmp_path / "h.txt").write_text("2 1 1\n0 0 0\n")
+        with pytest.raises(ValueError):
+            read_bipartite(str(tmp_path / "h.txt"))
