@@ -123,12 +123,11 @@ def gen_inhomogeneous(
         keep = np.concatenate(unif) * pmax[owner] <= np.minimum(w1[owner] * w2[member] / norm, 1.0)
         pairs = np.stack([owner[keep], member[keep]], axis=1)
     else:
-        # a block of rows of uniforms is the stream of one random(n2) call per row
-        block = max(1, (1 << 16) // max(n2, 1))
         hits = [np.empty((0, 2), dtype=np.int64)]
-        for v0 in range(0, n1, block):
-            p = np.minimum(w1[v0 : v0 + block, None] * w2 / norm, 1.0)
-            hits.append(np.argwhere(rng.random(p.shape) < p) + (v0, 0))
+        for v in range(n1):
+            row = np.minimum(w1[v] * w2 / norm, 1.0)
+            w = np.flatnonzero(rng.random(n2) < row)
+            hits.append(np.stack([np.full(w.size, v), w], axis=1))
         pairs = np.concatenate(hits)
     return BipartiteMultigraph.from_pairs(n1, n2, pairs)
 

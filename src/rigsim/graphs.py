@@ -318,14 +318,14 @@ def _write_rows(path: str, header: str, rows: np.ndarray) -> None:
         fh.write(header + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
-def _read_rows(path: str, what: str, header_fields: int, width: int) -> tuple[list[int], np.ndarray]:
-    """The integer header of an edge-list file and its rows as an (m, width)
-    array; blank lines are skipped, every other line must hold ``width``
-    integers."""
+def _read_rows(path: str, what: str, width: int) -> tuple[list[int], np.ndarray]:
+    """The ``width`` integers of an edge-list file's header and its rows as an
+    (m, width) array; blank lines are skipped, every other line must hold
+    ``width`` integers."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != header_fields:
-            raise ValueError(f"expected {what} header")
+        if len(header) != width:
+            raise ValueError(f"expected {what}")
         body = fh.read()
     if body.strip():
         rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
@@ -342,7 +342,7 @@ def write_graph(G: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    (n, m), edges = _read_rows(path, "graph header 'n m'", 2, 2)
+    (n, m), edges = _read_rows(path, "graph header 'n m'", 2)
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -354,7 +354,7 @@ def write_bipartite(H: BipartiteMultigraph, path: str) -> None:
 
 
 def read_bipartite(path: str) -> BipartiteMultigraph:
-    (n1, n2, m), rows = _read_rows(path, "bipartite header 'n1 n2 m'", 3, 3)
+    (n1, n2, m), rows = _read_rows(path, "bipartite header 'n1 n2 m'", 3)
     if (rows[:, 2] < 1).any():
         raise ValueError("multiplicity must be >= 1")
     H = BipartiteMultigraph.from_pairs(n1, n2, np.repeat(rows[:, :2], rows[:, 2], axis=0))

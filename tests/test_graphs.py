@@ -276,6 +276,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_graph(str(tmp_path / "g.txt"))
 
+    def test_malformed_header_message(self, tmp_path):
+        (tmp_path / "g.txt").write_text("3\n")
+        with pytest.raises(ValueError, match=r"^expected graph header 'n m'$"):
+            read_graph(str(tmp_path / "g.txt"))
+        (tmp_path / "h.txt").write_text("3 1\n")
+        with pytest.raises(ValueError, match=r"^expected bipartite header 'n1 n2 m'$"):
+            read_bipartite(str(tmp_path / "h.txt"))
+
     def test_blank_lines_and_bad_multiplicity(self, tmp_path):
         (tmp_path / "g.txt").write_text("3 2\n\n0 1\n  \n1 2\n")
         assert read_graph(str(tmp_path / "g.txt")).edge_count == 2
