@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import AdjacencyGraph, Graph, RootedGraph
+from .graphs import AdjacencyGraph, Graph, RootedGraph, ball_adjacency
 
 __all__ = ["canonical_code", "unrooted_code"]
 
@@ -50,7 +50,7 @@ def canonical_code(rg: RootedGraph) -> bytes:
     if isinstance(g, AdjacencyGraph):
         adj = [set(nb) for nb in g]
     else:
-        if not _connected(g):
+        if len(ball_adjacency(lambda u: g.neighbors(u).tolist(), 0, None)) < n:
             raise ValueError("canonical_code requires a connected graph")
         adj = [set(map(int, g.neighbors(v))) for v in range(n)]
     labels: list[Label] = [("v",)] * n
@@ -63,25 +63,6 @@ def unrooted_code(g: Graph) -> bytes:
     """Isomorphism-invariant code for a small connected unrooted graph
     (minimum of the rooted codes over all choices of root)."""
     return min(canonical_code(RootedGraph(g, v)) for v in range(g.vertex_count))
-
-
-def _connected(g: Graph) -> bool:
-    n = g.vertex_count
-    if n <= 1:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            w = int(w)
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
 
 
 # -- twin compression ---------------------------------------------------------

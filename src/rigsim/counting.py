@@ -1,18 +1,23 @@
 """Exact homomorphism and embedding counts of small connected patterns.
 
-Counts are exact Python integers.  Three engines, picked per call:
+Counts are exact Python integers.  Each graph gets one counting host, kept on
+the graph and freed with it.  It builds on first use the degrees d, the CSR
+adjacency A (straight from the graph's arrays), A@A, the per-vertex
+ordered-triangle vector and A d; a dense adjacency matrix only when the DP
+runs; and it keeps every hom(H, G) found so far.
+hom(H, G) is, in this order:
 
-* dense contraction: the count is a tensor contraction of adjacency-matrix
-  factors over the pattern's edges, evaluated by bucket elimination.  Used
-  for hosts small enough to densify, with certified no-overflow dtype choice
-  (every intermediate is a count bounded by n^h, so float64 is exact below
-  2^53 and int64 below 2^62).
-* sparse closed forms on large hosts for the patterns the statistics in this
-  package actually need there: every connected pattern on at most 4 vertices
-  plus the stars K_{1,t}, evaluated from degree vectors and A^2 via
-  scipy.sparse.
-* exhaustive backtracking with Python big-int accumulators as the fallback,
-  exact for any pattern/host, but output-sensitive.
+1. the count already found on the host;
+2. a closed form from d, A@A, A d and the triangle vector, at any host size,
+   for every connected pattern on at most 4 vertices and every star K_{1,t}
+   (a family is told by its sorted degree sequence);
+3. on hosts of at most 1500 vertices, a tensor contraction of one
+   adjacency-matrix factor per pattern edge, evaluated by bucket
+   elimination, with certified no-overflow dtype choice (every intermediate
+   is a count bounded by n^h, so float64 is exact below 2^53 and int64 below
+   2^62);
+4. exhaustive backtracking with Python big-int accumulators, exact for any
+   pattern/host, but output-sensitive.
 
 Embedding (injective) counts come from homomorphism counts by Moebius
 inversion over vertex-coincidence partitions: emb(H, G) equals the sum over
@@ -26,15 +31,16 @@ and running the dense engine on it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .canon import unrooted_code
-from .graphs import Graph, RootedGraph, ball
+from .graphs import Graph, RootedGraph, ball, ball_adjacency
 
 __all__ = [
     "Pattern",
@@ -68,7 +74,7 @@ class Pattern:
         h = self.graph.vertex_count
         if not 2 <= h <= self.max_vertices:
             raise ValueError(f"pattern must have between 2 and {self.max_vertices} vertices")
-        if not _is_connected_edges(h, self.edge_tuple()):
+        if _ball_size(self.graph, 0, None) < h:
             raise ValueError("pattern must be connected")
         if self.root is not None and not 0 <= self.root < h:
             raise ValueError("pattern root out of range")
@@ -86,43 +92,12 @@ class Pattern:
     def root_eccentricity(self) -> int:
         if self.root is None:
             raise ValueError("pattern has no root")
-        dist = _bfs_dist(self.graph, self.root)
-        return max(dist)
+        return next(r for r in range(self.h) if _ball_size(self.graph, self.root, r) == self.h)
 
 
-def _is_connected_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    cnt = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                cnt += 1
-                stack.append(w)
-    return cnt == n
-
-
-def _bfs_dist(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _ball_size(g: Graph, v: int, r: int | None) -> int:
+    """Number of vertices within distance r of v (r None: v's component)."""
+    return len(ball_adjacency(lambda u: g.neighbors(u).tolist(), v, r))
 
 
 # -- pattern library ------------------------------------------------------------
@@ -157,9 +132,9 @@ def connected_patterns(h: int) -> list[Pattern]:
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         if len(edges) < h - 1:
             continue
-        if not _is_connected_edges(h, edges):
-            continue
         g = Graph.from_edges(h, edges)
+        if _ball_size(g, 0, None) < h:
+            continue
         seen.setdefault(unrooted_code(g), Pattern(g))
     return list(seen.values())
 
@@ -217,17 +192,10 @@ def _coincidence_terms(
         mu = 1
         for b in blocks:
             sign = -1 if (len(b) - 1) % 2 else 1
-            mu *= sign * _factorial(len(b) - 1)
+            mu *= sign * math.factorial(len(b) - 1)
         q_root = None if root is None else blk[root]
         terms.append((len(blocks), tuple(q_edges), q_root, mu))
     return tuple(terms)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # -- dense contraction engine ------------------------------------------------------
@@ -360,92 +328,108 @@ def _hom_dp(
     return int(round(out))
 
 
-# -- sparse closed-form engine -----------------------------------------------------
+# -- the counting host and the closed forms ------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _family_key(name: str) -> bytes:
-    return unrooted_code(pattern_from_name(name).graph)
+class _Host:
+    """What counting keeps about one graph (see the module docstring)."""
+
+    def __init__(self, g: Graph):
+        self.indptr, self.indices = g.indptr, g.indices
+        self.homs: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        self.dense: dict[type, np.ndarray] = {}
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        n = self.indptr.size - 1
+        return sp.csr_matrix((np.ones(self.indices.size, dtype=np.int64), self.indices, self.indptr), shape=(n, n))
+
+    @cached_property
+    def A2(self) -> sp.csr_matrix:
+        return (self.A @ self.A).tocsr()
+
+    @cached_property
+    def tri(self) -> np.ndarray:
+        """Ordered pairs of adjacent neighbours per vertex (twice its
+        triangles): the row sums of A@A o A."""
+        return np.asarray(self.A2.multiply(self.A).sum(axis=1)).ravel()
+
+    @cached_property
+    def Ad(self) -> np.ndarray:
+        """Sum of the neighbours' degrees per vertex."""
+        return self.A @ self.d
 
 
-_FAMILY_NAMES = ("K2", "P3", "K3", "P4", "S3", "C4", "paw", "diamond", "K4")
+def _host(g: Graph) -> _Host:
+    """g's counting host, made on first use and kept on g itself (Graph is
+    frozen), so that it is freed with g."""
+    host = g.__dict__.get("_host")
+    if host is None:
+        host = _Host(g)
+        object.__setattr__(g, "_host", host)
+    return host
 
 
-def _identify_family(h: int, edges: tuple[tuple[int, int], ...]) -> str | None:
+def _dense(g: Graph, h: int) -> np.ndarray | None:
+    """g's adjacency matrix in a dtype exact for h-vertex patterns, kept on
+    its host; None when g is too large for the DP."""
+    n = g.vertex_count
+    if n > _DENSE_HOST_LIMIT or n**h >= _INT64_SAFE:
+        return None
+    dtype = np.float64 if n**h < _FLOAT_SAFE else np.int64
+    dense = _host(g).dense
+    if dtype not in dense:
+        dense[dtype] = _dense_adjacency(g, dtype)
+    return dense[dtype]
+
+
+def _power_sum(x: np.ndarray, k: int = 1) -> int:
+    """Exact sum of x**k over a non-negative integer array: int64 arithmetic
+    when size * max**k, taken in Python ints, shows that the total fits,
+    Python ints otherwise."""
+    if x.size == 0:
+        return 0
+    if x.size * int(x.max()) ** k < _INT64_SAFE:
+        return int((x.astype(np.int64, copy=False) ** k).sum())
+    return sum(int(v) ** k for v in x.tolist())
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact sum of x * y over non-negative integer arrays, with the same
+    overflow test."""
+    if x.size == 0:
+        return 0
+    if x.size * int(x.max()) * int(y.max()) < _INT64_SAFE:
+        return int(x @ y)
+    return sum(a * b for a, b in zip(x.tolist(), y.tolist()))
+
+
+# hom(H, G) of each family by its sorted degree sequence; the stars K_{1,t}
+# (hom = sum d^t) are matched in _closed_form
+_CLOSED_FORMS: dict[tuple[int, ...], Callable[[Graph, _Host], int]] = {
+    (2, 2, 2): lambda g, host: _power_sum(host.tri),  # K3: trace A^3
+    (1, 1, 2, 2): lambda g, host: _dot(host.d, host.Ad),  # P4: ordered edges weighted by d(u) d(v)
+    (2, 2, 2, 2): lambda g, host: _power_sum(host.A2.data, 2),  # C4: trace A^4, A^2's squared Frobenius norm
+    (1, 2, 2, 3): lambda g, host: _dot(host.tri, host.d),  # paw: a triangle at v times a pendant at v
+    (2, 2, 3, 3): lambda g, host: _power_sum(host.A2.multiply(host.A).tocsr().data, 2),  # diamond
+    (3, 3, 3, 3): lambda g, host: 24 * _k4_subgraphs(g),  # K4
+}
+
+
+def _closed_form(h: int, edges: tuple[tuple[int, int], ...]) -> Callable[[Graph, _Host], int] | None:
+    """The closed form of the pattern's family, None outside the families."""
     deg = [0] * h
     for a, b in edges:
         deg[a] += 1
         deg[b] += 1
-    if sorted(deg) == [1] * (h - 1) + [h - 1] and h >= 3:
-        return f"S{h - 1}"  # star K_{1, h-1}
-    if h > 4:
-        return None
-    code = unrooted_code(Graph.from_edges(h, edges))
-    for name in _FAMILY_NAMES:
-        if code == _family_key(name):
-            return name
-    return None
-
-
-class _HostArrays:
-    """Degree vector and A, A@A for a large sparse host, built once."""
-
-    def __init__(self, g: Graph):
-        n = g.vertex_count
-        src = np.repeat(np.arange(n), np.diff(g.indptr))
-        self.A = sp.csr_matrix(
-            (np.ones(g.indices.size, dtype=np.int64), (src, g.indices)), shape=(n, n)
-        )
-        self.d = g.degrees().astype(np.int64)
-        self._M: sp.csr_matrix | None = None
-
-    @property
-    def M(self) -> sp.csr_matrix:
-        if self._M is None:
-            self._M = (self.A @ self.A).tocsr()
-        return self._M
-
-
-def _exact_sum(arr: np.ndarray) -> int:
-    """Sum of an int64 array as an exact Python int (object fallback when the
-    int64 total could overflow)."""
-    if arr.size == 0:
-        return 0
-    bound = int(arr.size) * int(np.abs(arr).max())
-    if bound < _INT64_SAFE:
-        return int(arr.sum(dtype=np.int64))
-    return int(sum(int(x) for x in arr))
-
-
-def _hom_sparse(name: str, g: Graph, host: _HostArrays) -> int:
-    if name == "K2":
-        return int(host.d.sum())
-    if name.startswith("S"):  # star K_{1,t}: hom = sum d^t
-        t = int(name[1:])
-        return int(sum(int(x) ** t for x in host.d))
-    if name == "P3":
-        return int(sum(int(x) ** 2 for x in host.d))
-    if name == "P4":  # ordered adjacent pairs weighted by d(u) d(v)
-        Ad = host.A @ host.d  # entries bounded by max_d^2, safe in int64
-        if host.d.size and int(host.d.max()) * int(Ad.max(initial=0)) * host.d.size < _INT64_SAFE:
-            return int((host.d * Ad).sum(dtype=np.int64))
-        return int(sum(int(a) * int(b) for a, b in zip(host.d, Ad)))
-    if name == "K3":
-        N = host.M.multiply(host.A)
-        return _exact_sum(np.asarray(N.sum(axis=1)).ravel())
-    if name == "C4":  # trace(A^4) = Frobenius norm of A^2 squared
-        M = host.M
-        return _exact_sum(M.data.astype(np.int64) ** 2) if (M.data.max(initial=0)) ** 2 * M.nnz < _INT64_SAFE else int(sum(int(x) ** 2 for x in M.data))
-    if name == "paw":  # triangle rooted anywhere + pendant: sum_v tri2(v) d(v)
-        N = host.M.multiply(host.A)
-        tri2 = np.asarray(N.sum(axis=1)).ravel().astype(np.int64)
-        return _exact_sum(tri2 * host.d)
-    if name == "diamond":
-        N = host.M.multiply(host.A).tocsr()
-        return _exact_sum(N.data.astype(np.int64) ** 2)
-    if name == "K4":
-        return 24 * _k4_subgraphs(g)
-    raise AssertionError(name)
+    deg.sort()
+    if deg[-1] == h - 1 and deg[-2] == 1:  # the star K_{1, h-1}
+        return lambda g, host: _power_sum(host.d, h - 1)
+    return _CLOSED_FORMS.get(tuple(deg))
 
 
 def _k4_subgraphs(g: Graph) -> int:
@@ -534,46 +518,38 @@ def _hom_backtrack(
 # -- public operations -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _cached_dense(g: Graph, floats: bool) -> np.ndarray:
-    return _dense_adjacency(g, np.float64 if floats else np.int64)
+def _hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """hom of the pattern on 0..h-1 with these edges into g, by the rule of
+    the module docstring."""
+    homs = _host(g).homs
+    key = (h, edges)
+    if key not in homs:
+        homs[key] = _count_hom(g, h, edges)
+    return homs[key]
 
 
-def _hom_raw(h: int, edges: tuple[tuple[int, int], ...], g: Graph, dense: np.ndarray | None, host: _HostArrays | None) -> int:
+def _count_hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
+    form = _closed_form(h, edges)
+    if form is not None:
+        return form(g, _host(g))
+    dense = _dense(g, h)
     if dense is not None:
         try:
             return _hom_dp(h, edges, dense)
         except _DPMemory:
             pass
-    name = _identify_family(h, edges)
-    if name is not None:
-        return _hom_sparse(name, g, host if host is not None else _HostArrays(g))
     return _hom_backtrack(h, edges, g, injective=False)
-
-
-def _prepare_host(g: Graph, h: int) -> tuple[np.ndarray | None, _HostArrays | None]:
-    n = g.vertex_count
-    if n <= _DENSE_HOST_LIMIT and n**h < _INT64_SAFE:
-        return _cached_dense(g, n**h < _FLOAT_SAFE), None
-    return None, _HostArrays(g)
 
 
 def hom_count(H: Pattern, G: Graph) -> int:
     """Exact number of homomorphisms (adjacency-preserving maps) H -> G."""
-    dense, host = _prepare_host(G, H.h)
-    return _hom_raw(H.h, H.edge_tuple(), G, dense, host)
+    return _hom(G, H.h, H.edge_tuple())
 
 
-def emb_count(H: Pattern, G: Graph, hom: int | None = None) -> int:
-    """Exact number of embeddings (injective homomorphisms) H -> G.
-
-    ``hom``, when given, is hom(H, G): the term of the identity partition
-    (the only one with h blocks), which is then not counted again."""
-    dense, host = _prepare_host(G, H.h)
-    total = 0
-    for q_h, q_edges, _, mu in _coincidence_terms(H.h, H.edge_tuple(), None):
-        total += mu * (hom if hom is not None and q_h == H.h else _hom_raw(q_h, q_edges, G, dense, host))
-    return total
+def emb_count(H: Pattern, G: Graph) -> int:
+    """Exact number of embeddings (injective homomorphisms) H -> G."""
+    terms = _coincidence_terms(H.h, H.edge_tuple(), None)
+    return sum(mu * _hom(G, q_h, q_edges) for q_h, q_edges, _, mu in terms)
 
 
 def rooted_emb_count(H: Pattern, G: Graph, v: int, hom_mode: bool = False) -> int:
@@ -584,11 +560,9 @@ def rooted_emb_count(H: Pattern, G: Graph, v: int, hom_mode: bool = False) -> in
         raise ValueError("rooted_emb_count needs a rooted pattern")
     if not 0 <= v < G.vertex_count:
         raise ValueError("host vertex out of range")
-    b = ball(G, v, H.root_eccentricity())
-    bg = b.graph
-    n = bg.vertex_count
+    bg = ball(G, v, H.root_eccentricity()).graph
     edges = H.edge_tuple()
-    dense = _cached_dense(bg, n**H.h < _FLOAT_SAFE) if (n <= _DENSE_HOST_LIMIT and n**H.h < _INT64_SAFE) else None
+    dense = _dense(bg, H.h)
 
     def rooted_hom(q_h: int, q_edges: tuple, q_root: int) -> int:
         if dense is not None:
@@ -610,6 +584,5 @@ def sidorenko_bound(H: Pattern, G: Graph) -> tuple[int, int, bool]:
     """hom(H, G), the degree-power bound sum_v d(v)^(h-1), and whether the
     bound holds (it must, for connected H)."""
     hom = hom_count(H, G)
-    p = H.h - 1
-    bound = sum(int(d) ** p for d in G.degrees())
+    bound = _power_sum(_host(G).d, H.h - 1)
     return hom, bound, hom <= bound

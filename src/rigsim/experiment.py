@@ -220,7 +220,7 @@ def _emb(G: Graph, s: StatisticSpec) -> int:
     hom, bound, holds = sidorenko_bound(pat, G)
     if not holds:
         raise AssertionError(f"degree-power bound violated for {s.pattern}: {hom} > {bound}")
-    return emb_count(pat, G, hom=hom)
+    return emb_count(pat, G)
 
 
 # The lambdas look module globals up at call time, so a caller that rebinds

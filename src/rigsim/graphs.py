@@ -36,7 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple undirected graph on vertices 0..n-1, CSR adjacency."""
+    """Finite simple undirected graph on vertices 0..n-1, CSR adjacency.
+
+    ``rigsim.counting`` keeps its counting host for the graph on the
+    instance, so the host is freed with the graph."""
 
     vertex_count: int
     indptr: np.ndarray  # shape (n+1,), int64

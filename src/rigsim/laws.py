@@ -22,7 +22,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtrc, xlogy
+from scipy.special._ufuncs import _nbinom_pmf, _nbinom_sf
 
 __all__ = [
     "MomentUnavailable",
@@ -58,6 +59,22 @@ def stirling1_signed(n: int, k: int) -> int:
     if k == 0 or k > n:
         return 0
     return stirling1_signed(n - 1, k - 1) - (n - 1) * stirling1_signed(n - 1, k)
+
+
+# The formulas scipy.stats.poisson and scipy.stats.nbinom evaluate, without
+# importing scipy.stats (most of the package's import time).  The negative
+# binomial uses the ufuncs scipy.stats.nbinom calls; a log-form pmf moves
+# the last digits.
+
+
+def _poisson_pmf(k: int, lam: float) -> float:
+    return float(np.exp(xlogy(k, lam) - gammaln(k + 1) - lam))
+
+
+def _sf(ufunc, k: int, *params: float) -> float:
+    """P(X > k) by a survival-function ufunc; 1 below the support, as in
+    scipy.stats (the ufuncs give nan there)."""
+    return 1.0 if k < 0 else float(ufunc(k, *params))
 
 
 # -- weight laws ----------------------------------------------------------------
@@ -313,16 +330,16 @@ class DegreeLaw:
             except ValueError:
                 return 0.0
         if self.kind == "poisson":
-            return float(stats.poisson.pmf(k, self.lam))
+            return _poisson_pmf(k, self.lam)
         if self.kind == "mixed":
             w = self.weight
             if w.kind == "point":
-                return float(stats.poisson.pmf(k, w.values[0])) if w.values[0] > 0 else float(k == 0)
+                return _poisson_pmf(k, w.values[0]) if w.values[0] > 0 else float(k == 0)
             if w.kind == "finite":
-                return float(sum(p * (stats.poisson.pmf(k, v) if v > 0 else (k == 0)) for v, p in zip(w.values, w.probs)))
+                return float(sum(p * (_poisson_pmf(k, v) if v > 0 else (k == 0)) for v, p in zip(w.values, w.probs)))
             if w.kind == "gamma":
                 # Poisson mixed over gamma(shape, rate) is negative binomial
-                return float(stats.nbinom.pmf(k, w.shape, w.rate / (1.0 + w.rate)))
+                return float(_nbinom_pmf(k, w.shape, w.rate / (1.0 + w.rate)))
             raise MomentUnavailable("pmf has no closed form for this mixed-Poisson weight; use Monte Carlo")
         if self.kind == "shifted":
             return self.base.pmf(k - self.offset)
@@ -333,15 +350,15 @@ class DegreeLaw:
         if self.kind == "finite":
             return float(sum(p for v, p in zip(self.values, self.probs) if v > k))
         if self.kind == "poisson":
-            return float(stats.poisson.sf(k, self.lam))
+            return _sf(pdtrc, k, self.lam)
         if self.kind == "mixed":
             w = self.weight
             if w.kind == "point":
-                return float(stats.poisson.sf(k, w.values[0])) if w.values[0] > 0 else 0.0
+                return _sf(pdtrc, k, w.values[0]) if w.values[0] > 0 else 0.0
             if w.kind == "finite":
-                return float(sum(p * stats.poisson.sf(k, v) for v, p in zip(w.values, w.probs) if v > 0))
+                return float(sum(p * _sf(pdtrc, k, v) for v, p in zip(w.values, w.probs) if v > 0))
             if w.kind == "gamma":
-                return float(stats.nbinom.sf(k, w.shape, w.rate / (1.0 + w.rate)))
+                return _sf(_nbinom_sf, k, w.shape, w.rate / (1.0 + w.rate))
             raise MomentUnavailable("no certified tail bound for this mixed-Poisson weight")
         if self.kind == "shifted":
             return self.base.tail_mass(k - self.offset)

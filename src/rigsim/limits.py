@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -226,18 +226,21 @@ def dstar_moment(spec: LimitSpec, k: int, mc_samples: int = 0, rng: np.random.Ge
 
 def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """iid samples of d* = sum_{i<=D1} Z_i (vectorized)."""
+    return _draw_dstar(spec, size, rng)[2]
+
+
+def _draw_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D1 draws, the Z draws in sample order, d*): sample i sums the Z draws
+    from index cumsum(d1)[i] - d1[i] on.  Z is not drawn at all when every
+    D1 draw is 0."""
     d1 = spec.D1.sample(rng, size)
     total = int(d1.sum())
-    if total == 0:
-        return np.zeros(size, dtype=np.int64)
-    zs = spec.Z.sample(rng, total)
-    out = np.zeros(size, dtype=np.int64)
-    idx = np.flatnonzero(d1)
-    ends = np.cumsum(d1)
-    starts = ends - d1
-    sums = np.add.reduceat(zs, starts[idx])
-    out[idx] = sums
-    return out
+    zs = spec.Z.sample(rng, total) if total else np.zeros(0, dtype=np.int64)
+    sums = np.zeros(size, dtype=np.int64)
+    nz = np.flatnonzero(d1)
+    if nz.size:
+        sums[nz] = np.add.reduceat(zs, (np.cumsum(d1) - d1)[nz])
+    return d1, zs, sums
 
 
 # -- degree pmf -------------------------------------------------------------------
@@ -262,6 +265,21 @@ def _d1_truncation(D1: DegreeLaw, eps: float = _TAIL_EPS) -> tuple[np.ndarray, f
     return D1.pmf_vector(n), float(D1.tail_mass(n))
 
 
+def _d1_sums(z: np.ndarray, d1p: np.ndarray) -> Iterator[tuple[int, float, np.ndarray | None, np.ndarray]]:
+    """(n, P(D1 = n), pmf of the (n-1)-fold Z sum, pmf of the n-fold Z sum)
+    for each n with P(D1 = n) = d1p[n] > 0, given the Z pmf ``z``; both sum
+    pmfs are truncated at len(z) - 1, below which they are exact, and the
+    (n-1)-fold one is None at n = 0."""
+    prev = None
+    conv = np.zeros(z.size)
+    conv[0] = 1.0  # sum of zero Z's
+    for n, pn in enumerate(d1p):
+        if n > 0:
+            prev, conv = conv, np.convolve(conv, z)[: z.size]
+        if pn > 0:
+            yield n, pn, prev, conv
+
+
 def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> tuple[np.ndarray, float]:
     """Exact (certified-truncation) pmf of d* on 0..kmax plus the deficit.
 
@@ -269,20 +287,14 @@ def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> tuple[np.ndarray, flo
     only error is the D1 tail deficit, which is certified below 1e-12.
     Raises MomentUnavailable when the needed pmfs have no closed form.
     """
+    out = np.zeros(kmax + 1)
     if spec.degenerate_root:
-        out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out, 0.0
     z = _z_pmf_vector(spec, kmax)
     d1p, deficit = _d1_truncation(spec.D1)
-    out = np.zeros(kmax + 1)
-    conv = np.zeros(kmax + 1)
-    conv[0] = 1.0  # sum of zero Z's
-    for n, pn in enumerate(d1p):
-        if n > 0:
-            conv = np.convolve(conv, z)[: kmax + 1]
-        if pn > 0:
-            out += pn * conv
+    for _, pn, _, conv in _d1_sums(z, d1p):
+        out += pn * conv
     return out, deficit
 
 
@@ -360,21 +372,14 @@ def _conditional_expectation(
     convolutions of the Z pmf (certified D1 truncation)."""
     z = _z_pmf_vector(spec, k)
     d1p, deficit = _d1_truncation(spec.D1)
-    w = np.array([weight(m) for m in range(k + 1)])
-    wz = w * z
+    wz = np.array([weight(m) for m in range(k + 1)]) * z
     num = 0.0
     pk = 0.0
-    conv_prev = None  # pmf of (n-1)-fold sum
-    conv = np.zeros(k + 1)
-    conv[0] = 1.0
-    for n, pn in enumerate(d1p):
+    for n, pn, conv_prev, conv in _d1_sums(z, d1p):
+        pk += pn * conv[k]
         if n > 0:
-            conv_prev, conv = conv, np.convolve(conv, z)[: k + 1]
-        if pn > 0:
-            pk += pn * conv[k]
-            if n > 0:
-                # symmetry: n identical terms, condition through the (n-1)-fold sum
-                num += pn * n * float(np.dot(wz, conv_prev[k::-1]))
+            # symmetry: n identical terms, condition through the (n-1)-fold sum
+            num += pn * n * float(np.dot(wz, conv_prev[k::-1]))
     return num, pk, deficit
 
 
@@ -392,15 +397,9 @@ def _conditional_mc(
     while drawn < mc_samples:
         m = min(batch, mc_samples - drawn)
         drawn += m
-        d1 = spec.D1.sample(rng, m)
-        total = int(d1.sum())
-        zs = spec.Z.sample(rng, total) if total else np.zeros(0, dtype=np.int64)
+        d1, zs, sums = _draw_dstar(spec, m, rng)
         ends = np.cumsum(d1)
         starts = ends - d1
-        sums = np.zeros(m, dtype=np.int64)
-        nz = np.flatnonzero(d1)
-        if nz.size:
-            sums[nz] = np.add.reduceat(zs, starts[nz])
         hits = np.flatnonzero(sums == k)
         wz = weight(zs.astype(np.float64))
         for i in hits:

@@ -4,7 +4,8 @@ distributions.
 
 Every ratio statistic is assembled from exact integer numerators and
 denominators (one float division at the end), so oracle comparisons in the
-tests are exact equalities.  The zero conventions follow the definitions: a
+tests are exact equalities.  The integers are homomorphism counts and
+per-vertex vectors read from the graph's counting host (``rigsim.counting``).  The zero conventions follow the definitions: a
 vanishing denominator yields value 0 with the ``degenerate`` flag set.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .ballcode import ball_codes
 from .cliquetree import CodeHistogram
-from .counting import _exact_sum, emb_count, pattern_from_name
+from .counting import _host, _power_sum, emb_count, hom_count, pattern_from_name
 from .graphs import Graph
 
 __all__ = [
@@ -62,8 +63,7 @@ def degree_moment(G: Graph, k: int) -> float:
         raise ValueError("degree_moment needs a non-empty graph")
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    total = sum(int(d) ** k for d in G.degrees())
-    return float(Fraction(total, G.vertex_count))
+    return float(Fraction(_power_sum(_host(G).d, k), G.vertex_count))
 
 
 def degree_fraction(G: Graph, k: int) -> float:
@@ -80,54 +80,26 @@ def clustering(G: Graph) -> StatReport:
     return _ratio("alpha", num, den)
 
 
-def _triangles_at(G: Graph, v: int, nbr_sets: list[set[int]] | None = None) -> int:
-    """Ordered pairs (u, w) of distinct neighbours of v with u ~ w (= 2 * triangles)."""
-    nbrs = G.neighbors(v)
-    count = 0
-    if nbr_sets is not None:
-        sv = nbr_sets[v]
-        for u in nbrs:
-            count += len(nbr_sets[int(u)] & sv)
-        return count
-    sv = set(map(int, nbrs))
-    for u in nbrs:
-        count += len(sv.intersection(map(int, G.neighbors(int(u)))))
-    return count
-
-
 def conditional_clustering(G: Graph, k: int) -> StatReport:
     """P(v1 v3 edge | v1-v2-v3 ordered path of distinct vertices, d(v2) = k),
-    by direct enumeration over the centres of degree k."""
+    from the triangle vector summed over the centres of degree k."""
     if k < 2:
         raise ValueError("conditional clustering needs k >= 2")
-    centers = np.flatnonzero(G.degrees() == k)
-    num = 0
-    for v in centers:
-        num += _triangles_at(G, int(v))
-    den = int(centers.size) * k * (k - 1)
-    return _ratio(f"alpha_k({k})", num, den)
+    host = _host(G)
+    centers = host.d == k
+    return _ratio(f"alpha_k({k})", _power_sum(host.tri[centers]), int(centers.sum()) * k * (k - 1))
 
 
 def assortativity(G: Graph) -> StatReport:
     """Pearson correlation of endpoint degrees over ordered adjacent pairs.
 
-    With S1 = sum d^2, S2 = sum d^3, P = sum over ordered adjacent pairs of
-    d(u) d(v) and 2e ordered pairs total, r = (2e P - S1^2) / (2e S2 - S1^2);
-    0 (degenerate) for empty or degree-regular graphs.
+    With 2e = hom(K2) ordered pairs, S1 = hom(P3) = sum d^2, S2 = hom(S3) =
+    sum d^3 and P = hom(P4) = sum over ordered adjacent pairs of d(u) d(v),
+    r = (2e P - S1^2) / (2e S2 - S1^2); 0 (degenerate) for empty or
+    degree-regular graphs.
     """
-    d = G.degrees().astype(np.int64)
-    two_e = int(d.sum())
-    if two_e == 0:
-        return StatReport("assort", 0.0, 0, 0, degenerate=True)
-    src = np.repeat(np.arange(G.vertex_count), np.diff(G.indptr))
-    P = _exact_sum(d[src] * d[G.indices])
-    S1 = sum(int(x) ** 2 for x in d)
-    S2 = sum(int(x) ** 3 for x in d)
-    num = two_e * P - S1 * S1
-    den = two_e * S2 - S1 * S1
-    if den == 0:
-        return StatReport("assort", 0.0, num, den, degenerate=True)
-    return StatReport("assort", float(Fraction(num, den)), num, den)
+    two_e, S1, S2, P = (hom_count(pattern_from_name(name), G) for name in ("K2", "P3", "S3", "P4"))
+    return _ratio("assort", two_e * P - S1 * S1, two_e * S2 - S1 * S1)
 
 
 def conditional_assortativity(G: Graph, k: int) -> StatReport:
@@ -135,13 +107,9 @@ def conditional_assortativity(G: Graph, k: int) -> StatReport:
     has degree k."""
     if k < 1:
         raise ValueError("conditional assortativity needs k >= 1")
-    d = G.degrees().astype(np.int64)
-    centers = np.flatnonzero(d == k)
-    num = 0
-    for v in centers:
-        num += int(d[G.neighbors(int(v))].sum())
-    den = k * int(centers.size)
-    return _ratio(f"r_k({k})", num, den)
+    host = _host(G)
+    centers = host.d == k
+    return _ratio(f"r_k({k})", _power_sum(host.Ad[centers]), k * int(centers.sum()))
 
 
 def empirical_ball_dist(

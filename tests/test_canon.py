@@ -41,7 +41,7 @@ def test_star_center_vs_leaf_differ():
 
 def test_disconnected_rejected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a connected graph"):
         canonical_code(RootedGraph(g, 0))
 
 

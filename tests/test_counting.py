@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -36,8 +38,8 @@ def brute_force_maps(pattern: Pattern, g: Graph, injective: bool) -> int:
 
 class TestPattern:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Pattern(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
+        with pytest.raises(ValueError, match="must be connected"):
+            Pattern(Graph.from_edges(4, [(0, 1), (2, 3)]))
         with pytest.raises(ValueError):
             Pattern(Graph.from_edges(1, []))
         with pytest.raises(ValueError):
@@ -48,6 +50,12 @@ class TestPattern:
         assert len(connected_patterns(3)) == 2
         assert len(connected_patterns(4)) == 6
         assert len(connected_patterns(5)) == 21
+
+    def test_root_eccentricity(self):
+        assert [P4.rooted(v).root_eccentricity() for v in range(4)] == [3, 2, 2, 3]
+        assert K3.rooted(1).root_eccentricity() == 1
+        assert pattern_from_name("S4").rooted(0).root_eccentricity() == 1
+        assert pattern_from_name("S4").rooted(2).root_eccentricity() == 2
 
     def test_distinct_rootings(self):
         assert len(distinct_rootings(P3)) == 2
@@ -80,7 +88,6 @@ class TestCounts:
                 hom, emb = brute_force_maps(p, g, False), brute_force_maps(p, g, True)
                 assert hom_count(p, g) == hom
                 assert emb_count(p, g) == emb
-                assert emb_count(p, g, hom=hom) == emb  # hom stands in for the identity term
 
     def test_h5_against_brute_force(self, rng):
         pats = connected_patterns(5)
@@ -92,7 +99,8 @@ class TestCounts:
 
     def test_dp_memory_fallback_on_mid_size_host(self, rng):
         # K4 on a densifiable host whose elimination tensor would be too big:
-        # the DP raises internally and the closed-form family path takes over
+        # the DP raises, and hom_count, which tries the closed form first,
+        # still agrees with backtracking
         import rigsim.counting as C
 
         edges = set()
@@ -103,7 +111,7 @@ class TestCounts:
         g = Graph.from_edges(600, list(edges))
         p = pattern_from_name("K4")
         with pytest.raises(C._DPMemory):
-            C._hom_dp(4, p.edge_tuple(), C._cached_dense(g, True))
+            C._hom_dp(4, p.edge_tuple(), C._dense_adjacency(g, np.float64))
         assert hom_count(p, g) == C._hom_backtrack(4, p.edge_tuple(), g, injective=False)
 
     def test_engines_agree_on_large_host(self, rng):
@@ -200,3 +208,32 @@ class TestSidorenko:
             g = random_graph(rng)
             for p in pats:
                 assert sidorenko_bound(p, g)[2]
+
+
+class TestHost:
+    def test_host_is_freed_with_its_graph(self, rng):
+        import rigsim.counting as C
+
+        g = random_graph(rng)
+        emb_count(P4, g)
+        host = weakref.ref(C._host(g))
+        assert host().homs
+        del g
+        gc.collect()
+        assert host() is None
+
+    def test_power_sum_exact_beyond_int64(self):
+        import rigsim.counting as C
+
+        x = np.array([3, 2**40, 0, 2**40 + 1], dtype=np.int64)
+        for k in (1, 2, 3, 5):
+            assert C._power_sum(x, k) == sum(int(v) ** k for v in x)
+        big = np.full(10, 2**31, dtype=np.int64)  # each square fits, their sum does not
+        assert C._power_sum(big, 2) == 10 * 2**62
+        assert C._power_sum(np.zeros(0, dtype=np.int64), 3) == 0
+
+    def test_star_hom_on_a_hub_past_int64(self):
+        # hom(S_t) = sum d^t: a degree-3000 hub gives 3000^6 > 2^62
+        hub = Graph.from_edges(3001, [(0, i) for i in range(1, 3001)])
+        assert hom_count(pattern_from_name("S6"), hub) == 3000**6 + 3000
+        assert sidorenko_bound(pattern_from_name("S6"), hub)[1] == 3000**6 + 3000

@@ -48,7 +48,7 @@ class TestPlanParsing:
             StatisticSpec.parse("alpha:3")
 
     def test_emb_value_is_the_embedding_count(self):
-        # the emb statistic hands sidorenko_bound's hom to emb_count
+        # the emb statistic checks the Sidorenko bound, then counts embeddings
         from rigsim.counting import emb_count
         from rigsim.experiment import STATISTICS
         from tests.conftest import random_graph
@@ -59,6 +59,19 @@ class TestPlanParsing:
             for name in ("K3", "P4", "C4", "S3", "paw"):
                 value = STATISTICS["emb"].graph(g, StatisticSpec.parse(f"emb:{name}"))
                 assert value == emb_count(pattern_from_name(name), g), name
+
+    def test_k3_closed_form_runs_once_per_graph(self, monkeypatch):
+        # alpha, assort and emb:K3 all read hom(K3, G) from the graph's
+        # counting host, which evaluates the closed form once
+        import rigsim.counting as C
+
+        calls = []
+        k3 = C._CLOSED_FORMS[(2, 2, 2)]
+        monkeypatch.setitem(C._CLOSED_FORMS, (2, 2, 2), lambda g, host: calls.append(g) or k3(g, host))
+        plan = active_plan(statistics=["alpha", "assort", "emb:K3"], mc_reference_samples=200)
+        run_experiment(plan)
+        assert len(calls) == len(plan.ladder) * plan.replications
+        assert len({id(g) for g in calls}) == len(calls)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

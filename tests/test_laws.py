@@ -170,3 +170,59 @@ def test_stirling_numbers():
     assert stirling2(4, 2) == 7 and stirling2(5, 3) == 25
     # (x)_3 = x^3 - 3x^2 + 2x
     assert [stirling1_signed(3, j) for j in range(4)] == [0, 2, -3, 1]
+
+
+class TestPmfsWithoutScipyStats:
+    # laws.py evaluates the formulas of scipy.stats.poisson and
+    # scipy.stats.nbinom without importing scipy.stats; they must agree bit
+    # for bit, tails below the support included (shifted laws ask for them)
+    KS = range(-3, 60)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.4, 1.0, 2.5, 3.0, 17.0, 120.0])
+    def test_poisson(self, lam):
+        from scipy import stats
+
+        law = DegreeLaw.poisson(lam)
+        for k in self.KS:
+            assert law.pmf(k) == (float(stats.poisson.pmf(k, lam)) if k >= 0 else 0.0)
+            assert law.tail_mass(k) == float(stats.poisson.sf(k, lam))
+        point = DegreeLaw.mixed_poisson(WeightLaw.point(lam))
+        assert [point.pmf(k) for k in self.KS] == [law.pmf(k) for k in self.KS]
+        assert [point.tail_mass(k) for k in self.KS] == [law.tail_mass(k) for k in self.KS]
+
+    @pytest.mark.parametrize("shape, rate", [(0.5, 0.3), (1.0, 1.0), (2.0, 1.0), (3.5, 2.0), (4.0, 0.25)])
+    def test_negative_binomial(self, shape, rate):
+        from scipy import stats
+
+        law = DegreeLaw.mixed_poisson(WeightLaw.gamma(shape, rate))
+        p = rate / (1.0 + rate)
+        for k in self.KS:
+            assert law.pmf(k) == (float(stats.nbinom.pmf(k, shape, p)) if k >= 0 else 0.0)
+            assert law.tail_mass(k) == float(stats.nbinom.sf(k, shape, p))
+
+    def test_finite_mixture(self):
+        from scipy import stats
+
+        w = WeightLaw.finite([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
+        law = DegreeLaw.mixed_poisson(w)
+        for k in self.KS:
+            pmf = sum(q * (stats.poisson.pmf(k, v) if v > 0 else (k == 0)) for v, q in zip(w.values, w.probs))
+            sf = sum(q * stats.poisson.sf(k, v) for v, q in zip(w.values, w.probs) if v > 0)
+            assert law.pmf(k) == (float(pmf) if k >= 0 else 0.0)
+            assert law.tail_mass(k) == float(sf)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import rigsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rigsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rigsim; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

@@ -125,6 +125,25 @@ class TestDstarMoment:
             assert abs(dstar_moment(sp, k).value - x.mean()) < 3 * se
 
 
+    def test_draw_order(self):
+        # D1 first, then one Z draw for all the samples (the rejection
+        # sampler shares these draws); when every D1 draw is 0 the Z law is
+        # never built, which matters when it has none (D1 = D2 = 0)
+        assert sample_dstar(LimitSpec(CONST(0), CONST(0)), 5, substream(1)).tolist() == [0] * 5
+        sp = LimitSpec(PMF({0: 0.9, 2: 0.1}), PO(2))
+        seen = set()
+        for seed in range(30):
+            rng, ref = substream(seed), substream(seed)
+            d = sample_dstar(sp, 6, rng)
+            d1 = sp.D1.sample(ref, 6)
+            zs = sp.Z.sample(ref, int(d1.sum())) if d1.sum() else np.zeros(0, dtype=np.int64)
+            starts = np.cumsum(d1) - d1
+            assert d.tolist() == [int(zs[a : a + n].sum()) for a, n in zip(starts, d1)]
+            assert rng.random() == ref.random()
+            seen.add(bool(d1.sum()))
+        assert seen == {False, True}
+
+
 class TestDegreePmf:
     def test_deterministic_cases(self):
         assert limit_degree_pmf(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(1.0)

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigsim.graphs import Graph, RootedGraph, ball
 from rigsim.stats import (
+    StatReport,
     assortativity,
     clustering,
     conditional_assortativity,
@@ -182,3 +187,63 @@ class TestEmpiricalBallDist:
             c = ball(g, v, 2).code
             direct[c] = direct.get(c, 0) + 1
         assert h.counts == direct
+
+
+# -- the statistics read from the counting host equal the per-vertex loops ---------------
+
+
+def loop_triangles_at(G: Graph, v: int) -> int:
+    """Ordered pairs (u, w) of distinct neighbours of v with u ~ w."""
+    sv = set(map(int, G.neighbors(v)))
+    return sum(len(sv.intersection(map(int, G.neighbors(int(u))))) for u in G.neighbors(v))
+
+
+def loop_conditional_clustering(G: Graph, k: int) -> tuple[int, int]:
+    centers = np.flatnonzero(G.degrees() == k)
+    return sum(loop_triangles_at(G, int(v)) for v in centers), int(centers.size) * k * (k - 1)
+
+
+def loop_assortativity(G: Graph) -> tuple[int, int]:
+    d = [int(x) for x in G.degrees()]
+    two_e = sum(d)
+    P = sum(d[u] * d[int(v)] for u in range(G.vertex_count) for v in G.neighbors(u))
+    S1 = sum(x**2 for x in d)
+    S2 = sum(x**3 for x in d)
+    return two_e * P - S1 * S1, two_e * S2 - S1 * S1
+
+
+def loop_conditional_assortativity(G: Graph, k: int) -> tuple[int, int]:
+    d = G.degrees()
+    centers = np.flatnonzero(d == k)
+    return sum(int(d[G.neighbors(int(v))].sum()) for v in centers), k * int(centers.size)
+
+
+@st.composite
+def graphs(draw):
+    """Random, edgeless (one-vertex included) and circulant regular graphs."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["random", "edgeless", "regular"]))
+    if kind == "edgeless":
+        return Graph.empty(n)
+    if kind == "regular":
+        steps = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+        return Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps if (i + s) % n != i])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, b in zip(pairs, keep) if b])
+
+
+def report(name: str, num: int, den: int):
+    if den == 0:
+        return StatReport(name, 0.0, num, den, degenerate=True)
+    return StatReport(name, float(Fraction(num, den)), num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 16))
+def test_host_statistics_match_vertex_loops(g, k):
+    # k runs past the largest possible degree, so some k belong to no vertex
+    assert assortativity(g) == report("assort", *loop_assortativity(g))
+    assert conditional_assortativity(g, k) == report(f"r_k({k})", *loop_conditional_assortativity(g, k))
+    if k >= 2:
+        assert conditional_clustering(g, k) == report(f"alpha_k({k})", *loop_conditional_clustering(g, k))
