@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .canon import unrooted_code
+from .canon import canonical_codes
 from .graphs import Graph, RootedGraph, ball, ball_adjacency
 
 __all__ = [
@@ -125,17 +125,26 @@ def pattern_from_name(name: str) -> Pattern:
 
 
 def connected_patterns(h: int) -> list[Pattern]:
-    """All connected patterns on exactly h vertices, up to isomorphism."""
-    seen: dict[bytes, Pattern] = {}
+    """All connected patterns on exactly h vertices, up to isomorphism.
+
+    A graph's class is its ``canon.unrooted_code``, the least code over its
+    rootings; the rootings of all graphs are coded in one batch."""
+    graphs: list[Graph] = []
+    rootings: list[list[list[int]]] = []
     pairs = list(itertools.combinations(range(h), 2))
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         if len(edges) < h - 1:
             continue
         g = Graph.from_edges(h, edges)
-        if _ball_size(g, 0, None) < h:
-            continue
-        seen.setdefault(unrooted_code(g), Pattern(g))
+        balls = [ball_adjacency(lambda u: g.neighbors(u).tolist(), v, None) for v in range(h)]
+        if len(balls[0]) == h:  # connected
+            graphs.append(g)
+            rootings += balls
+    codes = canonical_codes(rootings)
+    seen: dict[bytes, Pattern] = {}
+    for i, g in enumerate(graphs):
+        seen.setdefault(min(codes[i * h : (i + 1) * h]), Pattern(g))
     return list(seen.values())
 
 

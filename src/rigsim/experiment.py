@@ -22,6 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .ballcode import ball_codes
 from .cliquetree import CodeHistogram, ball_distribution_mc, tv_distance
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
@@ -265,8 +266,9 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
     Returns the statistics of the plan and of ``pert`` on G' (G without a
     perturbation), by label.  ``pert`` is empty or a (moment, ball) pair of
     specs; when it is given the worker also returns the ratio of the moment on
-    G' over G and the TV distance between their ball distributions.  Runs in
-    worker processes; everything passed in is picklable.
+    G' over G and the TV distance between their ball distributions; the ball
+    histogram of G is that of G' with the balls near the clique recoded on G.
+    Runs in worker processes; everything passed in is picklable.
     """
     plan, i, rep, pert = task
     n1 = plan.ladder[i]
@@ -274,15 +276,45 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
         G0 = intersection_graph(generate_bipartite(plan.sized_model(n1), substream(plan.seed, i, rep)))
         s = plan.clique_size(n1)
         G = G0 if s is None else plant_clique(G0, s, substream(plan.seed, i, rep, 1))
-        values = {st.label(): _measure(G, st) for st in dict.fromkeys(plan.statistics + pert)}
+        values = {st.label(): _measure(G, st) for st in dict.fromkeys(plan.statistics) if st not in pert}
         if not pert:
             return values, None
-        mom, ball = (st.label() for st in pert)
-        base = {st.label(): _measure(G0, st) for st in pert}
-        tv = tv_distance(values[ball].probabilities(), base[ball].probabilities())
-        return values, (values[mom] / base[mom], tv)
+        mom, ball = pert
+        values[ball.label()], base = _ball_histograms(G0, G, ball.r)
+        values[mom.label()] = _measure(G, mom)
+        tv = tv_distance(values[ball.label()].probabilities(), base.probabilities())
+        return values, (values[mom.label()] / _measure(G0, mom), tv)
     except Exception as e:
         raise RuntimeError(f"replication failed at n1={n1}, replication={rep}: {e}") from e
+
+
+def _ball_histograms(G0: Graph, G: Graph, r: int) -> tuple[CodeHistogram, CodeHistogram]:
+    """Radius-r ball histograms of G and of G0, where G is G0 plus edges.
+
+    A ball can differ between the two only if it holds an endpoint of a new
+    edge, so only the vertices within distance r (in G) of a vertex whose
+    degree rose are coded on G0; G0's histogram is G's with their codes
+    swapped."""
+    near = G.degrees() != G0.degrees()
+    frontier = np.flatnonzero(near)
+    for _ in range(r):
+        lens = G.indptr[frontier + 1] - G.indptr[frontier]
+        idx = np.arange(int(lens.sum())) + np.repeat(G.indptr[frontier] - np.cumsum(lens) + lens, lens)
+        reached = np.zeros_like(near)
+        reached[G.indices[idx]] = True
+        frontier = np.flatnonzero(reached & ~near)
+        near |= reached
+    hist, moved = CodeHistogram(), []
+    for v, code in enumerate(ball_codes(G, r)):
+        hist.add(code)
+        if near[v]:
+            moved.append(code)
+    base = CodeHistogram(dict(hist.counts), hist.total)
+    for old, new in zip(moved, ball_codes(G0, r, np.flatnonzero(near).tolist())):
+        base.add(old, -1)
+        base.add(new)
+    base.counts = {code: k for code, k in base.counts.items() if k}
+    return hist, base
 
 
 def _replications(plan: ExperimentPlan, i: int, pert: tuple[StatisticSpec, ...] = ()) -> list:

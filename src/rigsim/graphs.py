@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "AdjacencyGraph",
     "BipartiteMultigraph",
     "RootedGraph",
     "intersection_graph",
@@ -73,7 +72,9 @@ class Graph:
         directly; numpy 2's ``np.unique`` hashes int64 keys and is many times
         slower than this one sort."""
         half = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
-        half = half[np.concatenate(([True], half[1:] != half[:-1]))]
+        keep = np.ones(half.size, dtype=bool)  # an edgeless graph has no first key
+        keep[1:] = half[1:] != half[:-1]
+        half = half[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(half // n, minlength=n), out=indptr[1:])
         return Graph(n, indptr, half % n)
@@ -138,17 +139,6 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.indices.tobytes(), self.indptr.tobytes()))
-
-
-class AdjacencyGraph(list):
-    """A small graph as plain Python adjacency lists on vertices 0..n-1.
-
-    The ball coder builds balls in this form, connected by construction, so
-    that a ball it hands to canon costs no CSR arrays."""
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .cliquetree import sample_clique_tree_ball
+from .ballcode import tree_ball_code
+from .cliquetree import clique_tree_ball_from_tree, sample_gw_tree
 from .counting import Pattern, rooted_emb_count
 from .generators import ModelConfig
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
@@ -510,21 +511,24 @@ def rooted_emb_expectation_mc(
     hom_mode: bool = False,
 ) -> Estimate:
     """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
-    balls; requires the pattern radius to fit inside r."""
+    balls; requires the pattern radius to fit inside r.
+
+    The count is a function of the ball's isomorphism class, so it is memoised
+    on the ball's code, read from the tree's parent pointers; only a new code
+    projects the tree and counts on its ball."""
     if H.root is None:
         raise ValueError("pattern must be rooted")
     if H.root_eccentricity() > r:
         raise ValueError("ball radius too small for the pattern")
     counts = np.zeros(samples)
-    memo: dict[tuple, int] = {}
+    memo: dict[bytes, int] = {}
     for i in range(samples):
-        b = sample_clique_tree_ball(spec.D1, spec.D2, r, rng)
-        g = b.rooted.graph
-        key = (g.vertex_count, g.indptr.tobytes(), g.indices.tobytes())
+        tree = sample_gw_tree(spec.D1, spec.D2, 2 * r, rng)
+        key = tree_ball_code(tree.parents.tolist(), tree.generation.tolist(), r)
         c = memo.get(key)
         if c is None:
-            c = rooted_emb_count(H, g, 0, hom_mode=hom_mode)
-            memo[key] = c
+            g = clique_tree_ball_from_tree(tree, r).rooted.graph
+            c = memo[key] = rooted_emb_count(H, g, 0, hom_mode=hom_mode)
         counts[i] = c
     return Estimate(
         float(counts.mean()),

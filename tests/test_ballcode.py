@@ -1,5 +1,5 @@
 """Property tests for the ball coder: block-tree codes and the canon fallback
-must induce exactly canon's partition of rooted balls."""
+must induce exactly the partition of the per-graph RGC1 coder."""
 
 from unittest import mock
 
@@ -17,6 +17,7 @@ from rigsim.graphs import Graph, RootedGraph, ball, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
 from rigsim.rng import substream
 from tests.conftest import random_graph
+from tests.rgc1 import rgc1_code
 
 SEEDS = st.integers(0, 2**32 - 1)
 LAWS = [
@@ -45,18 +46,18 @@ def is_block_graph(g: Graph) -> bool:
 
 
 def assert_same_partition(balls: list[RootedGraph], rng: np.random.Generator) -> None:
-    """Coder equality <=> canonical_code equality, on the balls and on
-    relabelled copies of them; block codes exactly on block graphs."""
+    """Coder equality <=> RGC1 code equality, on the balls and on relabelled
+    copies of them; block codes exactly on block graphs."""
     items = balls + [relabel(b, rng) for b in balls]
     forward: dict[bytes, bytes] = {}
     backward: dict[bytes, bytes] = {}
     for b in items:
-        new, old = b.code, canonical_code(b)
+        new, old = b.code, rgc1_code(b)
         assert forward.setdefault(new, old) == old
         assert backward.setdefault(old, new) == new
         assert new.startswith(BLOCK_TAG) == is_block_graph(b.graph)
         if not new.startswith(BLOCK_TAG):
-            assert new == old  # the fallback returns canon's bytes
+            assert new == canonical_code(b)  # the fallback returns canon's bytes
 
 
 def random_clique_tree(rng: np.random.Generator) -> RootedGraph:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import rigsim.canon
 import rigsim.experiment
 from rigsim.cli import main
 from rigsim.experiment import ExperimentPlan
@@ -108,11 +109,22 @@ def test_balls_mc_and_empirical(tmp_path, model_cfg):
     assert main(["balls", "--config", cfg, "--graph", str(gen_out / "graph.txt"), "--r", "1", "--out", str(out2)]) == 0
 
 
-def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg):
+def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monkeypatch):
     planted = json.loads(Path(plan_cfg).read_text())
     planted.update(statistics=["moment:2", "ball:1"], perturbation={"gamma": 0.5})
     planted_cfg = write_json(tmp_path / "planted.json", planted)
-    for cfg in (plan_cfg, planted_cfg):
+    # Pareto radius-2 balls are often not block graphs, so canon codes them in batches
+    pareto_cfg = write_json(
+        tmp_path / "pareto.json",
+        {"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+                   "xi2": {"kind": "exponential", "rate": 1.0}},
+         "ladder": [200, 300], "statistics": ["ball:2"], "replications": 2, "seed": 5, "mc_reference_samples": 300},
+    )
+    batches = []
+    codes = rigsim.canon.canonical_codes
+    monkeypatch.setattr(rigsim.canon, "canonical_codes", lambda balls: batches.append(len(balls)) or codes(balls))
+    for cfg in (plan_cfg, planted_cfg, pareto_cfg):
+        batches.clear()
         outs = []
         for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
             out = tmp_path / f"{Path(cfg).stem}_{name}"
@@ -122,7 +134,9 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg):
             assert rc == 0
             outs.append((out / "converge.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
-    assert b"ball_perturb_tv(1)" in outs[0]
+        if cfg == planted_cfg:
+            assert b"ball_perturb_tv(1)" in outs[0]
+    assert sum(batches) > 0  # the Pareto plan, run last, reached canon
 
 
 def test_converge_builds_each_graph_once(tmp_path, monkeypatch):

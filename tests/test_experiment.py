@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigsim.cliquetree import tv_distance
 from rigsim.experiment import (
+    _ball_histograms,
     CSV_HEADER,
     ConvergenceRow,
     ExperimentPlan,
@@ -16,9 +20,12 @@ from rigsim.experiment import (
     theorem21_suite,
 )
 from rigsim.counting import pattern_from_name
+from rigsim.generators import gen_active, plant_clique
+from rigsim.graphs import intersection_graph
 from rigsim.laws import DegreeLaw
 from rigsim.limits import LimitSpec, dstar_moment
 from rigsim.rng import substream
+from rigsim.stats import empirical_ball_dist
 
 
 def active_plan(**over):
@@ -196,6 +203,19 @@ class TestPerturbation:
     def test_requires_gamma(self):
         with pytest.raises(ValueError):
             perturbation_report(active_plan(), r=1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))
+    def test_ball_histograms_equal_direct_coding(self, seed, r, s):
+        rng = substream(seed)
+        G0 = intersection_graph(gen_active(80, 60, DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}), rng))
+        G = plant_clique(G0, s, rng)
+        hist, base = _ball_histograms(G0, G, r)
+        planted, direct = empirical_ball_dist(G, r), empirical_ball_dist(G0, r)
+        assert (hist.counts, hist.total) == (planted.counts, planted.total)
+        assert (base.counts, base.total) == (direct.counts, direct.total)
+        p = hist.probabilities()
+        assert tv_distance(p, base.probabilities()) == tv_distance(p, direct.probabilities())
 
 
 class TestTheorem21:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rigsim.counting import pattern_from_name
+from rigsim.cliquetree import sample_clique_tree_ball
+from rigsim.counting import pattern_from_name, rooted_emb_count
 from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw
 from rigsim.limits import (
     Estimate,
@@ -323,6 +324,20 @@ class TestRootedEmbExpectation:
         est_center = rooted_emb_expectation_mc(sp, p3.rooted(1), 1, 4000, substream(9, 1))
         tol = 3 * math.hypot(est_end.stderr, est_center.stderr)
         assert abs(est_end.value - est_center.value) < tol
+
+    @pytest.mark.parametrize("name,root,r,hom", [("P4", 1, 2, True), ("P3", 0, 2, False), ("K3", 0, 1, False), ("C4", 0, 2, False)])
+    def test_counts_equal_the_per_sample_loop(self, name, root, r, hom):
+        # the loop the code-keyed memo replaced: project every draw, count on its ball
+        sp = LimitSpec(PO(1.5), PO(2))
+        pattern = pattern_from_name(name).rooted(root)
+        est = rooted_emb_expectation_mc(sp, pattern, r, 300, substream(5), hom_mode=hom)
+        gen = substream(5)
+        counts = np.asarray(
+            [rooted_emb_count(pattern, sample_clique_tree_ball(sp.D1, sp.D2, r, gen).rooted.graph, 0, hom_mode=hom)
+             for _ in range(300)],
+            dtype=float,
+        )
+        assert (est.value, est.stderr) == (float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(300)))
 
     def test_radius_too_small_rejected(self):
         sp = LimitSpec(PO(2), PO(1.5))
