@@ -25,11 +25,9 @@ from .generators import (
 )
 from .cliquetree import (
     CapExceeded,
-    CliqueTreeBall,
     CodeHistogram,
     GWTree,
     ball_distribution_mc,
-    sample_clique_tree_ball,
     sample_gw_tree,
     tv_distance,
 )

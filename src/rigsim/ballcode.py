@@ -21,12 +21,17 @@ isomorphic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from . import canon
 from .graphs import Graph, RootedGraph, ball_adjacency
 
-__all__ = ["BLOCK_TAG", "rooted_code", "ball_codes", "tree_ball_code", "clique_sizes_code"]
+if TYPE_CHECKING:
+    from .cliquetree import GWForest
+
+__all__ = ["BLOCK_TAG", "rooted_code", "ball_codes", "forest_codes"]
 
 BLOCK_TAG = b"BLK1"
 # Half-edges of non-block balls per canon batch.  Coding the r=2 balls of
@@ -34,6 +39,7 @@ BLOCK_TAG = b"BLK1"
 # while each half-edge held costs about 120 bytes of peak memory.
 _BATCH_HALF_EDGES = 1 << 14
 _LEAF = b"()"  # a vertex with no child blocks
+_FOREST_CHUNK = 1 << 14  # nodes per numpy pass of ``forest_codes``
 
 
 def _vertex(blocks: list[bytes]) -> bytes:
@@ -146,29 +152,74 @@ def _fill(held: list[bytes | None], codes: list[bytes]) -> Iterator[bytes]:
     return (next(it) if code is None else code for code in held)
 
 
-def tree_ball_code(parents: Sequence[int], generation: Sequence[int], r: int) -> bytes:
-    """Code of the radius-r clique-tree ball of a two-type tree given by
-    parent pointers in generation order (node 0 the root, even generations
-    vertices, odd generations attributes).
+def forest_codes(forest: GWForest, r: int) -> tuple[np.ndarray, list[bytes]]:
+    """Each tree's class, -1 when it is capped, and each class's code: that
+    of ``clique_tree_ball_from_tree(forest.tree(i), r)`` for its trees i.
 
-    The ball is the projection of the first 2r generations.  An attribute
-    with children is a block of its parent vertex; one without children
-    joins nobody and is dropped.
+    Classes are assigned bottom-up from generation 2r, on chunks of trees.  A
+    node's row is the sorted classes of its children, where an attribute
+    without children joins nobody and is left out.  Rows are ranked in
+    numpy, and each distinct one is looked up in a table that numbers the
+    forest's classes; a class's bytes are built once, by ``_vertex`` or
+    ``_block``.
     """
-    kids: list[list[bytes]] = [[] for _ in range(len(parents))]
-    for i in range(len(parents) - 1, 0, -1):
-        g = generation[i]
-        if g > 2 * r:
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    if forest.depth < 2 * r:
+        raise ValueError(f"a depth-{forest.depth} forest has no radius-{r} balls")
+    table = {(0, ()): 0}  # (generation parity, row) -> class; class 0 is the childless vertex
+    names = [_LEAF]  # bytes per class
+    top = min(len(forest.counts), 2 * r)  # generation ``top`` holds childless vertices only
+    roots = np.zeros(forest.samples, dtype=np.int64)
+    if top:  # chunks of about _FOREST_CHUNK nodes of generation top - 1
+        s = forest.starts[top - 1]
+        cuts = np.unique(np.append(np.searchsorted(s, np.arange(0, s[-1], _FOREST_CHUNK)), forest.samples)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            cls = None  # the chunk's classes one generation down
+            for k in range(top - 1, -1, -1):
+                s = forest.starts[k]
+                cls = _rank_rows(forest.counts[k][s[a] : s[b]], cls, k % 2, table, names)
+            roots[a:b] = cls
+    roots[forest.capped] = len(names)  # ranked -1 below
+    used = np.flatnonzero(np.bincount(roots)[: len(names)])
+    rank = np.full(len(names) + 1, -1, dtype=np.int64)
+    rank[used] = np.arange(used.size)
+    np.take(rank, roots, out=roots)
+    return roots, [BLOCK_TAG + names[x] for x in used.tolist()]
+
+
+def _rank_rows(c: np.ndarray, kids: np.ndarray | None, parity: int, table: dict, names: list[bytes]) -> np.ndarray:
+    """Classes of one generation's nodes from their offspring counts ``c``
+    and their children's classes ``kids`` (node j owns the next c[j]; None
+    when all are childless vertices).  A childless attribute gets -1."""
+    if kids is not None:
+        owner = np.repeat(np.arange(c.size), c)
+        if not parity:
+            keep = kids >= 0
+            owner, kids = owner[keep], kids[keep]
+            c = np.bincount(owner, minlength=c.size)
+        # each node's children by class; both factors are below the node count
+        kids = kids[np.argsort(owner * len(names) + kids)]
+    out = np.full(c.size, -1 if parity else 0, dtype=np.int64)
+    by_width = np.argsort(c, kind="stable")
+    ends = np.searchsorted(c[by_width], np.arange(int(c.max(initial=0)) + 1), side="right").tolist()
+    first = np.cumsum(c) - c
+    for width in range(1, len(ends)):
+        nodes = by_width[ends[width - 1] : ends[width]]
+        if not nodes.size:
             continue
-        if g % 2:
-            if kids[i]:
-                kids[parents[i]].append(_block(kids[i]))
+        if kids is None:
+            rows, firsts = np.zeros((1, width), dtype=np.int64), np.zeros(1, dtype=np.int64)
         else:
-            kids[parents[i]].append(_vertex(kids[i]))
-    return BLOCK_TAG + _vertex(kids[0])
-
-
-def clique_sizes_code(sizes: Iterable[int]) -> bytes:
-    """Code of a root joined to disjoint cliques with the given numbers of
-    non-root members (the radius-1 clique-tree ball); zeros are ignored."""
-    return BLOCK_TAG + _vertex([_block([_LEAF] * z) for z in sizes if z > 0])
+            rows = kids[first[nodes, None] + np.arange(width)]
+            order = np.lexsort(rows.T[::-1])  # np.unique(axis=0) sorts far slower
+            rows, nodes = rows[order], nodes[order]
+            firsts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+        ids = []
+        for row in map(tuple, rows[firsts].tolist()):
+            if (parity, row) not in table:
+                table[parity, row] = len(names)
+                names.append((_block if parity else _vertex)([names[x] for x in row]))
+            ids.append(table[parity, row])
+        out[nodes] = np.repeat(ids, np.diff(np.append(firsts, len(nodes))))
+    return out

@@ -42,16 +42,19 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _write(args, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` under ``--out`` and print its path."""
+    path = _out_path(args, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(path)
+
+
 def _write_rows(args, rows, stem: str) -> None:
     if args.format == "csv":
-        path = _out_path(args, f"{stem}.csv")
-        with open(path, "w") as fh:
-            fh.write(rows_to_csv(rows))
+        _write(args, f"{stem}.csv", rows_to_csv(rows))
     else:
-        path = _out_path(args, f"{stem}.json")
-        with open(path, "w") as fh:
-            json.dump([r.__dict__ for r in rows], fh, indent=1)
-    print(path)
+        _write(args, f"{stem}.json", json.dumps([r.__dict__ for r in rows], indent=1))
 
 
 def cmd_generate(args) -> int:
@@ -75,16 +78,10 @@ def cmd_stats(args) -> int:
         s = StatisticSpec.parse(text)
         rep = STATISTICS[s.kind].graph(G, s)
         if isinstance(rep, CodeHistogram):
-            path = _out_path(args, f"ball_{s.r}.json")
-            with open(path, "w") as fh:
-                json.dump(rep.to_rows(), fh, indent=1)
-            print(path)
-            continue
-        rows.append(rep.to_row() if isinstance(rep, netstats.StatReport) else {"name": s.label(), "value": rep})
-    path = _out_path(args, "stats.json")
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
-    print(path)
+            _write(args, f"ball_{s.r}.json", json.dumps(rep.to_rows(), indent=1))
+        else:
+            rows.append(rep.to_row() if isinstance(rep, netstats.StatReport) else {"name": s.label(), "value": rep})
+    _write(args, "stats.json", json.dumps(rows, indent=1))
     return 0
 
 
@@ -132,24 +129,24 @@ def cmd_limits(args) -> int:
             try_add(f"alpha_k({k})", lambda k=k: limit_conditional_clustering(spec, k))
         if k >= 1:
             try_add(f"r_k({k})", lambda k=k: limit_conditional_assortativity(spec, k))
-    path = _out_path(args, "limits.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1)
-    print(path)
+    _write(args, "limits.json", json.dumps(out, indent=1))
     return 0
+
+
+_BALL_SAMPLES = 10**5
 
 
 def cmd_balls(args) -> int:
     if args.graph:
+        if args.samples is not None or args.seed is not None:
+            raise ValueError("--samples and --seed go with --config; --graph draws nothing")
         G = read_graph(args.graph)
         hist = netstats.empirical_ball_dist(G, args.r)
     else:
         spec = _limit_spec(_load_config(args.config))
-        hist = ball_distribution_mc(spec.D1, spec.D2, args.r, args.samples, substream(args.seed))
-    path = _out_path(args, f"balls_r{args.r}.json")
-    with open(path, "w") as fh:
-        json.dump(hist.to_rows(), fh, indent=1)
-    print(path)
+        samples = _BALL_SAMPLES if args.samples is None else args.samples
+        hist = ball_distribution_mc(spec.D1, spec.D2, args.r, samples, substream(0 if args.seed is None else args.seed))
+    _write(args, f"balls_r{args.r}.json", json.dumps(hist.to_rows(), indent=1))
     return 0
 
 
@@ -180,49 +177,51 @@ def cmd_theorem21(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes the flags it reads, and all take ``--out``."""
     ap = argparse.ArgumentParser(prog="rigsim", description="Random intersection graph simulator")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True, seed=None):
-        # seed None: a plan keeps its own "seed" unless --seed is given
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=seed)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    config = {"required": True, "help": "JSON config file"}
 
     p = sub.add_parser("generate", help="generate a graph and write edge lists")
-    common(p, seed=0)
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plant", type=int, default=None, help="plant a clique of this size")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("stats", help="statistics of a graph file")
-    common(p, config=False)
     p.add_argument("--graph", required=True)
     p.add_argument("--stats", required=True, help="comma list, e.g. alpha,assort,alpha_k:2,pi:3")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("limits", help="closed-form limit report")
-    common(p)
+    p.add_argument("--config", **config)
     p.add_argument("--k-values", type=int, nargs="*", default=[2])
     p.set_defaults(fn=cmd_limits)
 
     p = sub.add_parser("balls", help="ball distributions (model MC or graph file)")
-    common(p, seed=0)
-    p.add_argument("--graph", default=None, help="compute the empirical distribution of this graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="sample the clique-tree reference of this model")
+    source.add_argument("--graph", help="compute the empirical distribution of this graph")
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--samples", type=int, default=10**5)
+    # None, so that graph mode can reject them
+    p.add_argument("--samples", type=int, default=None, help=f"Monte Carlo samples (default {_BALL_SAMPLES})")
+    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
     p.set_defaults(fn=cmd_balls)
 
-    p = sub.add_parser("converge", help="run a full experiment plan")
-    common(p)
-    p.set_defaults(fn=cmd_converge)
+    plan = argparse.ArgumentParser(add_help=False)  # the flags of the commands that run a plan
+    plan.add_argument("--config", **config)
+    plan.add_argument("--seed", type=int, default=None, help="replaces the plan's seed")
+    plan.add_argument("--threads", type=int, default=None)
+    plan.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("theorem21", help="degree-moment / embedding / Sidorenko trajectories")
-    common(p)
+    sub.add_parser("converge", parents=[plan], help="run a full experiment plan").set_defaults(fn=cmd_converge)
+
+    p = sub.add_parser("theorem21", parents=[plan], help="degree-moment / embedding / Sidorenko trajectories")
     p.add_argument("--pattern", default="K3")
     p.set_defaults(fn=cmd_theorem21)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".", help="output directory")
     return ap
 
 

@@ -6,6 +6,10 @@ generations are attributes).  Interpreting generations of even/odd parity as
 the two parts of a bipartite graph and projecting onto the even part yields
 the random clique tree whose radius-r ball around the root only depends on
 the first 2r generations, so sampling truncates there.
+
+Every Monte Carlo reference samples its trees together, one offspring draw
+per generation for all of them (``sample_gw_forest``), and codes them
+together (``ballcode.forest_codes``).
 """
 
 from __future__ import annotations
@@ -16,17 +20,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .ballcode import clique_sizes_code, tree_ball_code
+from .ballcode import forest_codes
 from .graphs import BipartiteMultigraph, RootedGraph, ball, intersection_graph
 from .laws import DegreeLaw, offspring_law
 
 __all__ = [
     "CapExceeded",
     "GWTree",
-    "CliqueTreeBall",
+    "GWForest",
     "CodeHistogram",
+    "sample_gw_forest",
     "sample_gw_tree",
-    "sample_clique_tree_ball",
+    "clique_tree_ball_from_tree",
     "ball_distribution_mc",
     "tv_distance",
     "DEFAULT_NODE_CAP",
@@ -57,6 +62,100 @@ class GWTree:
         return int(self.generation.max()) if self.node_count else 0
 
 
+@dataclass(frozen=True)
+class GWForest:
+    """Independent trees truncated after ``depth`` generations.
+
+    Generation k lists the generation-k nodes of tree 0, then of tree 1, and
+    so on.  Node j of generation k has ``counts[k][j]`` children, the next
+    ones of generation k + 1, and tree i's generation-k nodes are
+    ``starts[k][i]`` up to ``starts[k][i + 1]``.  There is one array of each
+    per generation that drew offspring.  A capped tree outgrew the node cap;
+    the offspring it drew then are set to 0."""
+
+    depth: int
+    counts: tuple[np.ndarray, ...]
+    starts: tuple[np.ndarray, ...]
+    capped: np.ndarray  # one flag per tree
+
+    @property
+    def samples(self) -> int:
+        return int(self.capped.size)
+
+    def tree(self, i: int) -> GWTree:
+        """Tree i alone, as ``sample_gw_tree`` numbers it; raises CapExceeded
+        when the tree is capped."""
+        if self.capped[i]:
+            raise CapExceeded(f"tree {i} exceeded the node cap")
+        parents, first = [np.full(1, -1, dtype=np.int64)], 0  # first: id of the tree's first generation-k node
+        for c, s in zip(self.counts, self.starts):
+            own = c[s[i] : s[i + 1]]
+            if not own.any():
+                break
+            parents.append(np.repeat(np.arange(first, first + own.size, dtype=np.int64), own))
+            first += own.size
+        gens = np.repeat(np.arange(len(parents), dtype=np.int64), [p.size for p in parents])
+        return GWTree(np.concatenate(parents), gens)
+
+
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(x)])
+
+
+def _add_starts(starts: list[np.ndarray], counts: list[np.ndarray], samples: int, k: int) -> None:
+    """Extend ``starts`` to generations 0..k."""
+    while len(starts) <= k:
+        j = len(starts)
+        starts.append(np.arange(samples + 1, dtype=np.int64) if j == 0 else _cumsum0(counts[j - 1])[starts[j - 1]])
+
+
+def sample_gw_forest(
+    D1: DegreeLaw,
+    D2: DegreeLaw,
+    depth: int,
+    samples: int,
+    rng: np.random.Generator,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> GWForest:
+    """Sample ``samples`` trees, each generation of every tree in one draw.
+
+    Root offspring ~ D1; a node in generation k >= 1 has offspring count
+    distributed as the size-biased D2 (k odd) or D1 (k even) minus one, a
+    law made only once reached (D1 == 0 gives single-node trees).  A tree
+    whose node count would pass ``node_cap`` is capped and draws nothing
+    more.  The starts are built after the last draw, out of its peak memory,
+    unless the whole forest passes the cap before."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    counts: list[np.ndarray] = []
+    starts: list[np.ndarray] = []
+    capped = np.zeros(samples, dtype=bool)
+    sizes = None  # nodes per tree so far
+    total = n = samples
+    for k in range(depth):
+        if n == 0:
+            break
+        c = (D1 if k == 0 else offspring_law(D2 if k % 2 else D1)).sample(rng, n)
+        n = int(c.sum())
+        if sizes is not None or total + n > node_cap:
+            _add_starts(starts, counts, samples, k)
+            if sizes is None:
+                sizes = sum(np.diff(s) for s in starts)
+            new = np.diff(_cumsum0(c)[starts[k]])
+            over = sizes + new > node_cap
+            capped |= over
+            c[np.repeat(over, np.diff(starts[k]))] = 0
+            new[over] = 0
+            n = int(new.sum())
+            sizes += new
+        total += n
+        counts.append(c)
+    _add_starts(starts, counts, samples, len(counts) - 1)
+    return GWForest(depth, tuple(counts), tuple(starts), capped)
+
+
 def sample_gw_tree(
     D1: DegreeLaw,
     D2: DegreeLaw,
@@ -64,49 +163,9 @@ def sample_gw_tree(
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> GWTree:
-    """Sample the two-type tree truncated after ``depth`` generations.
-
-    Root offspring ~ D1; a node in generation k >= 1 has offspring count
-    distributed as the size-biased D2 (k odd) or D1 (k even) minus one.
-    Zero-mean laws are fine as long as their size-biased version is never
-    reached (e.g. D1 == 0 gives the single-node tree).
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    parents = [np.full(1, -1, dtype=np.int64)]
-    gens = [np.zeros(1, dtype=np.int64)]
-    total = 1
-    gen_ids = np.zeros(1, dtype=np.int64)
-    offspring: dict[int, DegreeLaw] = {}
-    for k in range(depth):
-        if gen_ids.size == 0:
-            break
-        if k == 0:
-            counts = D1.sample(rng, 1)
-        else:
-            parity = k % 2
-            if parity not in offspring:
-                offspring[parity] = offspring_law(D2 if parity == 1 else D1)
-            counts = offspring[parity].sample(rng, gen_ids.size)
-        n_new = int(counts.sum())
-        if total + n_new > node_cap:
-            raise CapExceeded(f"tree exceeded node cap {node_cap} at generation {k + 1}")
-        if n_new == 0:
-            break
-        parents.append(np.repeat(gen_ids, counts))
-        gens.append(np.full(n_new, k + 1, dtype=np.int64))
-        gen_ids = np.arange(total, total + n_new, dtype=np.int64)
-        total += n_new
-    return GWTree(np.concatenate(parents), np.concatenate(gens))
-
-
-@dataclass(frozen=True)
-class CliqueTreeBall:
-    """Radius-r ball of the clique tree around its root, plus the tree depth
-    (2r) it was derived from."""
-
-    rooted: RootedGraph
-    tree_depth: int
+    """One tree of ``sample_gw_forest``; raises CapExceeded when it is
+    capped."""
+    return sample_gw_forest(D1, D2, depth, 1, rng, node_cap).tree(0)
 
 
 def _tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
@@ -124,24 +183,10 @@ def _tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
     return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
 
 
-def clique_tree_ball_from_tree(tree: GWTree, r: int) -> CliqueTreeBall:
+def clique_tree_ball_from_tree(tree: GWTree, r: int) -> RootedGraph:
     """Project a (depth >= 2r) tree to its clique tree and take the radius-r
     root ball.  The root is part-1 index 0 by construction."""
-    G = intersection_graph(_tree_to_bipartite(tree))
-    return CliqueTreeBall(ball(G, 0, r), 2 * r)
-
-
-def sample_clique_tree_ball(
-    D1: DegreeLaw,
-    D2: DegreeLaw,
-    r: int,
-    rng: np.random.Generator,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> CliqueTreeBall:
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    tree = sample_gw_tree(D1, D2, 2 * r, rng, node_cap)
-    return clique_tree_ball_from_tree(tree, r)
+    return ball(intersection_graph(_tree_to_bipartite(tree)), 0, r)
 
 
 @dataclass
@@ -192,84 +237,17 @@ def ball_distribution_mc(
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> CodeHistogram:
-    """Monte Carlo distribution of the code of the radius-r clique tree ball.
-
-    Radius-1 balls are a join of cliques at the root, determined by the
-    multiset of non-trivial attribute offspring counts, so sampling is
-    batched and each distinct multiset is coded once; larger radii sample
-    trees one by one and code each straight from its parent pointers.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    """Monte Carlo distribution of the code of the radius-r clique tree ball:
+    the first 2r generations of ``samples`` trees, sampled and coded
+    together; capped trees go to ``CAP_BUCKET``."""
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    forest = sample_gw_forest(D1, D2, 2 * r, samples, rng, node_cap)
+    classes, codes = forest_codes(forest, r)
     hist = CodeHistogram()
-    if r == 0:
-        hist.add(clique_sizes_code(()), samples)
-        return hist
-    if r == 1:
-        d1s = D1.sample(rng, samples)
-        total = int(d1s.sum())
-        zs = offspring_law(D2).sample(rng, total) if total else np.empty(0, dtype=np.int64)
-        groups, capped = radius1_groups(d1s, zs, node_cap)
-        for sizes, count in groups.items():
-            hist.add(clique_sizes_code(sizes), count)
-        if capped:
-            hist.add(CAP_BUCKET, capped)
-        return hist
-    for _ in range(samples):
-        try:
-            tree = sample_gw_tree(D1, D2, 2 * r, rng, node_cap)
-        except CapExceeded:
-            hist.add(CAP_BUCKET)
-            continue
-        hist.add(tree_ball_code(tree.parents.tolist(), tree.generation.tolist(), r))
+    for code, k in zip(codes, np.bincount(classes[classes >= 0], minlength=len(codes)).tolist()):
+        hist.add(code, k)
+    capped = int(forest.capped.sum())
+    if capped:
+        hist.add(CAP_BUCKET, capped)
     return hist
-
-
-_R1_CHUNK = 1 << 12  # samples per numpy pass: temporaries of ~100 kB keep peak memory flat
-
-
-def radius1_groups(
-    d1s: np.ndarray, zs: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """Group radius-1 draws by their sorted multiset of positive clique sizes.
-
-    Sample i owns the attribute offspring counts ``zs[o_i : o_i + d1s[i]]``
-    (o the running sum of ``d1s``).  Returns the count per multiset and the
-    number of samples whose ball, 1 + d1 + sum of sizes vertices, exceeds
-    ``node_cap``.  Samples are taken in chunks, so no temporary outgrows
-    ``zs``.
-    """
-    groups: dict[tuple[int, ...], int] = {}
-    capped = 0
-    zstart = 0
-    for a in range(0, d1s.size, _R1_CHUNK):
-        counts = d1s[a : a + _R1_CHUNK]
-        n = counts.size
-        seg = zs[zstart : zstart + int(counts.sum())]
-        zstart += seg.size
-        ids = np.repeat(np.arange(n), counts)
-        ends = np.cumsum(counts)
-        csum = np.concatenate([[0], np.cumsum(seg)])
-        over = 1 + counts + csum[ends] - csum[ends - counts] > node_cap
-        capped += int(over.sum())
-        keep = (seg > 0) & ~over[ids]
-        ids, z = ids[keep], seg[keep]
-        m = np.bincount(ids, minlength=n)  # positive sizes per sample
-        empty = int(n - over.sum() - np.count_nonzero(m))
-        if empty:
-            groups[()] = groups.get((), 0) + empty
-        if not z.size:
-            continue
-        mz = m[ids]
-        order = np.lexsort((z, ids, mz))  # by multiset size, sample, size
-        z, mz = z[order], mz[order]
-        bounds = np.flatnonzero(np.diff(mz)) + 1
-        for s, e in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [z.size]])):
-            rows = z[s:e].reshape(-1, int(mz[s]))
-            rows = rows[np.lexsort(rows.T[::-1])]  # np.unique(axis=0) sorts far slower
-            firsts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
-            num = np.diff(np.append(firsts, len(rows)))
-            for row, c in zip(rows[firsts].tolist(), num.tolist()):
-                key = tuple(row)
-                groups[key] = groups.get(key, 0) + c
-    return groups, capped

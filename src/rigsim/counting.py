@@ -4,7 +4,8 @@ Counts are exact Python integers.  Each graph gets one counting host, kept on
 the graph and freed with it.  It builds on first use the degrees d, the CSR
 adjacency A (straight from the graph's arrays), A@A, the per-vertex
 ordered-triangle vector and A d; a dense adjacency matrix only when the DP
-runs; and it keeps every hom(H, G) found so far.
+runs; and it keeps every hom(H, G) found so far, keyed by the isomorphism
+class of H.
 hom(H, G) is, in this order:
 
 1. the count already found on the host;
@@ -39,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .canon import canonical_codes
+from .canon import canonical_codes, unrooted_code
 from .graphs import Graph, RootedGraph, ball, ball_adjacency
 
 __all__ = [
@@ -60,20 +61,17 @@ _INT64_SAFE = 2**62
 
 @dataclass(frozen=True)
 class Pattern:
-    """Connected pattern graph, optionally rooted.
-
-    The default size cap is 8 vertices (the coincidence-partition machinery
-    grows like the Bell numbers); callers that need more can raise
-    ``max_vertices`` explicitly."""
+    """Connected pattern graph, optionally rooted, on at most
+    ``MAX_PATTERN_VERTICES`` vertices (the coincidence-partition machinery
+    grows like the Bell numbers)."""
 
     graph: Graph
     root: int | None = None
-    max_vertices: int = MAX_PATTERN_VERTICES
 
     def __post_init__(self) -> None:
         h = self.graph.vertex_count
-        if not 2 <= h <= self.max_vertices:
-            raise ValueError(f"pattern must have between 2 and {self.max_vertices} vertices")
+        if not 2 <= h <= MAX_PATTERN_VERTICES:
+            raise ValueError(f"pattern must have between 2 and {MAX_PATTERN_VERTICES} vertices")
         if _ball_size(self.graph, 0, None) < h:
             raise ValueError("pattern must be connected")
         if self.root is not None and not 0 <= self.root < h:
@@ -87,7 +85,7 @@ class Pattern:
         return self.graph.vertex_count
 
     def rooted(self, root: int) -> "Pattern":
-        return Pattern(self.graph, root, self.max_vertices)
+        return Pattern(self.graph, root)
 
     def root_eccentricity(self) -> int:
         if self.root is None:
@@ -345,7 +343,7 @@ class _Host:
 
     def __init__(self, g: Graph):
         self.indptr, self.indices = g.indptr, g.indices
-        self.homs: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        self.homs: dict[bytes, int] = {}  # pattern class -> hom count
         self.dense: dict[type, np.ndarray] = {}
 
     @cached_property
@@ -527,11 +525,18 @@ def _hom_backtrack(
 # -- public operations -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pattern_class(h: int, edges: tuple[tuple[int, int], ...]) -> bytes:
+    """Isomorphism class of the pattern on 0..h-1 with these edges."""
+    return unrooted_code(Graph.from_edges(h, edges))
+
+
 def _hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
     """hom of the pattern on 0..h-1 with these edges into g, by the rule of
-    the module docstring."""
+    the module docstring; the host keeps it under the pattern's class, so a
+    pattern reached under two labellings is counted once."""
     homs = _host(g).homs
-    key = (h, edges)
+    key = _pattern_class(h, edges)
     if key not in homs:
         homs[key] = _count_hom(g, h, edges)
     return homs[key]

@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ballcode import tree_ball_code
-from .cliquetree import clique_tree_ball_from_tree, sample_gw_tree
+from .ballcode import forest_codes
+from .cliquetree import GWForest, clique_tree_ball_from_tree, sample_gw_forest
 from .counting import Pattern, rooted_emb_count
 from .generators import ModelConfig
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
@@ -101,10 +101,6 @@ class LimitSpec:
     def degenerate_root(self) -> bool:
         """True when E D1 = 0, i.e. d* = 0 almost surely."""
         return float(self.D1.mean()) == 0.0
-
-    @property
-    def Z(self) -> DegreeLaw:
-        return offspring_law(self.D2)
 
 
 def remark1_limits(model: str, beta: float, P: DegreeLaw | None = None,
@@ -227,21 +223,17 @@ def dstar_moment(spec: LimitSpec, k: int, mc_samples: int = 0, rng: np.random.Ge
 
 def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """iid samples of d* = sum_{i<=D1} Z_i (vectorized)."""
-    return _draw_dstar(spec, size, rng)[2]
+    return _dstar(sample_gw_forest(spec.D1, spec.D2, 2, size, rng, math.inf))
 
 
-def _draw_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D1 draws, the Z draws in sample order, d*): sample i sums the Z draws
-    from index cumsum(d1)[i] - d1[i] on.  Z is not drawn at all when every
-    D1 draw is 0."""
-    d1 = spec.D1.sample(rng, size)
-    total = int(d1.sum())
-    zs = spec.Z.sample(rng, total) if total else np.zeros(0, dtype=np.int64)
-    sums = np.zeros(size, dtype=np.int64)
-    nz = np.flatnonzero(d1)
+def _dstar(forest: GWForest) -> np.ndarray:
+    """d* of each tree of an uncapped depth-2 forest, which draws no Z when
+    every D1 draw is 0."""
+    sums = np.zeros(forest.samples, dtype=np.int64)
+    nz = np.flatnonzero(forest.counts[0])
     if nz.size:
-        sums[nz] = np.add.reduceat(zs, (np.cumsum(d1) - d1)[nz])
-    return d1, zs, sums
+        sums[nz] = np.add.reduceat(forest.counts[1], forest.starts[1][nz])
+    return sums
 
 
 # -- degree pmf -------------------------------------------------------------------
@@ -398,16 +390,11 @@ def _conditional_mc(
     while drawn < mc_samples:
         m = min(batch, mc_samples - drawn)
         drawn += m
-        d1, zs, sums = _draw_dstar(spec, m, rng)
-        ends = np.cumsum(d1)
-        starts = ends - d1
-        hits = np.flatnonzero(sums == k)
-        wz = weight(zs.astype(np.float64))
-        for i in hits:
-            if d1[i] == 0:
-                accepted.append(0.0)
-            else:
-                accepted.append(float(wz[starts[i] : ends[i]].sum()))
+        forest = sample_gw_forest(spec.D1, spec.D2, 2, m, rng, math.inf)
+        hits = np.flatnonzero(_dstar(forest) == k)
+        if hits.size:  # k >= 1, so these trees drew Z
+            wz, s = weight(forest.counts[1].astype(np.float64)), forest.starts[1]
+            accepted += [float(wz[s[i] : s[i + 1]].sum()) for i in hits]
     if not accepted:
         raise RuntimeError(f"no Monte Carlo acceptances for d* = {k}; increase samples")
     arr = np.asarray(accepted)
@@ -513,23 +500,19 @@ def rooted_emb_expectation_mc(
     """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
     balls; requires the pattern radius to fit inside r.
 
-    The count is a function of the ball's isomorphism class, so it is memoised
-    on the ball's code, read from the tree's parent pointers; only a new code
-    projects the tree and counts on its ball."""
+    The count is a function of the ball's isomorphism class, so the trees
+    are sampled and coded together and the count is taken once per class,
+    on the ball of the class's first tree."""
     if H.root is None:
         raise ValueError("pattern must be rooted")
     if H.root_eccentricity() > r:
         raise ValueError("ball radius too small for the pattern")
-    counts = np.zeros(samples)
-    memo: dict[bytes, int] = {}
-    for i in range(samples):
-        tree = sample_gw_tree(spec.D1, spec.D2, 2 * r, rng)
-        key = tree_ball_code(tree.parents.tolist(), tree.generation.tolist(), r)
-        c = memo.get(key)
-        if c is None:
-            g = clique_tree_ball_from_tree(tree, r).rooted.graph
-            c = memo[key] = rooted_emb_count(H, g, 0, hom_mode=hom_mode)
-        counts[i] = c
+    forest = sample_gw_forest(spec.D1, spec.D2, 2 * r, samples, rng)
+    classes, _ = forest_codes(forest, r)
+    # one tree per class; a capped tree, of class -1, raises CapExceeded here
+    reps = np.unique(classes, return_index=True)[1].tolist()
+    per_class = [rooted_emb_count(H, clique_tree_ball_from_tree(forest.tree(i), r).graph, 0, hom_mode) for i in reps]
+    counts = np.asarray(per_class, dtype=float)[classes]
     return Estimate(
         float(counts.mean()),
         float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .ballcode import ball_codes
 from .cliquetree import CodeHistogram
 from .counting import _host, _power_sum, emb_count, hom_count, pattern_from_name
@@ -112,27 +110,12 @@ def conditional_assortativity(G: Graph, k: int) -> StatReport:
     return _ratio(f"r_k({k})", _power_sum(host.Ad[centers]), k * int(centers.sum()))
 
 
-def empirical_ball_dist(
-    G: Graph,
-    r: int,
-    sample_size: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> CodeHistogram:
-    """Distribution of the code of B_r(G, v) over vertices v.
-
-    Exact mode (all vertices) when sample_size is None, otherwise a uniform
-    with-replacement vertex sample; counts are kept so callers can attach
-    binomial standard errors.  Codes come from ``ballcode.ball_codes``.
-    """
+def empirical_ball_dist(G: Graph, r: int) -> CodeHistogram:
+    """Distribution of the code of B_r(G, v) over all vertices v, as counts;
+    codes come from ``ballcode.ball_codes``."""
     if G.vertex_count < 1:
         raise ValueError("empirical_ball_dist needs a non-empty graph")
-    if sample_size is None:
-        vertices = None
-    else:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        vertices = rng.integers(0, G.vertex_count, size=sample_size).tolist()
     hist = CodeHistogram()
-    for code in ball_codes(G, r, vertices):
+    for code in ball_codes(G, r):
         hist.add(code)
     return hist

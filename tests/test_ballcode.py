@@ -5,13 +5,21 @@ from unittest import mock
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigsim.ballcode import BLOCK_TAG, ball_codes, clique_sizes_code, tree_ball_code
+from rigsim import ballcode
+from rigsim.ballcode import BLOCK_TAG, _block, _vertex, ball_codes, forest_codes
 from rigsim.canon import canonical_code
-from rigsim import cliquetree
-from rigsim.cliquetree import GWTree, ball_distribution_mc, clique_tree_ball_from_tree, radius1_groups, sample_gw_tree
+from rigsim.cliquetree import (
+    CAP_BUCKET,
+    CapExceeded,
+    ball_distribution_mc,
+    clique_tree_ball_from_tree,
+    sample_gw_forest,
+    sample_gw_tree,
+)
 from rigsim.generators import gen_active, plant_clique
 from rigsim.graphs import Graph, RootedGraph, ball, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
@@ -83,7 +91,7 @@ def test_partition_on_random_clique_trees(seed):
 def test_partition_on_gw_balls(seed, law, r):
     D1, D2 = LAWS[law]
     rng = substream(seed)
-    balls = [clique_tree_ball_from_tree(sample_gw_tree(D1, D2, 2 * r, rng), r).rooted for _ in range(6)]
+    balls = [clique_tree_ball_from_tree(sample_gw_tree(D1, D2, 2 * r, rng), r) for _ in range(6)]
     assert_same_partition(balls, np.random.default_rng(seed))
 
 
@@ -115,47 +123,90 @@ def test_all_vertex_entry_matches_ball_code(seed, r):
     assert list(ball_codes(g, r, picks)) == [ball(g, v, r).code for v in picks]
 
 
-def radius1_loop(d1s: np.ndarray, zs: np.ndarray, node_cap: int) -> dict[bytes, int]:
-    """Per-sample reference: build each radius-1 tree and code its projection."""
-    out: dict[bytes, int] = {}
-    start = 0
-    for d1 in d1s.tolist():
-        sizes = zs[start : start + d1].tolist()
-        start += d1
-        if 1 + d1 + sum(sizes) > node_cap:
-            code = b"cap"
-        else:
-            parents, gens = [-1] + [0] * d1, [0] + [1] * d1
-            for a, z in enumerate(sizes, start=1):
-                parents += [a] * z
-                gens += [2] * z
-            tree = GWTree(np.asarray(parents, dtype=np.int64), np.asarray(gens, dtype=np.int64))
-            code = clique_tree_ball_from_tree(tree, 1).rooted.code
-        out[code] = out.get(code, 0) + 1
+def radius1_groups(d1s: np.ndarray, zs: np.ndarray, node_cap: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """The radius-1 reference path that ``forest_codes`` replaced, kept as
+    an oracle: group samples by their sorted multiset of positive clique
+    sizes, and count the samples whose ball has more than ``node_cap``
+    vertices."""
+    groups: dict[tuple[int, ...], int] = {}
+    n = d1s.size
+    ids = np.repeat(np.arange(n), d1s)
+    ends = np.cumsum(d1s)
+    csum = np.concatenate([[0], np.cumsum(zs)])
+    over = 1 + d1s + csum[ends] - csum[ends - d1s] > node_cap
+    keep = (zs > 0) & ~over[ids]
+    ids, z = ids[keep], zs[keep]
+    m = np.bincount(ids, minlength=n)
+    empty = int(n - over.sum() - np.count_nonzero(m))
+    if empty:
+        groups[()] = empty
+    if z.size:
+        mz = m[ids]
+        order = np.lexsort((z, ids, mz))
+        z, mz = z[order], mz[order]
+        bounds = np.flatnonzero(np.diff(mz)) + 1
+        for s, e in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [z.size]])):
+            for row in z[s:e].reshape(-1, int(mz[s])).tolist():
+                groups[tuple(row)] = groups.get(tuple(row), 0) + 1
+    return groups, int(over.sum())
+
+
+def parent_histogram(D1, D2, r: int, samples: int, rng: np.random.Generator, node_cap: int) -> dict[bytes, int]:
+    """The radius-0 and radius-1 histograms as the per-radius paths drew and
+    coded them: D1 for every sample, then Z for every attribute."""
+    if r == 0:
+        return {BLOCK_TAG + _vertex([]): samples}
+    d1s = D1.sample(rng, samples)
+    total = int(d1s.sum())
+    zs = offspring_law(D2).sample(rng, total) if total else np.empty(0, dtype=np.int64)
+    groups, capped = radius1_groups(d1s, zs, node_cap)
+    out = {BLOCK_TAG + _vertex([_block([b"()"] * z) for z in sizes]): c for sizes, c in groups.items()}
+    if capped:
+        out[CAP_BUCKET] = capped
     return out
 
 
 @PROPERTY
-@given(SEEDS, st.integers(0, len(LAWS) - 1), st.integers(1, 200), st.sampled_from([3, 8, 10**7]), st.integers(1, 64))
-def test_batched_radius1_matches_loop(seed, law, samples, node_cap, chunk):
+@given(SEEDS, st.integers(0, len(LAWS) - 1), st.integers(1, 200), st.sampled_from([3, 8, 10**7]), st.integers(1, 64), st.integers(0, 1))
+def test_batched_radius1_matches_loop(seed, law, samples, node_cap, chunk, r):
+    # r <= 1 keeps the stream and the histogram of the per-radius paths
+    # whenever the cap does not bind
     D1, D2 = LAWS[law]
-    rng = substream(seed)
-    d1s = D1.sample(rng, samples)
-    zs = offspring_law(D2).sample(rng, int(d1s.sum()))
-    with mock.patch.object(cliquetree, "_R1_CHUNK", chunk):  # several chunks per draw
-        groups, capped = radius1_groups(d1s, zs, node_cap)
-    batched = {clique_sizes_code(k): c for k, c in groups.items()}
-    if capped:
-        batched[b"cap"] = capped
-    assert batched == radius1_loop(d1s, zs, node_cap)
-    if node_cap == 10**7:  # the sampler draws d1s, then zs, from its stream
-        assert ball_distribution_mc(D1, D2, 1, samples, substream(seed)).counts == batched
+    expected = parent_histogram(D1, D2, r, samples, substream(seed), node_cap)
+    with mock.patch.object(ballcode, "_FOREST_CHUNK", chunk):  # several chunks per forest
+        got = ball_distribution_mc(D1, D2, r, samples, substream(seed), node_cap).counts
+    if CAP_BUCKET not in expected:
+        assert got == expected
+    assert sum(got.values()) == samples  # a binding cap moves the stream: capped trees draw nothing more
 
 
 @PROPERTY
-@given(SEEDS, st.integers(0, len(LAWS) - 1), st.integers(0, 3), st.integers(0, 2))
-def test_tree_code_matches_projection(seed, law, r, extra_depth):
+@given(
+    SEEDS,
+    st.integers(0, len(LAWS) - 1),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(1, 12),
+    st.sampled_from([6, 30, 10**7]),
+    st.integers(1, 64),
+)
+def test_tree_code_matches_projection(seed, law, r, extra_depth, samples, node_cap, chunk):
+    # every tree's class is the code of its projected ball; a capped tree has none
     D1, D2 = LAWS[law]
-    tree = sample_gw_tree(D1, D2, 2 * r + extra_depth, substream(seed))
-    code = tree_ball_code(tree.parents.tolist(), tree.generation.tolist(), r)
-    assert code == clique_tree_ball_from_tree(tree, r).rooted.code
+    forest = sample_gw_forest(D1, D2, 2 * r + extra_depth, samples, substream(seed), node_cap)
+    with mock.patch.object(ballcode, "_FOREST_CHUNK", chunk):
+        classes, codes = forest_codes(forest, r)
+    assert sorted(set(classes.tolist()) - {-1}) == list(range(len(codes)))
+    for i, c in enumerate(classes.tolist()):
+        if forest.capped[i]:
+            assert c == -1
+            with pytest.raises(CapExceeded):
+                forest.tree(i)
+        else:
+            assert codes[c] == clique_tree_ball_from_tree(forest.tree(i), r).code
+
+
+def test_shallow_forest_rejected():
+    forest = sample_gw_forest(*LAWS[0], 3, 5, substream(1))
+    with pytest.raises(ValueError, match="radius-2"):
+        forest_codes(forest, 2)

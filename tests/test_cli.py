@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -106,7 +107,38 @@ def test_balls_mc_and_empirical(tmp_path, model_cfg):
     gen_out = tmp_path / "g2"
     main(["generate", "--config", model_cfg, "--seed", "4", "--out", str(gen_out)])
     out2 = tmp_path / "balls2"
-    assert main(["balls", "--config", cfg, "--graph", str(gen_out / "graph.txt"), "--r", "1", "--out", str(out2)]) == 0
+    assert main(["balls", "--graph", str(gen_out / "graph.txt"), "--r", "1", "--out", str(out2)]) == 0
+    assert abs(sum(r["probability"] for r in json.load(open(out2 / "balls_r1.json"))) - 1) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["balls", "--config", "m.json", "--graph", "g.txt"],  # exactly one source
+        ["balls", "--r", "1"],
+        ["balls", "--config", "m.json", "--threads", "2"],
+        ["balls", "--config", "m.json", "--format", "json"],
+        ["stats", "--graph", "g.txt", "--stats", "alpha", "--seed", "1"],
+        ["stats", "--graph", "g.txt", "--stats", "alpha", "--config", "m.json"],
+        ["stats", "--graph", "g.txt", "--stats", "alpha", "--threads", "2"],
+        ["limits", "--config", "m.json", "--seed", "1"],
+        ["limits", "--config", "m.json", "--format", "json"],
+        ["generate", "--config", "m.json", "--threads", "2"],
+        ["generate", "--config", "m.json", "--format", "csv"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--samples", "10"], ["--seed", "3"]])
+def test_graph_mode_rejects_monte_carlo_flags(tmp_path, model_cfg, capsys, extra):
+    main(["generate", "--config", model_cfg, "--seed", "4", "--out", str(tmp_path)])
+    assert main(["balls", "--graph", str(tmp_path / "graph.txt"), *extra, "--out", str(tmp_path)]) == 1
+    assert "--samples and --seed go with --config" in capsys.readouterr().err
 
 
 def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monkeypatch):
@@ -262,3 +294,37 @@ def test_exit_codes(tmp_path):
         },
     )
     assert main(["converge", "--config", plan, "--out", str(tmp_path / "x")]) == 1
+
+
+SCALARS = ["alpha", "assort", "alpha_k:3", "r_k:3", "pi:3", "moment:2", "emb:K3"]
+PINNED_PLANS = [
+    # (plan, SHA-256 of converge.csv at --seed 7)
+    ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
+      "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
+     "15cdb6caaa2d2cc4922fbfea1ba89a493faa1689866049849b687d9344c4d9a2"),
+    ({"model": {"model": "configuration", "n1": 100, "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}},
+                "D2": {"kind": "constant", "value": 2}},
+      "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
+     "63c17c65dc1c6c304df5b7dd6d3ba541071f5c309371ade5a9ddaf0b24f7aff2"),
+    ({"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+                "xi2": {"kind": "exponential", "rate": 1.0}},
+      "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
+     "7d907c43d8263dd8cd4ce51e9525efe8f12b7ccf0d598f50598d85a5b5720610"),
+    ({"model": {"model": "passive", "n1": 100, "n2": 100, "P": {"kind": "pmf", "pmf": {"2": 0.5, "4": 0.5}}},
+      "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
+     "0501e7686f464bf6a97ff2784385d982603640bfdd5da111298b291fcf442862"),
+    # planted clique, radius-1 balls against a 2e5-sample clique-tree reference
+    ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
+      "ladder": [600, 1200], "statistics": ["moment:2", "ball:1"], "replications": 2,
+      "perturbation": {"gamma": 0.5}, "mc_reference_samples": 200000},
+     "d12a15170248e96eba02fdd9796491ebb75ce16a810145de396f757500a36658"),
+]
+
+
+@pytest.mark.parametrize("plan, digest", PINNED_PLANS, ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1"])
+def test_scalar_and_radius1_plans_keep_their_bytes(tmp_path, plan, digest):
+    # the scalar statistics and the radius-1 reference keep their random
+    # streams, so these converge.csv files keep their bytes
+    cfg = write_json(tmp_path / "plan.json", plan)
+    assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "converge.csv").read_bytes()).hexdigest() == digest

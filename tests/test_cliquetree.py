@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -10,16 +11,22 @@ from rigsim.cliquetree import (
     CodeHistogram,
     _tree_to_bipartite,
     ball_distribution_mc,
-    sample_clique_tree_ball,
+    clique_tree_ball_from_tree,
+    sample_gw_forest,
     sample_gw_tree,
     tv_distance,
 )
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
-from rigsim.laws import DegreeLaw
+from rigsim.laws import DegreeLaw, WeightLaw
 from rigsim.limits import LimitSpec, limit_degree_pmf_vector
 from rigsim.rng import substream
 
 ISOLATED = RootedGraph(Graph.empty(1), 0).code
+
+
+def sample_ball(D1, D2, r, rng):
+    """The radius-r ball of one sampled tree."""
+    return clique_tree_ball_from_tree(sample_gw_tree(D1, D2, 2 * r, rng), r)
 
 
 class TestGWTree:
@@ -53,6 +60,55 @@ class TestGWTree:
         with pytest.raises(CapExceeded):
             sample_gw_tree(DegreeLaw.constant(5), DegreeLaw.constant(5), 10, substream(5), node_cap=1000)
 
+    def test_draws_and_arrays_are_pinned(self):
+        # one tree of the forest sampler: the digest of its arrays, cap hits
+        # and leftover stream, as the tree-by-tree sampler produced them
+        laws = [
+            (DegreeLaw.poisson(2), DegreeLaw.poisson(1.5)),
+            (DegreeLaw.from_pmf({1: 0.4, 3: 0.6}), DegreeLaw.poisson(2)),
+            (DegreeLaw.constant(2), DegreeLaw.from_pmf({2: 0.5, 3: 0.5})),
+            (DegreeLaw.mixed_poisson(WeightLaw("pareto", shape=3.0, scale=1.0)), DegreeLaw.poisson(1.0)),
+        ]
+        h = hashlib.sha256()
+        for li, (D1, D2) in enumerate(laws):
+            for depth in range(5):
+                rng = substream(31, li, depth)
+                for _ in range(20):
+                    try:
+                        t = sample_gw_tree(D1, D2, depth, rng, node_cap=60)
+                    except CapExceeded:
+                        h.update(b"cap")
+                        continue
+                    h.update(t.parents.astype(np.int64).tobytes())
+                    h.update(t.generation.astype(np.int64).tobytes())
+                h.update(rng.integers(0, 2**62, size=2).tobytes())
+        assert h.hexdigest() == "3f1e3557cabd881373cf1bb36c29e5792ab0045461d39624f3d591a71fb45335"
+
+
+class TestGWForest:
+    def test_trees_partition_the_generations(self):
+        f = sample_gw_forest(DegreeLaw.poisson(2), DegreeLaw.poisson(1.5), 4, 50, substream(20))
+        assert not f.capped.any() and len(f.counts) == len(f.starts) == 4
+        for k, (c, s) in enumerate(zip(f.counts, f.starts)):
+            assert s[0] == 0 and s[-1] == c.size and np.all(np.diff(s) >= 0)
+            sizes = [int((f.tree(i).generation == k).sum()) for i in range(f.samples)]
+            assert np.diff(s).tolist() == sizes
+
+    def test_capped_trees_draw_nothing_more(self):
+        # a tree of 1 + 5 nodes passes the cap of 5 at its first generation
+        D1 = DegreeLaw.from_pmf({1: 0.5, 5: 0.5})
+        drawn = D1.sample(substream(21), 40)
+        f = sample_gw_forest(D1, DegreeLaw.constant(2), 2, 40, substream(21), 5)
+        assert f.capped.tolist() == (drawn == 5).tolist() and f.capped.any()
+        assert f.counts[0].tolist() == np.where(f.capped, 0, drawn).tolist()
+        assert f.counts[1].size == int((~f.capped).sum())
+        with pytest.raises(CapExceeded):
+            f.tree(int(np.argmax(f.capped)))
+
+    def test_extinct_forest(self):
+        f = sample_gw_forest(DegreeLaw.constant(0), DegreeLaw.constant(2), 4, 7, substream(22))
+        assert len(f.counts) == 1 and f.tree(3).node_count == 1
+
 
 def tree_to_bipartite_loop(tree):
     """The tree's incidence graph built one tuple per edge, as it was written."""
@@ -79,18 +135,18 @@ class TestCliqueTreeBall:
                     assert np.array_equal(x, y)
 
     def test_isolated_root(self):
-        b = sample_clique_tree_ball(DegreeLaw.constant(0), DegreeLaw.constant(2), 1, substream(6))
-        assert b.rooted.code == ISOLATED
+        b = sample_ball(DegreeLaw.constant(0), DegreeLaw.constant(2), 1, substream(6))
+        assert b.code == ISOLATED
 
     def test_triangle(self):
-        b = sample_clique_tree_ball(DegreeLaw.constant(1), DegreeLaw.constant(3), 1, substream(7))
+        b = sample_ball(DegreeLaw.constant(1), DegreeLaw.constant(3), 1, substream(7))
         K3 = RootedGraph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 0)
-        assert b.rooted.code == K3.code
+        assert b.code == K3.code
 
     def test_path_of_five(self):
-        b = sample_clique_tree_ball(DegreeLaw.constant(2), DegreeLaw.constant(2), 2, substream(8))
+        b = sample_ball(DegreeLaw.constant(2), DegreeLaw.constant(2), 2, substream(8))
         P5_center = RootedGraph(Graph.from_edges(5, [(i, i + 1) for i in range(4)]), 2)
-        assert b.rooted.code == P5_center.code
+        assert b.code == P5_center.code
 
     def test_balls_are_clique_trees(self):
         # block graph: maximal cliques intersect pairwise in <= 1 vertex, every
@@ -98,9 +154,9 @@ class TestCliqueTreeBall:
         # structure is acyclic
         gen = substream(9)
         for _ in range(40):
-            b = sample_clique_tree_ball(DegreeLaw.poisson(2), DegreeLaw.poisson(2), 2, gen)
-            g = nx.Graph(list(b.rooted.graph.edges()))
-            g.add_nodes_from(range(b.rooted.graph.vertex_count))
+            b = sample_ball(DegreeLaw.poisson(2), DegreeLaw.poisson(2), 2, gen)
+            g = nx.Graph(list(b.graph.edges()))
+            g.add_nodes_from(range(b.graph.vertex_count))
             cliques = [set(c) for c in nx.find_cliques(g)]
             for i in range(len(cliques)):
                 for j in range(i + 1, len(cliques)):
@@ -124,7 +180,7 @@ class TestCliqueTreeBall:
         n = 20000
         degs = np.array(
             [
-                sample_clique_tree_ball(spec.D1, spec.D2, 1, gen).rooted.graph.degree(0)
+                sample_ball(spec.D1, spec.D2, 1, gen).graph.degree(0)
                 for _ in range(n)
             ]
         )
@@ -178,7 +234,7 @@ class TestBallDistribution:
         slow = CodeHistogram()
         n2 = 8000
         for _ in range(n2):
-            slow.add(sample_clique_tree_ball(D1, D2, 1, gen).rooted.code)
+            slow.add(sample_ball(D1, D2, 1, gen).code)
         pf, ps = fast.probabilities(), slow.probabilities()
         for code in set(pf) | set(ps):
             a, b = pf.get(code, 0.0), ps.get(code, 0.0)

@@ -222,6 +222,26 @@ class TestHost:
         gc.collect()
         assert host() is None
 
+    def test_p3_closed_form_runs_once_per_graph(self, rng, monkeypatch):
+        # emb(P4) and emb(C4) reach P3 labelled ((0,1),(0,2)), clustering and
+        # assortativity labelled ((0,1),(1,2)); the host keys homs by class
+        import rigsim.counting as C
+        from rigsim.stats import assortativity, clustering
+
+        asked, counted = set(), []
+        hom, count = C._hom, C._count_hom
+        monkeypatch.setattr(C, "_hom", lambda g, h, edges: asked.add((h, edges)) or hom(g, h, edges))
+        monkeypatch.setattr(C, "_count_hom", lambda g, h, edges: counted.append((h, edges)) or count(g, h, edges))
+        for g in (random_graph(rng), random_graph(rng)):
+            counted.clear()
+            emb_count(P4, g)
+            emb_count(pattern_from_name("C4"), g)
+            clustering(g)
+            assortativity(g)
+            assert {(3, ((0, 1), (0, 2))), (3, ((0, 1), (1, 2)))} <= asked
+            assert [e for h, e in counted if h == 3 and len(e) == 2] in ([((0, 1), (0, 2))], [((0, 1), (1, 2))])
+            assert len(C._host(g).homs) == len(counted)
+
     def test_power_sum_exact_beyond_int64(self):
         import rigsim.counting as C
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigsim.cliquetree import sample_clique_tree_ball
+from rigsim import limits
+from rigsim.cliquetree import CapExceeded, clique_tree_ball_from_tree, sample_gw_forest
 from rigsim.counting import pattern_from_name, rooted_emb_count
-from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw
+from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
 from rigsim.limits import (
     Estimate,
     LimitSpec,
@@ -137,7 +140,7 @@ class TestDstarMoment:
             rng, ref = substream(seed), substream(seed)
             d = sample_dstar(sp, 6, rng)
             d1 = sp.D1.sample(ref, 6)
-            zs = sp.Z.sample(ref, int(d1.sum())) if d1.sum() else np.zeros(0, dtype=np.int64)
+            zs = offspring_law(sp.D2).sample(ref, int(d1.sum())) if d1.sum() else np.zeros(0, dtype=np.int64)
             starts = np.cumsum(d1) - d1
             assert d.tolist() == [int(zs[a : a + n].sum()) for a, n in zip(starts, d1)]
             assert rng.random() == ref.random()
@@ -326,18 +329,27 @@ class TestRootedEmbExpectation:
         assert abs(est_end.value - est_center.value) < tol
 
     @pytest.mark.parametrize("name,root,r,hom", [("P4", 1, 2, True), ("P3", 0, 2, False), ("K3", 0, 1, False), ("C4", 0, 2, False)])
-    def test_counts_equal_the_per_sample_loop(self, name, root, r, hom):
-        # the loop the code-keyed memo replaced: project every draw, count on its ball
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(2, 300))
+    def test_counts_equal_the_per_sample_loop(self, name, root, r, hom, seed, samples):
+        # the loop that counting once per class replaced: project every tree
+        # of the same forest and count on its ball
         sp = LimitSpec(PO(1.5), PO(2))
         pattern = pattern_from_name(name).rooted(root)
-        est = rooted_emb_expectation_mc(sp, pattern, r, 300, substream(5), hom_mode=hom)
-        gen = substream(5)
+        est = rooted_emb_expectation_mc(sp, pattern, r, samples, substream(seed), hom_mode=hom)
+        forest = sample_gw_forest(sp.D1, sp.D2, 2 * r, samples, substream(seed))
         counts = np.asarray(
-            [rooted_emb_count(pattern, sample_clique_tree_ball(sp.D1, sp.D2, r, gen).rooted.graph, 0, hom_mode=hom)
-             for _ in range(300)],
+            [rooted_emb_count(pattern, clique_tree_ball_from_tree(forest.tree(i), r).graph, 0, hom_mode=hom)
+             for i in range(samples)],
             dtype=float,
         )
-        assert (est.value, est.stderr) == (float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(300)))
+        assert (est.value, est.stderr) == (float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(samples)))
+
+    def test_capped_tree_raises(self, monkeypatch):
+        capped = lambda *a: sample_gw_forest(*a, node_cap=5)  # noqa: E731
+        monkeypatch.setattr(limits, "sample_gw_forest", capped)
+        with pytest.raises(CapExceeded):
+            rooted_emb_expectation_mc(LimitSpec(CONST(3), CONST(3)), pattern_from_name("K2").rooted(0), 1, 10, substream(4))
 
     def test_radius_too_small_rejected(self):
         sp = LimitSpec(PO(2), PO(1.5))

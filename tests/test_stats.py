@@ -17,7 +17,6 @@ from rigsim.stats import (
     empirical_ball_dist,
 )
 from rigsim.counting import emb_count, pattern_from_name
-from rigsim.rng import substream
 
 from tests.conftest import random_graph
 
@@ -173,11 +172,6 @@ class TestEmpiricalBallDist:
         h = empirical_ball_dist(g, 1)
         assert h.total == g.vertex_count
         assert abs(sum(h.probabilities().values()) - 1) < 1e-12
-
-    def test_sampled_mode_counts(self, rng):
-        g = random_graph(rng, n_max=30)
-        h = empirical_ball_dist(g, 1, sample_size=500, rng=substream(22))
-        assert h.total == 500
 
     def test_codes_match_direct_ball_codes(self, rng):
         g = random_graph(rng, n_max=15)
