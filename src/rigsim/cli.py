@@ -226,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code:  # argparse printed the usage and error; 2 is ours for an abort
+            return 1
+        raise
     try:
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:

@@ -6,7 +6,8 @@ Every generator is a pure function of its arguments and the supplied
 graphs.  Mean part-1 / part-2 degrees are linked through beta = n2/n1: the
 active model prescribes part-1 degrees (attribute degrees come out
 asymptotically Poisson), the passive model mirrors it, the inhomogeneous model
-uses the clipped weight-product edge probabilities, and the configuration
+keeps each pair with its clipped weight-product probability by thinning a
+binomial count of uniform candidates per part-1 vertex, and the configuration
 model realises arbitrary prescribed degree sequences by a uniform half-edge
 matching (multi-edges allowed).
 """
@@ -37,25 +38,16 @@ __all__ = [
 def _floyd_resolve(draws: list[int], m: int) -> list[int]:
     """Floyd's subset from its draws t ~ U{0..j}, j = m - k, ..., m - 1: each
     t joins unless already chosen, and then j joins instead.  Listed in the
-    set's iteration order."""
-    chosen: set[int] = set()
+    order they join."""
+    chosen: dict[int, None] = {}
     for j, t in enumerate(draws, start=m - len(draws)):
-        chosen.add(t if t not in chosen else j)
+        chosen[t if t not in chosen else j] = None
     return list(chosen)
-
-
-def _floyd_subset(rng: np.random.Generator, m: int, k: int) -> list[int]:
-    """Floyd's algorithm: uniform k-subset of {0, ..., m-1} in O(k) expected time.
-
-    One ``integers`` call with an array of upper bounds consumes the stream
-    exactly as one call per draw does, and leaves the generator in the same
-    state."""
-    return _floyd_resolve(rng.integers(0, np.arange(m - k + 1, m + 1)).tolist(), m)
 
 
 def _floyd_pairs(rng: np.random.Generator, m: int, k: np.ndarray) -> np.ndarray:
     """(owner, member) rows of a Floyd k[i]-subset of {0, ..., m-1} for each
-    owner i, from the stream of one ``_floyd_subset`` call per owner in turn.
+    owner i, one ``integers`` call making the draws of every owner in turn.
 
     An owner whose draws are distinct keeps them as drawn: each draw then
     misses the earlier picks, which are the earlier draws.  Only owners with
@@ -94,42 +86,22 @@ def gen_inhomogeneous(
     """Weights xi drawn per vertex; pair (v, w) kept independently with
     probability min(xi1_v xi2_w / sqrt(n1 n2), 1).
 
-    Two exact strategies: thin a Binomial(n2, p_max) candidate draw per part-1
-    vertex against the per-pair ratio (cheap when the realised weights are not
-    too spread out), or sample each row of Bernoullis directly; the choice is
-    by expected cost, the sampled distribution is identical either way.
+    Exact thinning: part-1 vertex v draws a Binomial(n2, p_max(v)) count of
+    candidates, p_max(v) being its largest pair probability, then a uniform
+    subset of that many attributes, and keeps candidate w when a uniform
+    times p_max(v) is at most p(v, w).  The draws come in whole-array passes:
+    w1, w2, the counts of the vertices with p_max > 0, every Floyd value,
+    every uniform.
     """
     w1 = xi1.sample(rng, n1)
     w2 = xi2.sample(rng, n2)
     norm = math.sqrt(n1 * n2)
-    w2max = float(w2.max()) if n2 else 0.0
-    pmax = np.minimum(w1 * w2max / norm, 1.0)
-    # thinning pays off while the candidate draws stay well below the full grid
-    if float(pmax.sum()) * n2 <= 0.05 * n1 * n2:
-        # per vertex in turn: a Binomial(n2, pmax) candidate count, the Floyd
-        # subset of candidates and one uniform each; the draws interleave, so
-        # only the acceptance test runs on all candidates at once
-        counts = np.zeros(n1, dtype=np.int64)
-        cand: list[int] = []
-        unif = [np.empty(0)]
-        for v in np.flatnonzero(pmax > 0.0).tolist():
-            k = int(rng.binomial(n2, float(pmax[v])))
-            if k:
-                counts[v] = k
-                cand += _floyd_subset(rng, n2, k)
-                unif.append(rng.random(k))
-        owner = np.repeat(np.arange(n1), counts)
-        member = np.asarray(cand, dtype=np.int64)
-        keep = np.concatenate(unif) * pmax[owner] <= np.minimum(w1[owner] * w2[member] / norm, 1.0)
-        pairs = np.stack([owner[keep], member[keep]], axis=1)
-    else:
-        hits = [np.empty((0, 2), dtype=np.int64)]
-        for v in range(n1):
-            row = np.minimum(w1[v] * w2 / norm, 1.0)
-            w = np.flatnonzero(rng.random(n2) < row)
-            hits.append(np.stack([np.full(w.size, v), w], axis=1))
-        pairs = np.concatenate(hits)
-    return BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    pmax = np.minimum(w1 * (float(w2.max()) if n2 else 0.0) / norm, 1.0)
+    live = np.flatnonzero(pmax > 0.0)
+    owner, member = _floyd_pairs(rng, n2, rng.binomial(n2, pmax[live])).T
+    owner = live[owner]
+    keep = rng.random(owner.size) * pmax[owner] <= np.minimum(w1[owner] * w2[member] / norm, 1.0)
+    return BipartiteMultigraph.from_pairs(n1, n2, np.stack([owner[keep], member[keep]], axis=1))
 
 
 def gen_configuration(
@@ -149,27 +121,16 @@ def gen_configuration(
 
 
 def gen_degree_sequences(
-    n1: int,
-    D1: DegreeLaw,
-    D2: DegreeLaw,
-    rng: np.random.Generator,
-    beta: float | None = None,
+    n1: int, D1: DegreeLaw, D2: DegreeLaw, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw degree sequences realising (D1, D2) in the configuration model.
 
-    n2 = floor(beta * n1) with beta = E D1 / E D2 (the ratio the construction
-    requires; an explicit ``beta`` is accepted but must match).  Each side is
-    n_i iid draws plus one appended balancing term equal to the other side's
-    surplus, so the sums match exactly and at most one appended term is
-    non-zero.
+    n2 = floor(beta * n1) with beta = E D1 / E D2, the ratio the construction
+    requires.  Each side is n_i iid draws plus one appended balancing term
+    equal to the other side's surplus, so the sums match exactly and at most
+    one appended term is non-zero.
     """
-    derived = float(D1.mean()) / float(D2.mean())
-    if beta is not None and not math.isclose(beta, derived, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"beta={beta} inconsistent with E D1 / E D2 = {derived}; "
-            "the balanced construction requires them equal"
-        )
-    n2 = int(math.floor(derived * n1))
+    n2 = int(math.floor(float(D1.mean()) / float(D2.mean()) * n1))
     if n1 < 1 or n2 < 1:
         raise ValueError("need n1 >= 1 and floor(beta * n1) >= 1")
     d1 = D1.sample(rng, n1)

@@ -35,7 +35,7 @@ from .ballcode import forest_codes
 from .cliquetree import GWForest, clique_tree_ball_from_tree, sample_gw_forest
 from .counting import Pattern, rooted_emb_count
 from .generators import ModelConfig
-from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
+from .laws import DegreeLaw, MomentUnavailable, WeightLaw
 
 __all__ = [
     "LimitSpec",
@@ -146,40 +146,24 @@ def limit_spec_for(config: ModelConfig) -> LimitSpec:
 # -- moments ---------------------------------------------------------------------
 
 
-def z_moment(
-    D2: DegreeLaw,
-    j: int,
-    mode: str = "raw",
-    mc_samples: int = 0,
-    rng: np.random.Generator | None = None,
-) -> Estimate:
+def z_moment(D2: DegreeLaw, j: int, mode: str = "raw") -> Estimate:
     """Moments of Z ~ size_biased(D2) - 1.
 
     raw:       E Z^j = E (D2 - 1)^j D2 / E D2
     factorial: E (Z)_j = E (D2)_{j+1} / E D2
-    Falls back to Monte Carlo over sampled Z when a required D2 moment is
-    unavailable and ``mc_samples`` is set.
+    Raises MomentUnavailable when a required D2 moment is infinite.
     """
     if j < 0:
         raise ValueError("moment order must be non-negative")
-    try:
-        m = float(D2.mean())
-        if mode == "factorial":
-            val = float(D2.factorial_moment(j + 1)) / m
-        elif mode == "raw":
-            total = 0.0
-            for i in range(j + 1):
-                total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
-            val = total / m
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return Estimate(val)
-    except MomentUnavailable:
-        if mc_samples <= 0 or rng is None:
-            raise
-    zs = offspring_law(D2).sample(rng, mc_samples).astype(np.float64)
-    x = zs**j if mode == "raw" else np.prod([zs - i for i in range(j)], axis=0)
-    return Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(mc_samples)), mc_samples, exact=False)
+    m = float(D2.mean())
+    if mode == "factorial":
+        return Estimate(float(D2.factorial_moment(j + 1)) / m)
+    if mode != "raw":
+        raise ValueError(f"unknown mode {mode!r}")
+    total = 0.0
+    for i in range(j + 1):
+        total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
+    return Estimate(total / m)
 
 
 def _compositions(k: int) -> Iterable[tuple[int, ...]]:
@@ -192,33 +176,28 @@ def _compositions(k: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def dstar_moment(spec: LimitSpec, k: int, mc_samples: int = 0, rng: np.random.Generator | None = None) -> Estimate:
-    """E (d*)^k via the composition expansion over E binom(D1, j) and E Z^k_i."""
+def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
+    """E (d*)^k via the composition expansion over E binom(D1, j) and E Z^k_i.
+    Raises MomentUnavailable when a required D1 or D2 moment is infinite."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if spec.degenerate_root:
         return Estimate(0.0)
-    try:
-        zraw = [z_moment(spec.D2, j).value for j in range(k + 1)]
-        total = 0.0
-        for parts in _compositions(k):
-            j = len(parts)
-            multinom = math.factorial(k)
-            for p in parts:
-                multinom //= math.factorial(p)
-            ed1j = float(spec.D1.factorial_moment(j)) / math.factorial(j)
-            if ed1j == 0.0:
-                continue
-            prod = 1.0
-            for p in parts:
-                prod *= zraw[p]
-            total += multinom * ed1j * prod
-        return Estimate(total)
-    except MomentUnavailable:
-        if mc_samples <= 0 or rng is None:
-            raise
-    d = sample_dstar(spec, mc_samples, rng).astype(np.float64) ** k
-    return Estimate(float(d.mean()), float(d.std(ddof=1) / math.sqrt(mc_samples)), mc_samples, exact=False)
+    zraw = [z_moment(spec.D2, j).value for j in range(k + 1)]
+    total = 0.0
+    for parts in _compositions(k):
+        j = len(parts)
+        multinom = math.factorial(k)
+        for p in parts:
+            multinom //= math.factorial(p)
+        ed1j = float(spec.D1.factorial_moment(j)) / math.factorial(j)
+        if ed1j == 0.0:
+            continue
+        prod = 1.0
+        for p in parts:
+            prod *= zraw[p]
+        total += multinom * ed1j * prod
+    return Estimate(total)
 
 
 def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:

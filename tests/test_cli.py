@@ -128,10 +128,15 @@ def test_balls_mc_and_empirical(tmp_path, model_cfg):
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("extra", [["--samples", "10"], ["--seed", "3"]])
@@ -309,7 +314,7 @@ PINNED_PLANS = [
     ({"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
                 "xi2": {"kind": "exponential", "rate": 1.0}},
       "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
-     "7d907c43d8263dd8cd4ce51e9525efe8f12b7ccf0d598f50598d85a5b5720610"),
+     "825872ca09207b7f0b219424b58479e10aa4f1bd4d5ad8bc919aa50aff162b79"),
     ({"model": {"model": "passive", "n1": 100, "n2": 100, "P": {"kind": "pmf", "pmf": {"2": 0.5, "4": 0.5}}},
       "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
      "0501e7686f464bf6a97ff2784385d982603640bfdd5da111298b291fcf442862"),
@@ -318,13 +323,22 @@ PINNED_PLANS = [
       "ladder": [600, 1200], "statistics": ["moment:2", "ball:1"], "replications": 2,
       "perturbation": {"gamma": 0.5}, "mc_reference_samples": 200000},
      "d12a15170248e96eba02fdd9796491ebb75ce16a810145de396f757500a36658"),
+    # Pareto weights, radius-2 balls against a forest-sampled reference and
+    # the emb(P4) Monte Carlo limit
+    ({"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+                "xi2": {"kind": "exponential", "rate": 1.0}},
+      "ladder": [400, 1000], "statistics": ["moment:2", "emb:P4", "ball:2"], "replications": 2,
+      "mc_reference_samples": 500},
+     "d4ca4d0558f141079bf8093425a70910d066a4af24df4254d59bc7f7c5028968"),
 ]
 
 
-@pytest.mark.parametrize("plan, digest", PINNED_PLANS, ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1"])
-def test_scalar_and_radius1_plans_keep_their_bytes(tmp_path, plan, digest):
-    # the scalar statistics and the radius-1 reference keep their random
-    # streams, so these converge.csv files keep their bytes
+@pytest.mark.parametrize("plan, digest", PINNED_PLANS,
+                         ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1", "reference-r2"])
+def test_pinned_plans_match_their_digests(tmp_path, plan, digest):
+    # the benchmark plans at seed 7: any change that moves a sampler, a
+    # reference or a Monte Carlo limit changes a converge.csv here, and must
+    # re-pin it on purpose
     cfg = write_json(tmp_path / "plan.json", plan)
     assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "converge.csv").read_bytes()).hexdigest() == digest

@@ -97,16 +97,36 @@ class TestInhomogeneous:
         got = H.edge_count / n1
         assert abs(got - expect) < 3 * math.sqrt(expect / n1)
 
-    def test_thinning_and_row_modes_agree_in_law(self):
-        # heavy weights trigger the row path; moderate ones the thinning path
-        n = 400
-        h1 = gen_inhomogeneous(n, n, WeightLaw.point(1), WeightLaw.point(1), substream(11, 0))
-        means = []
-        for rep in range(40):
-            H = gen_inhomogeneous(n, n, WeightLaw.pareto(2.2, 1.0), WeightLaw.point(1), substream(11, rep))
-            means.append(H.edge_count)
-        # expected edges = n1 n2 E min(w1 w2 / n, 1); crude sanity bound only
-        assert 0 < np.mean(means) < n * n
+    def test_pair_frequencies_match_probabilities(self):
+        # each pair is kept with probability min(w1 w2 / sqrt(n1 n2), 1) given
+        # the weights; both cases have clipped pairs, and the Pareto(2.5, 10)
+        # weights are the dense input where most candidates get thinned
+        heavy = substream(11)
+        cases = [
+            (np.array([0.0, 0.3, 1.0, 2.5, 6.0, 40.0]), np.array([0.2, 1.0, 3.0, 25.0, 0.05])),
+            (WeightLaw.pareto(2.5, 10.0).sample(heavy, 12), WeightLaw.exponential(1.0).sample(heavy, 10)),
+        ]
+        reps = 3000
+        for case, (w1, w2) in enumerate(cases):
+            p = np.minimum(np.outer(w1, w2) / math.sqrt(w1.size * w2.size), 1.0)
+            assert (p == 1.0).any() and (p < 1.0).any()
+            hits = np.zeros(p.shape)
+            for rep in range(reps):
+                H = gen_inhomogeneous(w1.size, w2.size, FixedWeights(w1), FixedWeights(w2), substream(60, case, rep))
+                assert (H.mult == 1).all()
+                hits[H.edge_u, H.edge_w] += 1
+            assert (np.abs(hits / reps - p) <= 4 * np.sqrt(p * (1 - p) / reps)).all()
+
+
+class FixedWeights:
+    """A weight law that returns the same weights at every draw."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def sample(self, rng, size):
+        assert size == self.w.size
+        return self.w
 
 
 class TestConfiguration:
@@ -147,10 +167,6 @@ class TestDegreeSequences:
         assert len(d2) == 21  # n2 = 2 * n1, plus the balancing entry
         assert d1.sum() == d2.sum()
 
-    def test_beta_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gen_degree_sequences(10, DegreeLaw.constant(4), DegreeLaw.constant(2), substream(18), beta=1.0)
-
     def test_lln_balancing_term_small(self):
         D1 = DegreeLaw.from_pmf({1: 0.5, 3: 0.5})
         for rep in range(5):
@@ -184,10 +200,10 @@ PINNED_MODELS = [
      "ed0afc828f0f6a72970ce82c967afc58a7d2ecf4f627673f9bad44796239cc0f"),
     ({"model": "inhomogeneous", "n1": 100, "n2": 100,
       "xi1": {"kind": "exponential", "rate": 1.0}, "xi2": {"kind": "point", "value": 1.0}},
-     "9c3d75f391354547e48b9af3ba2dd06d6d8c634dc510b5c825684ae119cbf998"),  # thinning path
+     "b350eeb490d0122293144ee3f13ab04452ad6d8b9b1e8fe3bc574f3bde7437e0"),  # sparse: distinct Floyd draws
     ({"model": "inhomogeneous", "n1": 100, "n2": 80,
       "xi1": {"kind": "pareto", "shape": 2.5, "scale": 10.0}, "xi2": {"kind": "exponential", "rate": 1.0}},
-     "191edbe6c6292915e101feaedb82ff53a28c44758b9b31fac697a56dd7d9e19e"),  # row path
+     "ade37e597b2add8c98c09ddfd9f594b0af2fb2b55490acc5b866dc4449d60157"),  # dense: clipped pairs, repeated draws
     ({"model": "configuration", "n1": 100,
       "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}}, "D2": {"kind": "constant", "value": 2}},
      "c185bf92afcaf4b6ac6c05e8e0f8a816af1897ca63acb1e34a5160070d157fa4"),
@@ -219,16 +235,16 @@ class TestDeterminismAndConfig:
 
 # -- batched draws against the per-vertex loops they replace ----------------------
 #
-# These are the samplers as they were written with one ``integers`` call per
-# Floyd draw and a list of (u, w) tuples; the array versions must give the same
-# H and leave the generator at the same point of its stream.
+# These reference samplers make one ``integers`` call per Floyd draw and build
+# a list of (u, w) tuples; the array versions must give the same H and leave
+# the generator at the same point of its stream.
 
 
 def floyd_loop(rng, m, k):
-    chosen = set()
+    chosen = {}  # in the order the members join
     for j in range(m - k, m):
         t = int(rng.integers(0, j + 1))
-        chosen.add(t if t not in chosen else j)
+        chosen[t if t not in chosen else j] = None
     return list(chosen)
 
 
@@ -249,23 +265,12 @@ def inhomogeneous_loop(n1, n2, xi1, xi2, rng):
     w2 = xi2.sample(rng, n2)
     norm = math.sqrt(n1 * n2)
     w2max = float(w2.max()) if n2 else 0.0
-    pmax = np.minimum(w1 * w2max / norm, 1.0)
-    pairs = []
-    if float(pmax.sum()) * n2 <= 0.05 * n1 * n2:
-        for v in range(n1):
-            pv = float(pmax[v])
-            if pv <= 0.0:
-                continue
-            k = int(rng.binomial(n2, pv))
-            if k == 0:
-                continue
-            cand = floyd_loop(rng, n2, k)
-            keep = rng.random(k) * pv <= np.minimum(w1[v] * w2[np.asarray(cand)] / norm, 1.0)
-            pairs.extend((v, cand[i]) for i in np.flatnonzero(keep))
-    else:
-        for v in range(n1):
-            row = np.minimum(w1[v] * w2 / norm, 1.0)
-            pairs.extend((v, int(w)) for w in np.flatnonzero(rng.random(n2) < row))
+    pmax = [min(float(w1[v]) * w2max / norm, 1.0) for v in range(n1)]
+    live = [v for v in range(n1) if pmax[v] > 0.0]
+    counts = rng.binomial(n2, [pmax[v] for v in live])
+    cand = [(v, w) for v, k in zip(live, counts.tolist()) for w in floyd_loop(rng, n2, k)]
+    unif = rng.random(len(cand))
+    pairs = [(v, w) for (v, w), u in zip(cand, unif.tolist()) if u * pmax[v] <= min(w1[v] * w2[w] / norm, 1.0)]
     return BipartiteMultigraph.from_pairs(n1, n2, pairs)
 
 
@@ -322,13 +327,15 @@ def test_batched_inhomogeneous_matches_loop(n1, n2, seed, scale, spread):
     assert_same_draws(new, inhomogeneous_loop(n1, n2, xi1, xi2, old_rng), new_rng, old_rng)
 
 
-@pytest.mark.parametrize("scale, thinning", [(0.2, True), (30.0, False)])
-def test_inhomogeneous_paths_match_loop(scale, thinning):
+@pytest.mark.parametrize("scale, distinct", [(0.2, True), (30.0, False)])
+def test_inhomogeneous_paths_match_loop(scale, distinct):
+    # small weights give every vertex distinct Floyd draws; large ones make
+    # many vertices repeat a draw, which _floyd_resolve then replaces
     xi1, xi2 = WeightLaw.point(scale), WeightLaw.finite([0.5, 2.0], [0.5, 0.5])
     new_rng, old_rng = substream(43), substream(43)
-    with mock.patch.object(generators, "_floyd_subset", wraps=generators._floyd_subset) as floyd:
+    with mock.patch.object(generators, "_floyd_resolve", wraps=generators._floyd_resolve) as resolve:
         new = gen_inhomogeneous(300, 200, xi1, xi2, new_rng)
-    assert floyd.called == thinning  # only the thinning path draws candidate subsets
+    assert resolve.called != distinct
     assert new.edge_count > 0
     assert_same_draws(new, inhomogeneous_loop(300, 200, xi1, xi2, old_rng), new_rng, old_rng)
 
