@@ -8,9 +8,12 @@ A rooted block graph is fixed, up to root-preserving isomorphism, by its
 rooted block tree: a vertex's children are the blocks it meets away from the
 root, and a block's children are its other members.  A tagged AHU string of
 that tree (Aho, Hopcroft & Ullman 1974), with children sorted, codes it
-exactly in linear time.  Any other ball goes to canon: ``ball_codes`` holds
-such balls back and codes them in batches with ``canon.canonical_codes``,
-and ``rooted_code`` codes one with ``canon.canonical_code``.
+exactly in linear time.  ``block_codes`` is that pass over a graph's balls;
+it hands back the adjacency of every other ball.  ``fill_codes`` codes such
+balls in batches with ``canon.canonical_codes`` (``ball_codes`` is the two
+in a row), and ``rooted_code`` codes one with ``canon.canonical_code``.  A
+comparison with the clique-tree limit never needs a general code, since no
+limit ball can match a ball that is not a block graph.
 
 So there are two code families: block-tree codes, which start with
 ``BLOCK_TAG``, and general codes, which start with ``canon.TAG`` (``RGC2``).
@@ -31,7 +34,7 @@ from .graphs import Graph, RootedGraph, ball_adjacency
 if TYPE_CHECKING:
     from .cliquetree import GWForest
 
-__all__ = ["BLOCK_TAG", "rooted_code", "ball_codes", "forest_codes"]
+__all__ = ["BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes"]
 
 BLOCK_TAG = b"BLK1"
 # Half-edges of non-block balls per canon batch.  Coding the r=2 balls of
@@ -113,26 +116,45 @@ def rooted_code(rg: RootedGraph) -> bytes:
     return code if code is not None else canon.canonical_code(rg)
 
 
-def ball_codes(G: Graph, r: int, vertices: Iterable[int] | None = None) -> Iterator[bytes]:
-    """Codes of B_r(G, v) for each v in ``vertices`` (default: every vertex),
-    each equal to ``ball(G, v, r).code``, in order.
+def block_codes(
+    G: Graph, r: int, vertices: Iterable[int] | None = None
+) -> Iterator[tuple[bytes | None, list[list[int]] | None]]:
+    """The block pass: for each v in ``vertices`` (default: every vertex), in
+    order, the block-tree code of B_r(G, v) and None, or None and the ball's
+    adjacency lists (rooted at 0, as ``ball_adjacency`` lists them) when it
+    is not a block graph.
 
     The adjacency lists are converted once per graph and no per-ball ``Graph``
-    is built.  Balls that are not block graphs are held back and coded by
-    ``canon.canonical_codes`` in batches of about ``_BATCH_HALF_EDGES``
-    half-edges; the codes after a held ball wait for its batch.
-    """
+    is built."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     neighbors = adjacency_lists(G).__getitem__
-    held: list[bytes | None] = []  # codes not yet yielded; None for a ball in ``batch``
-    batch: list[list[list[int]]] = []
-    half_edges = 0
     for v in range(G.vertex_count) if vertices is None else vertices:
         if not 0 <= v < G.vertex_count:
             raise ValueError("ball centre out of range")
         ladj = ball_adjacency(neighbors, v, r)
         code = _block_code(ladj)
+        yield code, None if code is not None else ladj
+
+
+def ball_codes(G: Graph, r: int, vertices: Iterable[int] | None = None) -> Iterator[bytes]:
+    """Codes of B_r(G, v) for each v in ``vertices`` (default: every vertex),
+    each equal to ``ball(G, v, r).code``, in order: ``block_codes`` with its
+    general balls filled in by ``fill_codes``."""
+    return fill_codes(block_codes(G, r, vertices))
+
+
+def fill_codes(entries: Iterable[tuple[bytes | None, list[list[int]] | None]]) -> Iterator[bytes]:
+    """Each entry's code, in order, where an entry is a code and None, or
+    None and the adjacency lists of a ball that canon must code.
+
+    Such balls are held back and coded by ``canon.canonical_codes`` in
+    batches of about ``_BATCH_HALF_EDGES`` half-edges; the codes after a held
+    ball wait for its batch."""
+    held: list[bytes | None] = []  # codes not yet yielded; None for a ball in ``batch``
+    batch: list[list[list[int]]] = []
+    half_edges = 0
+    for code, ladj in entries:
         if code is not None and not batch:
             yield code
             continue

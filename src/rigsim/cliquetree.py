@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .ballcode import forest_codes
-from .graphs import BipartiteMultigraph, RootedGraph, ball, intersection_graph
+from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
 from .laws import DegreeLaw, offspring_law
 
 __all__ = [
@@ -31,14 +32,17 @@ __all__ = [
     "CodeHistogram",
     "sample_gw_forest",
     "sample_gw_tree",
+    "clique_tree",
     "clique_tree_ball_from_tree",
     "ball_distribution_mc",
+    "count_tv",
     "tv_distance",
     "DEFAULT_NODE_CAP",
 ]
 
 DEFAULT_NODE_CAP = 10**7
 CAP_BUCKET = b"__cap_exceeded__"
+NON_BLOCK_BUCKET = b"__not_a_block_graph__"
 
 
 class CapExceeded(RuntimeError):
@@ -183,19 +187,28 @@ def _tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
     return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
 
 
+def clique_tree(tree: GWTree) -> Graph:
+    """Project a tree to its clique tree; the root is vertex 0 (part-1 index 0
+    by construction).  A depth-2r tree projects to its radius-r ball."""
+    return intersection_graph(_tree_to_bipartite(tree))
+
+
 def clique_tree_ball_from_tree(tree: GWTree, r: int) -> RootedGraph:
-    """Project a (depth >= 2r) tree to its clique tree and take the radius-r
-    root ball.  The root is part-1 index 0 by construction."""
-    return ball(intersection_graph(_tree_to_bipartite(tree)), 0, r)
+    """The radius-r root ball of a (depth >= 2r) tree's clique tree."""
+    return ball(clique_tree(tree), 0, r)
 
 
 @dataclass
 class CodeHistogram:
     """Empirical distribution over canonical ball codes.
 
-    ``counts`` maps code -> occurrences; the reserved key ``CAP_BUCKET``
-    collects samples whose tree hit the node cap (they carry full weight in
-    total-variation comparisons, which is the conservative choice)."""
+    ``counts`` maps code -> occurrences.  Two reserved keys hold balls that
+    no code of the other side of a comparison with the clique-tree limit can
+    match, so each carries full weight in the total variation whatever its
+    code: ``CAP_BUCKET`` collects the reference's samples whose tree hit the
+    node cap (the conservative choice), and ``NON_BLOCK_BUCKET`` the
+    graph-side balls that are not block graphs, which no clique-tree ball
+    is."""
 
     counts: dict[bytes, int] = field(default_factory=dict)
     total: int = 0
@@ -206,6 +219,10 @@ class CodeHistogram:
 
     def probabilities(self) -> dict[bytes, float]:
         return {c: k / self.total for c, k in self.counts.items()}
+
+    def tv(self, other: CodeHistogram) -> float:
+        """Total variation distance to ``other``, from the counts."""
+        return count_tv(self.counts, self.total, other.counts, other.total)
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -220,13 +237,23 @@ class CodeHistogram:
         return rows
 
 
-def tv_distance(p: Mapping[bytes, float], q: Mapping[bytes, float]) -> float:
-    """Total variation distance; codes missing on one side carry mass 0 there.
+def count_tv(c: Mapping[object, int], N: int, d: Mapping[object, int], M: int) -> float:
+    """Total variation distance between counts ``c`` out of N and ``d`` out
+    of M, sum_k |c_k M - d_k N| / (2 N M): summed on integers and divided
+    once, so it is exactly rounded and does not depend on key order.  A key
+    missing on one side counts 0 there.  Counts both sides share may be left
+    out when N == M, since they cancel."""
+    if N < 1 or M < 1:
+        raise ValueError("total variation needs two non-empty samples")
+    num = sum(abs(c.get(k, 0) * M - d.get(k, 0) * N) for k in c.keys() | d.keys())
+    return float(Fraction(num, 2 * N * M))
 
-    Keys are summed in sorted order so the float result is bit-identical
-    across runs (set order would follow the salted bytes hash)."""
-    keys = sorted(set(p) | set(q))
-    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+def tv_distance(p: Mapping[bytes, float], q: Mapping[bytes, float]) -> float:
+    """Total variation distance between two probability maps; codes missing
+    on one side carry mass 0 there.  ``math.fsum`` is exactly rounded, so the
+    float does not depend on the order of the keys."""
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in p.keys() | q.keys())
 
 
 def ball_distribution_mc(

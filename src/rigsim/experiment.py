@@ -16,14 +16,15 @@ with the graph G it was planted on.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ballcode import ball_codes
-from .cliquetree import CodeHistogram, ball_distribution_mc, tv_distance
+from .ballcode import block_codes, fill_codes
+from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, count_tv
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, intersection_graph
@@ -207,6 +208,7 @@ class Statistic(NamedTuple):
     graph: Callable[[Graph, StatisticSpec], object]
     limit: Callable[[ExperimentPlan, LimitSpec, StatisticSpec], object]
     per_vertex: bool = False  # plans report the graph value divided by n1
+    row: Callable[[Graph, StatisticSpec], object] | None = None  # what a plan compares, when not ``graph``
 
 
 def _mc(plan: ExperimentPlan, s: StatisticSpec) -> dict:
@@ -243,14 +245,21 @@ STATISTICS: dict[str, Statistic] = {
     ), per_vertex=True),
     "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), lambda plan, spec, s: (
         ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 2))
-    )),
+    ), row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
 }
+
+
+def _row_histogram(codes) -> CodeHistogram:
+    """The histogram a ball row compares with the clique-tree reference: block
+    codes as they are, every other ball (code None) under ``NON_BLOCK_BUCKET``."""
+    counts = Counter(NON_BLOCK_BUCKET if code is None else code for code in codes)
+    return CodeHistogram(dict(counts), sum(counts.values()))
 
 
 def _measure(G: Graph, s: StatisticSpec):
     """The value a plan reports for ``s`` on ``G``: a float, or the ball histogram."""
     kind = STATISTICS[s.kind]
-    out = kind.graph(G, s)
+    out = (kind.row or kind.graph)(G, s)
     if isinstance(out, netstats.StatReport):
         out = out.value
     return out / G.vertex_count if kind.per_vertex else out
@@ -263,12 +272,11 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
     """One (size index, replication): draw H once, project it to G and plant
     the clique on G when the plan has a perturbation, giving G'.
 
-    Returns the statistics of the plan and of ``pert`` on G' (G without a
-    perturbation), by label.  ``pert`` is empty or a (moment, ball) pair of
-    specs; when it is given the worker also returns the ratio of the moment on
-    G' over G and the TV distance between their ball distributions; the ball
-    histogram of G is that of G' with the balls near the clique recoded on G.
-    Runs in worker processes; everything passed in is picklable.
+    Returns the statistics of the plan on G' (G without a perturbation), by
+    label.  ``pert`` is empty or a (moment, ball) pair of specs; when it is
+    given the worker also returns the ratio of the moment on G' over G and
+    the TV distance between their ball distributions.  Runs in worker
+    processes; everything passed in is picklable.
     """
     plan, i, rep, pert = task
     n1 = plan.ladder[i]
@@ -280,21 +288,28 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
         if not pert:
             return values, None
         mom, ball = pert
-        values[ball.label()], base = _ball_histograms(G0, G, ball.r)
+        hist, tv = _ball_perturbation(G0, G, ball.r, ball in plan.statistics)
+        if hist is not None:
+            values[ball.label()] = hist
         values[mom.label()] = _measure(G, mom)
-        tv = tv_distance(values[ball.label()].probabilities(), base.probabilities())
         return values, (values[mom.label()] / _measure(G0, mom), tv)
     except Exception as e:
         raise RuntimeError(f"replication failed at n1={n1}, replication={rep}: {e}") from e
 
 
-def _ball_histograms(G0: Graph, G: Graph, r: int) -> tuple[CodeHistogram, CodeHistogram]:
-    """Radius-r ball histograms of G and of G0, where G is G0 plus edges.
+def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHistogram | None, float]:
+    """TV distance between the radius-r ball distributions of G and G0, where
+    G is G0 plus edges, and G's ball-row histogram when ``row`` is set (None
+    otherwise).
 
     A ball can differ between the two only if it holds an endpoint of a new
     edge, so only the vertices within distance r (in G) of a vertex whose
-    degree rose are coded on G0; G0's histogram is G's with their codes
-    swapped."""
+    degree rose are compared, and the other balls cancel in the TV.  Each of
+    them is coded once on each graph (G's row pass codes every vertex of G).
+    A near ball that is not a block graph is canonised only when its key,
+    the vertex count and sorted degrees, also occurs among the other graph's
+    near non-block balls; otherwise no ball there can share its code, and it
+    counts under its key."""
     near = G.degrees() != G0.degrees()
     frontier = np.flatnonzero(near)
     for _ in range(r):
@@ -304,17 +319,35 @@ def _ball_histograms(G0: Graph, G: Graph, r: int) -> tuple[CodeHistogram, CodeHi
         reached[G.indices[idx]] = True
         frontier = np.flatnonzero(reached & ~near)
         near |= reached
-    hist, moved = CodeHistogram(), []
-    for v, code in enumerate(ball_codes(G, r)):
-        hist.add(code)
-        if near[v]:
-            moved.append(code)
-    base = CodeHistogram(dict(hist.counts), hist.total)
-    for old, new in zip(moved, ball_codes(G0, r, np.flatnonzero(near).tolist())):
-        base.add(old, -1)
-        base.add(new)
-    base.counts = {code: k for code, k in base.counts.items() if k}
-    return hist, base
+    nearby = np.flatnonzero(near).tolist()
+    hist = None
+    if row:
+        hist, planted = CodeHistogram(), []
+        for v, entry in enumerate(block_codes(G, r)):
+            hist.add(NON_BLOCK_BUCKET if entry[0] is None else entry[0])
+            if near[v]:
+                planted.append(entry)
+    else:
+        planted = list(block_codes(G, r, nearby))
+    sides = (planted, list(block_codes(G0, r, nearby)))
+    shared = set.intersection(*({_ball_key(adj) for code, adj in side if code is None} for side in sides))
+    counts = (Counter(), Counter())
+    held = []  # (side, adjacency) of the non-block balls whose key both sides have
+    for j, side in enumerate(sides):
+        for code, adj in side:
+            key = code if code is not None else _ball_key(adj)
+            if code is None and key in shared:
+                held.append((j, adj))
+            else:
+                counts[j][key] += 1
+    for (j, _), code in zip(held, fill_codes((None, adj) for _, adj in held)):
+        counts[j][code] += 1
+    return hist, count_tv(counts[0], G.vertex_count, counts[1], G.vertex_count)
+
+
+def _ball_key(adj: list[list[int]]) -> tuple:
+    """An isomorphism invariant of a ball: its vertex count and sorted degrees."""
+    return len(adj), tuple(sorted(map(len, adj)))
 
 
 def _replications(plan: ExperimentPlan, i: int, pert: tuple[StatisticSpec, ...] = ()) -> list:
@@ -401,7 +434,8 @@ def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
 def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     """Run the full plan: per size, replicate graphs, compare statistics with
     their limits; ball statistics compare pooled empirical code histograms
-    against a clique-tree Monte Carlo reference by total variation.  A plan
+    against a clique-tree Monte Carlo reference by total variation, with the
+    balls that are not block graphs pooled in one bucket.  A plan
     with a perturbation then gets, per size, the rows of
     ``perturbation_report`` at the plan's ball radius (1 without a ball
     statistic), from the same graphs."""
@@ -424,7 +458,7 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
             for values, _ in results:
                 for code, c in values[s.label()].counts.items():
                     pooled.add(code, c)
-            tv = tv_distance(pooled.probabilities(), limits[s.label()].probabilities())
+            tv = pooled.tv(limits[s.label()])
             rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, tv))
         if pert:
             pert_rows += _perturbation_rows(n1, pert, results)
@@ -444,7 +478,7 @@ def perturbation_report(plan: ExperimentPlan, r: int = 1, moment_order: int = 2)
         raise ValueError("perturbation_report needs a plan with gamma")
     check_edge_budget(plan)
     pert = _perturbation(moment_order, r)
-    plan = replace(plan, statistics=pert)
+    plan = replace(plan, statistics=pert[:1])  # no ball row: only the balls near the clique are coded
     rows: list[ConvergenceRow] = []
     for i, n1 in enumerate(plan.ladder):
         rows += _perturbation_rows(n1, pert, _replications(plan, i, pert))

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .ballcode import forest_codes
-from .cliquetree import GWForest, clique_tree_ball_from_tree, sample_gw_forest
+from .cliquetree import GWForest, clique_tree, sample_gw_forest
 from .counting import Pattern, rooted_emb_count
 from .generators import ModelConfig
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw
@@ -481,7 +481,8 @@ def rooted_emb_expectation_mc(
 
     The count is a function of the ball's isomorphism class, so the trees
     are sampled and coded together and the count is taken once per class,
-    on the ball of the class's first tree."""
+    on the clique tree of the class's first tree: a depth-2r tree projects to
+    the radius-r ball itself."""
     if H.root is None:
         raise ValueError("pattern must be rooted")
     if H.root_eccentricity() > r:
@@ -490,7 +491,7 @@ def rooted_emb_expectation_mc(
     classes, _ = forest_codes(forest, r)
     # one tree per class; a capped tree, of class -1, raises CapExceeded here
     reps = np.unique(classes, return_index=True)[1].tolist()
-    per_class = [rooted_emb_count(H, clique_tree_ball_from_tree(forest.tree(i), r).graph, 0, hom_mode) for i in reps]
+    per_class = [rooted_emb_count(H, clique_tree(forest.tree(i)), 0, hom_mode) for i in reps]
     counts = np.asarray(per_class, dtype=float)[classes]
     return Estimate(
         float(counts.mean()),

@@ -9,9 +9,12 @@ import pytest
 
 import rigsim.canon
 import rigsim.experiment
+from rigsim.ballcode import BLOCK_TAG
 from rigsim.cli import main
 from rigsim.experiment import ExperimentPlan
 from rigsim.generators import ModelConfig
+from rigsim.graphs import read_graph
+from rigsim.stats import empirical_ball_dist
 
 MODEL = {"model": "active", "n1": 500, "n2": 500, "P": {"kind": "constant", "value": 3}}
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,6 +114,16 @@ def test_balls_mc_and_empirical(tmp_path, model_cfg):
     assert abs(sum(r["probability"] for r in json.load(open(out2 / "balls_r1.json"))) - 1) < 1e-9
 
 
+def test_stats_ball_writes_the_full_histogram(tmp_path, model_cfg):
+    # rigsim stats keeps every ball's own code; only a plan's ball row folds
+    # the balls that are not block graphs into one bucket
+    main(["generate", "--config", model_cfg, "--seed", "4", "--plant", "12", "--out", str(tmp_path)])
+    assert main(["stats", "--graph", str(tmp_path / "graph.txt"), "--stats", "ball:1", "--out", str(tmp_path)]) == 0
+    hist = empirical_ball_dist(read_graph(str(tmp_path / "graph.txt")), 1)
+    assert any(not code.startswith(BLOCK_TAG) for code in hist.counts)
+    assert (tmp_path / "ball_1.json").read_text() == json.dumps(hist.to_rows(), indent=1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -150,7 +163,8 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monk
     planted = json.loads(Path(plan_cfg).read_text())
     planted.update(statistics=["moment:2", "ball:1"], perturbation={"gamma": 0.5})
     planted_cfg = write_json(tmp_path / "planted.json", planted)
-    # Pareto radius-2 balls are often not block graphs, so canon codes them in batches
+    # Pareto radius-2 balls are often not block graphs, but the ball row
+    # compares them with clique-tree balls, which all are, so it needs no canon
     pareto_cfg = write_json(
         tmp_path / "pareto.json",
         {"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
@@ -160,6 +174,7 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monk
     batches = []
     codes = rigsim.canon.canonical_codes
     monkeypatch.setattr(rigsim.canon, "canonical_codes", lambda balls: batches.append(len(balls)) or codes(balls))
+    canonised = {}  # balls canon coded in this process, per plan
     for cfg in (plan_cfg, planted_cfg, pareto_cfg):
         batches.clear()
         outs = []
@@ -173,7 +188,10 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monk
         assert outs[0] == outs[1] == outs[2]
         if cfg == planted_cfg:
             assert b"ball_perturb_tv(1)" in outs[0]
-    assert sum(batches) > 0  # the Pareto plan, run last, reached canon
+        canonised[cfg] = sum(batches)
+    # only the perturbation TV canonises, and only near balls both graphs could share
+    assert canonised[pareto_cfg] == 0
+    assert canonised[planted_cfg] > 0
 
 
 def test_converge_builds_each_graph_once(tmp_path, monkeypatch):
@@ -330,15 +348,21 @@ PINNED_PLANS = [
       "ladder": [400, 1000], "statistics": ["moment:2", "emb:P4", "ball:2"], "replications": 2,
       "mc_reference_samples": 500},
      "d4ca4d0558f141079bf8093425a70910d066a4af24df4254d59bc7f7c5028968"),
+    # planted clique without a ball statistic: only the balls near the clique
+    # are coded, on both graphs
+    ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
+      "ladder": [600, 1200], "statistics": ["moment:2"], "replications": 2, "perturbation": {"gamma": 0.5}},
+     "f88f1e2198c2cdec00276d27c1c94076e86ac743b4b84cd11407936d063d8528"),
 ]
 
 
 @pytest.mark.parametrize("plan, digest", PINNED_PLANS,
-                         ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1", "reference-r2"])
+                         ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1", "reference-r2",
+                              "planted-near"])
 def test_pinned_plans_match_their_digests(tmp_path, plan, digest):
-    # the benchmark plans at seed 7: any change that moves a sampler, a
-    # reference or a Monte Carlo limit changes a converge.csv here, and must
-    # re-pin it on purpose
+    # the benchmark plans and a planted plan without a ball row at seed 7:
+    # any change that moves a sampler, a reference or a Monte Carlo limit
+    # changes a converge.csv here, and must re-pin it on purpose
     cfg = write_json(tmp_path / "plan.json", plan)
     assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "converge.csv").read_bytes()).hexdigest() == digest

@@ -1,13 +1,17 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigsim.cliquetree import tv_distance
+from rigsim.ballcode import BLOCK_TAG
+from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, ball_distribution_mc, tv_distance
 from rigsim.experiment import (
-    _ball_histograms,
+    _ball_perturbation,
+    _measure,
     CSV_HEADER,
     ConvergenceRow,
     ExperimentPlan,
@@ -20,10 +24,10 @@ from rigsim.experiment import (
     theorem21_suite,
 )
 from rigsim.counting import pattern_from_name
-from rigsim.generators import gen_active, plant_clique
-from rigsim.graphs import intersection_graph
+from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
+from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw
-from rigsim.limits import LimitSpec, dstar_moment
+from rigsim.limits import LimitSpec, dstar_moment, limit_spec_for
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
 
@@ -207,15 +211,61 @@ class TestPerturbation:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))
     def test_ball_histograms_equal_direct_coding(self, seed, r, s):
+        # the TV from the balls near the clique is the exact TV of the full
+        # histograms, and the ball-row histogram is G''s with every general
+        # code folded into the bucket
         rng = substream(seed)
         G0 = intersection_graph(gen_active(80, 60, DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}), rng))
         G = plant_clique(G0, s, rng)
-        hist, base = _ball_histograms(G0, G, r)
         planted, direct = empirical_ball_dist(G, r), empirical_ball_dist(G0, r)
-        assert (hist.counts, hist.total) == (planted.counts, planted.total)
-        assert (base.counts, base.total) == (direct.counts, direct.total)
-        p = hist.probabilities()
-        assert tv_distance(p, base.probabilities()) == tv_distance(p, direct.probabilities())
+        keys = planted.counts.keys() | direct.counts.keys()
+        diff = sum(abs(planted.counts.get(k, 0) - direct.counts.get(k, 0)) for k in keys)
+        exact = float(Fraction(diff, 2 * G.vertex_count))
+        hist, tv = _ball_perturbation(G0, G, r, row=True)
+        assert tv == exact
+        assert _ball_perturbation(G0, G, r, row=False) == (None, exact)
+        folded = Counter()
+        for code, c in planted.counts.items():
+            folded[code if code.startswith(BLOCK_TAG) else NON_BLOCK_BUCKET] += c
+        assert (hist.counts, hist.total) == (dict(folded), planted.total)
+
+    @pytest.mark.parametrize("n, edges, extra, r", [
+        (7, [(0, 5), (1, 2), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6)], (0, 1), 2),
+        (9, [(0, 3), (0, 4), (0, 6), (0, 8), (1, 3), (1, 4), (1, 8), (2, 5), (2, 6), (2, 7), (3, 4), (3, 7), (3, 8),
+             (4, 5), (4, 7), (5, 6), (5, 7), (5, 8)], (1, 7), 1),
+    ])
+    def test_shared_keys_are_canonised(self, n, edges, extra, r):
+        # near non-block balls of G and G0 that share a key (vertex count and
+        # sorted degrees) but not a class: counting them under the key alone
+        # would cancel them
+        G0, G = Graph.from_edges(n, edges), Graph.from_edges(n, edges + [extra])
+        planted, direct = empirical_ball_dist(G, r).counts, empirical_ball_dist(G0, r).counts
+        diff = sum(abs(planted.get(k, 0) - direct.get(k, 0)) for k in planted.keys() | direct.keys())
+        assert _ball_perturbation(G0, G, r, row=False) == (None, float(Fraction(diff, 2 * n)))
+
+
+PARETO = {"model": "inhomogeneous", "n1": 300, "n2": 300, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+          "xi2": {"kind": "exponential", "rate": 1.0}}
+
+
+@pytest.mark.parametrize("seed, r, node_cap", [(1, 1, 6), (2, 1, 10**7), (3, 2, 25), (4, 2, 10**7)])
+def test_ball_row_tv_equals_the_full_histogram_tv(seed, r, node_cap):
+    # no clique-tree ball matches a graph-side ball that is not a block graph,
+    # so the row's bucket gives the TV of the full histograms, capped
+    # references included
+    model = ModelConfig.from_config(PARETO)
+    G = intersection_graph(generate_bipartite(model, substream(seed)))
+    spec = limit_spec_for(model)
+    ref = ball_distribution_mc(spec.D1, spec.D2, r, 400, substream(seed, 1), node_cap=node_cap)
+    full = empirical_ball_dist(G, r)
+    row = _measure(G, StatisticSpec("ball", r=r))
+    assert NON_BLOCK_BUCKET in row.counts and any(not code.startswith(BLOCK_TAG) for code in full.counts)
+    assert (CAP_BUCKET in ref.counts) == (node_cap < 10**7)
+    N, M = full.total, ref.total
+    keys = full.counts.keys() | ref.counts.keys()
+    exact = Fraction(sum(abs(full.counts.get(k, 0) * M - ref.counts.get(k, 0) * N) for k in keys), 2 * N * M)
+    assert row.tv(ref) == float(exact)
+    assert row.tv(ref) == pytest.approx(tv_distance(full.probabilities(), ref.probabilities()), abs=1e-12)
 
 
 class TestTheorem21:
@@ -243,7 +293,7 @@ class TestInhomogeneousIntegration:
         # degree and a clique-tree ball law the empirical graph must approach
         from rigsim.cliquetree import ball_distribution_mc, tv_distance
         from rigsim.generators import gen_inhomogeneous
-        from rigsim.graphs import intersection_graph
+        from rigsim.graphs import Graph, intersection_graph
         from rigsim.laws import WeightLaw
         from rigsim.limits import remark1_limits
         from rigsim.stats import empirical_ball_dist
