@@ -9,7 +9,12 @@ rooted block tree: a vertex's children are the blocks it meets away from the
 root, and a block's children are its other members.  A tagged AHU string of
 that tree (Aho, Hopcroft & Ullman 1974), with children sorted, codes it
 exactly in linear time.  ``block_codes`` is that pass over a graph's balls;
-it hands back the adjacency of every other ball.  ``fill_codes`` codes such
+it hands back the adjacency of every other ball.  At radius 1 a graph made
+by ``intersection_graph`` keeps its bipartite graph H, and each ball that H
+and the triangle counts show to be a depth-2 clique tree is coded from H in
+one numpy pass by ``forest_codes``; the rest, and every ball of a graph
+without H (read from a file, built from edges, a ``ball``), are walked and
+tested one at a time.  ``fill_codes`` codes such
 balls in batches with ``canon.canonical_codes`` (``ball_codes`` is the two
 in a row), and ``rooted_code`` codes one with ``canon.canonical_code``.  A
 comparison with the clique-tree limit never needs a general code, since no
@@ -29,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from . import canon
+from .counting import _tri_rows
 from .graphs import Graph, RootedGraph, ball_adjacency
 
 if TYPE_CHECKING:
@@ -124,17 +130,78 @@ def block_codes(
     adjacency lists (rooted at 0, as ``ball_adjacency`` lists them) when it
     is not a block graph.
 
-    The adjacency lists are converted once per graph and no per-ball ``Graph``
-    is built."""
+    At r=1, on a graph that keeps its bipartite graph H, the balls that
+    ``_clique_tree_codes`` finds to be plain clique trees are coded from H
+    in one pass.  Every other ball is walked and block-tested one at a time,
+    on neighbour lists converted once per graph when every vertex is walked
+    and row by row on first use otherwise; no per-ball ``Graph`` is built."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    neighbors = adjacency_lists(G).__getitem__
-    for v in range(G.vertex_count) if vertices is None else vertices:
-        if not 0 <= v < G.vertex_count:
-            raise ValueError("ball centre out of range")
-        ladj = ball_adjacency(neighbors, v, r)
-        code = _block_code(ladj)
-        yield code, None if code is not None else ladj
+    picks = np.arange(G.vertex_count) if vertices is None else np.asarray(list(vertices), dtype=np.int64)
+    if ((picks < 0) | (picks >= G.vertex_count)).any():
+        raise ValueError("ball centre out of range")
+    codes = _clique_tree_codes(G, picks) if r == 1 else [None] * picks.size
+    walked = codes.count(None)
+    neighbors = adjacency_lists(G).__getitem__ if walked == G.vertex_count else _Rows(G).__getitem__
+    for v, code in zip(picks.tolist(), codes):
+        if code is None:
+            ladj = ball_adjacency(neighbors, v, r)
+            code = _block_code(ladj)
+            yield code, None if code is not None else ladj
+        else:
+            yield code, None
+
+
+class _Rows(dict):
+    """G's neighbour lists as Python ints, each converted on first use."""
+
+    def __init__(self, G: Graph):
+        super().__init__()
+        self.indices, self.indptr = G.indices, G.indptr.tolist()
+
+    def __missing__(self, v: int) -> list[int]:
+        row = self[v] = self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
+        return row
+
+
+def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
+    """For each vertex v of ``picks``, the code of B_1(G, v) when G keeps its
+    bipartite graph H and shows the ball to be a plain clique tree, None
+    otherwise.
+
+    Let a range over v's attributes, with |a| distinct members.  When
+    deg(v) = sum(|a| - 1), the sets a - {v} are disjoint; when also tri(v),
+    the ordered pairs of adjacent neighbours, is sum((|a| - 1)(|a| - 2)),
+    no other edge joins them.  The ball is then v joined to disjoint,
+    mutually non-adjacent cliques: the depth-2 tree with one child per
+    attribute and |a| - 1 grandchildren under it, coded with the trees of
+    the other such vertices by ``forest_codes``.  tri is counted on the rows
+    that pass the degree test only."""
+    from .cliquetree import GWForest, _cumsum0  # cliquetree imports this module
+
+    codes: list[bytes | None] = [None] * picks.size
+    H = G.__dict__.get("_bipartite")
+    if H is None or not picks.size:
+        return codes
+    # v's incidences, grouped by vertex: the count of other members of each attribute
+    by_vertex = np.argsort(H.edge_u, kind="stable")
+    others = (np.bincount(H.edge_w, minlength=H.n2) - 1)[H.edge_w[by_vertex]]
+    ptr = _cumsum0(np.bincount(H.edge_u, minlength=H.n1))
+    attrs = ptr[picks + 1] - ptr[picks]
+    ends = _cumsum0(attrs)
+    kids = others[np.arange(ends[-1]) + np.repeat(ptr[picks] - ends[:-1], attrs)]
+    ok = G.degrees()[picks] == np.diff(_cumsum0(kids)[ends])
+    cand = np.flatnonzero(ok)
+    ok[cand] = _tri_rows(G, picks[cand]) == np.diff(_cumsum0(kids * (kids - 1))[ends])[cand]
+    keep = np.flatnonzero(ok)
+    if keep.size:
+        c0 = attrs[keep]
+        forest = GWForest(2, (c0, kids[np.repeat(ok, attrs)]), (np.arange(keep.size + 1), _cumsum0(c0)),
+                          np.zeros(keep.size, dtype=bool))
+        cls, names = forest_codes(forest, 1)
+        for i, c in zip(keep.tolist(), cls.tolist()):
+            codes[i] = names[c]
+    return codes
 
 
 def ball_codes(G: Graph, r: int, vertices: Iterable[int] | None = None) -> Iterator[bytes]:

@@ -62,9 +62,7 @@ def cmd_generate(args) -> int:
     config = ModelConfig.from_config(cfg)
     rng = substream(args.seed)
     H = generate_bipartite(config, rng)
-    G = intersection_graph(H)
-    if args.plant is not None:
-        G = plant_clique(G, args.plant, substream(args.seed, 1))
+    G = intersection_graph(H if args.plant is None else plant_clique(H, args.plant, substream(args.seed, 1)))
     write_bipartite(H, _out_path(args, "bipartite.txt"))
     write_graph(G, _out_path(args, "graph.txt"))
     print(_out_path(args, "graph.txt"))

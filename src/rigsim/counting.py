@@ -381,6 +381,19 @@ def _host(g: Graph) -> _Host:
     return host
 
 
+def _tri_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The triangle vector at ``rows`` only: read from g's host when it holds
+    the vector, else the row sums of A[rows]@A o A[rows], which cost in
+    proportion to the rows' two-step neighbourhoods and are not kept."""
+    host = g.__dict__.get("_host")
+    if host is not None and "tri" in host.__dict__:
+        return host.tri[rows]
+    n = g.vertex_count
+    A = sp.csr_matrix((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr), shape=(n, n))
+    S = A[rows]
+    return np.asarray((S @ A).multiply(S).sum(axis=1)).ravel()
+
+
 def _dense(g: Graph, h: int) -> np.ndarray | None:
     """g's adjacency matrix in a dtype exact for h-vertex patterns, kept on
     its host; None when g is too large for the DP."""

@@ -269,8 +269,9 @@ def _measure(G: Graph, s: StatisticSpec):
 
 
 def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
-    """One (size index, replication): draw H once, project it to G and plant
-    the clique on G when the plan has a perturbation, giving G'.
+    """One (size index, replication): draw H once and project it to G; when
+    the plan has a perturbation, plant the clique on H as one more attribute
+    and project that too, giving G'.
 
     Returns the statistics of the plan on G' (G without a perturbation), by
     label.  ``pert`` is empty or a (moment, ball) pair of specs; when it is
@@ -281,9 +282,10 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
     plan, i, rep, pert = task
     n1 = plan.ladder[i]
     try:
-        G0 = intersection_graph(generate_bipartite(plan.sized_model(n1), substream(plan.seed, i, rep)))
+        H = generate_bipartite(plan.sized_model(n1), substream(plan.seed, i, rep))
+        G0 = intersection_graph(H)
         s = plan.clique_size(n1)
-        G = G0 if s is None else plant_clique(G0, s, substream(plan.seed, i, rep, 1))
+        G = G0 if s is None else intersection_graph(plant_clique(H, s, substream(plan.seed, i, rep, 1)))
         values = {st.label(): _measure(G, st) for st in dict.fromkeys(plan.statistics) if st not in pert}
         if not pert:
             return values, None

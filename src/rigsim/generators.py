@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import BipartiteMultigraph, Graph
+from .graphs import BipartiteMultigraph
 from .laws import DegreeLaw, WeightLaw, check_config_keys, degree_law_from_config, weight_law_from_config
 
 __all__ = [
@@ -141,14 +141,20 @@ def gen_degree_sequences(
     return d1, d2
 
 
-def plant_clique(G: Graph, s: int, rng: np.random.Generator) -> Graph:
-    """Union of E(G) with all pairs of a uniformly random s-subset of vertices."""
-    if not 1 <= s <= G.vertex_count:
+def plant_clique(H: BipartiteMultigraph, s: int, rng: np.random.Generator) -> BipartiteMultigraph:
+    """H with one more attribute, joined to a uniformly random s-subset of
+    part 1: its projection is that of H with the s vertices made a clique."""
+    if not 1 <= s <= H.n1:
         raise ValueError("clique size out of range")
-    members = np.sort(rng.choice(G.vertex_count, size=s, replace=False))
-    iu, jv = np.triu_indices(s, k=1)
-    edges = np.concatenate([G.edge_array(), np.stack([members[iu], members[jv]], axis=1)])
-    return Graph.from_edges(G.vertex_count, edges)
+    members = np.sort(rng.choice(H.n1, size=s, replace=False))
+    # the new attribute sorts last, so the (attribute, vertex) order holds
+    return BipartiteMultigraph(
+        H.n1,
+        H.n2 + 1,
+        np.concatenate([H.edge_u, members]),
+        np.concatenate([H.edge_w, np.full(s, H.n2, dtype=np.int64)]),
+        np.concatenate([H.mult, np.ones(s, dtype=np.int64)]),
+    )
 
 
 # -- model configuration --------------------------------------------------------

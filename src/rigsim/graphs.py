@@ -38,7 +38,9 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1, CSR adjacency.
 
     ``rigsim.counting`` keeps its counting host for the graph on the
-    instance, so the host is freed with the graph."""
+    instance, so the host is freed with the graph.  A graph made by
+    ``intersection_graph`` keeps the bipartite graph it projects, as
+    ``_bipartite``, for ``rigsim.ballcode``'s radius-1 pass."""
 
     vertex_count: int
     indptr: np.ndarray  # shape (n+1,), int64
@@ -222,7 +224,8 @@ def intersection_graph(H: BipartiteMultigraph) -> Graph:
     """Project a bipartite (multi)graph onto part 1.
 
     Two part-1 vertices are adjacent iff some attribute is incident to both;
-    multiplicities and repeated witnesses collapse to a single edge.
+    multiplicities and repeated witnesses collapse to a single edge.  H is
+    kept on the returned graph (see ``Graph``).
     """
     # from_pairs stores the edges sorted by (attribute, vertex), so each
     # attribute's members form one run: pair every edge with the later edges
@@ -231,10 +234,13 @@ def intersection_graph(H: BipartiteMultigraph) -> Graph:
     later = run_end - np.arange(H.edge_w.size) - 1
     total = int(later.sum())
     if total == 0:
-        return Graph.empty(H.n1)
-    first = np.repeat(np.arange(H.edge_w.size), later)
-    second = first + np.arange(1, total + 1) - np.repeat(np.cumsum(later) - later, later)
-    return Graph._from_endpoints(H.n1, H.edge_u[first], H.edge_u[second])
+        G = Graph.empty(H.n1)
+    else:
+        first = np.repeat(np.arange(H.edge_w.size), later)
+        second = first + np.arange(1, total + 1) - np.repeat(np.cumsum(later) - later, later)
+        G = Graph._from_endpoints(H.n1, H.edge_u[first], H.edge_u[second])
+    object.__setattr__(G, "_bipartite", H)
+    return G
 
 
 def ball(G: Graph, v: int, r: int) -> RootedGraph:

@@ -4,6 +4,18 @@ import pytest
 from rigsim.graphs import Graph
 
 
+# one small model per sampler; the configuration model's H mostly has
+# multiplicities above 1 at this size
+SMALL_MODELS = [
+    {"model": "active", "n1": 50, "n2": 40, "P": {"kind": "pmf", "pmf": {"1": 0.3, "2": 0.4, "3": 0.3}}},
+    {"model": "passive", "n1": 40, "n2": 40, "P": {"kind": "pmf", "pmf": {"1": 0.2, "2": 0.5, "3": 0.3}}},
+    {"model": "inhomogeneous", "n1": 50, "n2": 50, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+     "xi2": {"kind": "exponential", "rate": 1.0}},
+    {"model": "configuration", "n1": 40, "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}},
+     "D2": {"kind": "pmf", "pmf": {"1": 0.3, "2": 0.4, "4": 0.3}}},
+]
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

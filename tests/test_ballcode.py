@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim import ballcode
-from rigsim.ballcode import BLOCK_TAG, _block, _vertex, ball_codes, forest_codes
+from rigsim.ballcode import BLOCK_TAG, _block, _clique_tree_codes, _vertex, ball_codes, block_codes, forest_codes
 from rigsim.canon import canonical_code
 from rigsim.cliquetree import (
     CAP_BUCKET,
@@ -20,11 +20,11 @@ from rigsim.cliquetree import (
     sample_gw_forest,
     sample_gw_tree,
 )
-from rigsim.generators import gen_active, plant_clique
-from rigsim.graphs import Graph, RootedGraph, ball, intersection_graph
+from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
+from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
 from rigsim.rng import substream
-from tests.conftest import random_graph
+from tests.conftest import SMALL_MODELS, random_graph
 from tests.rgc1 import rgc1_code
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -107,8 +107,7 @@ def test_partition_on_er_balls(seed, r):
 @given(SEEDS, st.integers(1, 2))
 def test_partition_on_planted_clique_balls(seed, r):
     rng = substream(seed)
-    G = intersection_graph(gen_active(40, 40, DegreeLaw.constant(2), rng))
-    G = plant_clique(G, 5, rng)
+    G = intersection_graph(plant_clique(gen_active(40, 40, DegreeLaw.constant(2), rng), 5, rng))
     balls = [ball(G, v, r) for v in rng.choice(G.vertex_count, size=12, replace=False).tolist()]
     assert_same_partition(balls, np.random.default_rng(seed))
 
@@ -121,6 +120,65 @@ def test_all_vertex_entry_matches_ball_code(seed, r):
     assert list(ball_codes(g, r)) == [ball(g, v, r).code for v in range(g.vertex_count)]
     picks = rng.integers(0, g.vertex_count, size=5).tolist()
     assert list(ball_codes(g, r, picks)) == [ball(g, v, r).code for v in picks]
+
+
+@st.composite
+def bipartite_graphs(draw) -> BipartiteMultigraph:
+    """H from one of the samplers, or from arbitrary (u, w) pairs with
+    repeats (multiplicities, attributes sharing several members,
+    single-member attributes, isolated vertices, no edges at all); with a
+    planted clique or without."""
+    seed = draw(SEEDS)
+    if draw(st.booleans()):
+        H = generate_bipartite(ModelConfig.from_config(draw(st.sampled_from(SMALL_MODELS))), substream(seed))
+    else:
+        n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), max_size=30))
+        H = BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    s = draw(st.integers(0, min(H.n1, 8)))
+    return plant_clique(H, s, substream(seed, 1)) if s else H
+
+
+def plain_clique_tree(H: BipartiteMultigraph, G: Graph, v: int) -> bool:
+    """Whether the sets a - {v}, over v's attributes a, are disjoint and no
+    edge of G joins two of them, from H's pairs and G's edges."""
+    members: dict[int, set[int]] = {}
+    for u, w in zip(H.edge_u.tolist(), H.edge_w.tolist()):
+        members.setdefault(w, set()).add(u)
+    parts = [members[w] - {v} for w in members if v in members[w]]
+    side = {u: i for i, part in enumerate(parts) for u in part}
+    if len(side) != sum(map(len, parts)):
+        return False
+    return all(side.get(x, i) == i for i, part in enumerate(parts) for u in part for x in G.neighbors(u).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs(), st.data())
+def test_radius1_pass_from_h_matches_ball_codes(H, data):
+    # the H pass codes exactly the balls H shows to be plain clique trees,
+    # each as ``ball`` codes it, and a vertex subset gets the whole pass's
+    # entries
+    G = intersection_graph(H)
+    want = [ball(G, v, 1).code for v in range(G.vertex_count)]
+    from_h = _clique_tree_codes(G, np.arange(G.vertex_count))
+    assert [c is not None for c in from_h] == [plain_clique_tree(H, G, v) for v in range(G.vertex_count)]
+    assert all(c == w for c, w in zip(from_h, want) if c is not None)
+    assert list(ball_codes(G, 1)) == want
+    whole = list(block_codes(G, 1))
+    picks = data.draw(st.lists(st.integers(0, G.vertex_count - 1), max_size=12))
+    assert list(block_codes(G, 1, picks)) == [whole[v] for v in picks]
+
+
+def test_radius1_pass_needs_h():
+    # a graph with the same edges but no H, and radii other than 1, are
+    # walked ball by ball
+    G = intersection_graph(gen_active(30, 30, DegreeLaw.constant(2), substream(3)))
+    bare = Graph.from_edges(G.vertex_count, G.edge_array())
+    assert any(c is not None for c in _clique_tree_codes(G, np.arange(5)))
+    assert _clique_tree_codes(bare, np.arange(5)) == [None] * 5
+    with mock.patch.object(ballcode, "_clique_tree_codes", side_effect=AssertionError):
+        assert list(ball_codes(G, 2)) == list(ball_codes(bare, 2))
+    assert list(ball_codes(G, 1)) == list(ball_codes(bare, 1))
 
 
 def radius1_groups(d1s: np.ndarray, zs: np.ndarray, node_cap: int) -> tuple[dict[tuple[int, ...], int], int]:

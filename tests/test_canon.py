@@ -161,8 +161,8 @@ def family(rng: np.random.Generator) -> list[RootedGraph]:
     """Twin-rich balls (small intersection graphs, a planted clique), graphs
     that refinement does not split, random graphs, and relabelled copies."""
     items = [RootedGraph(g, int(rng.integers(g.vertex_count))) for g in NAMED] + [RootedGraph(CONE, 0)]
-    G = intersection_graph(gen_active(30, 20, DegreeLaw.from_pmf({2: 0.5, 3: 0.5}), rng))
-    G = plant_clique(G, 6, rng)
+    H = gen_active(30, 20, DegreeLaw.from_pmf({2: 0.5, 3: 0.5}), rng)
+    G = intersection_graph(plant_clique(H, 6, rng))
     items += [ball(G, int(v), int(rng.integers(1, 3))) for v in rng.choice(G.vertex_count, 8, replace=False)]
     items += [RootedGraph(g, int(rng.integers(g.vertex_count))) for g in (random_connected_graph(rng, 8) for _ in range(8))]
     return items + [relabel(x, rng) for x in items]
@@ -211,7 +211,7 @@ def test_code_does_not_depend_on_the_batch(seed):
 @given(SEEDS, st.integers(1, 2), st.sampled_from([1, 40, 300]))
 def test_ball_codes_across_batch_boundaries(seed, r, bound):
     rng = substream(seed)
-    G = plant_clique(intersection_graph(gen_active(60, 40, DegreeLaw.from_pmf({2: 0.5, 3: 0.5}), rng)), 6, rng)
+    G = intersection_graph(plant_clique(gen_active(60, 40, DegreeLaw.from_pmf({2: 0.5, 3: 0.5}), rng), 6, rng))
     whole = list(ball_codes(G, r))
     with mock.patch.object(ballcode, "_BATCH_HALF_EDGES", bound):
         assert list(ball_codes(G, r)) == whole

@@ -62,6 +62,20 @@ def test_generate_and_stats_roundtrip(tmp_path, model_cfg):
     assert {"alpha", "assort", "moment(2)", "pi(3)", "emb(K3)"} <= names
 
 
+def test_planted_generate_matches_its_digests(tmp_path):
+    # SHA-256 of both files, pinned when the clique was planted as edges on
+    # G: planting it as one more attribute of H keeps every byte, and
+    # bipartite.txt is the unplanted H
+    out = tmp_path / "gen"
+    args = ["generate", "--config", str(CONFIGS / "active_p3.json"), "--seed", "4", "--plant", "12", "--out", str(out)]
+    assert main(args) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("bipartite.txt", "graph.txt")}
+    assert digests == {
+        "bipartite.txt": "e06437c1dcfd6e3be25f1a5381707aacdf4037af0f017418766d9ac356c94e84",
+        "graph.txt": "aa895fa1c8ffbc3d46694f369a8e5ee4a0aa3438663741216c560626f9f17a3d",
+    }
+
+
 def test_limits_report(tmp_path):
     cfg = write_json(tmp_path / "lim.json", {"model": MODEL})
     out = tmp_path / "lim"

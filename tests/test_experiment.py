@@ -215,8 +215,8 @@ class TestPerturbation:
         # histograms, and the ball-row histogram is G''s with every general
         # code folded into the bucket
         rng = substream(seed)
-        G0 = intersection_graph(gen_active(80, 60, DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}), rng))
-        G = plant_clique(G0, s, rng)
+        H = gen_active(80, 60, DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}), rng)
+        G0, G = intersection_graph(H), intersection_graph(plant_clique(H, s, rng))
         planted, direct = empirical_ball_dist(G, r), empirical_ball_dist(G0, r)
         keys = planted.counts.keys() | direct.counts.keys()
         diff = sum(abs(planted.counts.get(k, 0) - direct.counts.get(k, 0)) for k in keys)

@@ -22,6 +22,7 @@ from rigsim.generators import (
 from rigsim.graphs import BipartiteMultigraph, Graph, intersection_graph
 from rigsim.laws import DegreeLaw, WeightLaw
 from rigsim.rng import substream
+from tests.conftest import SMALL_MODELS
 
 
 class TestActive:
@@ -175,19 +176,43 @@ class TestDegreeSequences:
             assert max(d1[-1], d2[-1]) / 100_000 < 0.01
 
 
+def edge_union_planting(G: Graph, s: int, rng: np.random.Generator) -> Graph:
+    """The earlier planting on G itself: the union of E(G) with all pairs of
+    a uniformly random s-subset of vertices."""
+    members = np.sort(rng.choice(G.vertex_count, size=s, replace=False))
+    iu, jv = np.triu_indices(s, k=1)
+    return Graph.from_edges(G.vertex_count, np.concatenate([G.edge_array(), np.stack([members[iu], members[jv]], axis=1)]))
+
+
 class TestPlantClique:
     def test_identity_cases(self):
-        g = Graph.empty(6)
-        assert plant_clique(g, 1, substream(20)).edge_count == 0
-        assert plant_clique(g, 6, substream(20)).edge_count == 15
-        K3g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert plant_clique(K3g, 3, substream(20)).edge_count == 3
+        empty = BipartiteMultigraph.from_pairs(6, 2, [])
+        assert intersection_graph(plant_clique(empty, 1, substream(20))).edge_count == 0
+        assert intersection_graph(plant_clique(empty, 6, substream(20))).edge_count == 15
+        K3 = BipartiteMultigraph.from_pairs(3, 1, [(0, 0), (1, 0), (2, 0)])
+        assert intersection_graph(plant_clique(K3, 3, substream(20))).edge_count == 3
 
     def test_range_checks(self):
+        empty = BipartiteMultigraph.from_pairs(3, 1, [])
         with pytest.raises(ValueError):
-            plant_clique(Graph.empty(3), 0, substream(21))
+            plant_clique(empty, 0, substream(21))
         with pytest.raises(ValueError):
-            plant_clique(Graph.empty(3), 4, substream(21))
+            plant_clique(empty, 4, substream(21))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SMALL_MODELS), st.integers(1, 40))
+    def test_projection_is_the_edge_union(self, seed, model, s):
+        # one more attribute on H projects to the graph that the edge union
+        # of a clique on G gives, from the same draws
+        H = generate_bipartite(ModelConfig.from_config(model), substream(seed))
+        s = min(s, H.n1)
+        Hp = plant_clique(H, s, substream(seed, 1))
+        assert intersection_graph(Hp) == edge_union_planting(intersection_graph(H), s, substream(seed, 1))
+        assert (Hp.n1, Hp.n2, Hp.edge_count) == (H.n1, H.n2 + 1, H.edge_count + s)
+        # H' is stored as ``from_pairs`` stores it
+        again = BipartiteMultigraph.from_pairs(Hp.n1, Hp.n2, np.repeat(np.stack([Hp.edge_u, Hp.edge_w], 1), Hp.mult, 0))
+        for name in ("edge_u", "edge_w", "mult"):
+            assert np.array_equal(getattr(again, name), getattr(Hp, name))
 
 
 # H per model at substream(99, 5), pinned so that any change to a sampler's
