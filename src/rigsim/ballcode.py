@@ -10,15 +10,16 @@ root, and a block's children are its other members.  A tagged AHU string of
 that tree (Aho, Hopcroft & Ullman 1974), with children sorted, codes it
 exactly in linear time.  ``block_codes`` is that pass over a graph's balls;
 it hands back the adjacency of every other ball.  At radius 1 a graph made
-by ``intersection_graph`` keeps its bipartite graph H, and each ball that H
-and the triangle counts show to be a depth-2 clique tree is coded from H in
-one numpy pass by ``forest_codes``; the rest, and every ball of a graph
-without H (read from a file, built from edges, a ``ball``), are walked and
-tested one at a time.  ``fill_codes`` codes such
-balls in batches with ``canon.canonical_codes`` (``ball_codes`` is the two
-in a row), and ``rooted_code`` codes one with ``canon.canonical_code``.  A
-comparison with the clique-tree limit never needs a general code, since no
-limit ball can match a ball that is not a block graph.
+by ``intersection_graph`` keeps the sizes of its vertices' attributes in
+the bipartite graph H it projects, and each ball that they and the triangle
+counts show to be a depth-2 clique tree is coded from them in one numpy
+pass by ``forest_codes``; the rest, and every ball of a graph without them
+(read from a file, built from edges, a ``ball``), are walked and tested one
+at a time.  ``fill_codes`` codes such balls in batches with
+``canon.canonical_codes`` (``ball_codes`` is the two in a row), and
+``rooted_code`` codes one with ``canon.canonical_code``.  A comparison
+with the clique-tree limit never needs a general code, since no limit ball
+can match a ball that is not a block graph.
 
 So there are two code families: block-tree codes, which start with
 ``BLOCK_TAG``, and general codes, which start with ``canon.TAG`` (``RGC2``).
@@ -34,8 +35,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from . import canon
-from .counting import _tri_rows
-from .graphs import Graph, RootedGraph, ball_adjacency
+from .counting import _host
+from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball_adjacency
 
 if TYPE_CHECKING:
     from .cliquetree import GWForest
@@ -130,19 +131,18 @@ def block_codes(
     adjacency lists (rooted at 0, as ``ball_adjacency`` lists them) when it
     is not a block graph.
 
-    At r=1, on a graph that keeps its bipartite graph H, the balls that
-    ``_clique_tree_codes`` finds to be plain clique trees are coded from H
-    in one pass.  Every other ball is walked and block-tested one at a time,
-    on neighbour lists converted once per graph when every vertex is walked
-    and row by row on first use otherwise; no per-ball ``Graph`` is built."""
+    At r=1, on a graph that keeps its vertices' attribute sizes, the balls
+    that ``_clique_tree_codes`` finds to be plain clique trees are coded in
+    one pass.  Every other ball is walked and block-tested one at a time, on
+    neighbour lists converted row by row on first use; no per-ball
+    ``Graph`` is built."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     picks = np.arange(G.vertex_count) if vertices is None else np.asarray(list(vertices), dtype=np.int64)
     if ((picks < 0) | (picks >= G.vertex_count)).any():
         raise ValueError("ball centre out of range")
     codes = _clique_tree_codes(G, picks) if r == 1 else [None] * picks.size
-    walked = codes.count(None)
-    neighbors = adjacency_lists(G).__getitem__ if walked == G.vertex_count else _Rows(G).__getitem__
+    neighbors = _Rows(G).__getitem__
     for v, code in zip(picks.tolist(), codes):
         if code is None:
             ladj = ball_adjacency(neighbors, v, r)
@@ -164,10 +164,21 @@ class _Rows(dict):
         return row
 
 
+def _keep_attributes(G: Graph, H: BipartiteMultigraph) -> None:
+    """Keep on G, the projection of H, what ``_clique_tree_codes`` reads of
+    H: |a| - 1 for each vertex's attributes a, grouped by vertex in any
+    order, and where each vertex's group starts, each array in the smallest
+    dtype that holds it (every projected graph carries them)."""
+    others = (np.bincount(H.edge_w, minlength=H.n2) - 1)[H.edge_w[np.argsort(H.edge_u)]]
+    ptr = np.append(0, np.cumsum(np.bincount(H.edge_u, minlength=H.n1)))
+    kept = others.astype(np.min_scalar_type(others.max(initial=0))), ptr.astype(np.min_scalar_type(ptr[-1]))
+    object.__setattr__(G, "_attributes", kept)
+
+
 def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
     """For each vertex v of ``picks``, the code of B_1(G, v) when G keeps its
-    bipartite graph H and shows the ball to be a plain clique tree, None
-    otherwise.
+    vertices' attribute sizes (``intersection_graph`` does) and they show
+    the ball to be a plain clique tree, None otherwise.
 
     Let a range over v's attributes, with |a| distinct members.  When
     deg(v) = sum(|a| - 1), the sets a - {v} are disjoint; when also tri(v),
@@ -175,24 +186,23 @@ def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
     no other edge joins them.  The ball is then v joined to disjoint,
     mutually non-adjacent cliques: the depth-2 tree with one child per
     attribute and |a| - 1 grandchildren under it, coded with the trees of
-    the other such vertices by ``forest_codes``.  tri is counted on the rows
-    that pass the degree test only."""
+    the other such vertices by ``forest_codes``.  Only the rows of
+    ``picks`` are read, and tri is counted on the rows that pass the degree
+    test only."""
     from .cliquetree import GWForest, _cumsum0  # cliquetree imports this module
 
     codes: list[bytes | None] = [None] * picks.size
-    H = G.__dict__.get("_bipartite")
-    if H is None or not picks.size:
+    attributes = G.__dict__.get("_attributes")
+    if attributes is None or not picks.size:
         return codes
-    # v's incidences, grouped by vertex: the count of other members of each attribute
-    by_vertex = np.argsort(H.edge_u, kind="stable")
-    others = (np.bincount(H.edge_w, minlength=H.n2) - 1)[H.edge_w[by_vertex]]
-    ptr = _cumsum0(np.bincount(H.edge_u, minlength=H.n1))
-    attrs = ptr[picks + 1] - ptr[picks]
+    others, ptr = attributes
+    starts = ptr[picks].astype(np.int64)
+    attrs = ptr[picks + 1] - starts
     ends = _cumsum0(attrs)
-    kids = others[np.arange(ends[-1]) + np.repeat(ptr[picks] - ends[:-1], attrs)]
-    ok = G.degrees()[picks] == np.diff(_cumsum0(kids)[ends])
+    kids = others[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], attrs)].astype(np.int64)
+    ok = G.indptr[picks + 1] - G.indptr[picks] == np.diff(_cumsum0(kids)[ends])
     cand = np.flatnonzero(ok)
-    ok[cand] = _tri_rows(G, picks[cand]) == np.diff(_cumsum0(kids * (kids - 1))[ends])[cand]
+    ok[cand] = _host(G).tri_at(picks[cand]) == np.diff(_cumsum0(kids * (kids - 1))[ends])[cand]
     keep = np.flatnonzero(ok)
     if keep.size:
         c0 = attrs[keep]

@@ -365,6 +365,15 @@ class _Host:
         triangles): the row sums of A@A o A."""
         return np.asarray(self.A2.multiply(self.A).sum(axis=1)).ravel()
 
+    def tri_at(self, rows: np.ndarray) -> np.ndarray:
+        """``tri`` at ``rows`` only: read from ``tri`` when it is built, else
+        the row sums of A[rows]@A o A[rows], which cost in proportion to the
+        rows' two-step neighbourhoods and are not kept."""
+        if "tri" in self.__dict__:
+            return self.tri[rows]
+        S = self.A[rows]
+        return np.asarray((S @ self.A).multiply(S).sum(axis=1)).ravel()
+
     @cached_property
     def Ad(self) -> np.ndarray:
         """Sum of the neighbours' degrees per vertex."""
@@ -379,19 +388,6 @@ def _host(g: Graph) -> _Host:
         host = _Host(g)
         object.__setattr__(g, "_host", host)
     return host
-
-
-def _tri_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """The triangle vector at ``rows`` only: read from g's host when it holds
-    the vector, else the row sums of A[rows]@A o A[rows], which cost in
-    proportion to the rows' two-step neighbourhoods and are not kept."""
-    host = g.__dict__.get("_host")
-    if host is not None and "tri" in host.__dict__:
-        return host.tri[rows]
-    n = g.vertex_count
-    A = sp.csr_matrix((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr), shape=(n, n))
-    S = A[rows]
-    return np.asarray((S @ A).multiply(S).sum(axis=1)).ravel()
 
 
 def _dense(g: Graph, h: int) -> np.ndarray | None:

@@ -286,6 +286,7 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
         G0 = intersection_graph(H)
         s = plan.clique_size(n1)
         G = G0 if s is None else intersection_graph(plant_clique(H, s, substream(plan.seed, i, rep, 1)))
+        del H  # the graphs keep what the ball pass needs of it
         values = {st.label(): _measure(G, st) for st in dict.fromkeys(plan.statistics) if st not in pert}
         if not pert:
             return values, None

@@ -39,8 +39,9 @@ class Graph:
 
     ``rigsim.counting`` keeps its counting host for the graph on the
     instance, so the host is freed with the graph.  A graph made by
-    ``intersection_graph`` keeps the bipartite graph it projects, as
-    ``_bipartite``, for ``rigsim.ballcode``'s radius-1 pass."""
+    ``intersection_graph`` keeps, in the same way, the sizes of each vertex's
+    attributes in the bipartite graph it projects, for ``rigsim.ballcode``'s
+    radius-1 pass."""
 
     vertex_count: int
     indptr: np.ndarray  # shape (n+1,), int64
@@ -224,9 +225,11 @@ def intersection_graph(H: BipartiteMultigraph) -> Graph:
     """Project a bipartite (multi)graph onto part 1.
 
     Two part-1 vertices are adjacent iff some attribute is incident to both;
-    multiplicities and repeated witnesses collapse to a single edge.  H is
-    kept on the returned graph (see ``Graph``).
+    multiplicities and repeated witnesses collapse to a single edge.  The
+    returned graph keeps what ``rigsim.ballcode`` reads of H (see ``Graph``).
     """
+    from .ballcode import _keep_attributes  # ballcode imports this module
+
     # from_pairs stores the edges sorted by (attribute, vertex), so each
     # attribute's members form one run: pair every edge with the later edges
     # of its run
@@ -239,7 +242,7 @@ def intersection_graph(H: BipartiteMultigraph) -> Graph:
         first = np.repeat(np.arange(H.edge_w.size), later)
         second = first + np.arange(1, total + 1) - np.repeat(np.cumsum(later) - later, later)
         G = Graph._from_endpoints(H.n1, H.edge_u[first], H.edge_u[second])
-    object.__setattr__(G, "_bipartite", H)
+    _keep_attributes(G, H)
     return G
 
 
