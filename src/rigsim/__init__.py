@@ -33,6 +33,7 @@ from .cliquetree import (
 )
 from .counting import (
     Pattern,
+    clique_families,
     connected_patterns,
     distinct_rootings,
     emb_count,
@@ -63,6 +64,7 @@ from .limits import (
     limit_degree_pmf_vector,
     limit_spec_for,
     remark1_limits,
+    rooted_emb_expectation,
     rooted_emb_expectation_mc,
     sample_dstar,
     z_moment,

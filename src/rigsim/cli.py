@@ -98,35 +98,30 @@ def cmd_limits(args) -> int:
     spec = _limit_spec(_load_config(args.config))
     out = []
 
-    def add(name, est):
-        out.append(
-            {
-                "quantity": name,
-                "value": est.value,
-                "stderr": est.stderr,
-                "exact": est.exact,
-                "provenance": spec.provenance,
-            }
-        )
-
-    def try_add(name, fn):
-        # undefined quantities (degenerate variance, P(d*=k)=0) get an error
-        # entry instead of aborting the whole report
+    def add(name, fn):
+        # an undefined or unavailable quantity (degenerate variance,
+        # P(d*=k)=0, an infinite moment, a pmf without a closed form) gets an
+        # error entry instead of aborting the whole report
         try:
-            add(name, fn())
+            est = fn()
         except ValueError as e:
             out.append({"quantity": name, "error": str(e), "provenance": spec.provenance})
+            return
+        out.append(
+            {"quantity": name, "value": est.value, "stderr": est.stderr, "exact": est.exact,
+             "provenance": spec.provenance}
+        )
 
     for k in (1, 2, 3):
-        add(f"dstar_moment({k})", dstar_moment(spec, k))
-    add("alpha", limit_clustering(spec))
-    try_add("assort", lambda: limit_assortativity(spec))
+        add(f"dstar_moment({k})", lambda k=k: dstar_moment(spec, k))
+    add("alpha", lambda: limit_clustering(spec))
+    add("assort", lambda: limit_assortativity(spec))
     for k in args.k_values:
-        add(f"pi({k})", limit_degree_pmf(spec, k))
+        add(f"pi({k})", lambda k=k: limit_degree_pmf(spec, k))
         if k >= 2:
-            try_add(f"alpha_k({k})", lambda k=k: limit_conditional_clustering(spec, k))
+            add(f"alpha_k({k})", lambda k=k: limit_conditional_clustering(spec, k))
         if k >= 1:
-            try_add(f"r_k({k})", lambda k=k: limit_conditional_assortativity(spec, k))
+            add(f"r_k({k})", lambda k=k: limit_conditional_assortativity(spec, k))
     _write(args, "limits.json", json.dumps(out, indent=1))
     return 0
 

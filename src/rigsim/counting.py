@@ -52,6 +52,7 @@ __all__ = [
     "pattern_from_name",
     "connected_patterns",
     "distinct_rootings",
+    "clique_families",
 ]
 
 MAX_PATTERN_VERTICES = 8
@@ -203,6 +204,55 @@ def _coincidence_terms(
         q_root = None if root is None else blk[root]
         terms.append((len(blocks), tuple(q_edges), q_root, mu))
     return tuple(terms)
+
+
+# -- clique families: how an embedding meets the cliques of a clique tree ----------
+
+
+@lru_cache(maxsize=None)
+def _clique_families(h: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """Every family of vertex sets S, as vertex bitmasks, such that the edge
+    sets E(H[S]) partition E(H), every vertex of S has an edge in H[S], and
+    the vertex-set incidence graph is a tree, that is sum (|S| - 1) = h - 1
+    (it is connected because H is).
+
+    Each step picks a set holding the first edge not yet covered, so every
+    family is found once; a branch ends once its sum exceeds h - 1."""
+    edge_bits = [(1 << a) | (1 << b) for a, b in edges]
+    sets = []  # (S, edge bitmask of H[S], |S| - 1) of the admissible sets
+    for S in range(1, 1 << h):
+        inside = touched = 0
+        for i, e in enumerate(edge_bits):
+            if e & S == e:
+                inside |= 1 << i
+                touched |= e
+        if touched == S:
+            sets.append((S, inside, S.bit_count() - 1))
+    full = (1 << len(edges)) - 1
+    out: list[tuple[int, ...]] = []
+
+    def extend(covered: int, budget: int, family: tuple[int, ...]) -> None:
+        if covered == full:
+            if budget == 0:
+                out.append(family)
+            return
+        first = edge_bits[(~covered & (covered + 1)).bit_length() - 1]
+        for S, inside, cost in sets:
+            if S & first == first and not inside & covered and cost <= budget:
+                extend(covered | inside, budget - cost, family + (S,))
+
+    extend(0, h - 1, ())
+    return tuple(out)
+
+
+def clique_families(H: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The ways an embedding of H into a clique tree can split H among the
+    tree's cliques: each family lists, per clique used, the H-vertices it
+    receives (see ``limits.rooted_emb_expectation``)."""
+    return tuple(
+        tuple(tuple(v for v in range(H.h) if S >> v & 1) for S in family)
+        for family in _clique_families(H.h, H.edge_tuple())
+    )
 
 
 # -- dense contraction engine ------------------------------------------------------

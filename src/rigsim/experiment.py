@@ -28,7 +28,7 @@ from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, c
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, intersection_graph
-from .laws import check_config_keys, stirling1_signed
+from .laws import check_config_keys
 from .limits import (
     Estimate,
     LimitSpec,
@@ -39,8 +39,7 @@ from .limits import (
     limit_degree_pmf,
     limit_assortativity,
     limit_spec_for,
-    rooted_emb_expectation_mc,
-    z_moment,
+    rooted_emb_expectation,
 )
 from .rng import substream
 from . import stats as netstats
@@ -240,9 +239,8 @@ STATISTICS: dict[str, Statistic] = {
                     lambda plan, spec, s: limit_degree_pmf(spec, s.k, **_mc(plan, s))),
     "moment": Statistic("k", lambda G, s: netstats.degree_moment(G, s.k),
                         lambda plan, spec, s: dstar_moment(spec, s.k)),
-    "emb": Statistic("pattern", _emb, lambda plan, spec, s: limit_emb_per_vertex(
-        spec, pattern_from_name(s.pattern), plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 1)
-    ), per_vertex=True),
+    "emb": Statistic("pattern", _emb, lambda plan, spec, s: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)),
+                     per_vertex=True),
     "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), lambda plan, spec, s: (
         ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 2))
     ), row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
@@ -399,25 +397,12 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
             )
 
 
-def limit_emb_per_vertex(
-    spec: LimitSpec, pattern: Pattern, mc_samples: int, rng: np.random.Generator
-) -> Estimate:
-    """Limit of emb(H, G_n) / n1: closed form for K2, stars (factorial moments
-    of d*) and K3 (E D1 E (Z)_2); Monte Carlo over clique-tree balls otherwise."""
-    g = pattern.graph
-    degs = sorted(g.degrees().tolist())
-    h = g.vertex_count
-    if degs == [1] * (h - 1) + [h - 1] or h == 2:  # stars incl. K2; P3 == K_{1,2}
-        t = h - 1
-        val = sum(stirling1_signed(t, j) * dstar_moment(spec, j).value for j in range(1, t + 1))
-        return Estimate(float(val))
-    if h == 3 and degs == [2, 2, 2]:  # triangle
-        if spec.degenerate_root:
-            return Estimate(0.0)
-        val = float(spec.D1.mean()) * z_moment(spec.D2, 2, "factorial").value
-        return Estimate(val)
-    rooted = min(distinct_rootings(pattern), key=lambda p: p.root_eccentricity())
-    return rooted_emb_expectation_mc(spec, rooted, rooted.root_eccentricity(), mc_samples, rng)
+def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
+    """Limit of emb(H, G_n) / n1: E emb'(H, (T, o)) on the clique tree, exact
+    for every connected pattern (``limits.rooted_emb_expectation``).  Every
+    rooting gives the same value, so the pattern is rooted at vertex 0.
+    Raises MomentUnavailable when the limit is infinite."""
+    return rooted_emb_expectation(spec, pattern.rooted(0))
 
 
 # -- public experiment entry points -------------------------------------------------------
@@ -502,16 +487,7 @@ def theorem21_suite(plan: ExperimentPlan, pattern_name: str) -> list[Convergence
     mom_s, emb_s = StatisticSpec("moment", k=h - 1), StatisticSpec("emb", pattern=pattern_name)
     mom_limit = dstar_moment(spec, h - 1)
     rootings = distinct_rootings(pattern)
-    emb_limits = [
-        rooted_emb_expectation_mc(
-            spec,
-            rp,
-            rp.root_eccentricity(),
-            plan.mc_reference_samples,
-            substream(plan.seed, _REF_STREAM, 3, i),
-        )
-        for i, rp in enumerate(rootings)
-    ]
+    emb_limits = [rooted_emb_expectation(spec, rp) for rp in rootings]
     rows: list[ConvergenceRow] = []
     plan = replace(plan, statistics=(mom_s, emb_s))
     for i, n1 in enumerate(plan.ladder):

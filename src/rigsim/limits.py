@@ -16,6 +16,9 @@ size-biased D2 minus one, and all closed forms reduce to moments of D1 and Z:
                     / (E d* E (d*)^3 - (E (d*)^2)^2) with
   E hom'(P4') = E D1 E Z^3 + E (D1)_2 E Z E Z^2
                 + (E (D1)_2 / E D1) E (d*)^2 E Z
+* rooted embedding counts E emb'(H, (T, o)) as a sum over the clique
+  families of H of products of factorial moments of D1 and D2
+  (``rooted_emb_expectation``)
 
 Degree-conditioned quantities (conditional clustering / assortativity) are
 evaluated exactly by truncated convolution of the Z pmf whenever the pmfs are
@@ -26,6 +29,7 @@ lam P(d*=k-1) / (k P(d*=k)) when D2 is Poisson, or by rejection Monte Carlo.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .ballcode import forest_codes
 from .cliquetree import GWForest, clique_tree, sample_gw_forest
-from .counting import Pattern, rooted_emb_count
+from .counting import Pattern, clique_families, rooted_emb_count
 from .generators import ModelConfig
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw
 
@@ -51,6 +55,7 @@ __all__ = [
     "limit_assortativity",
     "limit_conditional_clustering",
     "limit_conditional_assortativity",
+    "rooted_emb_expectation",
     "rooted_emb_expectation_mc",
 ]
 
@@ -468,6 +473,52 @@ def limit_conditional_assortativity(
 # -- rooted embedding expectations ------------------------------------------------------
 
 
+def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> Estimate:
+    """Exact E emb'(H, (T, o)): the expected number of embeddings of the
+    rooted pattern H into the clique tree T that send its root to the root o
+    of T, which is the limit of emb(H, G_n) / n for every rooting of H.
+
+    An embedding sends each edge of H into one clique of T, and two cliques
+    share at most one vertex, so the H-vertices that land in each clique form
+    a family F of ``counting.clique_families``: its sets split the edges of
+    H, and its vertex-set incidence graph B is a tree.  Rooted at the root of
+    H, B maps onto T generation by generation, and the embeddings with
+    family F are counted by a product of falling factorials of independent
+    offspring counts, whose expectation is a product of factorial moments:
+
+      the root:           E (D1)_{deg_B(root)}
+      each set S:         E (Z)_{|S|-1} = E (D2)_{|S|} / E D2
+      each other vertex:  E (D1)_{deg_B(x)} / E D1
+
+    A term with a zero factor is 0 (0 * inf = 0 almost surely), so the
+    factors of finite-support laws, which are the only ones that can vanish,
+    are tested before any other moment is read.  A term without one that
+    needs an infinite moment makes the limit infinite: MomentUnavailable is
+    raised, naming the pattern."""
+    if H.root is None:
+        raise ValueError("pattern must be rooted")
+    D1, D2 = spec.D1, spec.D2
+    total = 0.0
+    for family in clique_families(H):
+        held = Counter(v for S in family for v in S)
+        inner = [d for v, d in held.items() if v != H.root and d > 1]
+        needs = [(D1, held[H.root])] + [(D2, len(S)) for S in family] + [(D1, d) for d in inner]
+        if any(law.has_finite_support() and law.factorial_moment(k) == 0 for law, k in needs):
+            continue
+        try:
+            term = float(D1.factorial_moment(held[H.root]))
+            for S in family:
+                term *= float(D2.factorial_moment(len(S))) / float(D2.mean())
+            for d in inner:
+                term *= float(D1.factorial_moment(d)) / float(D1.mean())
+        except MomentUnavailable as e:
+            raise MomentUnavailable(
+                f"the emb limit of the pattern with edges {list(H.edge_tuple())} is infinite: {e}"
+            ) from e
+        total += term
+    return Estimate(total)
+
+
 def rooted_emb_expectation_mc(
     spec: LimitSpec,
     H: Pattern,
@@ -477,7 +528,8 @@ def rooted_emb_expectation_mc(
     hom_mode: bool = False,
 ) -> Estimate:
     """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
-    balls; requires the pattern radius to fit inside r.
+    balls; requires the pattern radius to fit inside r.  The limits use
+    ``rooted_emb_expectation``; this estimate is its independent check.
 
     The count is a function of the ball's isomorphism class, so the trees
     are sampled and coded together and the count is taken once per class,

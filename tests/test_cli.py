@@ -306,6 +306,43 @@ def test_converge_pareto_conditional_limits(tmp_path):
         assert math.isfinite(float(r["limit"])) and math.isfinite(float(r["limit_stderr"]))
 
 
+def test_limits_report_on_pareto_weights(tmp_path):
+    # Pareto(3) weights: d* has no third moment and d* no certified tail, so
+    # those quantities are error entries and the rest is still reported
+    out = tmp_path / "pareto"
+    assert main(["limits", "--config", str(CONFIGS / "inhomogeneous_pareto.json"), "--out", str(out)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(out / "limits.json"))}
+    assert vals["dstar_moment(1)"]["value"] == pytest.approx(4.5)
+    assert vals["dstar_moment(2)"]["value"] == pytest.approx(51.75)
+    assert vals["alpha"]["value"] == pytest.approx(3 / 7)
+    for name in ("dstar_moment(3)", "assort"):
+        assert "infinite" in vals[name]["error"] and "value" not in vals[name]
+    assert "error" in vals["pi(2)"]
+
+
+def test_emb_limits_draw_no_clique_trees(tmp_path, monkeypatch):
+    # the emb rows of converge and theorem21 read exact limits: no Monte
+    # Carlo over sampled clique trees runs
+    import rigsim.cliquetree
+    import rigsim.limits
+
+    def refuse(*a, **kw):
+        raise AssertionError("a clique tree was sampled for an emb limit")
+
+    for module in (rigsim.cliquetree, rigsim.limits):
+        monkeypatch.setattr(module, "clique_tree", refuse)
+    for module in (rigsim.limits, rigsim.experiment):
+        monkeypatch.setattr(module, "rooted_emb_expectation_mc", refuse, raising=False)
+    cfg = write_json(tmp_path / "r2.json", REFERENCE_R2)
+    assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / "c")]) == 0
+    plan = write_json(tmp_path / "active.json", {"model": MODEL, "ladder": [300], "statistics": ["alpha"],
+                                                  "replications": 2, "seed": 5})
+    assert main(["theorem21", "--config", plan, "--pattern", "P4", "--out", str(tmp_path / "t")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "t" / "theorem21_P4.csv")))
+    emb = [r for r in rows if r["statistic"].startswith("emb(P4)")]
+    assert len(emb) == 2 and all(r["limit_stderr"] == "0" and float(r["limit"]) == 729.0 for r in emb)
+
+
 def test_theorem21_cli(tmp_path, plan_cfg):
     out = tmp_path / "t21"
     rc = main(["theorem21", "--config", plan_cfg, "--pattern", "K3", "--out", str(out)])
@@ -334,6 +371,12 @@ def test_exit_codes(tmp_path):
 
 
 SCALARS = ["alpha", "assort", "alpha_k:3", "r_k:3", "pi:3", "moment:2", "emb:K3"]
+REFERENCE_R2 = {
+    "model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+              "xi2": {"kind": "exponential", "rate": 1.0}},
+    "ladder": [400, 1000], "statistics": ["moment:2", "emb:P4", "ball:2"], "replications": 2,
+    "mc_reference_samples": 500,
+}
 PINNED_PLANS = [
     # (plan, SHA-256 of converge.csv at --seed 7)
     ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
@@ -356,12 +399,10 @@ PINNED_PLANS = [
       "perturbation": {"gamma": 0.5}, "mc_reference_samples": 200000},
      "d12a15170248e96eba02fdd9796491ebb75ce16a810145de396f757500a36658"),
     # Pareto weights, radius-2 balls against a forest-sampled reference and
-    # the emb(P4) Monte Carlo limit
-    ({"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
-                "xi2": {"kind": "exponential", "rate": 1.0}},
-      "ladder": [400, 1000], "statistics": ["moment:2", "emb:P4", "ball:2"], "replications": 2,
-      "mc_reference_samples": 500},
-     "d4ca4d0558f141079bf8093425a70910d066a4af24df4254d59bc7f7c5028968"),
+    # the exact emb(P4) limit 526.5 (re-pinned when the Monte Carlo estimate
+    # 810.008 +- 244.3 gave way to it; only the emb(P4) rows moved)
+    (REFERENCE_R2,
+     "34d5d28e730923d1afde54e86a71ae521dc9fb100791f725550672c76e7229e3"),
     # planted clique without a ball statistic: only the balls near the clique
     # are coded, on both graphs
     ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},

@@ -30,6 +30,7 @@ from rigsim.laws import DegreeLaw
 from rigsim.limits import LimitSpec, dstar_moment, limit_spec_for
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
+from tests.conftest import deterministic_tree_count
 
 
 def active_plan(**over):
@@ -270,16 +271,23 @@ def test_ball_row_tv_equals_the_full_histogram_tv(seed, r, node_cap):
 
 class TestTheorem21:
     def test_rows(self):
-        plan = active_plan(statistics=["alpha"], ladder=[400], replications=2, mc_reference_samples=3000)
-        rows = theorem21_suite(plan, "K3")
+        # constant laws make the clique tree deterministic, so each rooting's
+        # exact limit is the rooted count on that one tree
+        model = {"model": "configuration", "n1": 100, "D1": {"kind": "constant", "value": 2},
+                 "D2": {"kind": "constant", "value": 3}}
+        plan = active_plan(model=model, statistics=["alpha"], ladder=[600], replications=2)
+        rows = theorem21_suite(plan, "P4")
         stats = {r.statistic for r in rows}
-        assert "moment(2)" in stats and "sidorenko(K3)" in stats
-        emb_rows = [r for r in rows if r.statistic.startswith("emb(K3)")]
-        assert len(emb_rows) == 1  # K3 has a single rooting
-        # per the suite's contract the reference is a rooted-embedding MC run
-        assert emb_rows[0].limit_stderr > 0.0
-        assert emb_rows[0].gap < 3 * (emb_rows[0].emp_stderr + emb_rows[0].limit_stderr) + 1.0
-        sid = [r for r in rows if r.statistic == "sidorenko(K3)"][0]
+        assert "moment(3)" in stats and "sidorenko(P4)" in stats
+        emb_rows = {r.statistic: r for r in rows if r.statistic.startswith("emb(P4)")}
+        assert sorted(emb_rows) == ["emb(P4)@root0", "emb(P4)@root1"]  # an end and an inner vertex
+        spec = limit_spec_for(plan.model)
+        for root in (0, 1):
+            row = emb_rows[f"emb(P4)@root{root}"]
+            assert row.limit_stderr == 0.0
+            assert row.limit == deterministic_tree_count(spec, pattern_from_name("P4").rooted(root)) == 32
+            assert row.gap < 3 * row.emp_stderr + 1.0
+        sid = [r for r in rows if r.statistic == "sidorenko(P4)"][0]
         assert sid.empirical == 1.0
 
     def test_pattern_cap(self):
@@ -317,17 +325,19 @@ class TestInhomogeneousIntegration:
 class TestLimitEmbPerVertex:
     def test_closed_forms(self):
         spec = LimitSpec(DegreeLaw.constant(3), DegreeLaw.poisson(3.0))
-        est = limit_emb_per_vertex(spec, pattern_from_name("K2"), 100, substream(0))
+        est = limit_emb_per_vertex(spec, pattern_from_name("K2"))
         assert est.exact and est.value == pytest.approx(9.0)
-        est = limit_emb_per_vertex(spec, pattern_from_name("P3"), 100, substream(0))
+        est = limit_emb_per_vertex(spec, pattern_from_name("P3"))
         assert est.exact and est.value == pytest.approx(81.0)  # E (d*)_2 = 90 - 9
-        est = limit_emb_per_vertex(spec, pattern_from_name("S3"), 100, substream(0))
+        est = limit_emb_per_vertex(spec, pattern_from_name("S3"))
         d1, d2, d3 = (dstar_moment(spec, k).value for k in (1, 2, 3))
         assert est.exact and est.value == pytest.approx(d3 - 3 * d2 + 2 * d1)
-        est = limit_emb_per_vertex(spec, pattern_from_name("K3"), 100, substream(0))
+        est = limit_emb_per_vertex(spec, pattern_from_name("K3"))
         assert est.exact and est.value == pytest.approx(27.0)
 
-    def test_mc_fallback_pattern(self):
+    def test_p4_is_exact(self):
+        # P4 has no star or triangle form; its limit is exact all the same
         spec = LimitSpec(DegreeLaw.constant(2), DegreeLaw.constant(3))
-        est = limit_emb_per_vertex(spec, pattern_from_name("P4"), 500, substream(1))
-        assert not est.exact and est.samples == 500
+        est = limit_emb_per_vertex(spec, pattern_from_name("P4"))
+        assert est.exact and est.stderr == 0.0 and est.samples == 0
+        assert est.value == deterministic_tree_count(spec, pattern_from_name("P4").rooted(0)) == 32

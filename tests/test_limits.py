@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,16 @@ from hypothesis import strategies as st
 
 from rigsim import limits
 from rigsim.cliquetree import CapExceeded, clique_tree_ball_from_tree, sample_gw_forest
-from rigsim.counting import pattern_from_name, rooted_emb_count
+from rigsim.counting import (
+    Pattern,
+    clique_families,
+    connected_patterns,
+    distinct_rootings,
+    pattern_from_name,
+    rooted_emb_count,
+)
+from rigsim.generators import ModelConfig
+from rigsim.graphs import Graph
 from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
 from rigsim.limits import (
     Estimate,
@@ -19,16 +30,20 @@ from rigsim.limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_degree_pmf_vector,
+    limit_spec_for,
     remark1_limits,
+    rooted_emb_expectation,
     rooted_emb_expectation_mc,
     sample_dstar,
     z_moment,
 )
 from rigsim.rng import substream
+from tests.conftest import deterministic_tree_count
 
 CONST = DegreeLaw.constant
 PMF = DegreeLaw.from_pmf
 PO = DegreeLaw.poisson
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLimitSpec:
@@ -366,3 +381,94 @@ class TestRootedEmbExpectation:
         closed = limit_hom_p4_rooted(sp)
         assert closed.exact
         assert abs(est.value - closed.value) < 3.5 * est.stderr
+
+
+def _config_specs():
+    """The distinct limit laws of the model files and plans under configs/."""
+    specs = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        model = ModelConfig.from_config(cfg["model"] if isinstance(cfg.get("model"), dict) else cfg)
+        spec = limit_spec_for(model)
+        specs.setdefault(repr(spec), (path.name, spec))
+    return list(specs.values())
+
+
+CONFIG_SPECS = _config_specs()
+
+
+class TestExactRootedEmbExpectation:
+    def test_family_counts(self):
+        # stars split into any set partition of their leaves (Bell(7) = 877),
+        # paths into runs of consecutive edges (2^6), and a clique stays whole
+        counts = {name: len(clique_families(pattern_from_name(name))) for name in ("S7", "P8", "K8")}
+        assert counts == {"S7": 877, "P8": 64, "K8": 1}
+        assert clique_families(pattern_from_name("P3")) == (((0, 1), (1, 2)), ((0, 1, 2),))
+
+    def test_equals_the_count_on_the_deterministic_tree(self):
+        checks = 0
+        for d1, d2 in [(1, 2), (2, 3), (3, 2), (2, 4), (1, 5)]:
+            sp = LimitSpec(CONST(d1), CONST(d2))
+            for h in range(2, 6):
+                for p in connected_patterns(h):
+                    for rp in distinct_rootings(p):
+                        est = rooted_emb_expectation(sp, rp)
+                        assert est.exact and est.value == deterministic_tree_count(sp, rp), (d1, d2, rp.edge_tuple(), rp.root)
+                        checks += 1
+        assert checks == 365
+
+    @pytest.mark.parametrize("sp", [
+        LimitSpec(PO(2), PO(1.5)),
+        remark1_limits("active", 1.0, P=CONST(3)),
+        remark1_limits("passive", 0.5, P=PMF({2: 0.5, 4: 0.5})),
+        remark1_limits("inhomogeneous", 1.0, xi1=WeightLaw.gamma(2.0, 1.0), xi2=WeightLaw.exponential(1.0)),
+        remark1_limits("inhomogeneous", 1.0, xi1=WeightLaw.pareto(3.0, 1.0), xi2=WeightLaw.exponential(1.0)),
+        LimitSpec(PMF({1: 0.5, 3: 0.5}), CONST(2)),
+    ], ids=["poisson", "active", "passive", "gamma", "pareto", "configuration"])
+    def test_rooting_invariance(self, sp):
+        for h in range(2, 6):
+            for p in connected_patterns(h):
+                values = []
+                for rp in distinct_rootings(p):
+                    try:
+                        values.append(rooted_emb_expectation(sp, rp).value)
+                    except MomentUnavailable:
+                        values.append(math.inf)
+                # an infinite limit is infinite from every root
+                assert all(v == pytest.approx(values[0], rel=1e-12, abs=1e-12) for v in values), p.edge_tuple()
+
+    @pytest.mark.parametrize("name, sp", CONFIG_SPECS, ids=[name for name, _ in CONFIG_SPECS])
+    def test_agrees_with_monte_carlo(self, name, sp):
+        for h in (2, 3, 4):
+            for i, p in enumerate(connected_patterns(h)):
+                rp = min(distinct_rootings(p), key=lambda q: q.root_eccentricity())
+                try:
+                    exact = rooted_emb_expectation(sp, rp).value
+                except MomentUnavailable:
+                    continue  # an infinite mean has no Monte Carlo estimate
+                mc = rooted_emb_expectation_mc(sp, rp, rp.root_eccentricity(), 2000, substream(1, h, i))
+                assert abs(mc.value - exact) <= 3 * mc.stderr, (name, rp.edge_tuple())
+
+    def test_infinite_moment_raises(self):
+        # the 3-star needs E (D1)_3 = E xi1^3, infinite for Pareto(3) weights
+        sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0)), PO(2))
+        with pytest.raises(MomentUnavailable, match="infinite"):
+            rooted_emb_expectation(sp, pattern_from_name("S3").rooted(0))
+        assert rooted_emb_expectation(sp, pattern_from_name("P3").rooted(0)).value == pytest.approx(
+            dstar_moment(sp, 2).value - dstar_moment(sp, 1).value
+        )
+
+    def test_zero_factor_skips_an_infinite_moment(self):
+        # D2 = 2 makes every clique an edge, so E (Z)_2 = 0 and each family with
+        # a clique of three or more contributes 0 whatever else it needs: a
+        # triangle with two pendant edges at the root needs E (D1)_3 = inf only
+        # in such families
+        sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0)), CONST(2))
+        pattern = Pattern(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]))
+        assert rooted_emb_expectation(sp, pattern.rooted(0)).value == 0.0
+        assert rooted_emb_expectation(sp, pattern_from_name("K3").rooted(0)).value == 0.0
+        with pytest.raises(MomentUnavailable):
+            rooted_emb_expectation(sp, pattern_from_name("S3").rooted(0))
+
+    def test_degenerate_root(self):
+        assert rooted_emb_expectation(LimitSpec(CONST(0), CONST(0)), pattern_from_name("P4").rooted(1)).value == 0.0
