@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from . import canon
-from .counting import _host
+from .counting import _cumsum0, _host
 from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball_adjacency
 
 if TYPE_CHECKING:
@@ -187,9 +187,10 @@ def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
     mutually non-adjacent cliques: the depth-2 tree with one child per
     attribute and |a| - 1 grandchildren under it, coded with the trees of
     the other such vertices by ``forest_codes``.  Only the rows of
-    ``picks`` are read, and tri is counted on the rows that pass the degree
-    test only."""
-    from .cliquetree import GWForest, _cumsum0  # cliquetree imports this module
+    ``picks`` are read; tri(v) is read from the counting host's triangle
+    vector, which one wedge pass counts for the whole graph, exact in int64
+    and in bounded memory."""
+    from .cliquetree import GWForest  # cliquetree imports this module
 
     codes: list[bytes | None] = [None] * picks.size
     attributes = G.__dict__.get("_attributes")
@@ -201,8 +202,7 @@ def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
     ends = _cumsum0(attrs)
     kids = others[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], attrs)].astype(np.int64)
     ok = G.indptr[picks + 1] - G.indptr[picks] == np.diff(_cumsum0(kids)[ends])
-    cand = np.flatnonzero(ok)
-    ok[cand] = _host(G).tri_at(picks[cand]) == np.diff(_cumsum0(kids * (kids - 1))[ends])[cand]
+    ok &= _host(G).tri[picks] == np.diff(_cumsum0(kids * (kids - 1))[ends])
     keep = np.flatnonzero(ok)
     if keep.size:
         c0 = attrs[keep]

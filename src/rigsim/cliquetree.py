@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .ballcode import forest_codes
+from .counting import _cumsum0
 from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
 from .laws import DegreeLaw, offspring_law
 
@@ -100,10 +101,6 @@ class GWForest:
             first += own.size
         gens = np.repeat(np.arange(len(parents), dtype=np.int64), [p.size for p in parents])
         return GWTree(np.concatenate(parents), gens)
-
-
-def _cumsum0(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(x)])
 
 
 def _add_starts(starts: list[np.ndarray], counts: list[np.ndarray], samples: int, k: int) -> None:

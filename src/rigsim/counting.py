@@ -1,17 +1,20 @@
 """Exact homomorphism and embedding counts of small connected patterns.
 
 Counts are exact Python integers.  Each graph gets one counting host, kept on
-the graph and freed with it.  It builds on first use the degrees d, the CSR
-adjacency A (straight from the graph's arrays), A@A, the per-vertex
-ordered-triangle vector and A d; a dense adjacency matrix only when the DP
-runs; and it keeps every hom(H, G) found so far, keyed by the isomorphism
-class of H.
+the graph and freed with it.  It builds on first use the degrees d, the sums
+A d of the neighbours' degrees, and, by one degree-ordered wedge pass (see
+``_triangle_pass``), the per-vertex ordered-triangle vector and the sum of
+the squared triangle supports of the edges; a dense adjacency matrix only
+when the DP runs; and it keeps every hom(H, G) found so far, keyed by the
+isomorphism class of H.  The pass counts in exact int64 and holds O(n + m)
+integers plus blocks of a fixed budget, never A@A.
 hom(H, G) is, in this order:
 
 1. the count already found on the host;
-2. a closed form from d, A@A, A d and the triangle vector, at any host size,
-   for every connected pattern on at most 4 vertices and every star K_{1,t}
-   (a family is told by its sorted degree sequence);
+2. a closed form from d, A d, the triangle vector, the supports and the
+   4-cycle count (``_c4_count``), at any host size, for every connected
+   pattern on at most 4 vertices and every star K_{1,t} (a family is told by
+   its sorted degree sequence);
 3. on hosts of at most 1500 vertices, a tensor contraction of one
    adjacency-matrix factor per pattern edge, evaluated by bucket
    elimination, with certified no-overflow dtype choice (every intermediate
@@ -38,7 +41,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .canon import canonical_codes, unrooted_code
 from .graphs import Graph, RootedGraph, ball, ball_adjacency
@@ -385,7 +387,135 @@ def _hom_dp(
     return int(round(out))
 
 
-# -- the counting host and the closed forms ------------------------------------------
+# -- the counting host: one degree-ordered wedge pass ----------------------------------
+#
+# The pass relabels the vertices by degree rank (ties by label) and keeps each
+# edge once, from the lower rank to the higher, as the sorted int64 key
+# low * n + high.  A vertex's out-degree is then at most sqrt(2m) (Chiba &
+# Nishizeki 1985), and each triangle is seen once, at its lowest vertex a: as
+# the wedge b < c of a's out-neighbours that the key b * n + c closes, found by
+# searchsorted (Latapy 2008).  A closed wedge adds one to the triangle count
+# of a, b and c and to the support of its three edges.  The top h ranks form
+# the heavy core; their out-edges stay inside it, so the triangles with all
+# three vertices there are read off Q = B @ B o B for the core's dense
+# adjacency B instead: Q's row sums add to the core's triangle counts and its
+# entries to the core edges' supports.  h minimises the wedges outside the
+# core plus h^3 / _CORE_COST (BLAS is about that much cheaper per
+# multiply-add than numpy per wedge), under h^2 <= 2 * _BLOCK_WEDGES.
+#
+# Exactness: the wedge side is int64 keys, indices and bincounts; the entries
+# of B @ B are integers of at most h < 2**53, so float64 holds them exactly.
+# Memory: the wedges are made in blocks of at most _BLOCK_WEDGES + sqrt(2m),
+# cut between first edges, and the core holds a few h x h arrays; beside
+# them the pass keeps O(n + m) integers.
+
+_BLOCK_WEDGES = 1 << 19
+_CORE_COST = 1000
+
+
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(x)])
+
+
+def _degree_ranked(indptr: np.ndarray, indices: np.ndarray, both: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's degree rank, and the sorted keys u * n + w of the edges
+    in rank labels: of every half-edge when ``both``, else of each edge once,
+    from the lower rank to the higher."""
+    n = indptr.size - 1
+    d = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(d, kind="stable")] = np.arange(n)
+    keys = [np.empty(0, dtype=np.int64)]
+    for lo, hi in _blocks(indptr, _BLOCK_WEDGES):  # rows holding at most that many half-edges
+        u, w = np.repeat(rank[lo:hi], d[lo:hi]), rank[indices[indptr[lo] : indptr[hi]]]
+        keep = slice(None) if both else u < w
+        keys.append(u[keep] * n + w[keep])
+    keys = np.concatenate(keys)
+    keys.sort()
+    return rank, keys
+
+
+def _blocks(ends: np.ndarray, budget: int) -> Iterable[tuple[int, int]]:
+    """Cut the steps 0 .. ends.size - 2, whose item counts have the prefix
+    sums ``ends``, into runs [lo, hi) of at most ``budget`` items, or of one
+    step where that step alone holds more."""
+    lo, last = 0, ends.size - 1
+    while lo < last:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + budget, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _core_size(dout: np.ndarray) -> int:
+    """The heavy core's size h, given the out-degrees in rank order: it
+    minimises the wedges left outside it plus h^3 / _CORE_COST, under
+    h^2 <= 2 * _BLOCK_WEDGES."""
+    n = dout.size
+    outside = _cumsum0(dout * (dout - 1) // 2)
+    hs = np.arange(min(n, math.isqrt(2 * _BLOCK_WEDGES)) + 1)
+    return int(np.argmin(outside[n - hs] + hs.astype(np.float64) ** 3 / _CORE_COST))
+
+
+def _triangle_pass(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, int]:
+    """The ordered pairs of adjacent neighbours of each vertex (twice its
+    triangles) and the sum over edges of their triangle support squared, by
+    the pass above."""
+    n = indptr.size - 1
+    rank, keys = _degree_ranked(indptr, indices, both=False)
+    m = keys.size
+    ptr = np.searchsorted(keys, np.arange(n + 1) * n)  # out-edges of rank u: keys[ptr[u] : ptr[u + 1]]
+    h = _core_size(np.diff(ptr))
+    core = ptr[n - h]  # the core's out-edges are keys[core:]
+    ends = _cumsum0(ptr[keys[:core] // n + 1] - np.arange(core) - 1)  # wedges by first edge
+    tri = np.zeros(n, dtype=np.int64)
+    support = np.zeros(m, dtype=np.int64)
+    for lo, hi in _blocks(ends, _BLOCK_WEDGES):
+        cnt = np.diff(ends[lo : hi + 1])
+        first = np.repeat(np.arange(lo, hi), cnt)
+        second = first + 1 + np.arange(first.size) - np.repeat(ends[lo:hi] - ends[lo], cnt)
+        key = keys[first] % n * n + keys[second] % n  # the edge that would close the wedge
+        order = np.argsort(key)  # sorted queries keep searchsorted's probes in cache
+        key = key[order]
+        at = np.minimum(np.searchsorted(keys, key), m - 1)
+        closed = keys[at] == key
+        order, at, key = order[closed], at[closed], key[closed]
+        first, second = first[order], second[order]
+        tri += np.bincount(np.concatenate([keys[first] // n, key // n, key % n]), minlength=n)
+        support += np.bincount(np.concatenate([first, second, at]), minlength=m)
+    tri *= 2
+    if h:
+        s, t = (x - (n - h) for x in np.divmod(keys[core:], n))
+        B = np.zeros((h, h))
+        B[s, t] = B[t, s] = 1
+        Q = (B @ B) * B
+        tri[n - h :] += Q.sum(axis=1).astype(np.int64)
+        support[core:] += Q[s, t].astype(np.int64)
+    return tri[rank], _power_sum(support, 2)
+
+
+def _c4_count(indptr: np.ndarray, indices: np.ndarray) -> int:
+    """Number of 4-cycles: each is counted at its top-ranked vertex v, as a
+    pair of paths v - u - w with u and w ranked below v, in blocks of whole
+    start rows holding at most _BLOCK_WEDGES paths (or one row's)."""
+    n = indptr.size - 1
+    _, keys = _degree_ranked(indptr, indices, both=True)
+    rows, cols = np.divmod(keys, n)
+    ptr = np.searchsorted(rows, np.arange(n + 1))
+    down = cols < rows  # half-edges v -> u, u ranked below v
+    v, u = rows[down], cols[down]
+    start = ptr[u]
+    cnt = np.searchsorted(keys, u * n + v) - start  # u's neighbours ranked below v
+    ends = _cumsum0(cnt)
+    row_ends = ends[np.searchsorted(v, np.arange(n + 1))]
+    total = 0
+    for lo, hi in _blocks(row_ends, _BLOCK_WEDGES):
+        a, b = np.searchsorted(v, [lo, hi])
+        c = cnt[a:b]
+        at = np.repeat(start[a:b] - ends[a:b] + ends[a], c) + np.arange(ends[b] - ends[a])
+        pair = np.sort((np.repeat(v[a:b], c) - lo) * n + cols[at])
+        runs = np.diff(np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1], [True]))))
+        total += int((runs * (runs - 1) // 2).sum())
+    return total
 
 
 class _Host:
@@ -401,33 +531,26 @@ class _Host:
         return np.diff(self.indptr)
 
     @cached_property
-    def A(self) -> sp.csr_matrix:
-        n = self.indptr.size - 1
-        return sp.csr_matrix((np.ones(self.indices.size, dtype=np.int64), self.indices, self.indptr), shape=(n, n))
+    def _triangles(self) -> tuple[np.ndarray, int]:
+        return _triangle_pass(self.indptr, self.indices)
 
-    @cached_property
-    def A2(self) -> sp.csr_matrix:
-        return (self.A @ self.A).tocsr()
-
-    @cached_property
+    @property
     def tri(self) -> np.ndarray:
         """Ordered pairs of adjacent neighbours per vertex (twice its
-        triangles): the row sums of A@A o A."""
-        return np.asarray(self.A2.multiply(self.A).sum(axis=1)).ravel()
+        triangles), exact int64 from the wedge pass, in bounded memory."""
+        return self._triangles[0]
 
-    def tri_at(self, rows: np.ndarray) -> np.ndarray:
-        """``tri`` at ``rows`` only: read from ``tri`` when it is built, else
-        the row sums of A[rows]@A o A[rows], which cost in proportion to the
-        rows' two-step neighbourhoods and are not kept."""
-        if "tri" in self.__dict__:
-            return self.tri[rows]
-        S = self.A[rows]
-        return np.asarray((S @ self.A).multiply(S).sum(axis=1)).ravel()
+    @property
+    def support_squares(self) -> int:
+        """Sum over the edges of the square of their triangle support (the
+        number of triangles through the edge), from the same pass."""
+        return self._triangles[1]
 
     @cached_property
     def Ad(self) -> np.ndarray:
         """Sum of the neighbours' degrees per vertex."""
-        return self.A @ self.d
+        ends = _cumsum0(self.d[self.indices])
+        return ends[self.indptr[1:]] - ends[self.indptr[:-1]]
 
 
 def _host(g: Graph) -> _Host:
@@ -479,9 +602,12 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
 _CLOSED_FORMS: dict[tuple[int, ...], Callable[[Graph, _Host], int]] = {
     (2, 2, 2): lambda g, host: _power_sum(host.tri),  # K3: trace A^3
     (1, 1, 2, 2): lambda g, host: _dot(host.d, host.Ad),  # P4: ordered edges weighted by d(u) d(v)
-    (2, 2, 2, 2): lambda g, host: _power_sum(host.A2.data, 2),  # C4: trace A^4, A^2's squared Frobenius norm
+    # C4: closed 4-walks v0 v1 v2 v3: v0 = v2 (sum d^2), else v1 = v3 (sum d(d - 1)), else round a 4-cycle (8 each)
+    (2, 2, 2, 2): lambda g, host: (
+        2 * _power_sum(host.d, 2) - _power_sum(host.d) + 8 * _c4_count(host.indptr, host.indices)
+    ),
     (1, 2, 2, 3): lambda g, host: _dot(host.tri, host.d),  # paw: a triangle at v times a pendant at v
-    (2, 2, 3, 3): lambda g, host: _power_sum(host.A2.multiply(host.A).tocsr().data, 2),  # diamond
+    (2, 2, 3, 3): lambda g, host: 2 * host.support_squares,  # diamond: each ordered edge's support, squared
     (3, 3, 3, 3): lambda g, host: 24 * _k4_subgraphs(g),  # K4
 }
 

@@ -2,9 +2,13 @@ import gc
 import itertools
 import weakref
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rigsim.counting as C
 from rigsim.counting import (
     Pattern,
     connected_patterns,
@@ -101,8 +105,6 @@ class TestCounts:
         # K4 on a densifiable host whose elimination tensor would be too big:
         # the DP raises, and hom_count, which tries the closed form first,
         # still agrees with backtracking
-        import rigsim.counting as C
-
         edges = set()
         for _ in range(5000):
             a, b = rng.integers(0, 600, 2)
@@ -114,20 +116,65 @@ class TestCounts:
             C._hom_dp(4, p.edge_tuple(), C._dense_adjacency(g, np.float64))
         assert hom_count(p, g) == C._hom_backtrack(4, p.edge_tuple(), g, injective=False)
 
-    def test_engines_agree_on_large_host(self, rng):
-        # sparse closed forms vs the big-int backtracking engine
-        import rigsim.counting as C
-
+    def test_engines_agree_on_large_host(self, rng, monkeypatch):
+        # closed forms vs the big-int backtracking engine, on a random host and
+        # on the same host plus a 60-vertex clique, whose triangles the wedge
+        # pass reads off its dense heavy core (there only the patterns that
+        # the pass counts: backtracking K4 or embeddings through it is slow)
         edges = set()
         for _ in range(6000):
             a, b = rng.integers(0, 2500, 2)
             if a != b:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         g = Graph.from_edges(2500, list(edges))
+        clique = itertools.combinations(rng.choice(2500, 60, replace=False).tolist(), 2)
+        gk = Graph.from_edges(2500, list(edges) + list(clique))
+        cores = []
+        core_size = C._core_size
+        monkeypatch.setattr(C, "_core_size", lambda dout: cores.append(core_size(dout)) or cores[-1])
         for name in ("K2", "P3", "K3", "P4", "S3", "S4", "C4", "paw", "diamond", "K4"):
             p = pattern_from_name(name)
             assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
             assert emb_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=True), name
+        for name in ("K3", "P4", "C4", "paw", "diamond"):
+            p = pattern_from_name(name)
+            assert hom_count(p, gk) == C._hom_backtrack(p.h, p.edge_tuple(), gk, injective=False), name
+        assert cores[-1] >= 60
+
+
+@st.composite
+def host_graphs(draw) -> Graph:
+    """Random edges plus a few cliques and stars on 0..40 vertices, so that
+    edgeless hosts, isolated vertices, hubs and dense cores all occur."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return Graph.from_edges(n, [])
+    vertex = st.integers(0, n - 1)
+    edges = set(draw(st.lists(st.tuples(vertex, vertex), max_size=60)))
+    for members in draw(st.lists(st.sets(vertex, min_size=2, max_size=14), max_size=3)):
+        edges.update(itertools.combinations(sorted(members), 2))
+    for centre, leaves in draw(st.lists(st.tuples(vertex, st.sets(vertex, max_size=n)), max_size=2)):
+        edges.update((centre, leaf) for leaf in leaves)
+    return Graph.from_edges(n, [(a, b) for a, b in edges if a != b])
+
+
+@settings(max_examples=80, deadline=None)
+@given(host_graphs(), st.sampled_from([1, 3, 10, C._BLOCK_WEDGES]))
+def test_wedge_pass_matches_oracles(g, budget):
+    # a budget of a few wedges makes many blocks (and caps the heavy core at
+    # isqrt(2 * budget) vertices); the default one leaves the core its choice
+    nxg = nx.Graph(list(g.edges()))
+    nxg.add_nodes_from(range(g.vertex_count))
+    triangles = nx.triangles(nxg)
+    d = g.degrees()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_WEDGES", budget)
+        host = C._host(g)
+        assert host.tri.tolist() == [2 * triangles[v] for v in range(g.vertex_count)]
+        assert host.Ad.tolist() == [sum(int(d[u]) for u in g.neighbors(v)) for v in range(g.vertex_count)]
+        for name in ("K3", "C4", "diamond", "paw", "P4"):
+            p = pattern_from_name(name)
+            assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
 
 
 class TestRootedCounts:
@@ -212,8 +259,6 @@ class TestSidorenko:
 
 class TestHost:
     def test_host_is_freed_with_its_graph(self, rng):
-        import rigsim.counting as C
-
         g = random_graph(rng)
         emb_count(P4, g)
         host = weakref.ref(C._host(g))
@@ -225,7 +270,6 @@ class TestHost:
     def test_p3_closed_form_runs_once_per_graph(self, rng, monkeypatch):
         # emb(P4) and emb(C4) reach P3 labelled ((0,1),(0,2)), clustering and
         # assortativity labelled ((0,1),(1,2)); the host keys homs by class
-        import rigsim.counting as C
         from rigsim.stats import assortativity, clustering
 
         asked, counted = set(), []
@@ -243,8 +287,6 @@ class TestHost:
             assert len(C._host(g).homs) == len(counted)
 
     def test_power_sum_exact_beyond_int64(self):
-        import rigsim.counting as C
-
         x = np.array([3, 2**40, 0, 2**40 + 1], dtype=np.int64)
         for k in (1, 2, 3, 5):
             assert C._power_sum(x, k) == sum(int(v) ** k for v in x)

@@ -221,8 +221,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rigsim.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, rigsim; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    assert out.stdout.strip() == "False"
+    # nor scipy.sparse: exact counting is numpy only
+    code = "import sys, rigsim, rigsim.cli; print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "False"]
