@@ -17,9 +17,9 @@ pass by ``forest_codes``; the rest, and every ball of a graph without them
 (read from a file, built from edges, a ``ball``), are walked and tested one
 at a time.  ``fill_codes`` codes such balls in batches with
 ``canon.canonical_codes`` (``ball_codes`` is the two in a row), and
-``rooted_code`` codes one with ``canon.canonical_code``.  A comparison
-with the clique-tree limit never needs a general code, since no limit ball
-can match a ball that is not a block graph.
+``rooted_code`` codes one the same way.  A comparison with the clique-tree
+limit never needs a general code, since no limit ball can match a ball that
+is not a block graph.
 
 So there are two code families: block-tree codes, which start with
 ``BLOCK_TAG``, and general codes, which start with ``canon.TAG`` (``RGC2``).
@@ -60,12 +60,6 @@ def _vertex(blocks: list[bytes]) -> bytes:
 def _block(members: list[bytes]) -> bytes:
     members.sort()
     return b"[" + b"".join(members) + b"]"
-
-
-def adjacency_lists(G: Graph) -> list[list[int]]:
-    """Sorted neighbour lists of every vertex as plain Python ints."""
-    ind, ptr = G.indices.tolist(), G.indptr.tolist()
-    return [ind[ptr[v] : ptr[v + 1]] for v in range(G.vertex_count)]
 
 
 def _block_code(ladj: list[list[int]]) -> bytes | None:
@@ -117,10 +111,11 @@ def _block_code(ladj: list[list[int]]) -> bytes | None:
 def rooted_code(rg: RootedGraph) -> bytes:
     """Code of a rooted connected graph; this is ``RootedGraph.code``."""
     g = rg.graph
-    ladj = ball_adjacency(adjacency_lists(g).__getitem__, rg.root, None) if g.vertex_count else []
-    code = _block_code(ladj) if ladj and len(ladj) == g.vertex_count else None
-    # canon also rejects empty and disconnected graphs with its own message
-    return code if code is not None else canon.canonical_code(rg)
+    ladj = ball_adjacency(_Rows(g).__getitem__, rg.root, None) if g.vertex_count else []
+    if not 0 < len(ladj) == g.vertex_count:
+        return canon.canonical_code(rg)  # which rejects empty and disconnected graphs with its own message
+    code = _block_code(ladj)
+    return code if code is not None else canon.canonical_codes([ladj])[0]
 
 
 def block_codes(

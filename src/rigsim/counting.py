@@ -5,9 +5,9 @@ the graph and freed with it.  It builds on first use the degrees d, the sums
 A d of the neighbours' degrees, and, by one degree-ordered wedge pass (see
 ``_triangle_pass``), the per-vertex ordered-triangle vector and the sum of
 the squared triangle supports of the edges; a dense adjacency matrix only
-when the DP runs; and it keeps every hom(H, G) found so far, keyed by the
-isomorphism class of H.  The pass counts in exact int64 and holds O(n + m)
-integers plus blocks of a fixed budget, never A@A.
+when the contraction runs; and it keeps every hom(H, G) found so far, keyed
+by the isomorphism class of H.  The pass counts in exact int64 and holds
+O(n + m) integers plus blocks of a fixed budget, never A@A.
 hom(H, G) is, in this order:
 
 1. the count already found on the host;
@@ -16,10 +16,11 @@ hom(H, G) is, in this order:
    pattern on at most 4 vertices and every star K_{1,t} (a family is told by
    its sorted degree sequence);
 3. on hosts of at most 1500 vertices, a tensor contraction of one
-   adjacency-matrix factor per pattern edge, evaluated by bucket
-   elimination, with certified no-overflow dtype choice (every intermediate
-   is a count bounded by n^h, so float64 is exact below 2^53 and int64 below
-   2^62);
+   adjacency-matrix factor per pattern edge, by np.einsum along a greedy
+   path none of whose steps makes (or, past two operands, sweeps) more than
+   4 * 10^7 entries, with certified no-overflow dtype choice (every
+   intermediate entry is a count bounded by n^h, so float64 is exact below
+   2^53 and int64 below 2^62);
 4. exhaustive backtracking with Python big-int accumulators, exact for any
    pattern/host, but output-sensitive.
 
@@ -29,7 +30,7 @@ partitions of V(H) with independent blocks of
 prod_B (-1)^(|B|-1) (|B|-1)!  *  hom(H/theta, G).
 Rooted counts are local: the rooted count at v only depends on the ball of
 radius ecc(root) around v, so large hosts are handled by extracting that ball
-and running the dense engine on it.
+and counting on it by steps 3 and 4, with the root pinned to the centre.
 """
 
 from __future__ import annotations
@@ -104,15 +105,22 @@ def _ball_size(g: Graph, v: int, r: int | None) -> int:
 # -- pattern library ------------------------------------------------------------
 
 
+_NAME_SIZES = {"K": range(2, 9), "P": range(2, 9), "C": range(3, 9), "S": range(1, 8)}
+
+
 def pattern_from_name(name: str) -> Pattern:
     """Named small patterns: K2..K8, P2..P8, C3..C8, S1..S7 (stars K_{1,t}),
-    paw, diamond."""
+    paw, diamond.  Any other name is rejected before an edge is built."""
     name = name.strip()
     if name == "paw":
         return Pattern(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]))
     if name == "diamond":
         return Pattern(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    kind, num = name[0], name[1:]
+    kind, num = name[:1], name[1:]
+    if num not in map(str, _NAME_SIZES.get(kind, ())):
+        raise ValueError(
+            f"unknown pattern name {name!r}: expected paw, diamond, K2..K8, P2..P8, C3..C8 or S1..S7"
+        )
     k = int(num)
     if kind == "K":
         return Pattern(Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)]))
@@ -120,9 +128,7 @@ def pattern_from_name(name: str) -> Pattern:
         return Pattern(Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)]))
     if kind == "C":
         return Pattern(Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)]))
-    if kind == "S":  # star K_{1,k}: centre 0
-        return Pattern(Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)]))
-    raise ValueError(f"unknown pattern name: {name!r}")
+    return Pattern(Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)]))  # S: star K_{1,k}, centre 0
 
 
 def connected_patterns(h: int) -> list[Pattern]:
@@ -259,12 +265,16 @@ def clique_families(H: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 # -- dense contraction engine ------------------------------------------------------
 #
-# hom(H, G) is the contraction of one adjacency-matrix factor per pattern edge.
-# A bucket-elimination DP over a greedy minimum-boundary vertex order keeps the
-# largest intermediate at n^(treewidth(H)); the last factor of each bucket is
-# contracted with tensordot so the peak tensor never gains an extra axis.
-# Counts are bounded by n^h, so float64 arithmetic (BLAS-fast) is exact while
-# n^h < 2^53; int64 covers the rest up to 2^62.
+# hom(H, G) is one tensor contraction: each pattern vertex gets a letter and
+# each pattern edge an adjacency-matrix factor on its two letters (a pinned
+# vertex's edges become the 1-D row of its image on the other end), summed
+# over every letter.  np.einsum evaluates it along the greedy pairwise path of
+# np.einsum_path, whose intermediates stay within _DP_MAX_ENTRIES; a path step
+# that would still make a larger tensor, or sweep a larger index space (a step
+# of more than two operands, which greedy falls back to when no pair fits),
+# sends the pattern to backtracking instead.  Every intermediate entry counts
+# partial homomorphisms and is at most n^h, so float64 arithmetic (BLAS-fast)
+# is exact while n^h < 2^53; int64 covers the rest up to 2^62.
 
 _DP_MAX_ENTRIES = 4 * 10**7
 _FLOAT_SAFE = 2**53
@@ -278,113 +288,48 @@ def _dense_adjacency(g: Graph, dtype) -> np.ndarray:
     return A
 
 
-@lru_cache(maxsize=None)
-def _elimination_order(h: int, edges: tuple[tuple[int, int], ...], pinned: int | None) -> tuple[int, ...]:
-    """Greedy minimum-boundary elimination order of the pattern vertices,
-    excluding a pinned vertex."""
-    adj: dict[int, set[int]] = {v: set() for v in range(h) if v != pinned}
-    for a, b in edges:
-        if a != pinned and b != pinned:
-            adj[a].add(b)
-            adj[b].add(a)
-    order = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        order.append(v)
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u].discard(v)
-            adj[u].update(nbrs - {u})
-    return tuple(order)
-
-
 class _DPMemory(Exception):
-    """Raised when the elimination DP would exceed the tensor budget."""
+    """Raised when the contraction would exceed the tensor budget."""
 
 
-def _align(arr: np.ndarray, vars_: tuple[int, ...], union: tuple[int, ...]) -> np.ndarray:
-    """View a factor (axes = its sorted vars) in the space of ``union``
-    (sorted superset) with size-1 axes where a variable is absent."""
-    shape = tuple(arr.shape[vars_.index(u)] if u in vars_ else 1 for u in union)
-    return arr.reshape(shape)
+@lru_cache(maxsize=None)
+def _contraction_path(expr: str, n: int) -> list | None:
+    """np.einsum's greedy path for ``expr`` (which fixes the operand ranks)
+    with every index of size n, or None when a step of it exceeds the budget.
+    The placeholders are zero-stride views, so no n x n array is made."""
+    inputs = expr[:-2].split(",")
+    ops = [np.broadcast_to(np.zeros(()), (n,) * len(t)) for t in inputs]
+    path = np.einsum_path(expr, *ops, optimize=("greedy", _DP_MAX_ENTRIES))[0]
+    terms = [set(t) for t in inputs]
+    for step in path[1:]:
+        taken = [terms.pop(i) for i in sorted(step, reverse=True)]
+        swept = set().union(*taken)
+        out = swept & set().union(*terms)
+        if n ** len(out) > _DP_MAX_ENTRIES or len(taken) > 2 and n ** len(swept) > _DP_MAX_ENTRIES:
+            return None
+        terms.append(out)
+    return path
 
 
-def _hom_dp(
-    h: int,
-    edges: tuple[tuple[int, int], ...],
-    A: np.ndarray,
-    pinned: int | None = None,
-    pin_row: np.ndarray | None = None,
-) -> int:
-    """Exact hom count by bucket elimination.
-
-    ``pinned`` maps that pattern vertex to a fixed host vertex with adjacency
-    indicator ``pin_row`` (used for rooted counts).  Factor var tuples are
-    kept sorted; each elimination either multiplies the whole bucket and sums
-    out the vertex, or, when some factor shares only the eliminated vertex
-    with the rest, contracts it via tensordot so the peak tensor stays one
-    axis smaller (this is what keeps cliques at n^(h-1)).
-    """
-    n = A.shape[0]
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
+def _hom_dp(h: int, edges: tuple[tuple[int, int], ...], A: np.ndarray, pinned: int | None = None) -> int:
+    """Exact hom count by the contraction above; ``pinned``, if given, is the
+    pattern vertex mapped to host vertex 0 (rooted counts pin the root to
+    the centre of its ball)."""
+    terms, ops = [], []
     for a, b in edges:
-        if a == pinned:
-            factors.append(((b,), pin_row))
-        elif b == pinned:
-            factors.append(((a,), pin_row))
+        if pinned in (a, b):
+            terms.append(chr(97 + (b if a == pinned else a)))
+            ops.append(A[0])
         else:
-            factors.append(((a, b), A))
-    for v in _elimination_order(h, edges, pinned):
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        # a factor sharing only v with the others can be tensordot-ed in
-        last = None
-        for i, (vars_, _) in enumerate(bucket):
-            others = set().union(*(set(b[0]) for j, b in enumerate(bucket) if j != i)) - {v}
-            if not (set(vars_) - {v}) & others:
-                if last is None or len(vars_) > len(bucket[last][0]):
-                    last = i
-        if len(bucket) == 1:
-            vars_, arr = bucket[0]
-            new_vars = tuple(u for u in vars_ if u != v)
-            factors.append((new_vars, arr.sum(axis=vars_.index(v))))
-            continue
-        if last is not None:
-            last_vars, last_arr = bucket[last]
-            rest = [b for j, b in enumerate(bucket) if j != last]
-        else:
-            last_vars, last_arr = None, None
-            rest = bucket
-        union = tuple(sorted(set().union(*(set(f[0]) for f in rest))))
-        if n ** len(union) > _DP_MAX_ENTRIES:
-            raise _DPMemory()
-        acc = _align(rest[0][1], rest[0][0], union)
-        for vars_, arr in rest[1:]:
-            acc = acc * _align(arr, vars_, union)
-        if last_arr is None:
-            new_vars = tuple(u for u in union if u != v)
-            factors.append((new_vars, acc.sum(axis=union.index(v))))
-        else:
-            other = tuple(u for u in last_vars if u != v)
-            out_vars = tuple(u for u in union if u != v) + other
-            if out_vars and n ** len(out_vars) > _DP_MAX_ENTRIES:
-                raise _DPMemory()
-            acc_t = np.moveaxis(acc, union.index(v), -1)
-            last_t = np.moveaxis(last_arr, last_vars.index(v), -1)
-            res = np.tensordot(acc_t, last_t, axes=([-1], [-1]))
-            perm = sorted(range(len(out_vars)), key=lambda i: out_vars[i])
-            factors.append((tuple(sorted(out_vars)), np.transpose(res, perm)))
-    if A.dtype == np.int64:
-        out = 1
-        for vars_, arr in factors:
-            assert vars_ == ()
-            out *= int(arr)
-        return out
-    out = 1.0
-    for vars_, arr in factors:
-        assert vars_ == ()
-        out = out * float(arr)
-    return int(round(out))
+            terms.append(chr(97 + a) + chr(97 + b))
+            ops.append(A)
+    expr = ",".join(terms) + "->"
+    path = _contraction_path(expr, A.shape[0])
+    if path is None:
+        raise _DPMemory()
+    # a one-step path is einsum's own loop; passing it would only re-plan it in Python
+    out = np.einsum(expr, *ops, optimize=path if len(path) > 2 else False)
+    return int(out) if A.dtype == np.int64 else int(round(float(out)))
 
 
 # -- the counting host: one degree-ordered wedge pass ----------------------------------
@@ -565,7 +510,7 @@ def _host(g: Graph) -> _Host:
 
 def _dense(g: Graph, h: int) -> np.ndarray | None:
     """g's adjacency matrix in a dtype exact for h-vertex patterns, kept on
-    its host; None when g is too large for the DP."""
+    its host; None when g is too large for the contraction."""
     n = g.vertex_count
     if n > _DENSE_HOST_LIMIT or n**h >= _INT64_SAFE:
         return None
@@ -729,15 +674,20 @@ def _hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
 
 def _count_hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
     form = _closed_form(h, edges)
-    if form is not None:
-        return form(g, _host(g))
-    dense = _dense(g, h)
-    if dense is not None:
+    return form(g, _host(g)) if form is not None else _contract(g, h, edges)
+
+
+def _contract(g: Graph, h: int, edges: tuple[tuple[int, int], ...], root: int | None = None) -> int:
+    """hom of the pattern into g, with pattern vertex ``root`` (if given)
+    mapped to host vertex 0: the dense contraction where g and the budget
+    allow it, backtracking otherwise."""
+    A = _dense(g, h)
+    if A is not None:
         try:
-            return _hom_dp(h, edges, dense)
+            return _hom_dp(h, edges, A, root)
         except _DPMemory:
             pass
-    return _hom_backtrack(h, edges, g, injective=False)
+    return _hom_backtrack(h, edges, g, injective=False, root=root, root_image=None if root is None else 0)
 
 
 def hom_count(H: Pattern, G: Graph) -> int:
@@ -761,22 +711,10 @@ def rooted_emb_count(H: Pattern, G: Graph, v: int, hom_mode: bool = False) -> in
         raise ValueError("host vertex out of range")
     bg = ball(G, v, H.root_eccentricity()).graph
     edges = H.edge_tuple()
-    dense = _dense(bg, H.h)
-
-    def rooted_hom(q_h: int, q_edges: tuple, q_root: int) -> int:
-        if dense is not None:
-            try:
-                return _hom_dp(q_h, q_edges, dense, pinned=q_root, pin_row=dense[0])
-            except _DPMemory:
-                pass
-        return _hom_backtrack(q_h, q_edges, bg, injective=False, root=q_root, root_image=0)
-
     if hom_mode:
-        return rooted_hom(H.h, edges, H.root)
-    total = 0
-    for q_h, q_edges, q_root, mu in _coincidence_terms(H.h, edges, H.root):
-        total += mu * rooted_hom(q_h, q_edges, q_root)
-    return total
+        return _contract(bg, H.h, edges, H.root)
+    terms = _coincidence_terms(H.h, edges, H.root)
+    return sum(mu * _contract(bg, q_h, q_edges, q_root) for q_h, q_edges, q_root, mu in terms)
 
 
 def sidorenko_bound(H: Pattern, G: Graph) -> tuple[int, int, bool]:

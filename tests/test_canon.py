@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim import ballcode, canon
-from rigsim.ballcode import _block_code, adjacency_lists, ball_codes
+from rigsim.ballcode import _block_code, ball_codes
 from rigsim.canon import TAG, canonical_code, canonical_codes, unrooted_code
 from rigsim.experiment import ExperimentPlan
 from rigsim.generators import gen_active, generate_bipartite, plant_clique
@@ -154,7 +154,7 @@ def relabel(rg: RootedGraph, rng: np.random.Generator) -> RootedGraph:
 
 def adjacency(rg: RootedGraph) -> list[list[int]]:
     """Adjacency lists of a connected rooted graph, relabelled with the root at 0."""
-    return ball_adjacency(adjacency_lists(rg.graph).__getitem__, rg.root, None)
+    return ball_adjacency(lambda u: rg.graph.neighbors(u).tolist(), rg.root, None)
 
 
 def family(rng: np.random.Generator) -> list[RootedGraph]:
@@ -237,8 +237,8 @@ def test_reference_r2_partition_matches_rgc1():
     for i, n1 in enumerate(plan.ladder):
         for rep in range(plan.replications):
             G = intersection_graph(generate_bipartite(plan.sized_model(n1), substream(7, i, rep)))
-            nbrs = adjacency_lists(G).__getitem__
-            balls += [b for b in (ball_adjacency(nbrs, v, 2) for v in range(G.vertex_count)) if _block_code(b) is None]
+            local = (ball_adjacency(lambda u: G.neighbors(u).tolist(), v, 2) for v in range(G.vertex_count))
+            balls += [b for b in local if _block_code(b) is None]
     assert len(balls) > 1000
     codes = canonical_codes(balls)
     old = [rgc1_ball_code(b) for b in balls]

@@ -46,8 +46,16 @@ class TestPattern:
             Pattern(Graph.from_edges(4, [(0, 1), (2, 3)]))
         with pytest.raises(ValueError):
             Pattern(Graph.from_edges(1, []))
-        with pytest.raises(ValueError):
-            pattern_from_name("K9")
+
+    @pytest.mark.parametrize("name", ["K9", "C2", "C1", "K", "Kx", "K100000", "S0", "S8", "P1", "K08", "X3", ""])
+    def test_bad_names_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown pattern name {name!r}"):
+            pattern_from_name(name)
+
+    def test_name_ranges(self):
+        for kind, sizes in (("K", range(2, 9)), ("P", range(2, 9)), ("C", range(3, 9))):
+            assert [pattern_from_name(f"{kind}{k}").h for k in sizes] == list(sizes)
+        assert [pattern_from_name(f"S{t}").h for t in range(1, 8)] == list(range(2, 9))
 
     def test_connected_pattern_counts(self):
         assert len(connected_patterns(2)) == 1
@@ -175,6 +183,27 @@ def test_wedge_pass_matches_oracles(g, budget):
         for name in ("K3", "C4", "diamond", "paw", "P4"):
             p = pattern_from_name(name)
             assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
+
+
+_SMALL_PATTERNS = [(p, [r.root for r in distinct_rootings(p)]) for h in (2, 3, 4, 5) for p in connected_patterns(h)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(host_graphs(), st.sampled_from([C._FLOAT_SAFE, 0]))
+def test_contraction_matches_backtracking(g, float_safe):
+    # every connected pattern on at most 5 vertices, unrooted and with each
+    # root orbit pinned to host vertex 0; a float bound of 0 sends every
+    # count through the int64 contraction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_FLOAT_SAFE", float_safe)
+        for p, roots in _SMALL_PATTERNS:
+            edges = p.edge_tuple()
+            A = C._dense(g, p.h)
+            assert A.dtype == (np.float64 if float_safe else np.int64)
+            assert C._hom_dp(p.h, edges, A) == C._hom_backtrack(p.h, edges, g, injective=False)
+            for root in roots if g.vertex_count else ():
+                expect = C._hom_backtrack(p.h, edges, g, injective=False, root=root, root_image=0)
+                assert C._hom_dp(p.h, edges, A, root) == expect
 
 
 class TestRootedCounts:
