@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="sample the clique-tree reference of this model")
     source.add_argument("--graph", help="compute the empirical distribution of this graph")
     p.add_argument("--r", type=int, default=1)
-    # None, so that graph mode can reject them
+    # None, so that --graph can reject them
     p.add_argument("--samples", type=int, default=None, help=f"Monte Carlo samples (default {_BALL_SAMPLES})")
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
     p.set_defaults(fn=cmd_balls)

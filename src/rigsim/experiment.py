@@ -78,7 +78,7 @@ class StatisticSpec:
         if self.kind not in STATISTICS:
             raise ValueError(f"unknown statistic {self.kind!r}")
         arg = STATISTICS[self.kind].arg
-        if arg is not None and getattr(self, arg) is None:
+        if arg is not None and getattr(self, arg) in (None, ""):
             raise ValueError(f"statistic {self.kind} needs {arg}")
         if self.r is not None and self.r < 0:
             raise ValueError("radius must be non-negative")
@@ -95,7 +95,13 @@ class StatisticSpec:
             if arg:
                 raise ValueError(f"statistic {kind} takes no argument: {text!r}")
             return StatisticSpec(kind)
-        return StatisticSpec(kind, **{field: arg if field == "pattern" else int(arg)})
+        if field == "pattern" or not arg:  # an empty one fails in __post_init__
+            return StatisticSpec(kind, **{field: arg})
+        try:
+            value = int(arg)
+        except ValueError:
+            raise ValueError(f"statistic {kind} needs an integer {field}: {text!r}") from None
+        return StatisticSpec(kind, **{field: value})
 
     def label(self) -> str:
         arg = STATISTICS[self.kind].arg

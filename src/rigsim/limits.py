@@ -21,16 +21,15 @@ size-biased D2 minus one, and all closed forms reduce to moments of D1 and Z:
   (``rooted_emb_expectation``)
 
 Degree-conditioned quantities (conditional clustering / assortativity) are
-evaluated exactly by truncated convolution of the Z pmf whenever the pmfs are
-available (with a certified D1 tail deficit), by the Poisson shortcut
-lam P(d*=k-1) / (k P(d*=k)) when D2 is Poisson, or by rejection Monte Carlo.
+exact by truncated convolution of the Z pmf when the pmfs and a certified D1
+tail exist, else rejection Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -151,20 +150,12 @@ def limit_spec_for(config: ModelConfig) -> LimitSpec:
 # -- moments ---------------------------------------------------------------------
 
 
-def z_moment(D2: DegreeLaw, j: int, mode: str = "raw") -> Estimate:
-    """Moments of Z ~ size_biased(D2) - 1.
-
-    raw:       E Z^j = E (D2 - 1)^j D2 / E D2
-    factorial: E (Z)_j = E (D2)_{j+1} / E D2
-    Raises MomentUnavailable when a required D2 moment is infinite.
-    """
+def z_moment(D2: DegreeLaw, j: int) -> Estimate:
+    """E Z^j = E (D2 - 1)^j D2 / E D2 for Z ~ size_biased(D2) - 1.
+    Raises MomentUnavailable when a required D2 moment is infinite."""
     if j < 0:
         raise ValueError("moment order must be non-negative")
     m = float(D2.mean())
-    if mode == "factorial":
-        return Estimate(float(D2.factorial_moment(j + 1)) / m)
-    if mode != "raw":
-        raise ValueError(f"unknown mode {mode!r}")
     total = 0.0
     for i in range(j + 1):
         total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
@@ -390,10 +381,25 @@ def _conditional_mc(
     )
 
 
-def _check_pk_positive(spec: LimitSpec, k: int, mc_samples: int, rng) -> None:
-    pk = limit_degree_pmf(spec, k, mc_samples=mc_samples, rng=rng)
-    if pk.value <= 0:
-        raise ValueError(f"P(d* = {k}) = 0; conditional limit undefined")
+def _conditional(
+    spec: LimitSpec, k: int, weight: Callable, scale: int, mc_samples: int, rng: np.random.Generator | None
+) -> Estimate:
+    """E[sum_i w(Z_i) | d* = k] / scale: exact by truncated convolution when
+    the pmfs and a certified D1 tail exist, else rejection Monte Carlo on
+    ``rng``, after the Monte Carlo P(d* = k), which draws first.  ``weight``
+    takes an int on the exact path and a float array on the other.  The
+    exact value is num / (scale * pk) in one division, which rounds
+    differently from (num / pk) / scale in about one case in five."""
+    if not spec.degenerate_root:
+        try:
+            num, pk, deficit = _conditional_expectation(spec, k, weight)
+            if pk > 0:
+                return Estimate(num / (scale * pk), deficit=deficit)
+        except MomentUnavailable:
+            if limit_degree_pmf(spec, k, mc_samples, rng).value > 0:
+                est = _conditional_mc(spec, k, weight, mc_samples, rng)
+                return replace(est, value=est.value / scale, stderr=est.stderr / scale)
+    raise ValueError(f"P(d* = {k}) = 0; conditional limit undefined")
 
 
 def limit_conditional_clustering(
@@ -401,40 +407,13 @@ def limit_conditional_clustering(
     k: int,
     mc_samples: int = 200_000,
     rng: np.random.Generator | None = None,
-    method: str = "auto",
 ) -> Estimate:
-    """Limit conditional clustering coefficient alpha_k*.
-
-    methods: 'exact' (truncated convolution), 'poisson' (the shortcut
-    lam P(d*=k-1) / (k P(d*=k)), valid when D2 is Poisson), 'mc'
-    (rejection), 'auto' (exact when the pmfs and a certified D1 tail exist,
-    else mc).
-    """
+    """Limit conditional clustering coefficient alpha_k* =
+    E[sum_i (Z_i)_2 | d* = k] / (k (k-1)): exact by truncated convolution,
+    else rejection Monte Carlo on ``rng``."""
     if k < 2:
         raise ValueError("conditional clustering needs k >= 2")
-    _check_pk_positive(spec, k, mc_samples, rng)
-    if method in ("auto", "exact"):
-        try:
-            num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * (m - 1))
-            return Estimate(num / (k * (k - 1) * pk), deficit=deficit)
-        except MomentUnavailable:
-            if method == "exact":
-                raise
-            method = "mc"
-    if method == "poisson":
-        if spec.D2.kind != "poisson":
-            raise ValueError("the Poisson shortcut needs D2 ~ Poisson")
-        lam = spec.D2.lam
-        pk = limit_degree_pmf(spec, k).value
-        pk1 = limit_degree_pmf(spec, k - 1).value
-        return Estimate(lam * pk1 / (k * pk))
-    if method == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo needs an rng")
-        est = _conditional_mc(spec, k, lambda z: z * (z - 1), mc_samples, rng)
-        scale = k * (k - 1)
-        return Estimate(est.value / scale, est.stderr / scale, est.samples, exact=False)
-    raise ValueError(f"unknown method {method!r}")
+    return _conditional(spec, k, lambda m: m * (m - 1), k * (k - 1), mc_samples, rng)
 
 
 def limit_conditional_assortativity(
@@ -442,32 +421,18 @@ def limit_conditional_assortativity(
     k: int,
     mc_samples: int = 200_000,
     rng: np.random.Generator | None = None,
-    method: str = "auto",
 ) -> Estimate:
-    """Limit conditional assortativity r_k*: the conditional second-moment term
-    plus the exact additive term E (D1)_2 E (D2)_2 / (E D1 E D2)."""
+    """Limit conditional assortativity r_k*: the conditional second-moment
+    term E[sum_i Z_i^2 | d* = k] / k (exact by truncated convolution, else
+    rejection Monte Carlo on ``rng``) plus the exact additive term
+    E (D1)_2 E (D2)_2 / (E D1 E D2)."""
     if k < 1:
         raise ValueError("conditional assortativity needs k >= 1")
-    _check_pk_positive(spec, k, mc_samples, rng)
-    additive = (
-        float(spec.D1.factorial_moment(2))
-        * float(spec.D2.factorial_moment(2))
-        / (float(spec.D1.mean()) * float(spec.D2.mean()))
-    )
-    if method in ("auto", "exact"):
-        try:
-            num, pk, deficit = _conditional_expectation(spec, k, lambda m: m * m)
-            return Estimate(num / (k * pk) + additive, deficit=deficit)
-        except MomentUnavailable:
-            if method == "exact":
-                raise
-            method = "mc"
-    if method == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo needs an rng")
-        est = _conditional_mc(spec, k, lambda z: z * z, mc_samples, rng)
-        return Estimate(est.value / k + additive, est.stderr / k, est.samples, exact=False)
-    raise ValueError(f"unknown method {method!r}")
+    # an infinite moment raises before any Monte Carlo; the division waits
+    # for the helper, which rejects E D1 = 0
+    d1_2, d2_2 = float(spec.D1.factorial_moment(2)), float(spec.D2.factorial_moment(2))
+    est = _conditional(spec, k, lambda m: m * m, k, mc_samples, rng)
+    return replace(est, value=est.value + d1_2 * d2_2 / (float(spec.D1.mean()) * float(spec.D2.mean())))
 
 
 # -- rooted embedding expectations ------------------------------------------------------

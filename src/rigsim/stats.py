@@ -68,6 +68,8 @@ def degree_fraction(G: Graph, k: int) -> float:
     """Fraction of vertices of degree exactly k."""
     if G.vertex_count < 1:
         raise ValueError("degree_fraction needs a non-empty graph")
+    if k < 0:
+        raise ValueError("k must be non-negative")
     return float(Fraction(int((G.degrees() == k).sum()), G.vertex_count))
 
 

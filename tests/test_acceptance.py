@@ -18,12 +18,14 @@ from rigsim.experiment import ExperimentPlan, perturbation_report
 from rigsim.generators import gen_active, gen_configuration, gen_degree_sequences, gen_passive
 from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw, size_biased, stirling2
+from rigsim import limits
 from rigsim.limits import (
     LimitSpec,
     dstar_moment,
     limit_assortativity,
     limit_conditional_assortativity,
     limit_conditional_clustering,
+    limit_degree_pmf,
     limit_degree_pmf_vector,
     remark1_limits,
     rooted_emb_expectation_mc,
@@ -250,7 +252,7 @@ def test_criterion_07_ball_distribution(active_sweep, config_graph_13):
 def test_criterion_08_theorem21_consistency(active_sweep):
     spec = remark1_limits("active", 1.0, P=DegreeLaw.constant(3))
     # closed-form limits: E D1 E (Z)_2 = 27 and E (d*)_2 = 81
-    lim_k3 = float(spec.D1.mean()) * z_moment(spec.D2, 2, "factorial").value
+    lim_k3 = float(spec.D1.mean()) * float(spec.D2.factorial_moment(3)) / float(spec.D2.mean())
     lim_s2 = dstar_moment(spec, 2).value - dstar_moment(spec, 1).value
     m_k3, se_k3 = np.mean(active_sweep.emb_k3), np.std(active_sweep.emb_k3, ddof=1) / math.sqrt(REPS_HEAVY)
     m_s2, se_s2 = np.mean(active_sweep.emb_s2), np.std(active_sweep.emb_s2, ddof=1) / math.sqrt(REPS_HEAVY)
@@ -349,9 +351,12 @@ def test_criterion_11_conditional_statistics(active_sweep):
     sp = LimitSpec(DegreeLaw.from_pmf({1: 0.5, 3: 0.5}), DegreeLaw.poisson(1.0))
     zs = []
     for i, k in enumerate((2, 3, 4)):
-        direct = limit_conditional_clustering(sp, k, method="mc", mc_samples=10**6, rng=substream(SEED, 11, i))
-        shortcut = limit_conditional_clustering(sp, k, method="poisson")
-        zs.append(abs(direct.value - shortcut.value) / direct.stderr)
+        scale = k * (k - 1)
+        direct = limits._conditional_mc(sp, k, lambda z: z * (z - 1), 10**6, substream(SEED, 11, i))
+        # the Poisson shortcut lam P(d* = k-1) / (k P(d* = k)), valid for D2 ~ Po(lam)
+        lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k).value, limit_degree_pmf(sp, k - 1).value
+        shortcut = lam * pk1 / (k * pk)
+        zs.append(abs(direct.value / scale - shortcut) / (direct.stderr / scale))
     ok_consistency = max(zs) < 3
     # empirical conditional statistics against the limit calculator
     spec = remark1_limits("active", 1.0, P=DegreeLaw.constant(3))

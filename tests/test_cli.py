@@ -138,6 +138,15 @@ def test_stats_ball_writes_the_full_histogram(tmp_path, model_cfg):
     assert (tmp_path / "ball_1.json").read_text() == json.dumps(hist.to_rows(), indent=1)
 
 
+@pytest.mark.parametrize("stat, message", [("pi:-1", "non-negative"), ("alpha_k", "alpha_k needs k"),
+                                           ("emb:", "emb needs pattern")])
+def test_stats_bad_parameter_exits_with_error(tmp_path, model_cfg, capsys, stat, message):
+    main(["generate", "--config", model_cfg, "--seed", "4", "--out", str(tmp_path)])
+    assert main(["stats", "--graph", str(tmp_path / "graph.txt"), "--stats", stat, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "stats.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -304,6 +313,10 @@ def test_converge_pareto_conditional_limits(tmp_path):
     assert [r["statistic"] for r in rows] == ["pi(2)", "alpha_k(2)", "r_k(2)"]
     for r in rows:
         assert math.isfinite(float(r["limit"])) and math.isfinite(float(r["limit_stderr"]))
+    # pins the Monte Carlo stream of the conditional limits: P(d* = k) draws
+    # first, then the rejection pass, on the row's own reference substream
+    digest = hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest()
+    assert digest == "d73b5efa72a3a0e9ef82dc343f2c4b2a7e52b41cc6bd087dc76e627c6127cc4f"
 
 
 def test_limits_report_on_pareto_weights(tmp_path):

@@ -59,6 +59,19 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             StatisticSpec.parse("alpha:3")
 
+    @pytest.mark.parametrize("text, message", [
+        ("alpha_k", "statistic alpha_k needs k"),
+        ("alpha_k:x", "statistic alpha_k needs an integer k"),
+        ("pi:", "statistic pi needs k"),
+        ("moment:1.5", "statistic moment needs an integer k"),
+        ("ball:one", "statistic ball needs an integer r"),
+        ("emb", "statistic emb needs pattern"),
+        ("emb: ", "statistic emb needs pattern"),
+    ])
+    def test_statistic_parameter_errors_name_the_statistic(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            StatisticSpec.parse(text)
+
     def test_emb_value_is_the_embedding_count(self):
         # the emb statistic checks the Sidorenko bound, then counts embeddings
         from rigsim.counting import emb_count

@@ -91,15 +91,18 @@ class TestZMoment:
     def test_examples(self):
         assert z_moment(CONST(2), 1).value == pytest.approx(1.0)
         assert z_moment(PMF({1: 0.5, 3: 0.5}), 2).value == pytest.approx(3.0)
-        for j in range(1, 5):
-            assert z_moment(PO(1.7), j, "factorial").value == pytest.approx(1.7**j)
 
     def test_factorial_identity(self):
-        # E (Z)_k = E (D2)_{k+1} / E D2 against direct finite computation
+        # E (Z)_k = E (D2)_{k+1} / E D2, read where the program uses it: with
+        # D1 = 1 the root of K_{k+1} sits in one clique with k children
         D2 = PMF({1: 0.2, 2: 0.3, 5: 0.5})
         for k in range(1, 4):
             direct = float(D2.factorial_moment(k + 1)) / float(D2.mean())
-            assert z_moment(D2, k, "factorial").value == pytest.approx(direct)
+            got = rooted_emb_expectation(LimitSpec(CONST(1), D2), pattern_from_name(f"K{k + 1}").rooted(0))
+            assert got.value == pytest.approx(direct)
+        for k in range(1, 5):  # Z ~ Po(1.7), so E (Z)_k = 1.7^k
+            got = rooted_emb_expectation(LimitSpec(CONST(1), PO(1.7)), pattern_from_name(f"K{k + 1}").rooted(0))
+            assert got.value == pytest.approx(1.7**k)
 
     def test_unavailable_moment_raises(self):
         D2 = DegreeLaw.mixed_poisson(WeightLaw.pareto(5.5, 1.0))
@@ -259,20 +262,44 @@ class TestConditionalLimits:
         with pytest.raises(ValueError):
             limit_conditional_clustering(LimitSpec(CONST(2), CONST(2)), 3)
 
+    @pytest.mark.parametrize("D2", [CONST(0), PO(1)], ids=["const0", "po1"])
+    def test_childless_root_rejected(self, D2):
+        # E D1 = 0: d* = 0 almost surely, so every k >= 1 is undefined
+        sp = LimitSpec(CONST(0), D2)
+        for k in (1, 2, 3):
+            if k >= 2:
+                with pytest.raises(ValueError, match=rf"P\(d\* = {k}\) = 0"):
+                    limit_conditional_clustering(sp, k)
+            with pytest.raises(ValueError, match=rf"P\(d\* = {k}\) = 0"):
+                limit_conditional_assortativity(sp, k)
+
+    def test_infinite_additive_term_raises_before_drawing(self):
+        # E (D1)_2 = inf (Pareto(1.5) weights): r_k* is infinite, and no
+        # Monte Carlo runs to find that out
+        sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(1.5, 1.0)), PO(1))
+        rng = np.random.default_rng(0)
+        with pytest.raises(MomentUnavailable, match="order 2 is infinite"):
+            limit_conditional_assortativity(sp, 2, mc_samples=20_000, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_poisson_shortcut_matches_exact(self):
+        # with D2 ~ Po(lam): alpha_k* = lam P(d* = k-1) / (k P(d* = k))
         for D1 in (CONST(3), PO(2), PMF({1: 0.5, 3: 0.5})):
             sp = LimitSpec(D1, PO(1))
             for k in (2, 3, 4):
-                a = limit_conditional_clustering(sp, k, method="exact").value
-                b = limit_conditional_clustering(sp, k, method="poisson").value
-                assert a == pytest.approx(b, rel=1e-9)
+                a = limit_conditional_clustering(sp, k)
+                assert a.exact
+                lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k).value, limit_degree_pmf(sp, k - 1).value
+                assert a.value == pytest.approx(lam * pk1 / (k * pk), rel=1e-9)
 
     def test_mc_matches_exact(self):
         sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PO(1.5))
         for k in (2, 3):
-            exact = limit_conditional_clustering(sp, k, method="exact")
-            mc = limit_conditional_clustering(sp, k, method="mc", mc_samples=150_000, rng=substream(5, k))
-            assert abs(mc.value - exact.value) < 3.5 * mc.stderr
+            exact = limit_conditional_clustering(sp, k)
+            assert exact.exact
+            scale = k * (k - 1)
+            mc = limits._conditional_mc(sp, k, lambda z: z * (z - 1), 150_000, substream(5, k))
+            assert abs(mc.value / scale - exact.value) < 3.5 * mc.stderr / scale
 
     def test_assortativity_examples(self):
         assert limit_conditional_assortativity(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(2.0)
@@ -281,9 +308,12 @@ class TestConditionalLimits:
 
     def test_assortativity_mc_matches_exact(self):
         sp = LimitSpec(PMF({2: 0.5, 3: 0.5}), PO(1.2))
-        exact = limit_conditional_assortativity(sp, 3, method="exact")
-        mc = limit_conditional_assortativity(sp, 3, method="mc", mc_samples=150_000, rng=substream(6))
-        assert abs(mc.value - exact.value) < 3.5 * mc.stderr
+        exact = limit_conditional_assortativity(sp, 3)
+        assert exact.exact
+        additive = (float(sp.D1.factorial_moment(2)) * float(sp.D2.factorial_moment(2))
+                    / (float(sp.D1.mean()) * float(sp.D2.mean())))
+        mc = limits._conditional_mc(sp, 3, lambda z: z * z, 150_000, substream(6))
+        assert abs(mc.value / 3 + additive - exact.value) < 3.5 * mc.stderr / 3
 
     def test_exact_path_matches_exhaustive_enumeration(self):
         import itertools
@@ -315,10 +345,10 @@ class TestConditionalLimits:
             num_ca, _ = brute(k, lambda z: z * z)
             assert limit_degree_pmf(sp, k).value == pytest.approx(float(pk), abs=1e-12)
             if k >= 2:
-                got = limit_conditional_clustering(sp, k, method="exact").value
-                assert got == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
-            got = limit_conditional_assortativity(sp, k, method="exact").value
-            assert got == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
+                got = limit_conditional_clustering(sp, k)
+                assert got.exact and got.value == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
+            got = limit_conditional_assortativity(sp, k)
+            assert got.exact and got.value == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
 
 
 class TestRootedEmbExpectation:

@@ -38,6 +38,11 @@ class TestDegreeStats:
         assert degree_fraction(K3, 1) == 0
         assert degree_fraction(STAR3, 1) == 0.75
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_fraction_negative_k_rejected(self, k):
+        with pytest.raises(ValueError, match="non-negative"):
+            degree_fraction(K3, k)
+
     def test_fractions_sum_to_one(self, rng):
         g = random_graph(rng)
         total = sum(degree_fraction(g, k) for k in range(int(g.degrees().max(initial=0)) + 1))
