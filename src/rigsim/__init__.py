@@ -23,14 +23,7 @@ from .generators import (
     generate_bipartite,
     plant_clique,
 )
-from .cliquetree import (
-    CapExceeded,
-    CodeHistogram,
-    GWTree,
-    ball_distribution_mc,
-    sample_gw_tree,
-    tv_distance,
-)
+from .cliquetree import CodeHistogram, ball_distribution_mc
 from .counting import (
     Pattern,
     clique_families,
@@ -39,7 +32,6 @@ from .counting import (
     emb_count,
     hom_count,
     pattern_from_name,
-    rooted_emb_count,
     sidorenko_bound,
 )
 from .stats import (
@@ -65,7 +57,6 @@ from .limits import (
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
-    rooted_emb_expectation_mc,
     sample_dstar,
     z_moment,
 )

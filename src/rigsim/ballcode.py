@@ -248,7 +248,8 @@ def _fill(held: list[bytes | None], codes: list[bytes]) -> Iterator[bytes]:
 
 def forest_codes(forest: GWForest, r: int) -> tuple[np.ndarray, list[bytes]]:
     """Each tree's class, -1 when it is capped, and each class's code: that
-    of ``clique_tree_ball_from_tree(forest.tree(i), r)`` for its trees i.
+    of the radius-r root ball of the clique tree that each of its trees
+    projects to (even generations the vertices, odd ones the cliques).
 
     Classes are assigned bottom-up from generation 2r, on chunks of trees.  A
     node's row is the sorted classes of its children, where an attribute

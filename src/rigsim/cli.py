@@ -15,17 +15,17 @@ from .cliquetree import CodeHistogram, ball_distribution_mc
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import intersection_graph, read_graph, write_bipartite, write_graph
 from .laws import check_config_keys, degree_law_from_config
-from .limits import (
-    LimitSpec,
-    dstar_moment,
-    limit_assortativity,
-    limit_clustering,
-    limit_conditional_assortativity,
-    limit_conditional_clustering,
-    limit_degree_pmf,
-    limit_spec_for,
+from .limits import LimitSpec, NoAcceptances, limit_spec_for
+from .experiment import (
+    STATISTICS,
+    ExperimentPlan,
+    StatisticSpec,
+    reference_rng,
+    row_converged,
+    rows_to_csv,
+    run_experiment,
+    theorem21_suite,
 )
-from .experiment import STATISTICS, ExperimentPlan, StatisticSpec, row_converged, rows_to_csv, run_experiment, theorem21_suite
 from .rng import substream
 from . import stats as netstats
 
@@ -94,39 +94,46 @@ def _limit_spec(cfg: dict) -> LimitSpec:
     return LimitSpec(degree_law_from_config(cfg["D1"]), degree_law_from_config(cfg["D2"]))
 
 
-def cmd_limits(args) -> int:
-    spec = _limit_spec(_load_config(args.config))
-    out = []
+_MC_SAMPLES = 10**5
 
-    def add(name, fn):
-        # an undefined or unavailable quantity (degenerate variance,
-        # P(d*=k)=0, an infinite moment, a pmf without a closed form) gets an
-        # error entry instead of aborting the whole report
+
+def cmd_limits(args) -> int:
+    """Each quantity's limit as ``converge`` computes it.  A Monte Carlo
+    limit draws from the plan's seed and sample count when the file is a
+    plan, and from seed 0 and ``_MC_SAMPLES`` otherwise; a quantity the plan
+    lists keeps its reference stream there, so both commands print the same
+    limit for it."""
+    cfg = _load_config(args.config)
+    spec = _limit_spec(cfg)
+    report = [StatisticSpec("moment", k=k) for k in (1, 2, 3)] + [StatisticSpec("alpha"), StatisticSpec("assort")]
+    for k in args.k_values:
+        report.append(StatisticSpec("pi", k=k))
+        if k >= 2:
+            report.append(StatisticSpec("alpha_k", k=k))
+        if k >= 1:
+            report.append(StatisticSpec("r_k", k=k))
+    seed, samples, listed = 0, _MC_SAMPLES, ()
+    if "ladder" in cfg:  # _limit_spec took it, so it is a JSON object
+        plan = ExperimentPlan.from_config(cfg)
+        seed, samples, listed = plan.seed, plan.mc_reference_samples, plan.statistics
+    listed += tuple(s for s in report if s not in listed)
+    out = []
+    for s in report:
+        name = f"dstar_moment({s.k})" if s.kind == "moment" else s.label()
         try:
-            est = fn()
-        except ValueError as e:
+            est = STATISTICS[s.kind].limit(spec, s, samples, reference_rng(seed, listed, s))
+        except (ValueError, NoAcceptances) as e:
+            # an undefined or unavailable quantity (degenerate variance,
+            # P(d*=k)=0, an infinite moment, no Monte Carlo acceptance) gets
+            # an error entry instead of aborting the whole report
             out.append({"quantity": name, "error": str(e), "provenance": spec.provenance})
-            return
+            continue
         out.append(
             {"quantity": name, "value": est.value, "stderr": est.stderr, "exact": est.exact,
              "provenance": spec.provenance}
         )
-
-    for k in (1, 2, 3):
-        add(f"dstar_moment({k})", lambda k=k: dstar_moment(spec, k))
-    add("alpha", lambda: limit_clustering(spec))
-    add("assort", lambda: limit_assortativity(spec))
-    for k in args.k_values:
-        add(f"pi({k})", lambda k=k: limit_degree_pmf(spec, k))
-        if k >= 2:
-            add(f"alpha_k({k})", lambda k=k: limit_conditional_clustering(spec, k))
-        if k >= 1:
-            add(f"r_k({k})", lambda k=k: limit_conditional_assortativity(spec, k))
     _write(args, "limits.json", json.dumps(out, indent=1))
     return 0
-
-
-_BALL_SAMPLES = 10**5
 
 
 def cmd_balls(args) -> int:
@@ -137,7 +144,7 @@ def cmd_balls(args) -> int:
         hist = netstats.empirical_ball_dist(G, args.r)
     else:
         spec = _limit_spec(_load_config(args.config))
-        samples = _BALL_SAMPLES if args.samples is None else args.samples
+        samples = _MC_SAMPLES if args.samples is None else args.samples
         hist = ball_distribution_mc(spec.D1, spec.D2, args.r, samples, substream(0 if args.seed is None else args.seed))
     _write(args, f"balls_r{args.r}.json", json.dumps(hist.to_rows(), indent=1))
     return 0
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True, help="comma list, e.g. alpha,assort,alpha_k:2,pi:3")
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("limits", help="closed-form limit report")
+    p = sub.add_parser("limits", help="limit report (closed form, else Monte Carlo)")
     p.add_argument("--config", **config)
     p.add_argument("--k-values", type=int, nargs="*", default=[2])
     p.set_defaults(fn=cmd_limits)
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--graph", help="compute the empirical distribution of this graph")
     p.add_argument("--r", type=int, default=1)
     # None, so that --graph can reject them
-    p.add_argument("--samples", type=int, default=None, help=f"Monte Carlo samples (default {_BALL_SAMPLES})")
+    p.add_argument("--samples", type=int, default=None, help=f"Monte Carlo samples (default {_MC_SAMPLES})")
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
     p.set_defaults(fn=cmd_balls)
 

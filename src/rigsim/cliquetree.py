@@ -14,7 +14,6 @@ together (``ballcode.forest_codes``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -23,48 +22,20 @@ import numpy as np
 
 from .ballcode import forest_codes
 from .counting import _cumsum0
-from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
 from .laws import DegreeLaw, offspring_law
 
 __all__ = [
-    "CapExceeded",
-    "GWTree",
     "GWForest",
     "CodeHistogram",
     "sample_gw_forest",
-    "sample_gw_tree",
-    "clique_tree",
-    "clique_tree_ball_from_tree",
     "ball_distribution_mc",
     "count_tv",
-    "tv_distance",
     "DEFAULT_NODE_CAP",
 ]
 
 DEFAULT_NODE_CAP = 10**7
 CAP_BUCKET = b"__cap_exceeded__"
 NON_BLOCK_BUCKET = b"__not_a_block_graph__"
-
-
-class CapExceeded(RuntimeError):
-    """A sampled tree outgrew the node cap (supercritical runaway)."""
-
-
-@dataclass(frozen=True)
-class GWTree:
-    """Rooted tree as parent pointers; node 0 is the root, nodes are numbered
-    in breadth-first (generation) order."""
-
-    parents: np.ndarray  # parent id per node, -1 for the root
-    generation: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return int(self.parents.size)
-
-    @property
-    def depth(self) -> int:
-        return int(self.generation.max()) if self.node_count else 0
 
 
 @dataclass(frozen=True)
@@ -86,21 +57,6 @@ class GWForest:
     @property
     def samples(self) -> int:
         return int(self.capped.size)
-
-    def tree(self, i: int) -> GWTree:
-        """Tree i alone, as ``sample_gw_tree`` numbers it; raises CapExceeded
-        when the tree is capped."""
-        if self.capped[i]:
-            raise CapExceeded(f"tree {i} exceeded the node cap")
-        parents, first = [np.full(1, -1, dtype=np.int64)], 0  # first: id of the tree's first generation-k node
-        for c, s in zip(self.counts, self.starts):
-            own = c[s[i] : s[i + 1]]
-            if not own.any():
-                break
-            parents.append(np.repeat(np.arange(first, first + own.size, dtype=np.int64), own))
-            first += own.size
-        gens = np.repeat(np.arange(len(parents), dtype=np.int64), [p.size for p in parents])
-        return GWTree(np.concatenate(parents), gens)
 
 
 def _add_starts(starts: list[np.ndarray], counts: list[np.ndarray], samples: int, k: int) -> None:
@@ -157,44 +113,6 @@ def sample_gw_forest(
     return GWForest(depth, tuple(counts), tuple(starts), capped)
 
 
-def sample_gw_tree(
-    D1: DegreeLaw,
-    D2: DegreeLaw,
-    depth: int,
-    rng: np.random.Generator,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> GWTree:
-    """One tree of ``sample_gw_forest``; raises CapExceeded when it is
-    capped."""
-    return sample_gw_forest(D1, D2, depth, 1, rng, node_cap).tree(0)
-
-
-def _tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
-    """Even generations become part 1, odd ones part 2, each numbered in node
-    order; every tree edge becomes one incidence."""
-    even = tree.generation % 2 == 0
-    index = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
-    child = np.arange(1, tree.node_count)
-    parent = tree.parents[child]
-    child_even = even[child]
-    pairs = np.stack(
-        [np.where(child_even, index[child], index[parent]), np.where(child_even, index[parent], index[child])],
-        axis=1,
-    )
-    return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
-
-
-def clique_tree(tree: GWTree) -> Graph:
-    """Project a tree to its clique tree; the root is vertex 0 (part-1 index 0
-    by construction).  A depth-2r tree projects to its radius-r ball."""
-    return intersection_graph(_tree_to_bipartite(tree))
-
-
-def clique_tree_ball_from_tree(tree: GWTree, r: int) -> RootedGraph:
-    """The radius-r root ball of a (depth >= 2r) tree's clique tree."""
-    return ball(clique_tree(tree), 0, r)
-
-
 @dataclass
 class CodeHistogram:
     """Empirical distribution over canonical ball codes.
@@ -244,13 +162,6 @@ def count_tv(c: Mapping[object, int], N: int, d: Mapping[object, int], M: int) -
         raise ValueError("total variation needs two non-empty samples")
     num = sum(abs(c.get(k, 0) * M - d.get(k, 0) * N) for k in c.keys() | d.keys())
     return float(Fraction(num, 2 * N * M))
-
-
-def tv_distance(p: Mapping[bytes, float], q: Mapping[bytes, float]) -> float:
-    """Total variation distance between two probability maps; codes missing
-    on one side carry mass 0 there.  ``math.fsum`` is exactly rounded, so the
-    float does not depend on the order of the keys."""
-    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in p.keys() | q.keys())
 
 
 def ball_distribution_mc(

@@ -28,9 +28,9 @@ Embedding (injective) counts come from homomorphism counts by Moebius
 inversion over vertex-coincidence partitions: emb(H, G) equals the sum over
 partitions of V(H) with independent blocks of
 prod_B (-1)^(|B|-1) (|B|-1)!  *  hom(H/theta, G).
-Rooted counts are local: the rooted count at v only depends on the ball of
-radius ecc(root) around v, so large hosts are handled by extracting that ball
-and counting on it by steps 3 and 4, with the root pinned to the centre.
+Rooted counts are not taken here: the limit of emb(H, G_n) / n, the expected
+rooted count at the clique-tree root, is a sum over ``clique_families``
+(``limits.rooted_emb_expectation``).
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .canon import canonical_codes, unrooted_code
-from .graphs import Graph, RootedGraph, ball, ball_adjacency
+from .graphs import Graph, RootedGraph, ball_adjacency
 
 __all__ = [
     "Pattern",
     "hom_count",
     "emb_count",
-    "rooted_emb_count",
     "sidorenko_bound",
     "pattern_from_name",
     "connected_patterns",
@@ -76,7 +75,7 @@ class Pattern:
         h = self.graph.vertex_count
         if not 2 <= h <= MAX_PATTERN_VERTICES:
             raise ValueError(f"pattern must have between 2 and {MAX_PATTERN_VERTICES} vertices")
-        if _ball_size(self.graph, 0, None) < h:
+        if len(ball_adjacency(lambda u: self.graph.neighbors(u).tolist(), 0, None)) < h:
             raise ValueError("pattern must be connected")
         if self.root is not None and not 0 <= self.root < h:
             raise ValueError("pattern root out of range")
@@ -90,16 +89,6 @@ class Pattern:
 
     def rooted(self, root: int) -> "Pattern":
         return Pattern(self.graph, root)
-
-    def root_eccentricity(self) -> int:
-        if self.root is None:
-            raise ValueError("pattern has no root")
-        return next(r for r in range(self.h) if _ball_size(self.graph, self.root, r) == self.h)
-
-
-def _ball_size(g: Graph, v: int, r: int | None) -> int:
-    """Number of vertices within distance r of v (r None: v's component)."""
-    return len(ball_adjacency(lambda u: g.neighbors(u).tolist(), v, r))
 
 
 # -- pattern library ------------------------------------------------------------
@@ -187,10 +176,10 @@ def _set_partitions(n: int) -> Iterable[list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def _coincidence_terms(
-    h: int, edges: tuple[tuple[int, int], ...], root: int | None
-) -> tuple[tuple[int, tuple[tuple[int, int], ...], int | None, int], ...]:
-    """(quotient h, quotient edges, quotient root, Moebius weight) per partition
-    of the pattern vertices into independent blocks."""
+    h: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:
+    """(quotient h, quotient edges, Moebius weight) per partition of the
+    pattern vertices into independent blocks."""
     adj = [set() for _ in range(h)]
     for a, b in edges:
         adj[a].add(b)
@@ -209,8 +198,7 @@ def _coincidence_terms(
         for b in blocks:
             sign = -1 if (len(b) - 1) % 2 else 1
             mu *= sign * math.factorial(len(b) - 1)
-        q_root = None if root is None else blk[root]
-        terms.append((len(blocks), tuple(q_edges), q_root, mu))
+        terms.append((len(blocks), tuple(q_edges), mu))
     return tuple(terms)
 
 
@@ -266,9 +254,8 @@ def clique_families(H: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # -- dense contraction engine ------------------------------------------------------
 #
 # hom(H, G) is one tensor contraction: each pattern vertex gets a letter and
-# each pattern edge an adjacency-matrix factor on its two letters (a pinned
-# vertex's edges become the 1-D row of its image on the other end), summed
-# over every letter.  np.einsum evaluates it along the greedy pairwise path of
+# each pattern edge an adjacency-matrix factor on its two letters, summed over
+# every letter.  np.einsum evaluates it along the greedy pairwise path of
 # np.einsum_path, whose intermediates stay within _DP_MAX_ENTRIES; a path step
 # that would still make a larger tensor, or sweep a larger index space (a step
 # of more than two operands, which greedy falls back to when no pair fits),
@@ -311,24 +298,14 @@ def _contraction_path(expr: str, n: int) -> list | None:
     return path
 
 
-def _hom_dp(h: int, edges: tuple[tuple[int, int], ...], A: np.ndarray, pinned: int | None = None) -> int:
-    """Exact hom count by the contraction above; ``pinned``, if given, is the
-    pattern vertex mapped to host vertex 0 (rooted counts pin the root to
-    the centre of its ball)."""
-    terms, ops = [], []
-    for a, b in edges:
-        if pinned in (a, b):
-            terms.append(chr(97 + (b if a == pinned else a)))
-            ops.append(A[0])
-        else:
-            terms.append(chr(97 + a) + chr(97 + b))
-            ops.append(A)
-    expr = ",".join(terms) + "->"
+def _hom_dp(h: int, edges: tuple[tuple[int, int], ...], A: np.ndarray) -> int:
+    """Exact hom count by the contraction above."""
+    expr = ",".join(chr(97 + a) + chr(97 + b) for a, b in edges) + "->"
     path = _contraction_path(expr, A.shape[0])
     if path is None:
         raise _DPMemory()
     # a one-step path is einsum's own loop; passing it would only re-plan it in Python
-    out = np.einsum(expr, *ops, optimize=path if len(path) > 2 else False)
+    out = np.einsum(expr, *[A] * len(edges), optimize=path if len(path) > 2 else False)
     return int(out) if A.dtype == np.int64 else int(round(float(out)))
 
 
@@ -588,20 +565,13 @@ def _k4_subgraphs(g: Graph) -> int:
 # -- backtracking engine -------------------------------------------------------------
 
 
-def _hom_backtrack(
-    h: int,
-    edges: tuple[tuple[int, int], ...],
-    g: Graph,
-    injective: bool,
-    root: int | None = None,
-    root_image: int | None = None,
-) -> int:
+def _hom_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph, injective: bool) -> int:
     adj_p: list[set[int]] = [set() for _ in range(h)]
     for a, b in edges:
         adj_p[a].add(b)
         adj_p[b].add(a)
-    # connected elimination order, root (if pinned) first, then max-degree greedy
-    start = root if root is not None else max(range(h), key=lambda v: len(adj_p[v]))
+    # connected elimination order, max-degree greedy
+    start = max(range(h), key=lambda v: len(adj_p[v]))
     order = [start]
     placed = {start}
     while len(order) < h:
@@ -640,10 +610,7 @@ def _hom_backtrack(
                     out *= len(candidates(j))
                 return out
         total = 0
-        cs = candidates(i)
-        if i == 0 and root_image is not None:
-            cs = cs & {root_image}
-        for x in sorted(cs):
+        for x in sorted(candidates(i)):
             images[order[i]] = x
             total += rec(i + 1)
             del images[order[i]]
@@ -677,17 +644,16 @@ def _count_hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
     return form(g, _host(g)) if form is not None else _contract(g, h, edges)
 
 
-def _contract(g: Graph, h: int, edges: tuple[tuple[int, int], ...], root: int | None = None) -> int:
-    """hom of the pattern into g, with pattern vertex ``root`` (if given)
-    mapped to host vertex 0: the dense contraction where g and the budget
-    allow it, backtracking otherwise."""
+def _contract(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """hom of the pattern into g: the dense contraction where g and the
+    budget allow it, backtracking otherwise."""
     A = _dense(g, h)
     if A is not None:
         try:
-            return _hom_dp(h, edges, A, root)
+            return _hom_dp(h, edges, A)
         except _DPMemory:
             pass
-    return _hom_backtrack(h, edges, g, injective=False, root=root, root_image=None if root is None else 0)
+    return _hom_backtrack(h, edges, g, injective=False)
 
 
 def hom_count(H: Pattern, G: Graph) -> int:
@@ -697,24 +663,8 @@ def hom_count(H: Pattern, G: Graph) -> int:
 
 def emb_count(H: Pattern, G: Graph) -> int:
     """Exact number of embeddings (injective homomorphisms) H -> G."""
-    terms = _coincidence_terms(H.h, H.edge_tuple(), None)
-    return sum(mu * _hom(G, q_h, q_edges) for q_h, q_edges, _, mu in terms)
-
-
-def rooted_emb_count(H: Pattern, G: Graph, v: int, hom_mode: bool = False) -> int:
-    """Embeddings of rooted H into G pinning root -> v (homomorphisms when
-    ``hom_mode``).  Evaluated on the radius-ecc(root) ball around v, which
-    determines the count."""
-    if H.root is None:
-        raise ValueError("rooted_emb_count needs a rooted pattern")
-    if not 0 <= v < G.vertex_count:
-        raise ValueError("host vertex out of range")
-    bg = ball(G, v, H.root_eccentricity()).graph
-    edges = H.edge_tuple()
-    if hom_mode:
-        return _contract(bg, H.h, edges, H.root)
-    terms = _coincidence_terms(H.h, edges, H.root)
-    return sum(mu * _contract(bg, q_h, q_edges, q_root) for q_h, q_edges, q_root, mu in terms)
+    terms = _coincidence_terms(H.h, H.edge_tuple())
+    return sum(mu * _hom(G, q_h, q_edges) for q_h, q_edges, mu in terms)
 
 
 def sidorenko_bound(H: Pattern, G: Graph) -> tuple[int, int, bool]:

@@ -47,6 +47,7 @@ from . import stats as netstats
 __all__ = [
     "STATISTICS",
     "StatisticSpec",
+    "reference_rng",
     "ExperimentPlan",
     "ConvergenceRow",
     "run_experiment",
@@ -206,21 +207,26 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 class Statistic(NamedTuple):
     """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
     finite graph (a StatReport, a number or a ball histogram); ``limit`` gives
-    the plan's limit for it (an Estimate, or the clique-tree reference
-    histogram for balls)."""
+    its limit (an Estimate, or the clique-tree reference histogram for
+    balls), from the limit laws, the statistic, and the sample count and
+    stream of a Monte Carlo evaluation (see ``reference_rng``)."""
 
     arg: str | None  # the StatisticSpec field carrying the parameter
     graph: Callable[[Graph, StatisticSpec], object]
-    limit: Callable[[ExperimentPlan, LimitSpec, StatisticSpec], object]
+    limit: Callable[[LimitSpec, StatisticSpec, int, np.random.Generator], object]
     per_vertex: bool = False  # plans report the graph value divided by n1
     row: Callable[[Graph, StatisticSpec], object] | None = None  # what a plan compares, when not ``graph``
 
 
-def _mc(plan: ExperimentPlan, s: StatisticSpec) -> dict:
-    # Monte Carlo fallback for laws without exact pmfs (e.g. Pareto weights);
-    # rows on exact paths never touch this rng
-    rng = substream(plan.seed, _REF_STREAM, 4, plan.statistics.index(s))
-    return {"mc_samples": plan.mc_reference_samples, "rng": rng}
+def reference_rng(seed: int, statistics: Sequence[StatisticSpec], s: StatisticSpec) -> np.random.Generator:
+    """The stream of s's Monte Carlo limit under a plan with this seed and
+    these statistics: the ball reference's, or one per scalar statistic, by
+    its first position among ``statistics``.  The scalar stream is the
+    fallback for laws without exact pmfs (e.g. Pareto weights); a limit on an
+    exact path never draws from it."""
+    if s.kind == "ball":
+        return substream(seed, _REF_STREAM, 2)
+    return substream(seed, _REF_STREAM, 4, statistics.index(s))
 
 
 def _emb(G: Graph, s: StatisticSpec) -> int:
@@ -234,22 +240,22 @@ def _emb(G: Graph, s: StatisticSpec) -> int:
 # The lambdas look module globals up at call time, so a caller that rebinds
 # one of them (a tracer, a test counter) sees every call.
 STATISTICS: dict[str, Statistic] = {
-    "alpha": Statistic(None, lambda G, s: netstats.clustering(G), lambda plan, spec, s: limit_clustering(spec)),
+    "alpha": Statistic(None, lambda G, s: netstats.clustering(G), lambda spec, s, n, rng: limit_clustering(spec)),
     "assort": Statistic(None, lambda G, s: netstats.assortativity(G),
-                        lambda plan, spec, s: limit_assortativity(spec)),
+                        lambda spec, s, n, rng: limit_assortativity(spec)),
     "alpha_k": Statistic("k", lambda G, s: netstats.conditional_clustering(G, s.k),
-                         lambda plan, spec, s: limit_conditional_clustering(spec, s.k, **_mc(plan, s))),
+                         lambda spec, s, n, rng: limit_conditional_clustering(spec, s.k, n, rng)),
     "r_k": Statistic("k", lambda G, s: netstats.conditional_assortativity(G, s.k),
-                     lambda plan, spec, s: limit_conditional_assortativity(spec, s.k, **_mc(plan, s))),
+                     lambda spec, s, n, rng: limit_conditional_assortativity(spec, s.k, n, rng)),
     "pi": Statistic("k", lambda G, s: netstats.degree_fraction(G, s.k),
-                    lambda plan, spec, s: limit_degree_pmf(spec, s.k, **_mc(plan, s))),
+                    lambda spec, s, n, rng: limit_degree_pmf(spec, s.k, n, rng)),
     "moment": Statistic("k", lambda G, s: netstats.degree_moment(G, s.k),
-                        lambda plan, spec, s: dstar_moment(spec, s.k)),
-    "emb": Statistic("pattern", _emb, lambda plan, spec, s: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)),
-                     per_vertex=True),
-    "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), lambda plan, spec, s: (
-        ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, substream(plan.seed, _REF_STREAM, 2))
-    ), row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
+                        lambda spec, s, n, rng: dstar_moment(spec, s.k)),
+    "emb": Statistic("pattern", _emb,
+                     lambda spec, s, n, rng: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)), per_vertex=True),
+    "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r),
+                      lambda spec, s, n, rng: ball_distribution_mc(spec.D1, spec.D2, s.r, n, rng),
+                      row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
 }
 
 
@@ -438,7 +444,8 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     if len(balls) > 1:
         raise ValueError("at most one ball statistic per plan")
     spec = limit_spec_for(plan.model)
-    limits = {s.label(): STATISTICS[s.kind].limit(plan, spec, s) for s in plan.statistics}
+    samples, listed = plan.mc_reference_samples, plan.statistics
+    limits = {s.label(): STATISTICS[s.kind].limit(spec, s, samples, reference_rng(plan.seed, listed, s)) for s in listed}
     pert = () if plan.gamma is None else _perturbation(2, balls[0].r if balls else 1)
     rows: list[ConvergenceRow] = []
     pert_rows: list[ConvergenceRow] = []  # appended after all the main rows

@@ -34,9 +34,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ballcode import forest_codes
-from .cliquetree import GWForest, clique_tree, sample_gw_forest
-from .counting import Pattern, clique_families, rooted_emb_count
+from .cliquetree import GWForest, sample_gw_forest
+from .counting import Pattern, clique_families
 from .generators import ModelConfig
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw
 
@@ -55,10 +54,14 @@ __all__ = [
     "limit_conditional_clustering",
     "limit_conditional_assortativity",
     "rooted_emb_expectation",
-    "rooted_emb_expectation_mc",
+    "NoAcceptances",
 ]
 
 _TAIL_EPS = 1e-12
+
+
+class NoAcceptances(RuntimeError):
+    """Rejection Monte Carlo drew no tree with d* = k."""
 
 
 @dataclass(frozen=True)
@@ -198,16 +201,19 @@ def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
 
 def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """iid samples of d* = sum_{i<=D1} Z_i (vectorized)."""
-    return _dstar(sample_gw_forest(spec.D1, spec.D2, 2, size, rng, math.inf))
+    return _z_sums(sample_gw_forest(spec.D1, spec.D2, 2, size, rng, math.inf))
 
 
-def _dstar(forest: GWForest) -> np.ndarray:
-    """d* of each tree of an uncapped depth-2 forest, which draws no Z when
-    every D1 draw is 0."""
-    sums = np.zeros(forest.samples, dtype=np.int64)
+def _z_sums(forest: GWForest, weight: Callable[[np.ndarray], np.ndarray] = lambda z: z) -> np.ndarray:
+    """sum_i w(Z_i) for each tree of an uncapped depth-2 forest (d* for the
+    identity w), by one np.add.reduceat over the trees whose D1 draw is not
+    0; the others draw no Z and sum to 0."""
     nz = np.flatnonzero(forest.counts[0])
-    if nz.size:
-        sums[nz] = np.add.reduceat(forest.counts[1], forest.starts[1][nz])
+    if not nz.size:
+        return np.zeros(forest.samples, dtype=np.int64)
+    wz = weight(forest.counts[1])
+    sums = np.zeros(forest.samples, dtype=wz.dtype)
+    sums[nz] = np.add.reduceat(wz, forest.starts[1][nz])
     return sums
 
 
@@ -358,21 +364,21 @@ def _conditional_mc(
     mc_samples: int,
     rng: np.random.Generator,
 ) -> Estimate:
-    """Rejection Monte Carlo for E[sum_i w(Z_i) | d* = k]."""
-    accepted: list[float] = []
+    """Rejection Monte Carlo for E[sum_i w(Z_i) | d* = k].  The weighted sums
+    are integers held in floats, so their order of summation does not matter."""
+    accepted: list[np.ndarray] = []
     batch = max(10000, mc_samples // 10)
     drawn = 0
     while drawn < mc_samples:
         m = min(batch, mc_samples - drawn)
         drawn += m
         forest = sample_gw_forest(spec.D1, spec.D2, 2, m, rng, math.inf)
-        hits = np.flatnonzero(_dstar(forest) == k)
-        if hits.size:  # k >= 1, so these trees drew Z
-            wz, s = weight(forest.counts[1].astype(np.float64)), forest.starts[1]
-            accepted += [float(wz[s[i] : s[i + 1]].sum()) for i in hits]
+        hits = _z_sums(forest) == k
+        if hits.any():  # k >= 1, so these trees drew Z
+            accepted.append(_z_sums(forest, lambda z: weight(z.astype(np.float64)))[hits])
     if not accepted:
-        raise RuntimeError(f"no Monte Carlo acceptances for d* = {k}; increase samples")
-    arr = np.asarray(accepted)
+        raise NoAcceptances(f"no Monte Carlo acceptances for d* = {k}; increase samples")
+    arr = np.concatenate(accepted)
     return Estimate(
         float(arr.mean()),
         float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf"),
@@ -482,37 +488,3 @@ def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> Estimate:
             ) from e
         total += term
     return Estimate(total)
-
-
-def rooted_emb_expectation_mc(
-    spec: LimitSpec,
-    H: Pattern,
-    r: int,
-    samples: int,
-    rng: np.random.Generator,
-    hom_mode: bool = False,
-) -> Estimate:
-    """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
-    balls; requires the pattern radius to fit inside r.  The limits use
-    ``rooted_emb_expectation``; this estimate is its independent check.
-
-    The count is a function of the ball's isomorphism class, so the trees
-    are sampled and coded together and the count is taken once per class,
-    on the clique tree of the class's first tree: a depth-2r tree projects to
-    the radius-r ball itself."""
-    if H.root is None:
-        raise ValueError("pattern must be rooted")
-    if H.root_eccentricity() > r:
-        raise ValueError("ball radius too small for the pattern")
-    forest = sample_gw_forest(spec.D1, spec.D2, 2 * r, samples, rng)
-    classes, _ = forest_codes(forest, r)
-    # one tree per class; a capped tree, of class -1, raises CapExceeded here
-    reps = np.unique(classes, return_index=True)[1].tolist()
-    per_class = [rooted_emb_count(H, clique_tree(forest.tree(i)), 0, hom_mode) for i in reps]
-    counts = np.asarray(per_class, dtype=float)[classes]
-    return Estimate(
-        float(counts.mean()),
-        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
-        samples,
-        exact=False,
-    )

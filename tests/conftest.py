@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rigsim.cliquetree import clique_tree, sample_gw_forest
-from rigsim.counting import rooted_emb_count
+from rigsim.cliquetree import sample_gw_forest
 from rigsim.graphs import Graph
 from rigsim.rng import substream
+from tests.oracles import clique_tree, forest_tree, root_eccentricity, rooted_emb_count
 
 
 # one small model per sampler; the configuration model's H mostly has
@@ -55,5 +55,5 @@ def random_graph(rng, n_max=12, p_lo=0.1, p_hi=0.9) -> Graph:
 def deterministic_tree_count(spec, rooted) -> int:
     """E emb'(H, (T, o)) when both laws are constant: T is one tree, so the
     expectation is the rooted count on that tree's clique tree."""
-    tree = sample_gw_forest(spec.D1, spec.D2, 2 * rooted.root_eccentricity(), 1, substream(0)).tree(0)
+    tree = forest_tree(sample_gw_forest(spec.D1, spec.D2, 2 * root_eccentricity(rooted), 1, substream(0)), 0)
     return rooted_emb_count(rooted, clique_tree(tree), 0)

@@ -1,0 +1,176 @@
+"""Reference code the tests check rigsim against; the pipeline runs none of it.
+
+- One tree of a forest as parent pointers (``GWTree``, ``forest_tree``,
+  ``sample_gw_tree``), projected to its clique tree through its bipartite
+  incidence graph (``tree_to_bipartite``, ``clique_tree``,
+  ``clique_tree_ball_from_tree``): the one-tree-at-a-time path that
+  ``ballcode.forest_codes`` must agree with.
+- ``tv_distance`` between probability maps, in floats.
+- Rooted embedding (or homomorphism) counts by backtracking from the root
+  (``rooted_emb_count``), and their Monte Carlo mean over sampled clique-tree
+  balls (``rooted_emb_expectation_mc``): the independent check of the exact
+  ``limits.rooted_emb_expectation``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from rigsim.ballcode import forest_codes
+from rigsim.cliquetree import DEFAULT_NODE_CAP, GWForest, sample_gw_forest
+from rigsim.counting import Pattern
+from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, ball_adjacency, intersection_graph
+from rigsim.laws import DegreeLaw
+from rigsim.limits import Estimate, LimitSpec
+
+
+class CapExceeded(RuntimeError):
+    """A tree taken out of a forest outgrew the node cap."""
+
+
+@dataclass(frozen=True)
+class GWTree:
+    """Rooted tree as parent pointers; node 0 is the root, nodes are numbered
+    in breadth-first (generation) order."""
+
+    parents: np.ndarray  # parent id per node, -1 for the root
+    generation: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return int(self.parents.size)
+
+    @property
+    def depth(self) -> int:
+        return int(self.generation.max()) if self.node_count else 0
+
+
+def forest_tree(forest: GWForest, i: int) -> GWTree:
+    """Tree i of the forest alone; raises CapExceeded when it is capped."""
+    if forest.capped[i]:
+        raise CapExceeded(f"tree {i} exceeded the node cap")
+    parents, first = [np.full(1, -1, dtype=np.int64)], 0  # first: id of the tree's first generation-k node
+    for c, s in zip(forest.counts, forest.starts):
+        own = c[s[i] : s[i + 1]]
+        if not own.any():
+            break
+        parents.append(np.repeat(np.arange(first, first + own.size, dtype=np.int64), own))
+        first += own.size
+    gens = np.repeat(np.arange(len(parents), dtype=np.int64), [p.size for p in parents])
+    return GWTree(np.concatenate(parents), gens)
+
+
+def sample_gw_tree(
+    D1: DegreeLaw, D2: DegreeLaw, depth: int, rng: np.random.Generator, node_cap: int = DEFAULT_NODE_CAP
+) -> GWTree:
+    """One tree of ``sample_gw_forest``; raises CapExceeded when it is capped."""
+    return forest_tree(sample_gw_forest(D1, D2, depth, 1, rng, node_cap), 0)
+
+
+def tree_to_bipartite(tree: GWTree) -> BipartiteMultigraph:
+    """Even generations become part 1, odd ones part 2, each numbered in node
+    order; every tree edge becomes one incidence."""
+    even = tree.generation % 2 == 0
+    index = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
+    child = np.arange(1, tree.node_count)
+    parent = tree.parents[child]
+    child_even = even[child]
+    pairs = np.stack(
+        [np.where(child_even, index[child], index[parent]), np.where(child_even, index[parent], index[child])],
+        axis=1,
+    )
+    return BipartiteMultigraph.from_pairs(int(even.sum()), max(int((~even).sum()), 1), pairs)
+
+
+def clique_tree(tree: GWTree) -> Graph:
+    """Project a tree to its clique tree; the root is vertex 0 (part-1 index 0
+    by construction).  A depth-2r tree projects to its radius-r ball."""
+    return intersection_graph(tree_to_bipartite(tree))
+
+
+def clique_tree_ball_from_tree(tree: GWTree, r: int) -> RootedGraph:
+    """The radius-r root ball of a (depth >= 2r) tree's clique tree."""
+    return ball(clique_tree(tree), 0, r)
+
+
+def tv_distance(p: Mapping[bytes, float], q: Mapping[bytes, float]) -> float:
+    """Total variation distance between two probability maps; codes missing
+    on one side carry mass 0 there.  ``math.fsum`` is exactly rounded, so the
+    float does not depend on the order of the keys."""
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in p.keys() | q.keys())
+
+
+def root_eccentricity(H: Pattern) -> int:
+    """Largest distance from the root of H to one of its vertices."""
+    if H.root is None:
+        raise ValueError("pattern has no root")
+    neighbors = lambda u: H.graph.neighbors(u).tolist()  # noqa: E731
+    return next(r for r in range(H.h) if len(ball_adjacency(neighbors, H.root, r)) == H.h)
+
+
+def rooted_emb_count(H: Pattern, G: Graph, v: int, hom_mode: bool = False) -> int:
+    """Embeddings of the rooted pattern H into G that send its root to v
+    (homomorphisms when ``hom_mode``), by backtracking from the root: the
+    pattern vertices are placed in breadth-first order, each among the common
+    neighbours of its placed neighbours' images."""
+    if H.root is None:
+        raise ValueError("rooted_emb_count needs a rooted pattern")
+    if not 0 <= v < G.vertex_count:
+        raise ValueError("host vertex out of range")
+    adj = H.graph.adjacency_sets()
+    order = [H.root]
+    for x in order:  # breadth-first: the list grows while it is read
+        order += sorted(adj[x] - set(order))
+    back = [[u for u in order[:i] if u in adj[x]] for i, x in enumerate(order)]
+    nbr = G.adjacency_sets()
+    image = {H.root: v}
+
+    def rec(i: int) -> int:
+        if i == H.h:
+            return 1
+        cands = set.intersection(*(nbr[image[u]] for u in back[i]))
+        if not hom_mode:
+            cands -= set(image.values())
+        total = 0
+        for y in cands:
+            image[order[i]] = y
+            total += rec(i + 1)
+        image.pop(order[i], None)
+        return total
+
+    return rec(1)
+
+
+def rooted_emb_expectation_mc(
+    spec: LimitSpec,
+    H: Pattern,
+    r: int,
+    samples: int,
+    rng: np.random.Generator,
+    hom_mode: bool = False,
+) -> Estimate:
+    """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
+    balls; requires the pattern radius to fit inside r.
+
+    The count is a function of the ball's isomorphism class, so the trees
+    are sampled and coded together and the count is taken once per class,
+    on the clique tree of the class's first tree: a depth-2r tree projects to
+    the radius-r ball itself."""
+    if root_eccentricity(H) > r:
+        raise ValueError("ball radius too small for the pattern")
+    forest = sample_gw_forest(spec.D1, spec.D2, 2 * r, samples, rng)
+    classes, _ = forest_codes(forest, r)
+    # one tree per class; a capped tree, of class -1, raises CapExceeded here
+    reps = np.unique(classes, return_index=True)[1].tolist()
+    per_class = [rooted_emb_count(H, clique_tree(forest_tree(forest, i)), 0, hom_mode) for i in reps]
+    counts = np.asarray(per_class, dtype=float)[classes]
+    return Estimate(
+        float(counts.mean()),
+        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
+        samples,
+        exact=False,
+    )

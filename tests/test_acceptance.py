@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from rigsim.cliquetree import CodeHistogram, ball_distribution_mc, tv_distance
+from rigsim.cliquetree import CodeHistogram, ball_distribution_mc
 from rigsim.counting import connected_patterns, emb_count, hom_count, pattern_from_name, sidorenko_bound
 from rigsim.experiment import ExperimentPlan, perturbation_report
 from rigsim.generators import gen_active, gen_configuration, gen_degree_sequences, gen_passive
@@ -28,12 +28,12 @@ from rigsim.limits import (
     limit_degree_pmf,
     limit_degree_pmf_vector,
     remark1_limits,
-    rooted_emb_expectation_mc,
     sample_dstar,
     z_moment,
 )
 from rigsim.rng import substream
 from rigsim import stats as netstats
+from tests.oracles import rooted_emb_expectation_mc, tv_distance
 
 pytestmark = pytest.mark.acceptance
 

@@ -12,19 +12,13 @@ from hypothesis import strategies as st
 from rigsim import ballcode
 from rigsim.ballcode import BLOCK_TAG, _block, _clique_tree_codes, _vertex, ball_codes, block_codes, forest_codes
 from rigsim.canon import canonical_code
-from rigsim.cliquetree import (
-    CAP_BUCKET,
-    CapExceeded,
-    ball_distribution_mc,
-    clique_tree_ball_from_tree,
-    sample_gw_forest,
-    sample_gw_tree,
-)
+from rigsim.cliquetree import CAP_BUCKET, ball_distribution_mc, sample_gw_forest
 from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
 from rigsim.rng import substream
 from tests.conftest import SMALL_MODELS, random_graph
+from tests.oracles import CapExceeded, clique_tree_ball_from_tree, forest_tree, sample_gw_tree
 from tests.rgc1 import rgc1_code
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -259,9 +253,9 @@ def test_tree_code_matches_projection(seed, law, r, extra_depth, samples, node_c
         if forest.capped[i]:
             assert c == -1
             with pytest.raises(CapExceeded):
-                forest.tree(i)
+                forest_tree(forest, i)
         else:
-            assert codes[c] == clique_tree_ball_from_tree(forest.tree(i), r).code
+            assert codes[c] == clique_tree_ball_from_tree(forest_tree(forest, i), r).code
 
 
 def test_shallow_forest_rejected():

@@ -320,8 +320,10 @@ def test_converge_pareto_conditional_limits(tmp_path):
 
 
 def test_limits_report_on_pareto_weights(tmp_path):
-    # Pareto(3) weights: d* has no third moment and d* no certified tail, so
-    # those quantities are error entries and the rest is still reported
+    # Pareto(3) weights: d* has no third moment, so those quantities are
+    # error entries and the rest is still reported; d* has no certified tail,
+    # so pi, alpha_k and r_k come from Monte Carlo, the same limits converge
+    # prints on a plan over the same laws
     out = tmp_path / "pareto"
     assert main(["limits", "--config", str(CONFIGS / "inhomogeneous_pareto.json"), "--out", str(out)]) == 0
     vals = {r["quantity"]: r for r in json.load(open(out / "limits.json"))}
@@ -330,24 +332,55 @@ def test_limits_report_on_pareto_weights(tmp_path):
     assert vals["alpha"]["value"] == pytest.approx(3 / 7)
     for name in ("dstar_moment(3)", "assort"):
         assert "infinite" in vals[name]["error"] and "value" not in vals[name]
-    assert "error" in vals["pi(2)"]
+    laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
+    plan = write_json(
+        tmp_path / "pareto.json",
+        {"model": laws, "ladder": [300], "statistics": ["r_k:2", "pi:2", "alpha_k:2"], "seed": 3,
+         "mc_reference_samples": 20000},
+    )
+    assert main(["limits", "--config", plan, "--out", str(out)]) == 0
+    assert main(["converge", "--config", plan, "--out", str(out)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(out / "limits.json"))}
+    rows = list(csv.DictReader(open(out / "converge.csv")))
+    assert [r["statistic"] for r in rows] == ["r_k(2)", "pi(2)", "alpha_k(2)"]
+    for r in rows:
+        v = vals[r["statistic"]]
+        assert v["exact"] is False and math.isfinite(v["stderr"])
+        assert (format(v["value"], ".12g"), format(v["stderr"], ".12g")) == (r["limit"], r["limit_stderr"])
+
+
+def test_limits_report_no_acceptances(tmp_path):
+    # at 500 samples and seed 2 the Monte Carlo P(d* = 25) of alpha_k(25) is
+    # positive but its rejection pass accepts no tree: limits reports it as an
+    # error entry, converge aborts
+    laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
+    plan = write_json(
+        tmp_path / "pareto.json",
+        {"model": laws, "ladder": [300], "statistics": ["alpha_k:25"], "seed": 2, "mc_reference_samples": 500},
+    )
+    assert main(["limits", "--config", plan, "--k-values", "25", "--out", str(tmp_path)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
+    assert vals["alpha_k(25)"]["error"] == "no Monte Carlo acceptances for d* = 25; increase samples"
+    assert "value" in vals["alpha"]
+    assert main(["converge", "--config", plan, "--out", str(tmp_path)]) == 2
 
 
 def test_emb_limits_draw_no_clique_trees(tmp_path, monkeypatch):
     # the emb rows of converge and theorem21 read exact limits: no Monte
-    # Carlo over sampled clique trees runs
+    # Carlo over sampled clique trees runs.  Every limit in rigsim.limits
+    # samples through its sample_gw_forest binding; the ball reference of
+    # converge samples through rigsim.cliquetree's, which theorem21 never
+    # needs
     import rigsim.cliquetree
     import rigsim.limits
 
     def refuse(*a, **kw):
         raise AssertionError("a clique tree was sampled for an emb limit")
 
-    for module in (rigsim.cliquetree, rigsim.limits):
-        monkeypatch.setattr(module, "clique_tree", refuse)
-    for module in (rigsim.limits, rigsim.experiment):
-        monkeypatch.setattr(module, "rooted_emb_expectation_mc", refuse, raising=False)
+    monkeypatch.setattr(rigsim.limits, "sample_gw_forest", refuse)
     cfg = write_json(tmp_path / "r2.json", REFERENCE_R2)
     assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / "c")]) == 0
+    monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", refuse)
     plan = write_json(tmp_path / "active.json", {"model": MODEL, "ladder": [300], "statistics": ["alpha"],
                                                   "replications": 2, "seed": 5})
     assert main(["theorem21", "--config", plan, "--pattern", "P4", "--out", str(tmp_path / "t")]) == 0

@@ -5,21 +5,19 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from rigsim.cliquetree import (
-    CAP_BUCKET,
-    CapExceeded,
-    CodeHistogram,
-    _tree_to_bipartite,
-    ball_distribution_mc,
-    clique_tree_ball_from_tree,
-    sample_gw_forest,
-    sample_gw_tree,
-    tv_distance,
-)
+from rigsim.cliquetree import CAP_BUCKET, CodeHistogram, ball_distribution_mc, sample_gw_forest
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
 from rigsim.laws import DegreeLaw, WeightLaw
 from rigsim.limits import LimitSpec, limit_degree_pmf_vector
 from rigsim.rng import substream
+from tests.oracles import (
+    CapExceeded,
+    clique_tree_ball_from_tree,
+    forest_tree,
+    sample_gw_tree,
+    tree_to_bipartite,
+    tv_distance,
+)
 
 ISOLATED = RootedGraph(Graph.empty(1), 0).code
 
@@ -91,7 +89,7 @@ class TestGWForest:
         assert not f.capped.any() and len(f.counts) == len(f.starts) == 4
         for k, (c, s) in enumerate(zip(f.counts, f.starts)):
             assert s[0] == 0 and s[-1] == c.size and np.all(np.diff(s) >= 0)
-            sizes = [int((f.tree(i).generation == k).sum()) for i in range(f.samples)]
+            sizes = [int((forest_tree(f, i).generation == k).sum()) for i in range(f.samples)]
             assert np.diff(s).tolist() == sizes
 
     def test_capped_trees_draw_nothing_more(self):
@@ -103,11 +101,11 @@ class TestGWForest:
         assert f.counts[0].tolist() == np.where(f.capped, 0, drawn).tolist()
         assert f.counts[1].size == int((~f.capped).sum())
         with pytest.raises(CapExceeded):
-            f.tree(int(np.argmax(f.capped)))
+            forest_tree(f, int(np.argmax(f.capped)))
 
     def test_extinct_forest(self):
         f = sample_gw_forest(DegreeLaw.constant(0), DegreeLaw.constant(2), 4, 7, substream(22))
-        assert len(f.counts) == 1 and f.tree(3).node_count == 1
+        assert len(f.counts) == 1 and forest_tree(f, 3).node_count == 1
 
 
 def tree_to_bipartite_loop(tree):
@@ -129,7 +127,7 @@ class TestCliqueTreeBall:
         for depth in (0, 1, 2, 4):
             for _ in range(25):
                 t = sample_gw_tree(DegreeLaw.poisson(2), DegreeLaw.poisson(1.5), depth, gen)
-                new, old = _tree_to_bipartite(t), tree_to_bipartite_loop(t)
+                new, old = tree_to_bipartite(t), tree_to_bipartite_loop(t)
                 assert (new.n1, new.n2) == (old.n1, old.n2)
                 for x, y in ((new.edge_u, old.edge_u), (new.edge_w, old.edge_w), (new.mult, old.mult)):
                     assert np.array_equal(x, y)

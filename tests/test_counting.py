@@ -16,13 +16,13 @@ from rigsim.counting import (
     emb_count,
     hom_count,
     pattern_from_name,
-    rooted_emb_count,
     sidorenko_bound,
 )
 from rigsim.graphs import Graph
 from rigsim.laws import stirling2
 
 from tests.conftest import random_graph
+from tests.oracles import root_eccentricity, rooted_emb_count
 
 K2, P3, K3, P4, K4 = (pattern_from_name(n) for n in ("K2", "P3", "K3", "P4", "K4"))
 
@@ -64,10 +64,10 @@ class TestPattern:
         assert len(connected_patterns(5)) == 21
 
     def test_root_eccentricity(self):
-        assert [P4.rooted(v).root_eccentricity() for v in range(4)] == [3, 2, 2, 3]
-        assert K3.rooted(1).root_eccentricity() == 1
-        assert pattern_from_name("S4").rooted(0).root_eccentricity() == 1
-        assert pattern_from_name("S4").rooted(2).root_eccentricity() == 2
+        assert [root_eccentricity(P4.rooted(v)) for v in range(4)] == [3, 2, 2, 3]
+        assert root_eccentricity(K3.rooted(1)) == 1
+        assert root_eccentricity(pattern_from_name("S4").rooted(0)) == 1
+        assert root_eccentricity(pattern_from_name("S4").rooted(2)) == 2
 
     def test_distinct_rootings(self):
         assert len(distinct_rootings(P3)) == 2
@@ -185,25 +185,21 @@ def test_wedge_pass_matches_oracles(g, budget):
             assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
 
 
-_SMALL_PATTERNS = [(p, [r.root for r in distinct_rootings(p)]) for h in (2, 3, 4, 5) for p in connected_patterns(h)]
+_SMALL_PATTERNS = [p for h in (2, 3, 4, 5) for p in connected_patterns(h)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(host_graphs(), st.sampled_from([C._FLOAT_SAFE, 0]))
 def test_contraction_matches_backtracking(g, float_safe):
-    # every connected pattern on at most 5 vertices, unrooted and with each
-    # root orbit pinned to host vertex 0; a float bound of 0 sends every
-    # count through the int64 contraction
+    # every connected pattern on at most 5 vertices; a float bound of 0 sends
+    # every count through the int64 contraction
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(C, "_FLOAT_SAFE", float_safe)
-        for p, roots in _SMALL_PATTERNS:
+        for p in _SMALL_PATTERNS:
             edges = p.edge_tuple()
             A = C._dense(g, p.h)
             assert A.dtype == (np.float64 if float_safe else np.int64)
             assert C._hom_dp(p.h, edges, A) == C._hom_backtrack(p.h, edges, g, injective=False)
-            for root in roots if g.vertex_count else ():
-                expect = C._hom_backtrack(p.h, edges, g, injective=False, root=root, root_image=0)
-                assert C._hom_dp(p.h, edges, A, root) == expect
 
 
 class TestRootedCounts:

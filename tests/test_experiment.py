@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim.ballcode import BLOCK_TAG
-from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, ball_distribution_mc, tv_distance
+from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, ball_distribution_mc
 from rigsim.experiment import (
     _ball_perturbation,
     _measure,
@@ -31,6 +31,7 @@ from rigsim.limits import LimitSpec, dstar_moment, limit_spec_for
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
 from tests.conftest import deterministic_tree_count
+from tests.oracles import tv_distance
 
 
 def active_plan(**over):
@@ -312,7 +313,7 @@ class TestInhomogeneousIntegration:
     def test_weight_law_identification_end_to_end(self):
         # exponential weights give a mixed-Poisson (negative binomial) part-1
         # degree and a clique-tree ball law the empirical graph must approach
-        from rigsim.cliquetree import ball_distribution_mc, tv_distance
+        from rigsim.cliquetree import ball_distribution_mc
         from rigsim.generators import gen_inhomogeneous
         from rigsim.graphs import Graph, intersection_graph
         from rigsim.laws import WeightLaw

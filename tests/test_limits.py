@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim import limits
-from rigsim.cliquetree import CapExceeded, clique_tree_ball_from_tree, sample_gw_forest
-from rigsim.counting import (
-    Pattern,
-    clique_families,
-    connected_patterns,
-    distinct_rootings,
-    pattern_from_name,
-    rooted_emb_count,
-)
+from rigsim.cliquetree import sample_gw_forest
+from rigsim.counting import Pattern, clique_families, connected_patterns, distinct_rootings, pattern_from_name
 from rigsim.generators import ModelConfig
 from rigsim.graphs import Graph
 from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
@@ -33,12 +26,20 @@ from rigsim.limits import (
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
-    rooted_emb_expectation_mc,
     sample_dstar,
     z_moment,
 )
 from rigsim.rng import substream
+from tests import oracles
 from tests.conftest import deterministic_tree_count
+from tests.oracles import (
+    CapExceeded,
+    clique_tree_ball_from_tree,
+    forest_tree,
+    root_eccentricity,
+    rooted_emb_count,
+    rooted_emb_expectation_mc,
+)
 
 CONST = DegreeLaw.constant
 PMF = DegreeLaw.from_pmf
@@ -301,6 +302,24 @@ class TestConditionalLimits:
             mc = limits._conditional_mc(sp, k, lambda z: z * (z - 1), 150_000, substream(5, k))
             assert abs(mc.value / scale - exact.value) < 3.5 * mc.stderr / scale
 
+    def test_weighted_sums_match_the_per_tree_loop(self):
+        # one np.add.reduceat against a sum per tree, as the rejection pass
+        # once took them; the weights are integers in floats, so exactly
+        pareto = DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0))
+        for li, (D1, D2) in enumerate([(PO(0.3), PO(2)), (pareto, pareto), (PMF({0: 0.5, 2: 0.5}), CONST(1))]):
+            for seed in range(3):
+                forest = sample_gw_forest(D1, D2, 2, 500, substream(seed, li), math.inf)
+                s = forest.starts[1]
+                for weight in (lambda m: m * (m - 1), lambda m: m * m):
+                    loop = [float(weight(forest.counts[1][s[i] : s[i + 1]].astype(np.float64)).sum())
+                            if forest.counts[0][i] else 0.0 for i in range(forest.samples)]
+                    sums = limits._z_sums(forest, lambda z: weight(z.astype(np.float64)))
+                    assert sums.tolist() == loop
+                assert limits._z_sums(forest).tolist() == [
+                    int(forest.counts[1][s[i] : s[i + 1]].sum()) if forest.counts[0][i] else 0
+                    for i in range(forest.samples)
+                ]
+
     def test_assortativity_examples(self):
         assert limit_conditional_assortativity(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(2.0)
         assert limit_conditional_assortativity(LimitSpec(CONST(1), CONST(2)), 1).value == pytest.approx(1.0)
@@ -382,7 +401,7 @@ class TestRootedEmbExpectation:
         est = rooted_emb_expectation_mc(sp, pattern, r, samples, substream(seed), hom_mode=hom)
         forest = sample_gw_forest(sp.D1, sp.D2, 2 * r, samples, substream(seed))
         counts = np.asarray(
-            [rooted_emb_count(pattern, clique_tree_ball_from_tree(forest.tree(i), r).graph, 0, hom_mode=hom)
+            [rooted_emb_count(pattern, clique_tree_ball_from_tree(forest_tree(forest, i), r).graph, 0, hom_mode=hom)
              for i in range(samples)],
             dtype=float,
         )
@@ -390,7 +409,7 @@ class TestRootedEmbExpectation:
 
     def test_capped_tree_raises(self, monkeypatch):
         capped = lambda *a: sample_gw_forest(*a, node_cap=5)  # noqa: E731
-        monkeypatch.setattr(limits, "sample_gw_forest", capped)
+        monkeypatch.setattr(oracles, "sample_gw_forest", capped)
         with pytest.raises(CapExceeded):
             rooted_emb_expectation_mc(LimitSpec(CONST(3), CONST(3)), pattern_from_name("K2").rooted(0), 1, 10, substream(4))
 
@@ -471,12 +490,12 @@ class TestExactRootedEmbExpectation:
     def test_agrees_with_monte_carlo(self, name, sp):
         for h in (2, 3, 4):
             for i, p in enumerate(connected_patterns(h)):
-                rp = min(distinct_rootings(p), key=lambda q: q.root_eccentricity())
+                rp = min(distinct_rootings(p), key=root_eccentricity)
                 try:
                     exact = rooted_emb_expectation(sp, rp).value
                 except MomentUnavailable:
                     continue  # an infinite mean has no Monte Carlo estimate
-                mc = rooted_emb_expectation_mc(sp, rp, rp.root_eccentricity(), 2000, substream(1, h, i))
+                mc = rooted_emb_expectation_mc(sp, rp, root_eccentricity(rp), 2000, substream(1, h, i))
                 assert abs(mc.value - exact) <= 3 * mc.stderr, (name, rp.edge_tuple())
 
     def test_infinite_moment_raises(self):
