@@ -8,18 +8,24 @@ A rooted block graph is fixed, up to root-preserving isomorphism, by its
 rooted block tree: a vertex's children are the blocks it meets away from the
 root, and a block's children are its other members.  A tagged AHU string of
 that tree (Aho, Hopcroft & Ullman 1974), with children sorted, codes it
-exactly in linear time.  ``block_codes`` is that pass over a graph's balls;
-it hands back the adjacency of every other ball.  At radius 1 a graph made
-by ``intersection_graph`` keeps the sizes of its vertices' attributes in
-the bipartite graph H it projects, and each ball that they and the triangle
-counts show to be a depth-2 clique tree is coded from them in one numpy
-pass by ``forest_codes``; the rest, and every ball of a graph without them
-(read from a file, built from edges, a ``ball``), are walked and tested one
-at a time.  ``fill_codes`` codes such balls in batches with
-``canon.canonical_codes`` (``ball_codes`` is the two in a row), and
-``rooted_code`` codes one the same way.  A comparison with the clique-tree
-limit never needs a general code, since no limit ball can match a ball that
-is not a block graph.
+exactly in linear time.
+
+``block_codes`` is that pass over a graph's radius-r balls, in three stages.
+First, verdicts are inherited: a ball around a vertex with a neighbour (or
+itself) whose radius r - 1 ball is not a block graph is not one either.
+Second, on a graph made by ``intersection_graph``, which keeps the
+incidences of the bipartite graph H it projects, each remaining ball that
+H's non-backtracking unfolding shows to be a plain clique tree is coded from
+that unfolding, in numpy passes over many centres, by ``forest_codes``, the
+coder of the clique-tree reference (Dell, Grohe & Rattan 2018: a clique
+tree is fixed by its unfolding).  Last, the balls left, and every ball of a
+graph without H (read from a file, built from edges, a ``ball``), are walked
+and tested one at a time.  ``fill_codes`` codes the balls that are not
+block graphs in batches with ``canon.canonical_codes`` (``ball_codes`` runs
+the block pass, walks the balls it decided without a walk, and fills them
+in), and ``rooted_code`` codes one the same way.  A comparison with the
+clique-tree limit never needs a general code, since no limit ball can match
+a ball that is not a block graph.
 
 So there are two code families: block-tree codes, which start with
 ``BLOCK_TAG``, and general codes, which start with ``canon.TAG`` (``RGC2``).
@@ -35,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from . import canon
-from .counting import _cumsum0, _host
+from .counting import _cumsum0
 from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball_adjacency
 
 if TYPE_CHECKING:
@@ -49,7 +55,9 @@ BLOCK_TAG = b"BLK1"
 # while each half-edge held costs about 120 bytes of peak memory.
 _BATCH_HALF_EDGES = 1 << 14
 _LEAF = b"()"  # a vertex with no child blocks
-_FOREST_CHUNK = 1 << 14  # nodes per numpy pass of ``forest_codes``
+# nodes per numpy pass of ``forest_codes``, and walks in G from the centres
+# per unfolding pass of ``_codes_from_h``
+_FOREST_CHUNK = 1 << 14
 
 
 def _vertex(blocks: list[bytes]) -> bytes:
@@ -122,29 +130,60 @@ def block_codes(
     G: Graph, r: int, vertices: Iterable[int] | None = None
 ) -> Iterator[tuple[bytes | None, list[list[int]] | None]]:
     """The block pass: for each v in ``vertices`` (default: every vertex), in
-    order, the block-tree code of B_r(G, v) and None, or None and the ball's
-    adjacency lists (rooted at 0, as ``ball_adjacency`` lists them) when it
-    is not a block graph.
+    order, the block-tree code of B_r(G, v) and None when the ball is a block
+    graph; otherwise None and, when the pass walked the ball, its adjacency
+    lists (rooted at 0, as ``ball_adjacency`` lists them), else None.
 
-    At r=1, on a graph that keeps its vertices' attribute sizes, the balls
-    that ``_clique_tree_codes`` finds to be plain clique trees are coded in
-    one pass.  Every other ball is walked and block-tested one at a time, on
-    neighbour lists converted row by row on first use; no per-ball
-    ``Graph`` is built."""
+    Three stages decide the balls, each only those the stages before left:
+
+    1. Inherited verdicts (r >= 2).  When some u in N[v] has a ball
+       B_{r-1}(u) that is not a block graph, neither is B_r(v): B_{r-1}(u) is
+       a connected induced subgraph of B_r(v), and block graphs are closed
+       under those.  The radius r - 1 verdicts come from this pass on N[v].
+    2. Clique trees coded from H, by ``_codes_from_h``, on a graph that
+       keeps H's incidences (``intersection_graph`` makes such graphs).
+    3. The walk: each remaining ball is read by ``ball_adjacency`` and
+       block-tested by ``_block_code`` as its entry is reached, on
+       neighbour lists converted row by row on first use; no per-ball
+       ``Graph`` is built.
+    """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    picks = np.arange(G.vertex_count) if vertices is None else np.asarray(list(vertices), dtype=np.int64)
-    if ((picks < 0) | (picks >= G.vertex_count)).any():
-        raise ValueError("ball centre out of range")
-    codes = _clique_tree_codes(G, picks) if r == 1 else [None] * picks.size
+    picks = _centres(G, vertices)
+    todo = np.arange(picks.size)
+    if r >= 2 and picks.size:
+        ring = np.unique(np.concatenate([picks, _gather(G.indptr, G.indices, picks)[0]]))
+        bad = np.zeros(G.vertex_count, dtype=bool)
+        bad[ring] = [code is None for code, _ in block_codes(G, r - 1, ring)]
+        seen = _cumsum0(bad[G.indices])
+        todo = np.flatnonzero(~bad[picks] & (seen[G.indptr[picks + 1]] == seen[G.indptr[picks]]))
+    codes: list[bytes | None] = [None] * picks.size
+    walk = [False] * picks.size
+    for i, code in zip(todo.tolist(), _codes_from_h(G, r, picks[todo])):
+        codes[i], walk[i] = code, code is None
     neighbors = _Rows(G).__getitem__
-    for v, code in zip(picks.tolist(), codes):
-        if code is None:
+    for v, code, walk_it in zip(picks.tolist(), codes, walk):
+        if walk_it:
             ladj = ball_adjacency(neighbors, v, r)
             code = _block_code(ladj)
             yield code, None if code is not None else ladj
         else:
             yield code, None
+
+
+def _centres(G: Graph, vertices: Iterable[int] | None) -> np.ndarray:
+    picks = np.arange(G.vertex_count) if vertices is None else np.asarray(list(vertices), dtype=np.int64)
+    if ((picks < 0) | (picks >= G.vertex_count)).any():
+        raise ValueError("ball centre out of range")
+    return picks
+
+
+def _gather(ptr: np.ndarray, items: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rows`` of the CSR (``ptr``, ``items``), concatenated, and their
+    lengths."""
+    starts = ptr[rows].astype(np.int64)
+    lens = ptr[rows + 1].astype(np.int64) - starts
+    return items[np.arange(int(lens.sum())) + np.repeat(starts - _cumsum0(lens)[:-1], lens)], lens
 
 
 class _Rows(dict):
@@ -159,61 +198,114 @@ class _Rows(dict):
         return row
 
 
-def _keep_attributes(G: Graph, H: BipartiteMultigraph) -> None:
-    """Keep on G, the projection of H, what ``_clique_tree_codes`` reads of
-    H: |a| - 1 for each vertex's attributes a, grouped by vertex in any
-    order, and where each vertex's group starts, each array in the smallest
-    dtype that holds it (every projected graph carries them)."""
-    others = (np.bincount(H.edge_w, minlength=H.n2) - 1)[H.edge_w[np.argsort(H.edge_u)]]
-    ptr = np.append(0, np.cumsum(np.bincount(H.edge_u, minlength=H.n1)))
-    kept = others.astype(np.min_scalar_type(others.max(initial=0))), ptr.astype(np.min_scalar_type(ptr[-1]))
-    object.__setattr__(G, "_attributes", kept)
+def _keep_incidences(G: Graph, H: BipartiteMultigraph) -> None:
+    """Keep on G, the projection of H, H's incidences as two CSRs, each array
+    in the smallest dtype that holds it: vertex -> attributes and attribute
+    -> members, both in any order within a row (every projected graph
+    carries them)."""
+
+    def small(a: np.ndarray) -> np.ndarray:
+        return a.astype(np.min_scalar_type(a.max(initial=0)))
+
+    vptr = _cumsum0(np.bincount(H.edge_u, minlength=H.n1))
+    aptr = _cumsum0(np.bincount(H.edge_w, minlength=H.n2))
+    # H keeps its pairs sorted by (attribute, vertex)
+    vatt = H.edge_w[np.argsort(H.edge_u)]
+    object.__setattr__(G, "_incidences", tuple(map(small, (vptr, vatt, aptr, H.edge_u))))
 
 
-def _clique_tree_codes(G: Graph, picks: np.ndarray) -> list[bytes | None]:
-    """For each vertex v of ``picks``, the code of B_1(G, v) when G keeps its
-    vertices' attribute sizes (``intersection_graph`` does) and they show
-    the ball to be a plain clique tree, None otherwise.
+def _codes_from_h(G: Graph, r: int, centres: np.ndarray) -> list[bytes | None]:
+    """For each of the ``centres`` v, the code of B_r(G, v) when G keeps H's
+    incidences and H's non-backtracking unfolding from v shows the ball to be
+    a plain clique tree, None otherwise.
 
-    Let a range over v's attributes, with |a| distinct members.  When
-    deg(v) = sum(|a| - 1), the sets a - {v} are disjoint; when also tri(v),
-    the ordered pairs of adjacent neighbours, is sum((|a| - 1)(|a| - 2)),
-    no other edge joins them.  The ball is then v joined to disjoint,
-    mutually non-adjacent cliques: the depth-2 tree with one child per
-    attribute and |a| - 1 grandchildren under it, coded with the trees of
-    the other such vertices by ``forest_codes``.  Only the rows of
-    ``picks`` are read; tri(v) is read from the counting host's triangle
-    vector, which one wedge pass counts for the whole graph, exact in int64
-    and in bounded memory."""
-    from .cliquetree import GWForest  # cliquetree imports this module
+    Generation 0 of the unfolding is v, and generation k + 1 lists, for each
+    node of generation k, its H-neighbours other than its parent: attributes
+    at odd generations, vertices at even ones.  Its first 2r generations
+    project to B_r(v) exactly when
 
-    codes: list[bytes | None] = [None] * picks.size
-    attributes = G.__dict__.get("_attributes")
-    if attributes is None or not picks.size:
+    (a) no vertex occurs twice in generations 0, 2, ..., 2r, and
+    (b) no attribute of generation 2r + 1 holds two vertices of generation
+        2r with different parents.
+
+    By (a) each ball vertex occurs once, at twice its distance from v, and
+    each attribute of generations 1, 3, ..., 2r - 1 occurs once and holds no
+    ball vertex besides its parent and its children.  So an edge of the ball
+    outside the cliques that these attributes form with their parents and
+    children joins two vertices of generation 2r through an attribute of
+    generation 2r + 1, and by (b) it lies in the clique of their common
+    parent after all.  The certified centres' first 2r generations are a
+    ``GWForest`` that ``forest_codes`` codes, as it codes the clique-tree
+    reference.  Centres are unfolded in chunks whose walks of length at most
+    r in G number about ``_FOREST_CHUNK``, and a centre leaves its chunk as
+    soon as a vertex repeats."""
+    codes: list[bytes | None] = [None] * centres.size
+    incidences = G.__dict__.get("_incidences")
+    if incidences is None or not centres.size:
         return codes
-    others, ptr = attributes
-    starts = ptr[picks].astype(np.int64)
-    attrs = ptr[picks + 1] - starts
-    ends = _cumsum0(attrs)
-    kids = others[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], attrs)].astype(np.int64)
-    ok = G.indptr[picks + 1] - G.indptr[picks] == np.diff(_cumsum0(kids)[ends])
-    ok &= _host(G).tri[picks] == np.diff(_cumsum0(kids * (kids - 1))[ends])
-    keep = np.flatnonzero(ok)
-    if keep.size:
-        c0 = attrs[keep]
-        forest = GWForest(2, (c0, kids[np.repeat(ok, attrs)]), (np.arange(keep.size + 1), _cumsum0(c0)),
-                          np.zeros(keep.size, dtype=bool))
-        cls, names = forest_codes(forest, 1)
-        for i, c in zip(keep.tolist(), cls.tolist()):
+    walks = np.ones(G.vertex_count)
+    for _ in range(r):
+        s = np.concatenate([[0.0], np.cumsum(walks[G.indices])])
+        walks = 1 + s[G.indptr[1:]] - s[G.indptr[:-1]]
+    cost = np.cumsum(walks[centres])
+    cuts = np.unique(np.append(np.searchsorted(cost, np.arange(0, cost[-1], _FOREST_CHUNK)), centres.size))
+    for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
+        ok, forest = _unfold(incidences, centres[a:b], r)
+        classes, names = forest_codes(forest, r)
+        for i, c in zip((a + np.flatnonzero(ok)).tolist(), classes.tolist()):
             codes[i] = names[c]
     return codes
 
 
+def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> tuple[np.ndarray, GWForest]:
+    """Which ``centres`` the tests (a) and (b) of ``_codes_from_h``
+    certify, and the first 2r generations of their unfoldings."""
+    from .cliquetree import GWForest, _add_starts  # cliquetree imports this module
+
+    vptr, vatt, aptr, amem = incidences
+    n1, n2 = vptr.size - 1, aptr.size - 1
+    ok = np.ones(centres.size, dtype=bool)
+    owner, ids, parents = np.arange(centres.size), centres, np.full(centres.size, -1)
+    ball = owner * n1 + ids  # sorted keys owner * n1 + vertex of generations 0, 2, ...
+    grand = parents  # each node's parent's parent
+    counts, owners = [], [owner]
+    for k in range(2 * r + 1):
+        kids, lens = _gather(*((vptr, vatt) if k % 2 == 0 else (aptr, amem)), ids)
+        up = np.repeat(np.arange(ids.size), lens)
+        keep = kids != np.repeat(parents, lens)
+        up = up[keep]
+        counts.append(np.bincount(up, minlength=ids.size))
+        owner, grand, parents, ids = owner[up], parents[up], ids[up], kids[keep].astype(np.int64)
+        if k % 2:  # generation k + 1 holds vertices
+            ball = np.sort(np.concatenate([ball, owner * n1 + ids]))
+            ok[ball[1:][ball[1:] == ball[:-1]] // n1] = False
+            live = ok[owner]
+            owner, grand, parents, ids = owner[live], grand[live], parents[live], ids[live]
+        owners.append(owner)
+    # generation 2r + 1: the same attribute twice under one centre must have
+    # the same grandparent
+    key = owner * n2 + ids
+    order = np.argsort(key)
+    key, grand = key[order], grand[order]
+    ok[key[1:][(key[1:] == key[:-1]) & (grand[1:] != grand[:-1])] // n2] = False
+    # as sampled forests do, keep no array for a generation without nodes
+    counts = [c for c in (c[ok[o]] for c, o in zip(counts[: 2 * r], owners)) if c.size]
+    starts: list[np.ndarray] = []
+    _add_starts(starts, counts, int(ok.sum()), len(counts) - 1)
+    return ok, GWForest(2 * r, tuple(counts), tuple(starts), np.zeros(int(ok.sum()), dtype=bool))
+
+
 def ball_codes(G: Graph, r: int, vertices: Iterable[int] | None = None) -> Iterator[bytes]:
     """Codes of B_r(G, v) for each v in ``vertices`` (default: every vertex),
-    each equal to ``ball(G, v, r).code``, in order: ``block_codes`` with its
-    general balls filled in by ``fill_codes``."""
-    return fill_codes(block_codes(G, r, vertices))
+    each equal to ``ball(G, v, r).code``, in order: ``block_codes``, with the
+    balls it decided without a walk walked here, and its general balls filled
+    in by ``fill_codes``."""
+    picks = _centres(G, vertices)
+    neighbors = _Rows(G).__getitem__
+    return fill_codes(
+        (code, None) if code is not None else (None, ladj or ball_adjacency(neighbors, v, r))
+        for v, (code, ladj) in zip(picks.tolist(), block_codes(G, r, picks))
+    )
 
 
 def fill_codes(entries: Iterable[tuple[bytes | None, list[list[int]] | None]]) -> Iterator[bytes]:

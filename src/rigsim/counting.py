@@ -565,7 +565,7 @@ def _k4_subgraphs(g: Graph) -> int:
 # -- backtracking engine -------------------------------------------------------------
 
 
-def _hom_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph, injective: bool) -> int:
+def _hom_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
     adj_p: list[set[int]] = [set() for _ in range(h)]
     for a, b in edges:
         adj_p[a].add(b)
@@ -591,24 +591,19 @@ def _hom_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph, injecti
             cs = set(s) if cs is None else cs & s
             if not cs:
                 return set()
-        if cs is None:
-            cs = all_v
-        if injective:
-            cs = cs - set(images.values())
-        return cs
+        return all_v if cs is None else cs
 
     def rec(i: int) -> int:
         if i == h:
             return 1
-        if not injective:
-            # product shortcut: remaining vertices whose pattern neighbours are
-            # all placed contribute independent factors
-            rest = order[i:]
-            if all(set(adj_p[v]) <= set(order[: i]) for v in rest):
-                out = 1
-                for j in range(i, h):
-                    out *= len(candidates(j))
-                return out
+        # product shortcut: remaining vertices whose pattern neighbours are
+        # all placed contribute independent factors
+        rest = order[i:]
+        if all(set(adj_p[v]) <= set(order[: i]) for v in rest):
+            out = 1
+            for j in range(i, h):
+                out *= len(candidates(j))
+            return out
         total = 0
         for x in sorted(candidates(i)):
             images[order[i]] = x
@@ -653,7 +648,7 @@ def _contract(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
             return _hom_dp(h, edges, A)
         except _DPMemory:
             pass
-    return _hom_backtrack(h, edges, g, injective=False)
+    return _hom_backtrack(h, edges, g)
 
 
 def hom_count(H: Pattern, G: Graph) -> int:

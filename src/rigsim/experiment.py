@@ -27,7 +27,7 @@ from .ballcode import block_codes, fill_codes
 from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, count_tv
 from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
-from .graphs import Graph, intersection_graph
+from .graphs import Graph, ball_adjacency, intersection_graph
 from .laws import check_config_keys
 from .limits import (
     Estimate,
@@ -319,10 +319,11 @@ def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHist
     edge, so only the vertices within distance r (in G) of a vertex whose
     degree rose are compared, and the other balls cancel in the TV.  Each of
     them is coded once on each graph (G's row pass codes every vertex of G).
-    A near ball that is not a block graph is canonised only when its key,
-    the vertex count and sorted degrees, also occurs among the other graph's
-    near non-block balls; otherwise no ball there can share its code, and it
-    counts under its key."""
+    A near ball that is not a block graph is walked, unless the block pass
+    already did, and canonised only when its key, the vertex count and
+    sorted degrees, also occurs among the other graph's near non-block
+    balls; otherwise no ball there can share its code, and it counts under
+    its key."""
     near = G.degrees() != G0.degrees()
     frontier = np.flatnonzero(near)
     for _ in range(r):
@@ -342,7 +343,10 @@ def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHist
                 planted.append(entry)
     else:
         planted = list(block_codes(G, r, nearby))
-    sides = (planted, list(block_codes(G0, r, nearby)))
+    sides = [[(code, None) if code is not None else
+              (None, adj or ball_adjacency(lambda u: g.neighbors(u).tolist(), v, r))
+              for v, (code, adj) in zip(nearby, side)]
+             for g, side in ((G, planted), (G0, block_codes(G0, r, nearby)))]
     shared = set.intersection(*({_ball_key(adj) for code, adj in side if code is None} for side in sides))
     counts = (Counter(), Counter())
     held = []  # (side, adjacency) of the non-block balls whose key both sides have

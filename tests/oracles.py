@@ -10,6 +10,8 @@
   (``rooted_emb_count``), and their Monte Carlo mean over sampled clique-tree
   balls (``rooted_emb_expectation_mc``): the independent check of the exact
   ``limits.rooted_emb_expectation``.
+- Unrooted embedding counts by backtracking (``emb_backtrack``): the check
+  of ``counting.emb_count``, which reduces embeddings to homomorphisms.
 """
 
 from __future__ import annotations
@@ -174,3 +176,34 @@ def rooted_emb_expectation_mc(
         samples,
         exact=False,
     )
+
+
+def emb_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
+    """Embeddings of the pattern on 0..h-1 with these edges into g, by
+    backtracking: the pattern vertices are placed in a connected order, each
+    on an unused common neighbour of its placed neighbours' images (any
+    unused vertex when none is placed)."""
+    adj = [set() for _ in range(h)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    order = [max(range(h), key=lambda x: len(adj[x]))]
+    while len(order) < h:
+        rest = [x for x in range(h) if x not in order]
+        order.append(max(rest, key=lambda x: (len(adj[x] & set(order)), len(adj[x]))))
+    back = [[u for u in order[:i] if u in adj[x]] for i, x in enumerate(order)]
+    nbr = g.adjacency_sets()
+    image: dict[int, int] = {}
+
+    def rec(i: int) -> int:
+        if i == h:
+            return 1
+        cands = set.intersection(*(nbr[image[u]] for u in back[i])) if back[i] else set(range(g.vertex_count))
+        total = 0
+        for y in cands - set(image.values()):
+            image[order[i]] = y
+            total += rec(i + 1)
+        image.pop(order[i], None)
+        return total
+
+    return rec(0)

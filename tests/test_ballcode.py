@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim import ballcode
-from rigsim.ballcode import BLOCK_TAG, _block, _clique_tree_codes, _vertex, ball_codes, block_codes, forest_codes
+from rigsim.ballcode import (
+    BLOCK_TAG, _block, _block_code, _codes_from_h, _vertex, ball_codes, block_codes, forest_codes,
+)
 from rigsim.canon import canonical_code
 from rigsim.cliquetree import CAP_BUCKET, ball_distribution_mc, sample_gw_forest
 from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
-from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, intersection_graph
+from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, ball_adjacency, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
 from rigsim.rng import substream
 from tests.conftest import SMALL_MODELS, random_graph
@@ -133,46 +135,101 @@ def bipartite_graphs(draw) -> BipartiteMultigraph:
     return plant_clique(H, s, substream(seed, 1)) if s else H
 
 
-def plain_clique_tree(H: BipartiteMultigraph, G: Graph, v: int) -> bool:
-    """Whether the sets a - {v}, over v's attributes a, are disjoint and no
-    edge of G joins two of them, from H's pairs and G's edges."""
-    members: dict[int, set[int]] = {}
+def plain_clique_tree(H: BipartiteMultigraph, G: Graph, v: int, r: int) -> bool:
+    """Whether H's non-backtracking unfolding from v to depth 2r repeats no
+    vertex and the cliques that its attributes form with their parents and
+    children are every edge of B_r(G, v), from H's pairs and G's edges."""
+    members: dict[int, list[int]] = {}
+    attributes: dict[int, list[int]] = {}
     for u, w in zip(H.edge_u.tolist(), H.edge_w.tolist()):
-        members.setdefault(w, set()).add(u)
-    parts = [members[w] - {v} for w in members if v in members[w]]
-    side = {u: i for i, part in enumerate(parts) for u in part}
-    if len(side) != sum(map(len, parts)):
-        return False
-    return all(side.get(x, i) == i for i, part in enumerate(parts) for u in part for x in G.neighbors(u).tolist())
+        members.setdefault(w, []).append(u)
+        attributes.setdefault(u, []).append(w)
+    seen, cliques, frontier = [v], set(), [(v, None)]
+    for _ in range(r):
+        nxt = []
+        for x, parent in frontier:
+            for a in attributes.get(x, []):
+                if a != parent:
+                    kids = [y for y in members[a] if y != x]
+                    clique = [x] + kids
+                    cliques |= {frozenset((p, q)) for i, p in enumerate(clique) for q in clique[i + 1 :]}
+                    nxt += [(y, a) for y in kids]
+                    seen += kids
+        frontier = nxt
+    inside = set(seen)
+    edges = {frozenset((p, q)) for p in inside for q in G.neighbors(p).tolist() if q in inside}
+    return len(seen) == len(inside) and cliques == edges
+
+
+def walk(G: Graph, v: int, r: int) -> list[list[int]]:
+    return ball_adjacency(lambda u: G.neighbors(u).tolist(), v, r)
 
 
 @settings(max_examples=60, deadline=None)
-@given(bipartite_graphs(), st.data())
-def test_radius1_pass_from_h_matches_ball_codes(H, data):
+@given(bipartite_graphs(), st.integers(1, 3), st.sampled_from([1, 30, ballcode._FOREST_CHUNK]), st.data())
+def test_pass_from_h_matches_ball_codes(H, r, chunk, data):
     # the H pass codes exactly the balls H shows to be plain clique trees,
-    # each as ``ball`` codes it, and a vertex subset gets the whole pass's
-    # entries
+    # each as ``ball`` codes it, in one unfolding or in several; every entry
+    # of the block pass, on G, on a bare copy of G and on vertex subsets of
+    # either, is the walk's verdict, with the walk's adjacency wherever the
+    # pass walked
     G = intersection_graph(H)
-    want = [ball(G, v, 1).code for v in range(G.vertex_count)]
-    from_h = _clique_tree_codes(G, np.arange(G.vertex_count))
-    assert [c is not None for c in from_h] == [plain_clique_tree(H, G, v) for v in range(G.vertex_count)]
+    bare = Graph.from_edges(G.vertex_count, G.edge_array())
+    n = G.vertex_count
+    want = [ball(G, v, r).code for v in range(n)]
+    walks = [walk(G, v, r) for v in range(n)]
+    with mock.patch.object(ballcode, "_FOREST_CHUNK", chunk):
+        from_h = _codes_from_h(G, r, np.arange(n))
+    assert [c is not None for c in from_h] == [plain_clique_tree(H, G, v, r) for v in range(n)]
     assert all(c == w for c, w in zip(from_h, want) if c is not None)
-    assert list(ball_codes(G, 1)) == want
-    whole = list(block_codes(G, 1))
-    picks = data.draw(st.lists(st.integers(0, G.vertex_count - 1), max_size=12))
-    assert list(block_codes(G, 1, picks)) == [whole[v] for v in picks]
+    assert list(ball_codes(G, r)) == list(ball_codes(bare, r)) == want
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    for g in (G, bare):
+        whole = list(block_codes(g, r))
+        assert [code for code, _ in whole] == [_block_code(w) for w in walks]
+        assert [code for code, _ in whole] == [w if w.startswith(BLOCK_TAG) else None for w in want]
+        assert all(adj == w for (_, adj), w in zip(whole, walks) if adj is not None)
+        assert list(block_codes(g, r, picks)) == [whole[v] for v in picks]
 
 
-def test_radius1_pass_needs_h():
-    # a graph with the same edges but no H, and radii other than 1, are
-    # walked ball by ball
+def test_pass_from_h_needs_h():
+    # a graph with the same edges but no H is walked ball by ball, and gets
+    # the same codes
     G = intersection_graph(gen_active(30, 30, DegreeLaw.constant(2), substream(3)))
     bare = Graph.from_edges(G.vertex_count, G.edge_array())
-    assert any(c is not None for c in _clique_tree_codes(G, np.arange(5)))
-    assert _clique_tree_codes(bare, np.arange(5)) == [None] * 5
-    with mock.patch.object(ballcode, "_clique_tree_codes", side_effect=AssertionError):
-        assert list(ball_codes(G, 2)) == list(ball_codes(bare, 2))
-    assert list(ball_codes(G, 1)) == list(ball_codes(bare, 1))
+    for r in (1, 2):
+        assert any(c is not None for c in _codes_from_h(G, r, np.arange(10)))
+        assert _codes_from_h(bare, r, np.arange(10)) == [None] * 10
+    want = {r: list(ball_codes(G, r)) for r in (1, 2)}
+    with mock.patch.object(ballcode, "_unfold", side_effect=AssertionError):
+        assert list(ball_codes(bare, 2)) == want[2]
+        assert list(ball_codes(bare, 1)) == want[1]
+
+
+@pytest.mark.parametrize("chord, r", [(True, 2), (False, 3)])
+def test_non_block_verdicts_inherited(chord, r):
+    # the 4-cycle 0-1-2-3 one step from the path 4-5-...-10, each edge its
+    # own attribute.  With the chord 0-2, B_1(0) and B_1(2) are not block
+    # graphs; without it, B_2(v) is not for v on the cycle.  Either way the
+    # radius-r balls of the cycle and of its neighbour 4 are decided from
+    # those verdicts without a walk, and those of 5..10 are coded from H
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)] + [(v, v + 1) for v in range(4, 10)] + [(0, 2)] * chord
+    H = BipartiteMultigraph.from_pairs(11, len(edges), [(x, a) for a, e in enumerate(edges) for x in e])
+    G = intersection_graph(H)
+    balls = [walk(G, v, r) for v in range(11)]
+    assert not any(walk(G, v, k) in balls for v in range(11) for k in range(1, r))
+    assert [_block_code(b) is None for b in balls] == [True] * 5 + [False] * 6
+    assert all(c is not None for c in _codes_from_h(G, r, np.arange(5, 11)))
+    block_code = ballcode._block_code
+
+    def guarded(ladj):
+        assert ladj not in balls, "a radius-r ball was walked"
+        return block_code(ladj)
+
+    with mock.patch.object(ballcode, "_block_code", side_effect=guarded):
+        entries = list(block_codes(G, r))
+    assert entries[:5] == [(None, None)] * 5
+    assert [code for code, _ in entries[5:]] == [ball(G, v, r).code for v in range(5, 11)]
 
 
 def radius1_groups(d1s: np.ndarray, zs: np.ndarray, node_cap: int) -> tuple[dict[tuple[int, ...], int], int]:

@@ -237,6 +237,21 @@ def test_converge_builds_each_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 3 * 2
 
 
+def test_balls_r2_on_a_graph_file_matches_its_digest(tmp_path):
+    # SHA-256 of balls_r2.json for a seed-7 Pareto graph read from its edge
+    # list, pinned before the radius-2 block pass inherited verdicts: with no
+    # H to read, its balls are decided from their radius-1 balls or walked,
+    # and the non-block ones are coded by canon (567 codes, 140 of them block
+    # codes)
+    model = write_json(tmp_path / "pareto.json", {"model": "inhomogeneous", "n1": 1000, "n2": 1000,
+                                                  "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+                                                  "xi2": {"kind": "exponential", "rate": 1.0}})
+    assert main(["generate", "--config", model, "--seed", "7", "--out", str(tmp_path / "gen")]) == 0
+    assert main(["balls", "--graph", str(tmp_path / "gen" / "graph.txt"), "--r", "2", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "balls_r2.json").read_bytes()).hexdigest()
+    assert digest == "b69fb7dfc93df0694bb0ac41ab76638a4b791ca37983aacd6e45abf1a1f889fc"
+
+
 def test_balls_and_limits_on_a_plain_model_file(tmp_path):
     model = str(CONFIGS / "active_p3.json")
     assert main(["balls", "--config", model, "--r", "1", "--samples", "2000", "--out", str(tmp_path)]) == 0

@@ -22,7 +22,7 @@ from rigsim.graphs import Graph
 from rigsim.laws import stirling2
 
 from tests.conftest import random_graph
-from tests.oracles import root_eccentricity, rooted_emb_count
+from tests.oracles import emb_backtrack, root_eccentricity, rooted_emb_count
 
 K2, P3, K3, P4, K4 = (pattern_from_name(n) for n in ("K2", "P3", "K3", "P4", "K4"))
 
@@ -122,7 +122,7 @@ class TestCounts:
         p = pattern_from_name("K4")
         with pytest.raises(C._DPMemory):
             C._hom_dp(4, p.edge_tuple(), C._dense_adjacency(g, np.float64))
-        assert hom_count(p, g) == C._hom_backtrack(4, p.edge_tuple(), g, injective=False)
+        assert hom_count(p, g) == C._hom_backtrack(4, p.edge_tuple(), g)
 
     def test_engines_agree_on_large_host(self, rng, monkeypatch):
         # closed forms vs the big-int backtracking engine, on a random host and
@@ -142,11 +142,11 @@ class TestCounts:
         monkeypatch.setattr(C, "_core_size", lambda dout: cores.append(core_size(dout)) or cores[-1])
         for name in ("K2", "P3", "K3", "P4", "S3", "S4", "C4", "paw", "diamond", "K4"):
             p = pattern_from_name(name)
-            assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
-            assert emb_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=True), name
+            assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g), name
+            assert emb_count(p, g) == emb_backtrack(p.h, p.edge_tuple(), g), name
         for name in ("K3", "P4", "C4", "paw", "diamond"):
             p = pattern_from_name(name)
-            assert hom_count(p, gk) == C._hom_backtrack(p.h, p.edge_tuple(), gk, injective=False), name
+            assert hom_count(p, gk) == C._hom_backtrack(p.h, p.edge_tuple(), gk), name
         assert cores[-1] >= 60
 
 
@@ -182,7 +182,7 @@ def test_wedge_pass_matches_oracles(g, budget):
         assert host.Ad.tolist() == [sum(int(d[u]) for u in g.neighbors(v)) for v in range(g.vertex_count)]
         for name in ("K3", "C4", "diamond", "paw", "P4"):
             p = pattern_from_name(name)
-            assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g, injective=False), name
+            assert hom_count(p, g) == C._hom_backtrack(p.h, p.edge_tuple(), g), name
 
 
 _SMALL_PATTERNS = [p for h in (2, 3, 4, 5) for p in connected_patterns(h)]
@@ -199,7 +199,7 @@ def test_contraction_matches_backtracking(g, float_safe):
             edges = p.edge_tuple()
             A = C._dense(g, p.h)
             assert A.dtype == (np.float64 if float_safe else np.int64)
-            assert C._hom_dp(p.h, edges, A) == C._hom_backtrack(p.h, edges, g, injective=False)
+            assert C._hom_dp(p.h, edges, A) == C._hom_backtrack(p.h, edges, g)
 
 
 class TestRootedCounts:
