@@ -54,17 +54,17 @@ from .limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_degree_pmf_vector,
+    limit_emb_per_vertex,
+    limit_hom_per_vertex,
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
     sample_dstar,
-    z_moment,
 )
 from .experiment import (
     ConvergenceRow,
     ExperimentPlan,
     StatisticSpec,
-    perturbation_report,
     run_experiment,
     theorem21_suite,
 )

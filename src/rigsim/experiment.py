@@ -23,12 +23,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ballcode import block_codes, fill_codes
+from .ballcode import _gather, block_codes, fill_codes
 from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, count_tv
-from .counting import Pattern, distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
+from .counting import distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, ball_adjacency, intersection_graph
-from .laws import check_config_keys
+from .laws import check_config_keys, config_number
 from .limits import (
     Estimate,
     LimitSpec,
@@ -38,6 +38,7 @@ from .limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_assortativity,
+    limit_emb_per_vertex,
     limit_spec_for,
     rooted_emb_expectation,
 )
@@ -51,10 +52,8 @@ __all__ = [
     "ExperimentPlan",
     "ConvergenceRow",
     "run_experiment",
-    "perturbation_report",
     "theorem21_suite",
     "check_edge_budget",
-    "limit_emb_per_vertex",
     "row_converged",
     "rows_to_csv",
     "CSV_HEADER",
@@ -147,17 +146,21 @@ class ExperimentPlan:
         if pert is not None:
             check_config_keys(pert, "perturbation", ("gamma",))
         tol = cfg.get("gap_tolerance")
+
+        def num(key: str, default: int, low: int | None = None) -> int:
+            return config_number(f"plan {key}", cfg.get(key, default), low)
+
         return ExperimentPlan(
             model=model,
-            ladder=tuple(int(n) for n in cfg["ladder"]),
+            ladder=tuple(config_number("plan ladder entry", n) for n in cfg["ladder"]),
             statistics=stats,
-            replications=int(cfg.get("replications", 1)),
-            seed=int(cfg.get("seed", 0)),
+            replications=num("replications", 1, 1),
+            seed=num("seed", 0),
             gamma=None if pert is None else float(pert["gamma"]),
-            mc_reference_samples=int(cfg.get("mc_reference_samples", 10**5)),
-            edge_budget=int(cfg.get("edge_budget", 5 * 10**7)),
-            threads=int(cfg.get("threads", 1)),
-            gap_tolerance=float(tol) if tol is not None else None,
+            mc_reference_samples=num("mc_reference_samples", 10**5, 1),
+            edge_budget=num("edge_budget", 5 * 10**7),
+            threads=num("threads", 1, 1),
+            gap_tolerance=None if tol is None else config_number("plan gap_tolerance", tol, 0, integral=False),
         )
 
     def sized_model(self, n1: int) -> ModelConfig:
@@ -327,10 +330,8 @@ def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHist
     near = G.degrees() != G0.degrees()
     frontier = np.flatnonzero(near)
     for _ in range(r):
-        lens = G.indptr[frontier + 1] - G.indptr[frontier]
-        idx = np.arange(int(lens.sum())) + np.repeat(G.indptr[frontier] - np.cumsum(lens) + lens, lens)
         reached = np.zeros_like(near)
-        reached[G.indices[idx]] = True
+        reached[_gather(G.indptr, G.indices, frontier)[0]] = True
         frontier = np.flatnonzero(reached & ~near)
         near |= reached
     nearby = np.flatnonzero(near).tolist()
@@ -413,14 +414,6 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
             )
 
 
-def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
-    """Limit of emb(H, G_n) / n1: E emb'(H, (T, o)) on the clique tree, exact
-    for every connected pattern (``limits.rooted_emb_expectation``).  Every
-    rooting gives the same value, so the pattern is rooted at vertex 0.
-    Raises MomentUnavailable when the limit is infinite."""
-    return rooted_emb_expectation(spec, pattern.rooted(0))
-
-
 # -- public experiment entry points -------------------------------------------------------
 
 
@@ -439,10 +432,11 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     """Run the full plan: per size, replicate graphs, compare statistics with
     their limits; ball statistics compare pooled empirical code histograms
     against a clique-tree Monte Carlo reference by total variation, with the
-    balls that are not block graphs pooled in one bucket.  A plan
-    with a perturbation then gets, per size, the rows of
-    ``perturbation_report`` at the plan's ball radius (1 without a ball
-    statistic), from the same graphs."""
+    balls that are not block graphs pooled in one bucket.  A plan with a
+    perturbation then gets, after all the main rows, two rows per size from
+    the same graphs: the planted/unplanted ratio of the second degree moment
+    and the TV distance between their ball distributions at the plan's ball
+    radius (1 without a ball statistic)."""
     check_edge_budget(plan)
     balls = [s for s in plan.statistics if s.kind == "ball"]
     if len(balls) > 1:
@@ -450,7 +444,8 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     spec = limit_spec_for(plan.model)
     samples, listed = plan.mc_reference_samples, plan.statistics
     limits = {s.label(): STATISTICS[s.kind].limit(spec, s, samples, reference_rng(plan.seed, listed, s)) for s in listed}
-    pert = () if plan.gamma is None else _perturbation(2, balls[0].r if balls else 1)
+    pert = () if plan.gamma is None else (StatisticSpec("moment", k=2),
+                                          StatisticSpec("ball", r=balls[0].r if balls else 1))
     rows: list[ConvergenceRow] = []
     pert_rows: list[ConvergenceRow] = []  # appended after all the main rows
     for i, n1 in enumerate(plan.ladder):
@@ -468,26 +463,6 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
         if pert:
             pert_rows += _perturbation_rows(n1, pert, results)
     return rows + pert_rows
-
-
-def _perturbation(moment_order: int, r: int) -> tuple[StatisticSpec, StatisticSpec]:
-    return StatisticSpec("moment", k=moment_order), StatisticSpec("ball", r=r)
-
-
-def perturbation_report(plan: ExperimentPlan, r: int = 1, moment_order: int = 2) -> list[ConvergenceRow]:
-    """Clique-planting demonstration: per size, the perturbed/unperturbed
-    degree-moment ratio and the TV distance between their radius-r ball
-    distributions, both from the same base graphs.  Requires the plan to
-    carry a perturbation exponent."""
-    if plan.gamma is None:
-        raise ValueError("perturbation_report needs a plan with gamma")
-    check_edge_budget(plan)
-    pert = _perturbation(moment_order, r)
-    plan = replace(plan, statistics=pert[:1])  # no ball row: only the balls near the clique are coded
-    rows: list[ConvergenceRow] = []
-    for i, n1 in enumerate(plan.ladder):
-        rows += _perturbation_rows(n1, pert, _replications(plan, i, pert))
-    return rows
 
 
 def theorem21_suite(plan: ExperimentPlan, pattern_name: str) -> list[ConvergenceRow]:

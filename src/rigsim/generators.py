@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import BipartiteMultigraph
-from .laws import DegreeLaw, WeightLaw, check_config_keys, degree_law_from_config, weight_law_from_config
+from .laws import DegreeLaw, WeightLaw, check_config_keys, config_number, degree_law_from_config, weight_law_from_config
 
 __all__ = [
     "ModelConfig",
@@ -213,7 +213,8 @@ class ModelConfig:
         if not isinstance(model, str) or model not in _MODEL_LAWS:
             raise ValueError(f"unknown model {model!r}")
         check_config_keys(cfg, "model", ("model", "n1", *_MODEL_LAWS[model]), ("n2",))
-        kw = dict(model=model, n1=int(cfg["n1"]), n2=int(cfg.get("n2", 0)))
+        kw = dict(model=model, n1=config_number("model n1", cfg["n1"]),
+                  n2=config_number("model n2", cfg.get("n2", 0)))
         law_from_config = weight_law_from_config if model == "inhomogeneous" else degree_law_from_config
         kw.update((law, law_from_config(cfg[law])) for law in _MODEL_LAWS[model])
         if model == "configuration" and not kw["n2"]:

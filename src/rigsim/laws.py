@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "degree_law_from_config",
     "weight_law_from_config",
     "check_config_keys",
+    "config_number",
 ]
 
 
@@ -432,6 +434,21 @@ def check_config_keys(cfg, what: str, required: Sequence[str], optional: Sequenc
             raise ValueError(f"{what} config is missing the required key {key!r}")
 
 
+def config_number(field: str, value, low: float | None = None, integral: bool = True) -> int | float:
+    """A number read from a JSON config: an int (an integral float is taken
+    as one) when ``integral``, else a finite float, and at least ``low`` when
+    it is given.  Rejects bools, non-numbers, non-integral and out-of-range
+    values, naming ``field``."""
+    kind = "an integer" if integral else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    if not math.isfinite(value) or (integral and value != int(value)):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{field} must be at least {low}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 # constructor and config keys, in argument order, of each law kind
 _WEIGHT_LAWS = {
     "point": (WeightLaw.point, ("value",)),
@@ -442,7 +459,7 @@ _WEIGHT_LAWS = {
 }
 _DEGREE_LAWS = {
     "pmf": (lambda pmf: DegreeLaw.from_pmf({int(k): v for k, v in pmf.items()}), ("pmf",)),
-    "constant": (DegreeLaw.constant, ("value",)),
+    "constant": (lambda value: DegreeLaw.constant(config_number("constant degree law value", value)), ("value",)),
     "poisson": (DegreeLaw.poisson, ("lam",)),
     "mixed_poisson": (lambda weight: DegreeLaw.mixed_poisson(weight_law_from_config(weight)), ("weight",)),
 }

@@ -1,24 +1,20 @@
-"""Closed-form and Monte Carlo evaluation of the limit quantities.
+"""Exact and Monte Carlo evaluation of the limit quantities.
 
 Everything is driven by a ``LimitSpec`` holding the two degree laws (D1, D2)
 of the branching process, usually obtained from a model via the Poisson
 identifications (active: D2 ~ Po(E D1 / beta); passive: D1 ~ Po(beta E D2);
 inhomogeneous: both mixed Poisson in the scaled weights).  The root degree of
 the clique tree is d* = sum_{i=1}^{D1} Z_i with Z_i iid distributed as the
-size-biased D2 minus one, and all closed forms reduce to moments of D1 and Z:
+size-biased D2 minus one.
 
-* E Z^k   = E (D2-1)^k D2 / E D2,   E (Z)_k = E (D2)_{k+1} / E D2
-* E (d*)^k = sum over compositions (k_1..k_j) of k of
-             multinomial(k; k_1..k_j) E binom(D1, j) prod_i E Z^{k_i}
-* clustering limit  a / (a + b), a = E D1 E D2 E (D2)_3,
-                    b = E (D1)_2 (E (D2)_2)^2
-* assortativity limit (E d* E hom'(P4') - (E (d*)^2)^2)
-                    / (E d* E (d*)^3 - (E (d*)^2)^2) with
-  E hom'(P4') = E D1 E Z^3 + E (D1)_2 E Z E Z^2
-                + (E (D1)_2 / E D1) E (d*)^2 E Z
-* rooted embedding counts E emb'(H, (T, o)) as a sum over the clique
-  families of H of products of factorial moments of D1 and D2
-  (``rooted_emb_expectation``)
+Every count limit is the one local-to-global relation
+
+  hom(H, G_n) / n  ->  E hom'(H, (T, o))  =  sum over the coincidence
+                       quotients H/theta of E emb'(H/theta, (T, o)),
+
+with E emb' exact by ``rooted_emb_expectation``.  Degree moments, the
+clustering coefficient and the assortativity are the same ratios of these
+limits that ``rigsim.stats`` takes of the counts on a finite graph.
 
 Degree-conditioned quantities (conditional clustering / assortativity) are
 exact by truncated convolution of the Z pmf when the pmfs and a certified D1
@@ -30,13 +26,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .cliquetree import GWForest, sample_gw_forest
-from .counting import Pattern, clique_families
+from .counting import MAX_PATTERN_VERTICES, Pattern, _coincidence_terms, clique_families, pattern_from_name
 from .generators import ModelConfig
+from .graphs import Graph
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "Estimate",
     "remark1_limits",
     "limit_spec_for",
-    "z_moment",
     "dstar_moment",
     "sample_dstar",
     "limit_degree_pmf",
@@ -54,6 +50,8 @@ __all__ = [
     "limit_conditional_clustering",
     "limit_conditional_assortativity",
     "rooted_emb_expectation",
+    "limit_emb_per_vertex",
+    "limit_hom_per_vertex",
     "NoAcceptances",
 ]
 
@@ -153,50 +151,16 @@ def limit_spec_for(config: ModelConfig) -> LimitSpec:
 # -- moments ---------------------------------------------------------------------
 
 
-def z_moment(D2: DegreeLaw, j: int) -> Estimate:
-    """E Z^j = E (D2 - 1)^j D2 / E D2 for Z ~ size_biased(D2) - 1.
-    Raises MomentUnavailable when a required D2 moment is infinite."""
-    if j < 0:
-        raise ValueError("moment order must be non-negative")
-    m = float(D2.mean())
-    total = 0.0
-    for i in range(j + 1):
-        total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
-    return Estimate(total / m)
-
-
-def _compositions(k: int) -> Iterable[tuple[int, ...]]:
-    """Ordered tuples of positive integers summing to k."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
-
-
 def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
-    """E (d*)^k via the composition expansion over E binom(D1, j) and E Z^k_i.
-    Raises MomentUnavailable when a required D1 or D2 moment is infinite."""
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    if spec.degenerate_root:
-        return Estimate(0.0)
-    zraw = [z_moment(spec.D2, j).value for j in range(k + 1)]
-    total = 0.0
-    for parts in _compositions(k):
-        j = len(parts)
-        multinom = math.factorial(k)
-        for p in parts:
-            multinom //= math.factorial(p)
-        ed1j = float(spec.D1.factorial_moment(j)) / math.factorial(j)
-        if ed1j == 0.0:
-            continue
-        prod = 1.0
-        for p in parts:
-            prod *= zraw[p]
-        total += multinom * ed1j * prod
-    return Estimate(total)
+    """E (d*)^k, the limit of (1/n) sum_v d(v)^k = hom(S_k, G_n) / n: the hom
+    limit of the star S_k, so k is at most MAX_PATTERN_VERTICES - 1.
+    Raises MomentUnavailable when the limit is infinite."""
+    if not 1 <= k < MAX_PATTERN_VERTICES:
+        raise ValueError(
+            f"moment order must be between 1 and {MAX_PATTERN_VERTICES - 1}: the star S_k has k + 1 vertices, "
+            f"and patterns have at most {MAX_PATTERN_VERTICES}"
+        )
+    return limit_hom_per_vertex(spec, pattern_from_name(f"S{k}"))
 
 
 def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,44 +260,26 @@ def limit_degree_pmf(
 
 
 def limit_clustering(spec: LimitSpec) -> Estimate:
-    """Limit clustering coefficient from factorial moments of D1, D2."""
-    a = float(spec.D1.mean()) * float(spec.D2.mean()) * float(spec.D2.factorial_moment(3))
-    b = float(spec.D1.factorial_moment(2)) * float(spec.D2.factorial_moment(2)) ** 2
-    if a + b == 0.0:
+    """Limit clustering coefficient, emb(K3) / emb(P3) in the limit; 0
+    (degenerate) when the P3 limit is 0."""
+    den = limit_emb_per_vertex(spec, pattern_from_name("P3")).value
+    if den == 0.0:
         return Estimate(0.0, degenerate=True)
-    val = a / (a + b)
-    if spec.provenance == "remark1-active":
-        simple = float(spec.D1.mean()) / float(spec.D1.raw_moment(2))
-        if abs(val - simple) > 1e-9 * max(1.0, abs(simple)):
-            raise AssertionError("active-model clustering simplification violated")
-    return Estimate(val)
-
-
-def limit_hom_p4_rooted(spec: LimitSpec) -> Estimate:
-    """E hom'(P4 rooted at an inner vertex) at the clique-tree root."""
-    ed1 = float(spec.D1.mean())
-    ed1_2 = float(spec.D1.factorial_moment(2))
-    z1 = z_moment(spec.D2, 1).value
-    z2 = z_moment(spec.D2, 2).value
-    z3 = z_moment(spec.D2, 3).value
-    d2m = dstar_moment(spec, 2).value
-    return Estimate(ed1 * z3 + ed1_2 * z1 * z2 + (ed1_2 / ed1) * d2m * z1)
+    return Estimate(limit_emb_per_vertex(spec, pattern_from_name("K3")).value / den)
 
 
 def limit_assortativity(spec: LimitSpec) -> Estimate:
-    """Limit assortativity; raises for degenerate (regular-limit) inputs."""
-    d1m = dstar_moment(spec, 1).value
-    d2m = dstar_moment(spec, 2).value
-    d3m = dstar_moment(spec, 3).value
-    var = d2m - d1m * d1m
-    scale = max(1.0, d2m)
-    if var <= 1e-12 * scale:
+    """Limit assortativity (2e P - S1^2) / (2e S2 - S1^2) over the hom limits
+    2e, S1, S2, P of K2, P3, S3, P4, as ``stats.assortativity`` takes it of
+    the counts; raises for degenerate (regular-limit) inputs."""
+    two_e, S1, S2, P = (limit_hom_per_vertex(spec, pattern_from_name(name)).value
+                        for name in ("K2", "P3", "S3", "P4"))
+    if S1 - two_e * two_e <= 1e-12 * max(1.0, S1):
         raise ValueError("degenerate: regular limit (Var(d*) = 0)")
-    den = d1m * d3m - d2m * d2m
-    if abs(den) <= 1e-12 * max(1.0, d1m * d3m):
+    den = two_e * S2 - S1 * S1
+    if abs(den) <= 1e-12 * max(1.0, two_e * S2):
         raise ValueError("degenerate: assortativity denominator vanishes")
-    num = d1m * limit_hom_p4_rooted(spec).value - d2m * d2m
-    return Estimate(num / den)
+    return Estimate((two_e * P - S1 * S1) / den)
 
 
 # -- conditional statistics -----------------------------------------------------------
@@ -488,3 +434,21 @@ def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> Estimate:
             ) from e
         total += term
     return Estimate(total)
+
+
+def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
+    """Limit of emb(H, G_n) / n: E emb'(H, (T, o)) on the clique tree, exact
+    for every connected pattern.  Every rooting gives the same value, so the
+    pattern is rooted at vertex 0.  Raises MomentUnavailable when the limit
+    is infinite."""
+    return rooted_emb_expectation(spec, pattern.rooted(0))
+
+
+def limit_hom_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
+    """Limit of hom(H, G_n) / n: the sum of the emb limits of H's coincidence
+    quotients, the partitions ``counting.emb_count`` inverts over, each with
+    weight 1 (equal quotients are evaluated once).  Raises MomentUnavailable
+    when the limit is infinite."""
+    quotients = Counter((h, edges) for h, edges, _ in _coincidence_terms(pattern.h, pattern.edge_tuple()))
+    return Estimate(sum(c * limit_emb_per_vertex(spec, Pattern(Graph.from_edges(h, edges))).value
+                        for (h, edges), c in quotients.items()))

@@ -12,13 +12,16 @@
   ``limits.rooted_emb_expectation``.
 - Unrooted embedding counts by backtracking (``emb_backtrack``): the check
   of ``counting.emb_count``, which reduces embeddings to homomorphisms.
+- The moments of d* by the composition expansion over E binom(D1, j) and
+  the moments of Z (``z_moment``, ``dstar_moment_compositions``): the check
+  of ``limits.dstar_moment``, which takes them as hom limits of stars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -207,3 +210,49 @@ def emb_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
         return total
 
     return rec(0)
+
+
+def z_moment(D2: DegreeLaw, j: int) -> Estimate:
+    """E Z^j = E (D2 - 1)^j D2 / E D2 for Z ~ size_biased(D2) - 1.
+    Raises MomentUnavailable when a required D2 moment is infinite."""
+    if j < 0:
+        raise ValueError("moment order must be non-negative")
+    m = float(D2.mean())
+    total = 0.0
+    for i in range(j + 1):
+        total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
+    return Estimate(total / m)
+
+
+def _compositions(k: int) -> Iterable[tuple[int, ...]]:
+    """Ordered tuples of positive integers summing to k."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in _compositions(k - first):
+            yield (first,) + rest
+
+
+def dstar_moment_compositions(spec: LimitSpec, k: int) -> Estimate:
+    """E (d*)^k via the composition expansion over E binom(D1, j) and E Z^k_i.
+    Raises MomentUnavailable when a required D1 or D2 moment is infinite."""
+    if k < 1:
+        raise ValueError("moment order must be >= 1")
+    if spec.degenerate_root:
+        return Estimate(0.0)
+    zraw = [z_moment(spec.D2, j).value for j in range(k + 1)]
+    total = 0.0
+    for parts in _compositions(k):
+        j = len(parts)
+        multinom = math.factorial(k)
+        for p in parts:
+            multinom //= math.factorial(p)
+        ed1j = float(spec.D1.factorial_moment(j)) / math.factorial(j)
+        if ed1j == 0.0:
+            continue
+        prod = 1.0
+        for p in parts:
+            prod *= zraw[p]
+        total += multinom * ed1j * prod
+    return Estimate(total)

@@ -14,7 +14,7 @@ import pytest
 
 from rigsim.cliquetree import CodeHistogram, ball_distribution_mc
 from rigsim.counting import connected_patterns, emb_count, hom_count, pattern_from_name, sidorenko_bound
-from rigsim.experiment import ExperimentPlan, perturbation_report
+from rigsim.experiment import ExperimentPlan, run_experiment
 from rigsim.generators import gen_active, gen_configuration, gen_degree_sequences, gen_passive
 from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw, size_biased, stirling2
@@ -29,11 +29,10 @@ from rigsim.limits import (
     limit_degree_pmf_vector,
     remark1_limits,
     sample_dstar,
-    z_moment,
 )
 from rigsim.rng import substream
 from rigsim import stats as netstats
-from tests.oracles import rooted_emb_expectation_mc, tv_distance
+from tests.oracles import rooted_emb_expectation_mc, tv_distance, z_moment
 
 pytestmark = pytest.mark.acceptance
 
@@ -206,7 +205,7 @@ def test_criterion_04_moment_formula_cross_check():
         se = x.std(ddof=1) / math.sqrt(x.size)
         zs.append(abs(dstar_moment(sp, k).value - x.mean()) / se)
     report(4, worst < 1e-9 and max(zs) < 3,
-           f"composition formula matches displays (rel err {worst:.1e} < 1e-9, 20 pairs) "
+           f"star hom limits match the displayed composition formulas (rel err {worst:.1e} < 1e-9, 20 pairs) "
            f"and 1e6-sample MC (max |z| = {max(zs):.2f} < 3)")
 
 
@@ -279,7 +278,7 @@ def test_criterion_09_clique_planting():
             "perturbation": {"gamma": 0.5},
         }
     )
-    rows = perturbation_report(plan, r=1, moment_order=2)
+    rows = run_experiment(plan)
     ratios = [r.empirical for r in rows if r.statistic == "moment_ratio(2)"]
     tvs = [r.tv for r in rows if r.statistic == "ball_perturb_tv(1)"]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))

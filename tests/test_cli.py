@@ -278,6 +278,25 @@ def test_balls_and_limits_on_a_plain_model_file(tmp_path):
         ({"model": {"model": "inhomogeneous", "n1": 200, "n2": 200, "xi1": {"kind": "point", "value": 1},
                     "xi2": {"kind": "gamma", "shape": 2, "rate": 1, "scale": 1}},
           "ladder": [200], "statistics": ["alpha"]}, "unknown gamma weight law key 'scale'"),
+        # plan and model numbers: neither truncated nor defaulted; the thread
+        # counts fail while the plan is parsed, before any pool could start
+        *(({"model": MODEL, "ladder": [200], "statistics": ["alpha"], key: value}, message) for key, value, message in [
+            ("threads", 0, "plan threads must be at least 1, got 0"),
+            ("threads", -1, "plan threads must be at least 1, got -1"),
+            ("threads", True, "plan threads must be an integer, got True"),
+            ("replications", 2.7, "plan replications must be an integer, got 2.7"),
+            ("ladder", [200.9], "plan ladder entry must be an integer, got 200.9"),
+            ("seed", 7.5, "plan seed must be an integer, got 7.5"),
+            ("seed", "7", "plan seed must be an integer, got '7'"),
+            ("mc_reference_samples", 2.5, "plan mc_reference_samples must be an integer, got 2.5"),
+            ("mc_reference_samples", 0, "plan mc_reference_samples must be at least 1, got 0"),
+            ("gap_tolerance", -1, "plan gap_tolerance must be at least 0, got -1"),
+            ("gap_tolerance", float("nan"), "plan gap_tolerance must be a finite number, got nan"),
+        ]),
+        ({"model": {**MODEL, "n1": 100.7}, "ladder": [200], "statistics": ["alpha"]},
+         "model n1 must be an integer, got 100.7"),
+        ({"model": {**MODEL, "P": {"kind": "constant", "value": 2.5}}, "ladder": [200], "statistics": ["alpha"]},
+         "constant degree law value must be an integer, got 2.5"),
     ],
 )
 def test_config_keys_are_checked(tmp_path, capsys, cfg, message):

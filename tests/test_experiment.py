@@ -17,8 +17,6 @@ from rigsim.experiment import (
     ExperimentPlan,
     StatisticSpec,
     check_edge_budget,
-    limit_emb_per_vertex,
-    perturbation_report,
     rows_to_csv,
     run_experiment,
     theorem21_suite,
@@ -27,7 +25,7 @@ from rigsim.counting import pattern_from_name
 from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
 from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw
-from rigsim.limits import LimitSpec, dstar_moment, limit_spec_for
+from rigsim.limits import LimitSpec, dstar_moment, limit_emb_per_vertex, limit_spec_for
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
 from tests.conftest import deterministic_tree_count
@@ -116,6 +114,14 @@ class TestPlanParsing:
 
 
 class TestRunExperiment:
+    def test_moment_order_past_the_pattern_library_fails_before_sampling(self, monkeypatch):
+        # E (d*)^8 would be the hom limit of the 9-vertex star S_8
+        import rigsim.experiment as E
+
+        monkeypatch.setattr(E, "generate_bipartite", lambda *a: pytest.fail("a graph was drawn"))
+        with pytest.raises(ValueError, match="moment order must be between 1 and 7"):
+            run_experiment(active_plan(statistics=["alpha", "moment:8"]))
+
     def test_rows_and_gaps(self):
         plan = active_plan()
         rows = run_experiment(plan)
@@ -207,7 +213,7 @@ class TestBallConvergence:
 class TestPerturbation:
     def test_report_shape_and_coupling(self):
         plan = active_plan(ladder=[300, 600], replications=2, perturbation={"gamma": 0.5})
-        rows = perturbation_report(plan, r=1)
+        rows = run_experiment(plan)[6:]
         labels = [r.statistic for r in rows]
         assert labels == ["moment_ratio(2)", "ball_perturb_tv(1)"] * 2
         ratios = [r.empirical for r in rows if r.statistic == "moment_ratio(2)"]
@@ -217,11 +223,9 @@ class TestPerturbation:
         plan = active_plan(statistics=["moment:2", "ball:1"], perturbation={"gamma": 0.5})
         rows = run_experiment(plan)
         assert [r.statistic for r in rows[4:]] == ["moment_ratio(2)", "ball_perturb_tv(1)"] * 2
-        assert rows_to_csv(rows[4:]) == rows_to_csv(perturbation_report(plan, r=1))
-
-    def test_requires_gamma(self):
-        with pytest.raises(ValueError):
-            perturbation_report(active_plan(), r=1)
+        # the ball row does not change the perturbation rows
+        alone = run_experiment(active_plan(statistics=["moment:2"], perturbation={"gamma": 0.5}))
+        assert rows_to_csv(rows[4:]) == rows_to_csv(alone[2:])
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))

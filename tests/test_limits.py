@@ -23,22 +23,25 @@ from rigsim.limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_degree_pmf_vector,
+    limit_hom_per_vertex,
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
     sample_dstar,
-    z_moment,
 )
 from rigsim.rng import substream
 from tests import oracles
 from tests.conftest import deterministic_tree_count
 from tests.oracles import (
     CapExceeded,
+    clique_tree,
     clique_tree_ball_from_tree,
+    dstar_moment_compositions,
     forest_tree,
     root_eccentricity,
     rooted_emb_count,
     rooted_emb_expectation_mc,
+    z_moment,
 )
 
 CONST = DegreeLaw.constant
@@ -136,6 +139,29 @@ class TestDstarMoment:
             assert dstar_moment(sp, 3).value == pytest.approx(
                 ed1 * z3 + 3 * ed12 * z1 * z2 + ed13 * z1**3, rel=1e-9
             )
+
+    def test_matches_the_composition_expansion(self, rng):
+        # the hom limits of the stars S_1..S_7 against the composition
+        # expansion over E binom(D1, j) and the moments of Z
+        specs = [LimitSpec(PO(2), PO(1.5)), LimitSpec(PO(0.3), PO(4.0)), LimitSpec(PO(5), PO(0.7))]
+        for _ in range(8):
+            v1 = sorted(map(int, rng.choice(range(0, 9), 3, replace=False)))
+            v2 = sorted(map(int, rng.choice(range(1, 9), 3, replace=False)))
+            specs.append(LimitSpec(PMF(dict(zip(v1, rng.dirichlet(np.ones(3))))),
+                                   PMF(dict(zip(v2, rng.dirichlet(np.ones(3)))))))
+        for shape, rate in ((2.0, 1.0), (0.5, 0.3), (4.0, 2.0)):
+            specs.append(LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.gamma(shape, rate)),
+                                   DegreeLaw.mixed_poisson(WeightLaw.gamma(rate + 1, shape))))
+        for sp in specs:
+            for k in range(1, 8):
+                got = dstar_moment(sp, k)
+                assert got.exact and got.value == pytest.approx(dstar_moment_compositions(sp, k).value, rel=1e-12)
+
+    def test_order_bounded_by_the_pattern_library(self):
+        sp = LimitSpec(PO(2), PO(1.5))
+        for k in (0, 8):
+            with pytest.raises(ValueError, match="between 1 and 7"):
+                dstar_moment(sp, k)
 
     def test_against_monte_carlo(self):
         sp = LimitSpec(PO(2), PO(1.5))
@@ -420,14 +446,12 @@ class TestRootedEmbExpectation:
 
     def test_rooted_hom_p4_matches_closed_form(self):
         # the assortativity-limit ingredient: rooted homomorphisms of the
-        # 4-path (inner root) over radius-2 balls vs the moment expression
-        from rigsim.limits import limit_hom_p4_rooted
-
+        # 4-path (inner root) over radius-2 balls vs its exact hom limit
         sp = LimitSpec(PO(2), PO(1.5))
         est = rooted_emb_expectation_mc(
             sp, pattern_from_name("P4").rooted(1), 2, 4000, substream(99), hom_mode=True
         )
-        closed = limit_hom_p4_rooted(sp)
+        closed = limit_hom_per_vertex(sp, pattern_from_name("P4"))
         assert closed.exact
         assert abs(est.value - closed.value) < 3.5 * est.stderr
 
@@ -521,3 +545,18 @@ class TestExactRootedEmbExpectation:
 
     def test_degenerate_root(self):
         assert rooted_emb_expectation(LimitSpec(CONST(0), CONST(0)), pattern_from_name("P4").rooted(1)).value == 0.0
+
+
+class TestHomLimit:
+    def test_equals_the_hom_count_on_the_deterministic_tree(self):
+        # with constant laws T is one tree on which every vertex looks alike,
+        # so the hom limit is the rooted hom count at its root
+        for d1, d2 in [(1, 2), (2, 3), (3, 2), (2, 4)]:
+            sp = LimitSpec(CONST(d1), CONST(d2))
+            for h in range(2, 5):
+                for p in connected_patterns(h):
+                    rp = p.rooted(0)
+                    depth = 2 * root_eccentricity(rp)
+                    T = clique_tree(forest_tree(sample_gw_forest(sp.D1, sp.D2, depth, 1, substream(0)), 0))
+                    est = limit_hom_per_vertex(sp, p)
+                    assert est.exact and est.value == rooted_emb_count(rp, T, 0, hom_mode=True), (d1, d2, p.edge_tuple())
