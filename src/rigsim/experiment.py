@@ -122,10 +122,17 @@ class ExperimentPlan:
     gap_tolerance: float | None = None  # None: 3 * (emp stderr + limit stderr)
 
     def __post_init__(self) -> None:
+        # the one check of the plan's numbers, for plans read from a config
+        # and built directly alike; it stores integral floats as ints
+        for name, low in (("replications", 1), ("seed", None), ("mc_reference_samples", 1), ("edge_budget", None),
+                          ("threads", 1)):
+            object.__setattr__(self, name, config_number(f"plan {name}", getattr(self, name), low))
+        object.__setattr__(self, "ladder", tuple(config_number("plan ladder entry", n) for n in self.ladder))
+        if self.gap_tolerance is not None:
+            tol = config_number("plan gap_tolerance", self.gap_tolerance, 0, integral=False)
+            object.__setattr__(self, "gap_tolerance", tol)
         if not self.ladder or any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("size ladder must be non-empty and strictly increasing")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
         if self.gamma is not None and not 0 < self.gamma < 1:
             raise ValueError("perturbation exponent must lie in (0, 1)")
         if not self.statistics:
@@ -145,22 +152,13 @@ class ExperimentPlan:
         pert = cfg.get("perturbation")
         if pert is not None:
             check_config_keys(pert, "perturbation", ("gamma",))
-        tol = cfg.get("gap_tolerance")
-
-        def num(key: str, default: int, low: int | None = None) -> int:
-            return config_number(f"plan {key}", cfg.get(key, default), low)
-
+        numbers = {key: cfg[key] for key in optional if key in cfg and key != "perturbation"}
         return ExperimentPlan(
             model=model,
-            ladder=tuple(config_number("plan ladder entry", n) for n in cfg["ladder"]),
+            ladder=tuple(cfg["ladder"]),
             statistics=stats,
-            replications=num("replications", 1, 1),
-            seed=num("seed", 0),
             gamma=None if pert is None else float(pert["gamma"]),
-            mc_reference_samples=num("mc_reference_samples", 10**5, 1),
-            edge_budget=num("edge_budget", 5 * 10**7),
-            threads=num("threads", 1, 1),
-            gap_tolerance=None if tol is None else config_number("plan gap_tolerance", tol, 0, integral=False),
+            **numbers,
         )
 
     def sized_model(self, n1: int) -> ModelConfig:

@@ -10,6 +10,9 @@ identical results.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads these lazily (np.unique loads numpy.ma): load them at start-up, not mid-run
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = ["substream"]
 

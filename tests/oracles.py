@@ -15,13 +15,19 @@
 - The moments of d* by the composition expansion over E binom(D1, j) and
   the moments of Z (``z_moment``, ``dstar_moment_compositions``): the check
   of ``limits.dstar_moment``, which takes them as hom limits of stars.
+- Poisson and negative-binomial pmfs and tails in 50-digit decimal
+  arithmetic (``poisson_pmf_exact``, ``negative_binomial_pmf_exact`` and
+  their ``_tail_exact`` forms): the check of ``DegreeLaw.pmf`` and
+  ``DegreeLaw.tail_mass``, which evaluate them in floats.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from decimal import Decimal
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -256,3 +262,58 @@ def dstar_moment_compositions(spec: LimitSpec, k: int) -> Estimate:
             prod *= zraw[p]
         total += multinom * ed1j * prod
     return Estimate(total)
+
+
+# -- Poisson and negative-binomial laws in 50-digit decimals -----------------------
+
+_DECIMAL = decimal.Context(prec=50)
+
+
+def poisson_pmf_exact(k: int, lam: float) -> Decimal:
+    """P(Po(lam) = k) = lam^k e^-lam / k!."""
+    if k < 0:
+        return Decimal(0)
+    with decimal.localcontext(_DECIMAL):
+        lam = Decimal(lam)
+        return lam**k * (-lam).exp() / math.factorial(k)
+
+
+def negative_binomial_pmf_exact(k: int, shape: float, rate: float) -> Decimal:
+    """P(X = k) for X Poisson with a gamma(shape, rate) rate: the rising
+    factorial shape^(k) / k! times p^shape (1 - p)^k, p = rate / (1 + rate)."""
+    if k < 0:
+        return Decimal(0)
+    with decimal.localcontext(_DECIMAL):
+        n, rate = Decimal(shape), Decimal(rate)
+        p = rate / (1 + rate)
+        rising = math.prod((n + i for i in range(k)), start=Decimal(1))
+        return rising / math.factorial(k) * (n * p.ln()).exp() * (1 - p) ** k
+
+
+def _tail_exact(k: int, first: Decimal, ratio: Callable[[int], Decimal], mean: float) -> Decimal:
+    """P(X > k) from ``first`` = P(X = k + 1) and the pmf ratios
+    ``ratio(j)`` = P(X = j + 1) / P(X = j), summed upward until, well past
+    the mean, a term is below 1e-60 of the sum; 1 below the support."""
+    if k < 0:
+        return Decimal(1)
+    with decimal.localcontext(_DECIMAL):
+        total, t, j = Decimal(0), first, k + 1
+        while True:
+            total += t
+            if j > 2 * mean + 10 and t <= total * Decimal("1e-60"):
+                return total
+            t *= ratio(j)
+            j += 1
+
+
+def poisson_tail_exact(k: int, lam: float) -> Decimal:
+    """P(Po(lam) > k)."""
+    lam_d = Decimal(lam)
+    return _tail_exact(k, poisson_pmf_exact(k + 1, lam), lambda j: lam_d / (j + 1), lam)
+
+
+def negative_binomial_tail_exact(k: int, shape: float, rate: float) -> Decimal:
+    """P(X > k) for X as in ``negative_binomial_pmf_exact``."""
+    n, rate_d = Decimal(shape), Decimal(rate)
+    return _tail_exact(k, negative_binomial_pmf_exact(k + 1, shape, rate),
+                       lambda j: (j + n) / ((j + 1) * (1 + rate_d)), shape / rate)

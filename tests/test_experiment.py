@@ -1,5 +1,8 @@
 import json
+import math
+import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +109,25 @@ class TestPlanParsing:
             active_plan(perturbation={"gamma": 1.5})
         with pytest.raises(ValueError):
             active_plan(statistics=[])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("threads", 0, "plan threads must be at least 1, got 0"),
+        ("replications", 2.5, "plan replications must be an integer, got 2.5"),
+        ("mc_reference_samples", 0, "plan mc_reference_samples must be at least 1, got 0"),
+        ("ladder", (200.5,), "plan ladder entry must be an integer, got 200.5"),
+        ("gap_tolerance", -1.0, "plan gap_tolerance must be at least 0, got -1.0"),
+        ("gap_tolerance", math.inf, "plan gap_tolerance must be a finite number, got inf"),
+    ])
+    def test_directly_built_plans_are_checked(self, field, value, message):
+        # built without from_config, a bad plan fails on construction, before
+        # any run could start a pool
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(active_plan(), **{field: value})
+
+    def test_directly_built_plans_keep_integers(self):
+        plan = replace(active_plan(), threads=2.0, ladder=(300.0, 600))
+        assert (plan.threads, plan.ladder) == (2, (300, 600))
+        assert all(type(x) is int for x in (plan.threads, *plan.ladder))
 
     def test_edge_budget_refusal(self):
         plan = active_plan(edge_budget=100)

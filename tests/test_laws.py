@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,12 @@ from rigsim.laws import (
     stirling2,
 )
 from rigsim.rng import substream
+from tests.oracles import (
+    negative_binomial_pmf_exact,
+    negative_binomial_tail_exact,
+    poisson_pmf_exact,
+    poisson_tail_exact,
+)
 
 
 class TestDegreeLaw:
@@ -26,6 +33,15 @@ class TestDegreeLaw:
             DegreeLaw.from_pmf({-1: 1.0})
         with pytest.raises(ValueError):
             DegreeLaw.poisson(0)
+        # the tails of these laws are summed term by term: a nan or infinite
+        # rate would never end the sum
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                DegreeLaw.poisson(lam)
+        for w in (WeightLaw.point(math.nan), WeightLaw.point(math.inf), WeightLaw.gamma(math.nan, 1.0),
+                  WeightLaw.gamma(math.inf, 1.0), WeightLaw.gamma(1.0, math.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                DegreeLaw.mixed_poisson(w)
 
     def test_finite_moments_exact(self):
         law = DegreeLaw.from_pmf({1: Fraction(1, 2), 3: Fraction(1, 2)})
@@ -173,19 +189,28 @@ def test_stirling_numbers():
 
 
 class TestPmfsWithoutScipyStats:
-    # laws.py evaluates the formulas of scipy.stats.poisson and
-    # scipy.stats.nbinom without importing scipy.stats; they must agree bit
-    # for bit, tails below the support included (shifted laws ask for them)
+    # laws.py evaluates the pmfs and tails in floats from math alone; they
+    # must lie within RTOL relative of 50-digit decimal arithmetic, and of
+    # scipy.stats as a second reference, tails below the support included
+    # (shifted laws ask for them)
     KS = range(-3, 60)
+    RTOL = 5e-13
+
+    def check(self, law, pmf_exact, tail_exact, pmf_stats, tail_stats):
+        for k in self.KS:
+            pmf, tail = law.pmf(k), law.tail_mass(k)
+            assert pmf == pytest.approx(float(pmf_exact(k)), rel=self.RTOL, abs=0), k
+            assert tail == pytest.approx(float(tail_exact(k)), rel=self.RTOL, abs=0), k
+            assert pmf == pytest.approx(float(pmf_stats(k)), rel=self.RTOL, abs=0), k
+            assert tail == pytest.approx(float(tail_stats(k)), rel=self.RTOL, abs=0), k
 
     @pytest.mark.parametrize("lam", [1e-3, 0.4, 1.0, 2.5, 3.0, 17.0, 120.0])
     def test_poisson(self, lam):
         from scipy import stats
 
         law = DegreeLaw.poisson(lam)
-        for k in self.KS:
-            assert law.pmf(k) == (float(stats.poisson.pmf(k, lam)) if k >= 0 else 0.0)
-            assert law.tail_mass(k) == float(stats.poisson.sf(k, lam))
+        self.check(law, lambda k: poisson_pmf_exact(k, lam), lambda k: poisson_tail_exact(k, lam),
+                   lambda k: stats.poisson.pmf(k, lam), lambda k: stats.poisson.sf(k, lam))
         point = DegreeLaw.mixed_poisson(WeightLaw.point(lam))
         assert [point.pmf(k) for k in self.KS] == [law.pmf(k) for k in self.KS]
         assert [point.tail_mass(k) for k in self.KS] == [law.tail_mass(k) for k in self.KS]
@@ -194,34 +219,61 @@ class TestPmfsWithoutScipyStats:
     def test_negative_binomial(self, shape, rate):
         from scipy import stats
 
-        law = DegreeLaw.mixed_poisson(WeightLaw.gamma(shape, rate))
         p = rate / (1.0 + rate)
-        for k in self.KS:
-            assert law.pmf(k) == (float(stats.nbinom.pmf(k, shape, p)) if k >= 0 else 0.0)
-            assert law.tail_mass(k) == float(stats.nbinom.sf(k, shape, p))
+        self.check(DegreeLaw.mixed_poisson(WeightLaw.gamma(shape, rate)),
+                   lambda k: negative_binomial_pmf_exact(k, shape, rate),
+                   lambda k: negative_binomial_tail_exact(k, shape, rate),
+                   lambda k: stats.nbinom.pmf(k, shape, p), lambda k: stats.nbinom.sf(k, shape, p))
+
+    def test_tail_is_a_probability_at_large_rates(self):
+        # far below the mean the summed pmf rounds above 1 (1 + 1.9e-11 at
+        # lam = 1e5); the tail is capped there
+        assert DegreeLaw.poisson(1e5).tail_mass(16) == 1.0
 
     def test_finite_mixture(self):
         from scipy import stats
 
         w = WeightLaw.finite([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
-        law = DegreeLaw.mixed_poisson(w)
-        for k in self.KS:
-            pmf = sum(q * (stats.poisson.pmf(k, v) if v > 0 else (k == 0)) for v, q in zip(w.values, w.probs))
-            sf = sum(q * stats.poisson.sf(k, v) for v, q in zip(w.values, w.probs) if v > 0)
-            assert law.pmf(k) == (float(pmf) if k >= 0 else 0.0)
-            assert law.tail_mass(k) == float(sf)
+
+        def mix(of_poisson, at_zero, num):
+            # the zero weight is a point mass at 0
+            return lambda k: sum(num(q) * num(of_poisson(k, v) if v > 0 else at_zero(k))
+                                 for v, q in zip(w.values, w.probs))
+
+        self.check(DegreeLaw.mixed_poisson(w),
+                   mix(poisson_pmf_exact, lambda k: k == 0, Decimal), mix(poisson_tail_exact, lambda k: k < 0, Decimal),
+                   mix(stats.poisson.pmf, lambda k: k == 0, float), mix(stats.poisson.sf, lambda k: k < 0, float))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    import json
     import os
     import subprocess
     import sys
 
     import rigsim
 
+    # In a fresh process, importing rigsim loads no scipy module at all, and
+    # a converge run afterwards, on a gamma-mixed model whose limits read the
+    # negative-binomial pmf and tail, loads no numpy or scipy module that the
+    # import did not: first-use import costs stay in start-up.
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+                  "xi2": {"kind": "exponential", "rate": 1.0}},
+        "ladder": [200], "statistics": ["alpha_k:3", "pi:3", "ball:1"], "mc_reference_samples": 2000,
+    }))
+    argv = ["converge", "--config", str(plan), "--threads", "1", "--out", str(tmp_path)]
+    code = f"""
+import contextlib, io, sys
+import rigsim, rigsim.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert rigsim.cli.main({argv!r}) == 0
+print(sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] in ("numpy", "scipy")))
+"""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rigsim.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    # nor scipy.sparse: exact counting is numpy only
-    code = "import sys, rigsim, rigsim.cli; print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
