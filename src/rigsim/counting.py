@@ -4,10 +4,10 @@ Counts are exact Python integers.  Each graph gets one counting host, kept on
 the graph and freed with it.  It builds on first use the degrees d, the sums
 A d of the neighbours' degrees, and, by one degree-ordered wedge pass (see
 ``_triangle_pass``), the per-vertex ordered-triangle vector and the sum of
-the squared triangle supports of the edges; a dense adjacency matrix only
-when the contraction runs; and it keeps every hom(H, G) found so far, keyed
-by the isomorphism class of H.  The pass counts in exact int64 and holds
-O(n + m) integers plus blocks of a fixed budget, never A@A.
+the squared triangle supports of the edges; a dense float64 adjacency
+matrix only when the contraction runs; and it keeps every hom(H, G) found so
+far, keyed by the isomorphism class of H.  The pass counts in exact int64
+and holds O(n + m) integers plus blocks of a fixed budget, never A@A.
 hom(H, G) is, in this order:
 
 1. the count already found on the host;
@@ -15,12 +15,13 @@ hom(H, G) is, in this order:
    4-cycle count (``_c4_count``), at any host size, for every connected
    pattern on at most 4 vertices and every star K_{1,t} (a family is told by
    its sorted degree sequence);
-3. on hosts of at most 1500 vertices, a tensor contraction of one
-   adjacency-matrix factor per pattern edge, by np.einsum along a greedy
-   path none of whose steps makes (or, past two operands, sweeps) more than
-   4 * 10^7 entries, with certified no-overflow dtype choice (every
-   intermediate entry is a count bounded by n^h, so float64 is exact below
-   2^53 and int64 below 2^62);
+3. on hosts of at most 1500 vertices with sum_v d(v)^(h-1) < 2^53, a
+   float64 tensor contraction of one adjacency-matrix factor per pattern
+   edge, by np.einsum along a greedy path none of whose steps is an outer
+   product or makes (or, past two operands, sweeps) more than 4 * 10^7
+   entries; every entry and partial sum it forms counts homomorphisms of a
+   connected sub-pattern, which Sidorenko's bound puts below that sum, so
+   float64 holds them exactly;
 4. exhaustive backtracking with Python big-int accumulators, exact for any
    pattern/host, but output-sensitive.
 
@@ -39,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -259,31 +260,28 @@ def clique_families(H: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # np.einsum_path, whose intermediates stay within _DP_MAX_ENTRIES; a path step
 # that would still make a larger tensor, or sweep a larger index space (a step
 # of more than two operands, which greedy falls back to when no pair fits),
-# sends the pattern to backtracking instead.  Every intermediate entry counts
-# partial homomorphisms and is at most n^h, so float64 arithmetic (BLAS-fast)
-# is exact while n^h < 2^53; int64 covers the rest up to 2^62.
+# or that multiplies two operands with no common letter (an outer product),
+# sends the pattern to backtracking instead.
+#
+# Exactness: an operand counts homomorphisms of a connected sub-pattern with
+# its letters pinned.  The products and partial sums of a step whose
+# operands share a letter count homomorphisms of their union, again
+# connected, so each is at most sum_v d(v)^(h-1) (Sidorenko 1994), and
+# float64 is exact while that sum is below 2^53.  An outer product's counts
+# of two disjoint sub-patterns have no such bound.  The fallback step's
+# products run along whole maps of H: each is within hom(H), or a factor 0
+# is still to come, and an inexact product times 0 is 0.
 
 _DP_MAX_ENTRIES = 4 * 10**7
 _FLOAT_SAFE = 2**53
 
 
-def _dense_adjacency(g: Graph, dtype) -> np.ndarray:
-    n = g.vertex_count
-    A = np.zeros((n, n), dtype=dtype)
-    src = np.repeat(np.arange(n), np.diff(g.indptr))
-    A[src, g.indices] = 1
-    return A
-
-
-class _DPMemory(Exception):
-    """Raised when the contraction would exceed the tensor budget."""
-
-
 @lru_cache(maxsize=None)
 def _contraction_path(expr: str, n: int) -> list | None:
     """np.einsum's greedy path for ``expr`` (which fixes the operand ranks)
-    with every index of size n, or None when a step of it exceeds the budget.
-    The placeholders are zero-stride views, so no n x n array is made."""
+    with every index of size n, or None when a step of it is an outer
+    product or exceeds the budget.  The placeholders are zero-stride views,
+    so no n x n array is made."""
     inputs = expr[:-2].split(",")
     ops = [np.broadcast_to(np.zeros(()), (n,) * len(t)) for t in inputs]
     path = np.einsum_path(expr, *ops, optimize=("greedy", _DP_MAX_ENTRIES))[0]
@@ -292,21 +290,25 @@ def _contraction_path(expr: str, n: int) -> list | None:
         taken = [terms.pop(i) for i in sorted(step, reverse=True)]
         swept = set().union(*taken)
         out = swept & set().union(*terms)
+        if len(taken) == 2 and taken[0].isdisjoint(taken[1]):
+            return None
         if n ** len(out) > _DP_MAX_ENTRIES or len(taken) > 2 and n ** len(swept) > _DP_MAX_ENTRIES:
             return None
         terms.append(out)
     return path
 
 
-def _hom_dp(h: int, edges: tuple[tuple[int, int], ...], A: np.ndarray) -> int:
-    """Exact hom count by the contraction above."""
+def _hom_dp(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int | None:
+    """Exact hom count by the contraction above, given the certificate
+    sum_v d(v)^(h-1) < 2^53; None, before g's dense matrix is built, when
+    the path is refused."""
     expr = ",".join(chr(97 + a) + chr(97 + b) for a, b in edges) + "->"
-    path = _contraction_path(expr, A.shape[0])
+    path = _contraction_path(expr, g.vertex_count)
     if path is None:
-        raise _DPMemory()
+        return None
+    A = _host(g).A
     # a one-step path is einsum's own loop; passing it would only re-plan it in Python
-    out = np.einsum(expr, *[A] * len(edges), optimize=path if len(path) > 2 else False)
-    return int(out) if A.dtype == np.int64 else int(round(float(out)))
+    return int(np.einsum(expr, *[A] * len(edges), optimize=path if len(path) > 2 else False))
 
 
 # -- the counting host: one degree-ordered wedge pass ----------------------------------
@@ -446,7 +448,6 @@ class _Host:
     def __init__(self, g: Graph):
         self.indptr, self.indices = g.indptr, g.indices
         self.homs: dict[bytes, int] = {}  # pattern class -> hom count
-        self.dense: dict[type, np.ndarray] = {}
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -469,6 +470,14 @@ class _Host:
         return self._triangles[1]
 
     @cached_property
+    def A(self) -> np.ndarray:
+        """Dense float64 adjacency matrix, for the contraction alone."""
+        n = self.d.size
+        A = np.zeros((n, n))
+        A[np.repeat(np.arange(n), self.d), self.indices] = 1
+        return A
+
+    @cached_property
     def Ad(self) -> np.ndarray:
         """Sum of the neighbours' degrees per vertex."""
         ends = _cumsum0(self.d[self.indices])
@@ -483,19 +492,6 @@ def _host(g: Graph) -> _Host:
         host = _Host(g)
         object.__setattr__(g, "_host", host)
     return host
-
-
-def _dense(g: Graph, h: int) -> np.ndarray | None:
-    """g's adjacency matrix in a dtype exact for h-vertex patterns, kept on
-    its host; None when g is too large for the contraction."""
-    n = g.vertex_count
-    if n > _DENSE_HOST_LIMIT or n**h >= _INT64_SAFE:
-        return None
-    dtype = np.float64 if n**h < _FLOAT_SAFE else np.int64
-    dense = _host(g).dense
-    if dtype not in dense:
-        dense[dtype] = _dense_adjacency(g, dtype)
-    return dense[dtype]
 
 
 def _power_sum(x: np.ndarray, k: int = 1) -> int:
@@ -579,36 +575,31 @@ def _hom_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
         nxt = max(cand, key=lambda v: (len(adj_p[v] & placed), len(adj_p[v])))
         order.append(nxt)
         placed.add(nxt)
-    back = [[u for u in adj_p[v] if u in set(order[:i])] for i, v in enumerate(order)]
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[pos[u] for u in adj_p[v] if pos[u] < i] for i, v in enumerate(order)]
+    # from position `free` on no two vertices are adjacent, so once the
+    # vertices before it are placed, the rest contribute independent factors
+    free = next(i for i in range(h) if all(pos[u] < i for v in order[i:] for u in adj_p[v]))
     nbr = g.adjacency_sets()
-    images: dict[int, int] = {}
-    all_v = set(range(g.vertex_count))
+    images = [0] * h  # host vertex of each placed position
 
-    def candidates(i: int) -> set[int]:
-        cs: set[int] | None = None
-        for u in back[i]:
-            s = nbr[images[u]]
-            cs = set(s) if cs is None else cs & s
+    def candidates(i: int) -> Collection[int]:
+        if not back[i]:
+            return range(g.vertex_count)
+        cs = nbr[images[back[i][0]]]
+        for j in back[i][1:]:
             if not cs:
-                return set()
-        return all_v if cs is None else cs
+                break
+            cs = cs & nbr[images[j]]
+        return cs
 
     def rec(i: int) -> int:
-        if i == h:
-            return 1
-        # product shortcut: remaining vertices whose pattern neighbours are
-        # all placed contribute independent factors
-        rest = order[i:]
-        if all(set(adj_p[v]) <= set(order[: i]) for v in rest):
-            out = 1
-            for j in range(i, h):
-                out *= len(candidates(j))
-            return out
+        if i == free:
+            return math.prod(len(candidates(j)) for j in range(free, h))
         total = 0
-        for x in sorted(candidates(i)):
-            images[order[i]] = x
+        for x in candidates(i):
+            images[i] = x
             total += rec(i + 1)
-            del images[order[i]]
         return total
 
     return rec(0)
@@ -640,14 +631,13 @@ def _count_hom(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
 
 
 def _contract(g: Graph, h: int, edges: tuple[tuple[int, int], ...]) -> int:
-    """hom of the pattern into g: the dense contraction where g and the
-    budget allow it, backtracking otherwise."""
-    A = _dense(g, h)
-    if A is not None:
-        try:
-            return _hom_dp(h, edges, A)
-        except _DPMemory:
-            pass
+    """hom of the pattern into g: the float64 contraction where g is small
+    enough, Sidorenko's bound certifies it exact and the path is accepted,
+    backtracking otherwise."""
+    if g.vertex_count <= _DENSE_HOST_LIMIT and _power_sum(_host(g).d, h - 1) < _FLOAT_SAFE:
+        count = _hom_dp(h, edges, g)
+        if count is not None:
+            return count
     return _hom_backtrack(h, edges, g)
 
 

@@ -172,7 +172,8 @@ class ModelConfig:
     - active/passive carry P (finite support, within the opposite part size)
     - inhomogeneous carries xi1, xi2
     - configuration carries D1, D2 (degree sequences are synthesised via
-      gen_degree_sequences, so n2 is derived from E D1 / E D2)
+      gen_degree_sequences, so n2 is derived from E D1 / E D2, and its
+      config takes no n2)
     """
 
     model: str
@@ -212,16 +213,17 @@ class ModelConfig:
         model = cfg.get("model") if isinstance(cfg, Mapping) else None
         if not isinstance(model, str) or model not in _MODEL_LAWS:
             raise ValueError(f"unknown model {model!r}")
-        check_config_keys(cfg, "model", ("model", "n1", *_MODEL_LAWS[model]), ("n2",))
-        kw = dict(model=model, n1=config_number("model n1", cfg["n1"]),
-                  n2=config_number("model n2", cfg.get("n2", 0)))
+        # the configuration model derives n2 from E D1 / E D2 and takes none
+        sizes = ("model", "n1") if model == "configuration" else ("model", "n1", "n2")
+        check_config_keys(cfg, "model", (*sizes, *_MODEL_LAWS[model]))
         law_from_config = weight_law_from_config if model == "inhomogeneous" else degree_law_from_config
-        kw.update((law, law_from_config(cfg[law])) for law in _MODEL_LAWS[model])
-        if model == "configuration" and not kw["n2"]:
-            kw["n2"] = int(math.floor(float(kw["D1"].mean()) / float(kw["D2"].mean()) * kw["n1"]))
-        if not kw["n2"]:
-            raise ValueError("n2 required")
-        return ModelConfig(**kw)
+        kw = {law: law_from_config(cfg[law]) for law in _MODEL_LAWS[model]}
+        n1 = config_number("model n1", cfg["n1"])
+        if model == "configuration":
+            n2 = int(math.floor(float(kw["D1"].mean()) / float(kw["D2"].mean()) * n1))
+        else:
+            n2 = config_number("model n2", cfg["n2"])
+        return ModelConfig(model=model, n1=n1, n2=n2, **kw)
 
 
 def generate_bipartite(config: ModelConfig, rng: np.random.Generator) -> BipartiteMultigraph:

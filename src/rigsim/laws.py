@@ -14,8 +14,9 @@ of a mixed Poisson stays mixed Poisson.
 
 Pmfs and tails are evaluated with ``math`` alone: Poisson and negative
 binomial (Poisson mixed over a gamma weight) pmfs in log-gamma form, and
-P(X > k) summed upward from k + 1 and closed by a geometric bound on the
-remaining terms, so a tail is an upper bound.
+P(X > k) as 1 - P(X <= k) below the mode, else summed upward from k + 1 and
+closed by a geometric bound on the remaining terms, so a tail is an upper
+bound up to rounding.
 """
 
 from __future__ import annotations
@@ -79,15 +80,18 @@ def _nbinom_pmf(k: int, n: float, p: float) -> float:
     return math.exp(math.lgamma(k + n) - math.lgamma(n) - math.lgamma(k + 1) + n * math.log(p) + k * math.log1p(-p))
 
 
-def _tail(k: int, pmf: Callable[[int], float], ratio_bound: Callable[[int], float]) -> float:
-    """P(X > k) for a law on {0, 1, ...}: 1 below the support, else the pmf
-    summed upward from k + 1 until a geometric bound on the rest no longer
-    changes the sum.  ``ratio_bound(j)`` is some q >= pmf(i + 1) / pmf(i) for
-    every i >= j; once q < 1 the terms after j sum to at most
-    pmf(j) q / (1 - q), so the result, capped at 1, is an upper bound up to
-    rounding."""
+def _tail(k: int, pmf: Callable[[int], float], ratio_bound: Callable[[int], float], mode: int) -> float:
+    """P(X > k) for a law on {0, 1, ...} whose pmf rises up to ``mode`` and
+    falls after it.  Below the mode it is 1 - sum_{j <= k} pmf(j), k + 1
+    terms; from there the pmf is summed upward from k + 1 until a geometric
+    bound on the rest no longer changes the sum.  ``ratio_bound(j)`` is some
+    q >= pmf(i + 1) / pmf(i) for every i >= j; once q < 1 the terms after j
+    sum to at most pmf(j) q / (1 - q).  Either way the result, kept within
+    [0, 1], is an upper bound up to rounding."""
     if k < 0:
         return 1.0
+    if k < mode:
+        return max(1.0 - math.fsum(pmf(j) for j in range(k + 1)), 0.0)
     total, j = 0.0, k + 1
     while True:
         t = pmf(j)
@@ -99,14 +103,16 @@ def _tail(k: int, pmf: Callable[[int], float], ratio_bound: Callable[[int], floa
 
 
 def _poisson_sf(k: int, lam: float) -> float:
-    # pmf ratio lam / (i + 1) decreases in i
-    return _tail(k, lambda j: _poisson_pmf(j, lam), lambda j: lam / (j + 1))
+    # pmf ratio lam / (i + 1) decreases in i, below 1 from i = floor(lam) on
+    return _tail(k, lambda j: _poisson_pmf(j, lam), lambda j: lam / (j + 1), math.floor(lam))
 
 
 def _nbinom_sf(k: int, n: float, p: float) -> float:
     # pmf ratio (i + n)(1 - p) / (i + 1) decreases in i to 1 - p when n >= 1
-    # and increases to it when n < 1, so the larger of the two bounds it
-    return _tail(k, lambda j: _nbinom_pmf(j, n, p), lambda j: max((j + n) / (j + 1), 1.0) * (1.0 - p))
+    # and increases to it when n < 1, so the larger of the two bounds it; it
+    # is at least 1 up to the mode floor((n - 1)(1 - p) / p)
+    mode = max(math.floor((n - 1.0) * (1.0 - p) / p), 0)
+    return _tail(k, lambda j: _nbinom_pmf(j, n, p), lambda j: max((j + n) / (j + 1), 1.0) * (1.0 - p), mode)
 
 
 # -- weight laws ----------------------------------------------------------------

@@ -12,6 +12,8 @@
   ``limits.rooted_emb_expectation``.
 - Unrooted embedding counts by backtracking (``emb_backtrack``): the check
   of ``counting.emb_count``, which reduces embeddings to homomorphisms.
+- Homomorphism or embedding counts over all h-tuples of host vertices at
+  once (``all_maps_count``), for hosts small enough that n^h fits in memory.
 - The moments of d* by the composition expansion over E binom(D1, j) and
   the moments of Z (``z_moment``, ``dstar_moment_compositions``): the check
   of ``limits.dstar_moment``, which takes them as hom limits of stars.
@@ -216,6 +218,25 @@ def emb_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
         return total
 
     return rec(0)
+
+
+def all_maps_count(pattern: Pattern, g: Graph, injective: bool) -> int:
+    """Maps of the pattern's vertices into g's that send every edge to an
+    edge (and, when ``injective``, no two vertices together), counted over
+    all n^h maps in one array."""
+    n, h = g.vertex_count, pattern.h
+    A = np.zeros((n, n), dtype=bool)
+    for a, b in g.edges():
+        A[a, b] = A[b, a] = True
+    maps = np.indices((n,) * h).reshape(h, -1)
+    ok = np.ones(maps.shape[1], dtype=bool)
+    for a, b in pattern.edge_tuple():
+        ok &= A[maps[a], maps[b]]
+    if injective:
+        for i in range(h):
+            for j in range(i + 1, h):
+                ok &= maps[i] != maps[j]
+    return int(ok.sum())
 
 
 def z_moment(D2: DegreeLaw, j: int) -> Estimate:

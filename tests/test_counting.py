@@ -22,22 +22,9 @@ from rigsim.graphs import Graph
 from rigsim.laws import stirling2
 
 from tests.conftest import random_graph
-from tests.oracles import emb_backtrack, root_eccentricity, rooted_emb_count
+from tests.oracles import all_maps_count, emb_backtrack, root_eccentricity, rooted_emb_count
 
 K2, P3, K3, P4, K4 = (pattern_from_name(n) for n in ("K2", "P3", "K3", "P4", "K4"))
-
-
-def brute_force_maps(pattern: Pattern, g: Graph, injective: bool) -> int:
-    """Naive all-maps oracle."""
-    adj = g.adjacency_sets()
-    edges = pattern.edge_tuple()
-    count = 0
-    for m in itertools.product(range(g.vertex_count), repeat=pattern.h):
-        if injective and len(set(m)) != pattern.h:
-            continue
-        if all(m[b] in adj[m[a]] for a, b in edges):
-            count += 1
-    return count
 
 
 class TestPattern:
@@ -97,7 +84,7 @@ class TestCounts:
         for _ in range(25):
             g = random_graph(rng, n_max=9)
             for p in pats:
-                hom, emb = brute_force_maps(p, g, False), brute_force_maps(p, g, True)
+                hom, emb = all_maps_count(p, g, False), all_maps_count(p, g, True)
                 assert hom_count(p, g) == hom
                 assert emb_count(p, g) == emb
 
@@ -106,13 +93,14 @@ class TestCounts:
         for _ in range(4):
             g = random_graph(rng, n_max=6)
             for p in pats:
-                assert hom_count(p, g) == brute_force_maps(p, g, False)
-                assert emb_count(p, g) == brute_force_maps(p, g, True)
+                assert hom_count(p, g) == all_maps_count(p, g, False)
+                assert emb_count(p, g) == all_maps_count(p, g, True)
 
     def test_dp_memory_fallback_on_mid_size_host(self, rng):
-        # K4 on a densifiable host whose elimination tensor would be too big:
-        # the DP raises, and hom_count, which tries the closed form first,
-        # still agrees with backtracking
+        # K4 on a densifiable host whose contraction tensors would be too
+        # big: the path is refused before the dense matrix is built, and
+        # hom_count, which tries the closed form first, still agrees with
+        # backtracking
         edges = set()
         for _ in range(5000):
             a, b = rng.integers(0, 600, 2)
@@ -120,8 +108,8 @@ class TestCounts:
                 edges.add((min(int(a), int(b)), max(int(a), int(b))))
         g = Graph.from_edges(600, list(edges))
         p = pattern_from_name("K4")
-        with pytest.raises(C._DPMemory):
-            C._hom_dp(4, p.edge_tuple(), C._dense_adjacency(g, np.float64))
+        assert C._hom_dp(4, p.edge_tuple(), g) is None
+        assert "A" not in vars(C._host(g))
         assert hom_count(p, g) == C._hom_backtrack(4, p.edge_tuple(), g)
 
     def test_engines_agree_on_large_host(self, rng, monkeypatch):
@@ -189,17 +177,86 @@ _SMALL_PATTERNS = [p for h in (2, 3, 4, 5) for p in connected_patterns(h)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(host_graphs(), st.sampled_from([C._FLOAT_SAFE, 0]))
-def test_contraction_matches_backtracking(g, float_safe):
-    # every connected pattern on at most 5 vertices; a float bound of 0 sends
-    # every count through the int64 contraction
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_FLOAT_SAFE", float_safe)
-        for p in _SMALL_PATTERNS:
-            edges = p.edge_tuple()
-            A = C._dense(g, p.h)
-            assert A.dtype == (np.float64 if float_safe else np.int64)
-            assert C._hom_dp(p.h, edges, A) == C._hom_backtrack(p.h, edges, g)
+@given(host_graphs())
+def test_contraction_matches_backtracking(g):
+    # every connected pattern on at most 5 vertices
+    for p in _SMALL_PATTERNS:
+        edges = p.edge_tuple()
+        assert C._hom_dp(p.h, edges, g) == C._hom_backtrack(p.h, edges, g)
+
+
+def _sparse_host(rng, n: int, m: int) -> Graph:
+    edges = {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(m)}
+    return Graph.from_edges(n, list(edges))
+
+
+class TestCertifiedContraction:
+    # the contraction runs in float64 when sum_v d(v)^(h-1) < 2^53, the
+    # Sidorenko bound on every count it forms, and backtracking runs otherwise
+
+    def test_sparse_host_past_n_to_the_h(self, rng):
+        # n^6 >= 2^53, where a bound of n^h would have refused float64
+        g = _sparse_host(rng, 600, 1200)
+        assert C._power_sum(g.degrees(), 5) < C._FLOAT_SAFE <= 600**6
+        cycle = [(i, (i + 1) % 6) for i in range(6)]
+        triangle = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]  # with a 3-path tail
+        patterns = [pattern_from_name("P6"), pattern_from_name("C6"), Pattern(Graph.from_edges(6, cycle + [(0, 3)])),
+                    Pattern(Graph.from_edges(6, triangle)), Pattern(Graph.from_edges(6, triangle + [(3, 5)]))]
+        for p in patterns:
+            assert hom_count(p, g) == C._hom_backtrack(6, p.edge_tuple(), g), p.edge_tuple()
+        assert "A" in vars(C._host(g))
+
+    def test_past_the_bound_backtracking_counts(self, rng, monkeypatch):
+        g = _sparse_host(rng, 200, 500)
+        p = pattern_from_name("C5")
+        expect = C._hom_backtrack(5, p.edge_tuple(), g)
+        monkeypatch.setattr(C, "_FLOAT_SAFE", C._power_sum(g.degrees(), 4))
+        backtracked = []
+        backtrack = C._hom_backtrack
+        monkeypatch.setattr(C, "_hom_backtrack", lambda h, edges, g: backtracked.append(h) or backtrack(h, edges, g))
+        assert hom_count(p, g) == expect
+        assert backtracked == [5]
+        assert "A" not in vars(C._host(g))
+
+    def test_outer_product_steps_are_refused(self, monkeypatch):
+        # numpy's greedy path multiplies operands with no common letter only
+        # when no pair that shares one fits the budget; the counts of two
+        # disjoint sub-patterns multiply past the bound, so the path is refused
+        monkeypatch.setattr(C, "_DP_MAX_ENTRIES", 16)
+        expr = "bd,ag,ef,bc,be,de,cg,dg,af,ae,cf,bg,eg,cd,ab,df,ce,fg,ad,ac->"  # K7 less one edge
+        try:
+            C._contraction_path.cache_clear()
+            ops = [np.broadcast_to(np.zeros(()), (2, 2))] * 20
+            path = np.einsum_path(expr, *ops, optimize=("greedy", 16))[0]
+            terms = [set(t) for t in expr[:-2].split(",")]
+            outer = False
+            for step in path[1:]:
+                taken = [terms.pop(i) for i in sorted(step, reverse=True)]
+                outer |= len(taken) == 2 and taken[0].isdisjoint(taken[1])
+                terms.append(set().union(*taken) & set().union(*terms))
+            assert outer
+            assert C._contraction_path(expr, 2) is None
+            # within the budget, where only the outer-product rule refuses
+            assert C._contraction_path("c,ad,c,a,d->", 2) is None
+            assert C._contraction_path("c,ad,cd,a,d->", 2) is not None
+        finally:
+            C._contraction_path.cache_clear()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_six_vertex_patterns_against_all_maps(seed):
+    # every connected pattern on 6 vertices, on hosts of at most 7 vertices
+    rng = np.random.default_rng(seed)
+    n = 5 + seed
+    mask = rng.random((n, n)) < 0.6
+    g = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if mask[a, b]])
+    # networkx's atlas lists each graph on at most 7 vertices once
+    six = [Pattern(Graph.from_edges(6, list(a.edges()))) for a in nx.graph_atlas_g() if len(a) == 6 and nx.is_connected(a)]
+    assert len(six) == 112
+    for p in six:
+        hom = all_maps_count(p, g, False)
+        assert hom_count(p, g) == hom == C._hom_backtrack(6, p.edge_tuple(), g)
+        assert emb_count(p, g) == all_maps_count(p, g, True)
 
 
 class TestRootedCounts:

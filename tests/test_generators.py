@@ -257,6 +257,15 @@ class TestDeterminismAndConfig:
         )
         assert cfg.n2 == 200 and cfg.beta == 2.0
 
+    def test_configuration_model_takes_no_n2(self):
+        # its n2 is floor(n1 E D1 / E D2); a given one would be ignored while
+        # the plan's beta read it
+        laws = {"D1": {"kind": "constant", "value": 4}, "D2": {"kind": "constant", "value": 2}}
+        with pytest.raises(ValueError, match="unknown model key 'n2'"):
+            ModelConfig.from_config({"model": "configuration", "n1": 1000, "n2": 50000, **laws})
+        with pytest.raises(ValueError, match="missing the required key 'n2'"):
+            ModelConfig.from_config({"model": "passive", "n1": 10, "P": {"kind": "constant", "value": 2}})
+
 
 # -- batched draws against the per-vertex loops they replace ----------------------
 #

@@ -16,6 +16,7 @@ from rigsim.laws import (
     stirling1_signed,
     stirling2,
 )
+from rigsim import laws
 from rigsim.rng import substream
 from tests.oracles import (
     negative_binomial_pmf_exact,
@@ -225,10 +226,17 @@ class TestPmfsWithoutScipyStats:
                    lambda k: negative_binomial_tail_exact(k, shape, rate),
                    lambda k: stats.nbinom.pmf(k, shape, p), lambda k: stats.nbinom.sf(k, shape, p))
 
-    def test_tail_is_a_probability_at_large_rates(self):
-        # far below the mean the summed pmf rounds above 1 (1 + 1.9e-11 at
-        # lam = 1e5); the tail is capped there
-        assert DegreeLaw.poisson(1e5).tail_mass(16) == 1.0
+    def test_tail_is_a_probability_at_large_rates(self, monkeypatch):
+        # far below the mean the tail is 1 - P(X <= k), k + 1 pmf terms; the
+        # sum upward from k + 1 rounded to 1 + 1.9e-11 at lam = 1e5 and to
+        # 8e-10 below 1 at lam = 1e6, after about lam terms
+        calls = []
+        pmf = laws._poisson_pmf
+        monkeypatch.setattr(laws, "_poisson_pmf", lambda k, lam: calls.append(k) or pmf(k, lam))
+        for lam in (1e5, 1e6):
+            calls.clear()
+            assert DegreeLaw.poisson(lam).tail_mass(16) == 1.0
+            assert len(calls) <= 17
 
     def test_finite_mixture(self):
         from scipy import stats
