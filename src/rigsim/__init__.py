@@ -6,9 +6,7 @@ from .graphs import (
     Graph,
     RootedGraph,
     ball,
-    degree_sequence,
     intersection_graph,
-    loc_distance,
 )
 from .canon import canonical_code, unrooted_code
 from .ballcode import ball_codes
@@ -59,7 +57,6 @@ from .limits import (
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
-    sample_dstar,
 )
 from .experiment import (
     ConvergenceRow,

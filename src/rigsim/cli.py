@@ -15,12 +15,11 @@ from .cliquetree import CodeHistogram, ball_distribution_mc
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import intersection_graph, read_graph, write_bipartite, write_graph
 from .laws import check_config_keys, degree_law_from_config
-from .limits import LimitSpec, NoAcceptances, limit_spec_for
+from .limits import LimitSpec, limit_spec_for
 from .experiment import (
     STATISTICS,
     ExperimentPlan,
     StatisticSpec,
-    reference_rng,
     row_converged,
     rows_to_csv,
     run_experiment,
@@ -98,13 +97,8 @@ _MC_SAMPLES = 10**5
 
 
 def cmd_limits(args) -> int:
-    """Each quantity's limit as ``converge`` computes it.  A Monte Carlo
-    limit draws from the plan's seed and sample count when the file is a
-    plan, and from seed 0 and ``_MC_SAMPLES`` otherwise; a quantity the plan
-    lists keeps its reference stream there, so both commands print the same
-    limit for it."""
-    cfg = _load_config(args.config)
-    spec = _limit_spec(cfg)
+    """Each quantity's exact limit, as ``converge`` computes it."""
+    spec = _limit_spec(_load_config(args.config))
     report = [StatisticSpec("moment", k=k) for k in (1, 2, 3)] + [StatisticSpec("alpha"), StatisticSpec("assort")]
     for k in args.k_values:
         report.append(StatisticSpec("pi", k=k))
@@ -112,26 +106,18 @@ def cmd_limits(args) -> int:
             report.append(StatisticSpec("alpha_k", k=k))
         if k >= 1:
             report.append(StatisticSpec("r_k", k=k))
-    seed, samples, listed = 0, _MC_SAMPLES, ()
-    if "ladder" in cfg:  # _limit_spec took it, so it is a JSON object
-        plan = ExperimentPlan.from_config(cfg)
-        seed, samples, listed = plan.seed, plan.mc_reference_samples, plan.statistics
-    listed += tuple(s for s in report if s not in listed)
     out = []
     for s in report:
         name = f"dstar_moment({s.k})" if s.kind == "moment" else s.label()
         try:
-            est = STATISTICS[s.kind].limit(spec, s, samples, reference_rng(seed, listed, s))
-        except (ValueError, NoAcceptances) as e:
-            # an undefined or unavailable quantity (degenerate variance,
-            # P(d*=k)=0, an infinite moment, no Monte Carlo acceptance) gets
-            # an error entry instead of aborting the whole report
+            value = STATISTICS[s.kind].limit(spec, s).value
+        except ValueError as e:
+            # an undefined or infinite quantity (degenerate variance,
+            # P(d*=k)=0, an infinite moment) gets an error entry instead of
+            # aborting the whole report
             out.append({"quantity": name, "error": str(e), "provenance": spec.provenance})
             continue
-        out.append(
-            {"quantity": name, "value": est.value, "stderr": est.stderr, "exact": est.exact,
-             "provenance": spec.provenance}
-        )
+        out.append({"quantity": name, "value": value, "provenance": spec.provenance})
     _write(args, "limits.json", json.dumps(out, indent=1))
     return 0
 
@@ -193,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True, help="comma list, e.g. alpha,assort,alpha_k:2,pi:3")
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("limits", help="limit report (closed form, else Monte Carlo)")
+    p = sub.add_parser("limits", help="exact limit report")
     p.add_argument("--config", **config)
     p.add_argument("--k-values", type=int, nargs="*", default=[2])
     p.set_defaults(fn=cmd_limits)

@@ -48,7 +48,6 @@ from . import stats as netstats
 __all__ = [
     "STATISTICS",
     "StatisticSpec",
-    "reference_rng",
     "ExperimentPlan",
     "ConvergenceRow",
     "run_experiment",
@@ -61,7 +60,7 @@ __all__ = [
 
 CSV_HEADER = "n1,statistic,empirical,emp_stderr,limit,limit_stderr,gap,tv"
 
-_REF_STREAM = 0x5EED  # substream tag reserved for MC references
+_REF_STREAM = 0x5EED  # substream tag reserved for the ball reference
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class ExperimentPlan:
     mc_reference_samples: int = 10**5
     edge_budget: int = 5 * 10**7
     threads: int = 1
-    gap_tolerance: float | None = None  # None: 3 * (emp stderr + limit stderr)
+    gap_tolerance: float | None = None  # None: 3 * emp stderr
 
     def __post_init__(self) -> None:
         # the one check of the plan's numbers, for plans read from a config
@@ -207,27 +206,16 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 
 class Statistic(NamedTuple):
     """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
-    finite graph (a StatReport, a number or a ball histogram); ``limit`` gives
-    its limit (an Estimate, or the clique-tree reference histogram for
-    balls), from the limit laws, the statistic, and the sample count and
-    stream of a Monte Carlo evaluation (see ``reference_rng``)."""
+    finite graph (a StatReport, a number or a ball histogram); ``limit``
+    gives its exact limit (an Estimate) from the limit laws and the
+    statistic, and is None for balls, whose reference is the clique-tree
+    Monte Carlo histogram that ``run_experiment`` draws."""
 
     arg: str | None  # the StatisticSpec field carrying the parameter
     graph: Callable[[Graph, StatisticSpec], object]
-    limit: Callable[[LimitSpec, StatisticSpec, int, np.random.Generator], object]
+    limit: Callable[[LimitSpec, StatisticSpec], Estimate] | None
     per_vertex: bool = False  # plans report the graph value divided by n1
     row: Callable[[Graph, StatisticSpec], object] | None = None  # what a plan compares, when not ``graph``
-
-
-def reference_rng(seed: int, statistics: Sequence[StatisticSpec], s: StatisticSpec) -> np.random.Generator:
-    """The stream of s's Monte Carlo limit under a plan with this seed and
-    these statistics: the ball reference's, or one per scalar statistic, by
-    its first position among ``statistics``.  The scalar stream is the
-    fallback for laws without exact pmfs (e.g. Pareto weights); a limit on an
-    exact path never draws from it."""
-    if s.kind == "ball":
-        return substream(seed, _REF_STREAM, 2)
-    return substream(seed, _REF_STREAM, 4, statistics.index(s))
 
 
 def _emb(G: Graph, s: StatisticSpec) -> int:
@@ -241,21 +229,17 @@ def _emb(G: Graph, s: StatisticSpec) -> int:
 # The lambdas look module globals up at call time, so a caller that rebinds
 # one of them (a tracer, a test counter) sees every call.
 STATISTICS: dict[str, Statistic] = {
-    "alpha": Statistic(None, lambda G, s: netstats.clustering(G), lambda spec, s, n, rng: limit_clustering(spec)),
-    "assort": Statistic(None, lambda G, s: netstats.assortativity(G),
-                        lambda spec, s, n, rng: limit_assortativity(spec)),
+    "alpha": Statistic(None, lambda G, s: netstats.clustering(G), lambda spec, s: limit_clustering(spec)),
+    "assort": Statistic(None, lambda G, s: netstats.assortativity(G), lambda spec, s: limit_assortativity(spec)),
     "alpha_k": Statistic("k", lambda G, s: netstats.conditional_clustering(G, s.k),
-                         lambda spec, s, n, rng: limit_conditional_clustering(spec, s.k, n, rng)),
+                         lambda spec, s: limit_conditional_clustering(spec, s.k)),
     "r_k": Statistic("k", lambda G, s: netstats.conditional_assortativity(G, s.k),
-                     lambda spec, s, n, rng: limit_conditional_assortativity(spec, s.k, n, rng)),
-    "pi": Statistic("k", lambda G, s: netstats.degree_fraction(G, s.k),
-                    lambda spec, s, n, rng: limit_degree_pmf(spec, s.k, n, rng)),
-    "moment": Statistic("k", lambda G, s: netstats.degree_moment(G, s.k),
-                        lambda spec, s, n, rng: dstar_moment(spec, s.k)),
-    "emb": Statistic("pattern", _emb,
-                     lambda spec, s, n, rng: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)), per_vertex=True),
-    "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r),
-                      lambda spec, s, n, rng: ball_distribution_mc(spec.D1, spec.D2, s.r, n, rng),
+                     lambda spec, s: limit_conditional_assortativity(spec, s.k)),
+    "pi": Statistic("k", lambda G, s: netstats.degree_fraction(G, s.k), lambda spec, s: limit_degree_pmf(spec, s.k)),
+    "moment": Statistic("k", lambda G, s: netstats.degree_moment(G, s.k), lambda spec, s: dstar_moment(spec, s.k)),
+    "emb": Statistic("pattern", _emb, lambda spec, s: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)),
+                     per_vertex=True),
+    "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), None,
                       row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
 }
 
@@ -383,7 +367,7 @@ def _mean_se(xs) -> tuple[float, float]:
 
 def _scalar_row(n1: int, label: str, xs, lim: Estimate) -> ConvergenceRow:
     emp, emp_se = _mean_se(xs)
-    return ConvergenceRow(n1, label, emp, emp_se, lim.value, lim.stderr, abs(emp - lim.value), None)
+    return ConvergenceRow(n1, label, emp, emp_se, lim.value, 0.0, abs(emp - lim.value), None)
 
 
 def _perturbation_rows(n1: int, pert: tuple[StatisticSpec, ...], results: list) -> list[ConvergenceRow]:
@@ -417,12 +401,13 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
 
 def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
     """Tolerance verdict for a scalar row: gap below the plan's threshold
-    (default 3 * (empirical stderr + limit stderr)); None for ball rows."""
+    (default 3 * empirical stderr, the limit being exact); None for ball
+    rows."""
     if row.gap is None:
         return None
     tol = plan.gap_tolerance
     if tol is None:
-        tol = 3.0 * ((row.emp_stderr or 0.0) + (row.limit_stderr or 0.0))
+        tol = 3.0 * (row.emp_stderr or 0.0)
     return row.gap <= tol
 
 
@@ -440,8 +425,10 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     if len(balls) > 1:
         raise ValueError("at most one ball statistic per plan")
     spec = limit_spec_for(plan.model)
-    samples, listed = plan.mc_reference_samples, plan.statistics
-    limits = {s.label(): STATISTICS[s.kind].limit(spec, s, samples, reference_rng(plan.seed, listed, s)) for s in listed}
+    limits = {s.label(): STATISTICS[s.kind].limit(spec, s) for s in plan.statistics if s.kind != "ball"}
+    for s in balls:
+        rng = substream(plan.seed, _REF_STREAM, 2)
+        limits[s.label()] = ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, rng)
     pert = () if plan.gamma is None else (StatisticSpec("moment", k=2),
                                           StatisticSpec("ball", r=balls[0].r if balls else 1))
     rows: list[ConvergenceRow] = []

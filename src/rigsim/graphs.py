@@ -11,8 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,9 +22,6 @@ __all__ = [
     "intersection_graph",
     "ball",
     "ball_adjacency",
-    "degree_sequence",
-    "loc_distance",
-    "LocDistance",
     "write_graph",
     "read_graph",
     "write_bipartite",
@@ -117,20 +113,6 @@ class Graph:
     def adjacency_sets(self) -> list[set[int]]:
         return [set(map(int, self.neighbors(v))) for v in range(self.vertex_count)]
 
-    def validate(self) -> None:
-        """Check the structural invariants (used by tests; construction already
-        guarantees them)."""
-        n = self.vertex_count
-        assert self.indptr.shape == (n + 1,) and self.indptr[0] == 0
-        for v in range(n):
-            nbrs = self.neighbors(v)
-            assert (np.diff(nbrs) > 0).all() if nbrs.size > 1 else True, "adjacency not sorted/unique"
-            assert not (nbrs == v).any(), "self-loop"
-            if nbrs.size:
-                assert nbrs.min() >= 0 and nbrs.max() < n
-            for w in nbrs:
-                assert self.has_edge(int(w), v), "adjacency not symmetric"
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -180,14 +162,6 @@ class BipartiteMultigraph:
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity."""
         return int(self.mult.sum())
-
-    def part_degrees(self, part: int) -> np.ndarray:
-        """Degrees (with multiplicity) of all vertices in the given part (1 or 2)."""
-        if part == 1:
-            return np.bincount(self.edge_u, weights=self.mult, minlength=self.n1).astype(np.int64)
-        if part == 2:
-            return np.bincount(self.edge_w, weights=self.mult, minlength=self.n2).astype(np.int64)
-        raise ValueError("part must be 1 or 2")
 
 
 @dataclass
@@ -281,34 +255,6 @@ def ball_adjacency(neighbors: Callable[[int], list[int]], v: int, r: int | None)
         frontier = nxt
         depth += 1
     return [[loc[w] for w in neighbors(u) if w in loc] for u in order]
-
-
-def degree_sequence(G: Graph) -> list[int]:
-    """Degrees of all vertices in index order."""
-    return [int(d) for d in G.degrees()]
-
-
-class LocDistance(NamedTuple):
-    value: Fraction  # 2 ** (-agreement_radius)
-    agreement_radius: int
-    capped: bool  # balls still agreed at r_max; the true distance may be smaller
-
-
-def loc_distance(g1: RootedGraph, g2: RootedGraph, r_max: int) -> LocDistance:
-    """Local distance 2^(-s), s the largest r <= r_max with B_r(g1) ~ B_r(g2).
-
-    Radius-0 balls always agree, so the result is at most 1.  When the balls
-    agree all the way to r_max the result is 2^(-r_max) with ``capped`` set:
-    a finite computation cannot certify agreement at every radius.
-    """
-    if r_max < 0:
-        raise ValueError("r_max must be non-negative")
-    s = 0
-    for r in range(1, r_max + 1):
-        if ball(g1.graph, g1.root, r).code != ball(g2.graph, g2.root, r).code:
-            break
-        s = r
-    return LocDistance(Fraction(1, 2**s), s, s == r_max)
 
 
 # -- edge-list serialization ------------------------------------------------

@@ -12,11 +12,16 @@ keeps the whole family closed under the operations the branching process
 needs: the offspring law ``size_biased(D) - 1`` of a Poisson stays Poisson,
 of a mixed Poisson stays mixed Poisson.
 
-Pmfs and tails are evaluated with ``math`` alone: Poisson and negative
-binomial (Poisson mixed over a gamma weight) pmfs in log-gamma form, and
-P(X > k) as 1 - P(X <= k) below the mode, else summed upward from k + 1 and
-closed by a geometric bound on the remaining terms, so a tail is an upper
-bound up to rounding.
+Pmfs are evaluated with ``math`` alone, in log form: Poisson, negative
+binomial (Poisson mixed over a gamma weight), and Poisson mixed over a Pareto
+weight, whose pmf a s^a Gamma(k - a, s) / k! needs the upper incomplete gamma
+function.
+
+Thinning keeps each of X items independently with probability p.  Poisson
+and mixed-Poisson laws stay in their family, Bin(Po(W), p) = Po(pW); a
+finite law becomes a finite binomial mixture.  The limit side thins D1 to
+the number of non-zero offspring sums, which makes the root degree pmf of
+the clique tree a finite sum.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +40,7 @@ __all__ = [
     "WeightLaw",
     "DegreeLaw",
     "size_biased",
+    "thinned",
     "offspring_law",
     "degree_law_from_config",
     "weight_law_from_config",
@@ -44,7 +50,7 @@ __all__ = [
 
 
 class MomentUnavailable(ValueError):
-    """Raised when a requested moment is infinite or has no computable form."""
+    """Raised when a requested moment is infinite."""
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +74,9 @@ def stirling1_signed(n: int, k: int) -> int:
 
 
 # Log-gamma forms in math rather than scipy.special, whose import costs more
-# than the rest of rigsim's.  tests/test_laws.py holds them, and the tails,
-# within 5e-13 relative of 50-digit decimal arithmetic.
+# than the rest of rigsim's.  tests/test_laws.py holds them within 5e-13
+# relative of 50-digit decimal arithmetic, and the Pareto-mixed pmf within
+# 1e-12 relative of quadrature.
 
 
 def _poisson_pmf(k: int, lam: float) -> float:
@@ -80,39 +87,39 @@ def _nbinom_pmf(k: int, n: float, p: float) -> float:
     return math.exp(math.lgamma(k + n) - math.lgamma(n) - math.lgamma(k + 1) + n * math.log(p) + k * math.log1p(-p))
 
 
-def _tail(k: int, pmf: Callable[[int], float], ratio_bound: Callable[[int], float], mode: int) -> float:
-    """P(X > k) for a law on {0, 1, ...} whose pmf rises up to ``mode`` and
-    falls after it.  Below the mode it is 1 - sum_{j <= k} pmf(j), k + 1
-    terms; from there the pmf is summed upward from k + 1 until a geometric
-    bound on the rest no longer changes the sum.  ``ratio_bound(j)`` is some
-    q >= pmf(i + 1) / pmf(i) for every i >= j; once q < 1 the terms after j
-    sum to at most pmf(j) q / (1 - q).  Either way the result, kept within
-    [0, 1], is an upper bound up to rounding."""
-    if k < 0:
-        return 1.0
-    if k < mode:
-        return max(1.0 - math.fsum(pmf(j) for j in range(k + 1)), 0.0)
-    total, j = 0.0, k + 1
+def _log_upper_gamma(b: float, x: float) -> float:
+    """log Gamma(b, x) = log of the integral of t^(b-1) e^-t over t > x, for
+    x > 0 and any real b.  Where b >= 1 and x < b + 1 it is Gamma(b) less
+    the lower-gamma series; elsewhere the continued fraction of DLMF 8.9.2,
+    evaluated by the modified Lentz method, which converges for every x > 0."""
+    if b >= 1.0 and x < b + 1.0:
+        term = total = 1.0 / b
+        n = 0
+        while term >= total * 1e-17:
+            n += 1
+            term *= x / (b + n)
+            total += term
+        return math.lgamma(b) + math.log1p(-math.exp(b * math.log(x) - x - math.lgamma(b)) * total)
+    tiny = 1e-300
+    c, d = 1.0 / tiny, 1.0 / (x + 1.0 - b)
+    h, i = d, 0
     while True:
-        t = pmf(j)
-        total += t
-        q = ratio_bound(j)
-        if q < 1.0 and total + t * q / (1.0 - q) == total:
-            return min(total, 1.0)
-        j += 1
+        i += 1
+        an, bn = -i * (i - b), x + 2 * i + 1.0 - b
+        d = an * d + bn
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = bn + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 2.3e-16:  # within an ulp or two of 1
+            return b * math.log(x) - x + math.log(h)
 
 
-def _poisson_sf(k: int, lam: float) -> float:
-    # pmf ratio lam / (i + 1) decreases in i, below 1 from i = floor(lam) on
-    return _tail(k, lambda j: _poisson_pmf(j, lam), lambda j: lam / (j + 1), math.floor(lam))
-
-
-def _nbinom_sf(k: int, n: float, p: float) -> float:
-    # pmf ratio (i + n)(1 - p) / (i + 1) decreases in i to 1 - p when n >= 1
-    # and increases to it when n < 1, so the larger of the two bounds it; it
-    # is at least 1 up to the mode floor((n - 1)(1 - p) / p)
-    mode = max(math.floor((n - 1.0) * (1.0 - p) / p), 0)
-    return _tail(k, lambda j: _nbinom_pmf(j, n, p), lambda j: max((j + n) / (j + 1), 1.0) * (1.0 - p), mode)
+def _pareto_poisson_pmf(k: int, a: float, s: float) -> float:
+    """P(D = k) for D Poisson with a Pareto(shape a, scale s) rate: the
+    integral of e^-x x^k / k! against a s^a x^(-a-1) over x > s, that is
+    a s^a Gamma(k - a, s) / k! (Karlis & Xekalaki, Int. Stat. Review 2005)."""
+    return math.exp(math.log(a) + a * math.log(s) + _log_upper_gamma(k - a, s) - math.lgamma(k + 1))
 
 
 # -- weight laws ----------------------------------------------------------------
@@ -357,7 +364,7 @@ class DegreeLaw:
         # generic: (x)_k = sum_j s(k,j) x^j
         return sum(stirling1_signed(k, j) * self.raw_moment(j) for j in range(k + 1))
 
-    # pmf / tails -------------------------------------------------------------
+    # pmf --------------------------------------------------------------------
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -378,28 +385,11 @@ class DegreeLaw:
             if w.kind == "gamma":
                 # Poisson mixed over gamma(shape, rate) is negative binomial
                 return _nbinom_pmf(k, w.shape, w.rate / (1.0 + w.rate))
-            raise MomentUnavailable("pmf has no closed form for this mixed-Poisson weight; use Monte Carlo")
+            if w.kind == "pareto":
+                return _pareto_poisson_pmf(k, w.shape, w.scale)
+            raise AssertionError(w.kind)
         if self.kind == "shifted":
             return self.base.pmf(k - self.offset)
-        raise AssertionError(self.kind)
-
-    def tail_mass(self, k: int) -> float:
-        """Upper bound on P(X > k), exact for the supported closed forms."""
-        if self.kind == "finite":
-            return float(sum(p for v, p in zip(self.values, self.probs) if v > k))
-        if self.kind == "poisson":
-            return _poisson_sf(k, self.lam)
-        if self.kind == "mixed":
-            w = self.weight
-            if w.kind == "point":
-                return _poisson_sf(k, w.values[0]) if w.values[0] > 0 else 0.0
-            if w.kind == "finite":
-                return float(sum(p * (_poisson_sf(k, v) if v > 0 else (k < 0)) for v, p in zip(w.values, w.probs)))
-            if w.kind == "gamma":
-                return _nbinom_sf(k, w.shape, w.rate / (1.0 + w.rate))
-            raise MomentUnavailable("no certified tail bound for this mixed-Poisson weight")
-        if self.kind == "shifted":
-            return self.base.tail_mass(k - self.offset)
         raise AssertionError(self.kind)
 
     def pmf_vector(self, kmax: int) -> np.ndarray:
@@ -441,6 +431,31 @@ def size_biased(law: DegreeLaw) -> DegreeLaw:
     if law.kind == "shifted" and law.has_finite_support():
         return size_biased(law.as_finite())
     raise ValueError(f"size-biasing not supported for {law.kind} law")
+
+
+def thinned(law: DegreeLaw, p: float) -> DegreeLaw:
+    """Law of Bin(X, p) for X ~ law and 0 < p <= 1: the number of X items
+    kept when each is kept independently with probability p.
+
+    Poisson and mixed-Poisson laws use the identity Bin(Po(W), p) = Po(pW);
+    finite laws become the binomial mixture, its terms in log form so that
+    large supports do not overflow."""
+    if not 0 < p <= 1:
+        raise ValueError("thinning probability must lie in (0, 1]")
+    if p == 1:
+        return law
+    if law.kind == "poisson":
+        return DegreeLaw.poisson(p * law.lam)
+    if law.kind == "mixed":
+        return DegreeLaw.mixed_poisson(law.weight.scaled(p))
+    if law.has_finite_support():
+        fin = law.as_finite()
+        pmf = dict.fromkeys(range(fin.values[-1] + 1), 0.0)
+        for d, q in zip(fin.values, fin.probs):
+            for n in range(d + 1):
+                pmf[n] += float(q) * math.exp(math.log(math.comb(d, n)) + n * math.log(p) + (d - n) * math.log1p(-p))
+        return DegreeLaw.from_pmf(pmf)
+    raise ValueError(f"thinning not supported for {law.kind} law")
 
 
 def offspring_law(law: DegreeLaw) -> DegreeLaw:

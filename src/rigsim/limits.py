@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo evaluation of the limit quantities.
+"""Exact evaluation of the limit quantities.
 
 Everything is driven by a ``LimitSpec`` holding the two degree laws (D1, D2)
 of the branching process, usually obtained from a model via the Poisson
@@ -16,9 +16,11 @@ with E emb' exact by ``rooted_emb_expectation``.  Degree moments, the
 clustering coefficient and the assortativity are the same ratios of these
 limits that ``rigsim.stats`` takes of the counts on a finite graph.
 
-Degree-conditioned quantities (conditional clustering / assortativity) are
-exact by truncated convolution of the Z pmf when the pmfs and a certified D1
-tail exist, else rejection Monte Carlo.
+The root degree pmf and the degree-conditioned quantities (conditional
+clustering / assortativity) are finite sums.  Only the non-zero Z_i add to
+d*: with p = P(Z >= 1), their number is D1' ~ Bin(D1, p) (``laws.thinned``)
+and each is distributed as Z' = (Z | Z >= 1) >= 1, so d* = k needs at most k
+of them, and k convolutions of the Z' pmf give P(d* = k) with no truncation.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cliquetree import GWForest, sample_gw_forest
 from .counting import MAX_PATTERN_VERTICES, Pattern, _coincidence_terms, clique_families, pattern_from_name
 from .generators import ModelConfig
 from .graphs import Graph
-from .laws import DegreeLaw, MomentUnavailable, WeightLaw
+from .laws import DegreeLaw, MomentUnavailable, WeightLaw, thinned
 
 __all__ = [
     "LimitSpec",
@@ -42,7 +43,6 @@ __all__ = [
     "remark1_limits",
     "limit_spec_for",
     "dstar_moment",
-    "sample_dstar",
     "limit_degree_pmf",
     "limit_degree_pmf_vector",
     "limit_clustering",
@@ -52,32 +52,16 @@ __all__ = [
     "rooted_emb_expectation",
     "limit_emb_per_vertex",
     "limit_hom_per_vertex",
-    "NoAcceptances",
 ]
-
-_TAIL_EPS = 1e-12
-
-
-class NoAcceptances(RuntimeError):
-    """Rejection Monte Carlo drew no tree with d* = k."""
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A limit value: exact closed form (stderr 0) or Monte Carlo.
-
-    Exact estimates always carry stderr 0.  A Monte Carlo estimate may also
-    report stderr 0 when every sampled value coincided (degenerate laws)."""
+    """An exact limit value; ``degenerate`` marks a ratio whose denominator
+    limit is 0, reported as 0."""
 
     value: float
-    stderr: float = 0.0
-    samples: int = 0
-    exact: bool = True
-    deficit: float = 0.0  # certified truncation deficit of an exact evaluation
     degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        assert not (self.exact and self.stderr != 0.0), "exact estimates have stderr 0"
 
 
 @dataclass(frozen=True)
@@ -163,24 +147,6 @@ def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
     return limit_hom_per_vertex(spec, pattern_from_name(f"S{k}"))
 
 
-def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """iid samples of d* = sum_{i<=D1} Z_i (vectorized)."""
-    return _z_sums(sample_gw_forest(spec.D1, spec.D2, 2, size, rng, math.inf))
-
-
-def _z_sums(forest: GWForest, weight: Callable[[np.ndarray], np.ndarray] = lambda z: z) -> np.ndarray:
-    """sum_i w(Z_i) for each tree of an uncapped depth-2 forest (d* for the
-    identity w), by one np.add.reduceat over the trees whose D1 draw is not
-    0; the others draw no Z and sum to 0."""
-    nz = np.flatnonzero(forest.counts[0])
-    if not nz.size:
-        return np.zeros(forest.samples, dtype=np.int64)
-    wz = weight(forest.counts[1])
-    sums = np.zeros(forest.samples, dtype=wz.dtype)
-    sums[nz] = np.add.reduceat(wz, forest.starts[1][nz])
-    return sums
-
-
 # -- degree pmf -------------------------------------------------------------------
 
 
@@ -190,24 +156,27 @@ def _z_pmf_vector(spec: LimitSpec, kmax: int) -> np.ndarray:
     return np.array([(m + 1) * spec.D2.pmf(m + 1) / m2 for m in range(kmax + 1)])
 
 
-def _d1_truncation(D1: DegreeLaw, eps: float = _TAIL_EPS) -> tuple[np.ndarray, float]:
-    """(pmf of D1 on 0..N, tail deficit <= eps) with certified N."""
-    mx = D1.max_support()
-    if mx is not None:
-        return D1.pmf_vector(mx), 0.0
-    n = 16
-    while D1.tail_mass(n) > eps:
-        n *= 2
-        if n > 10**7:
-            raise MomentUnavailable("cannot certify a D1 truncation point")
-    return D1.pmf_vector(n), float(D1.tail_mass(n))
+def _thinned_laws(spec: LimitSpec, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pmf of Z' = (Z | Z >= 1), pmf of D1' ~ Bin(D1, P(Z >= 1))) on
+    0..kmax, so that d* = sum_{j <= D1'} Z'_j; D1' = 0 when d* = 0 almost
+    surely (E D1 = 0, or Z = 0)."""
+    root = np.zeros(kmax + 1)
+    root[0] = 1.0
+    if spec.degenerate_root:
+        return np.zeros(kmax + 1), root
+    z = _z_pmf_vector(spec, kmax)
+    p = 1.0 - z[0]
+    if p <= 0:
+        return np.zeros(kmax + 1), root
+    z[0] = 0.0
+    return z / p, thinned(spec.D1, p).pmf_vector(kmax)
 
 
 def _d1_sums(z: np.ndarray, d1p: np.ndarray) -> Iterator[tuple[int, float, np.ndarray | None, np.ndarray]]:
-    """(n, P(D1 = n), pmf of the (n-1)-fold Z sum, pmf of the n-fold Z sum)
-    for each n with P(D1 = n) = d1p[n] > 0, given the Z pmf ``z``; both sum
-    pmfs are truncated at len(z) - 1, below which they are exact, and the
-    (n-1)-fold one is None at n = 0."""
+    """(n, P(D1' = n), pmf of the (n-1)-fold Z' sum, pmf of the n-fold Z'
+    sum) for each n with P(D1' = n) = d1p[n] > 0, given the Z' pmf ``z``;
+    both sum pmfs are truncated at len(z) - 1, below which they are exact,
+    and the (n-1)-fold one is None at n = 0."""
     prev = None
     conv = np.zeros(z.size)
     conv[0] = 1.0  # sum of zero Z's
@@ -218,42 +187,20 @@ def _d1_sums(z: np.ndarray, d1p: np.ndarray) -> Iterator[tuple[int, float, np.nd
             yield n, pn, prev, conv
 
 
-def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> tuple[np.ndarray, float]:
-    """Exact (certified-truncation) pmf of d* on 0..kmax plus the deficit.
-
-    Convolutions truncated at kmax are exact for the masses below kmax; the
-    only error is the D1 tail deficit, which is certified below 1e-12.
-    Raises MomentUnavailable when the needed pmfs have no closed form.
-    """
+def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> np.ndarray:
+    """Exact pmf of d* on 0..kmax: the n-fold Z' sum is at least n, so
+    D1' <= kmax terms give every mass up to kmax."""
     out = np.zeros(kmax + 1)
-    if spec.degenerate_root:
-        out[0] = 1.0
-        return out, 0.0
-    z = _z_pmf_vector(spec, kmax)
-    d1p, deficit = _d1_truncation(spec.D1)
-    for _, pn, _, conv in _d1_sums(z, d1p):
+    for _, pn, _, conv in _d1_sums(*_thinned_laws(spec, kmax)):
         out += pn * conv
-    return out, deficit
+    return out
 
 
-def limit_degree_pmf(
-    spec: LimitSpec,
-    k: int,
-    mc_samples: int = 0,
-    rng: np.random.Generator | None = None,
-) -> Estimate:
-    """P(d* = k): exact truncated convolution when pmfs exist, else MC."""
+def limit_degree_pmf(spec: LimitSpec, k: int) -> Estimate:
+    """P(d* = k), exact."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    try:
-        vec, deficit = limit_degree_pmf_vector(spec, k)
-        return Estimate(float(vec[k]), deficit=deficit)
-    except MomentUnavailable:
-        if mc_samples <= 0 or rng is None:
-            raise
-    d = sample_dstar(spec, mc_samples, rng)
-    p = float((d == k).mean())
-    return Estimate(p, math.sqrt(max(p * (1 - p), 1e-300) / mc_samples), mc_samples, exact=False)
+    return Estimate(float(limit_degree_pmf_vector(spec, k)[k]))
 
 
 # -- headline statistics ------------------------------------------------------------
@@ -285,105 +232,42 @@ def limit_assortativity(spec: LimitSpec) -> Estimate:
 # -- conditional statistics -----------------------------------------------------------
 
 
-def _conditional_expectation(
-    spec: LimitSpec, k: int, weight: Callable[[int], float]
-) -> tuple[float, float, float]:
-    """(E[sum_i w(Z_i); d* = k], P(d* = k), deficit), exactly via truncated
-    convolutions of the Z pmf (certified D1 truncation)."""
-    z = _z_pmf_vector(spec, k)
-    d1p, deficit = _d1_truncation(spec.D1)
+def _conditional(spec: LimitSpec, k: int, weight: Callable[[int], float], scale: int) -> Estimate:
+    """E[sum_i w(Z_i) | d* = k] / scale, exactly, for a weight with w(0) = 0:
+    the sum runs over the D1' non-zero Z_i only.  The value is
+    num / (scale * pk) in one division, which rounds differently from
+    (num / pk) / scale in about one case in five."""
+    z, d1p = _thinned_laws(spec, k)
     wz = np.array([weight(m) for m in range(k + 1)]) * z
-    num = 0.0
-    pk = 0.0
+    num = pk = 0.0
     for n, pn, conv_prev, conv in _d1_sums(z, d1p):
         pk += pn * conv[k]
         if n > 0:
             # symmetry: n identical terms, condition through the (n-1)-fold sum
             num += pn * n * float(np.dot(wz, conv_prev[k::-1]))
-    return num, pk, deficit
+    if pk <= 0:
+        raise ValueError(f"P(d* = {k}) = 0; conditional limit undefined")
+    return Estimate(num / (scale * pk))
 
 
-def _conditional_mc(
-    spec: LimitSpec,
-    k: int,
-    weight: Callable[[np.ndarray], np.ndarray],
-    mc_samples: int,
-    rng: np.random.Generator,
-) -> Estimate:
-    """Rejection Monte Carlo for E[sum_i w(Z_i) | d* = k].  The weighted sums
-    are integers held in floats, so their order of summation does not matter."""
-    accepted: list[np.ndarray] = []
-    batch = max(10000, mc_samples // 10)
-    drawn = 0
-    while drawn < mc_samples:
-        m = min(batch, mc_samples - drawn)
-        drawn += m
-        forest = sample_gw_forest(spec.D1, spec.D2, 2, m, rng, math.inf)
-        hits = _z_sums(forest) == k
-        if hits.any():  # k >= 1, so these trees drew Z
-            accepted.append(_z_sums(forest, lambda z: weight(z.astype(np.float64)))[hits])
-    if not accepted:
-        raise NoAcceptances(f"no Monte Carlo acceptances for d* = {k}; increase samples")
-    arr = np.concatenate(accepted)
-    return Estimate(
-        float(arr.mean()),
-        float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf"),
-        int(arr.size),
-        exact=False,
-    )
-
-
-def _conditional(
-    spec: LimitSpec, k: int, weight: Callable, scale: int, mc_samples: int, rng: np.random.Generator | None
-) -> Estimate:
-    """E[sum_i w(Z_i) | d* = k] / scale: exact by truncated convolution when
-    the pmfs and a certified D1 tail exist, else rejection Monte Carlo on
-    ``rng``, after the Monte Carlo P(d* = k), which draws first.  ``weight``
-    takes an int on the exact path and a float array on the other.  The
-    exact value is num / (scale * pk) in one division, which rounds
-    differently from (num / pk) / scale in about one case in five."""
-    if not spec.degenerate_root:
-        try:
-            num, pk, deficit = _conditional_expectation(spec, k, weight)
-            if pk > 0:
-                return Estimate(num / (scale * pk), deficit=deficit)
-        except MomentUnavailable:
-            if limit_degree_pmf(spec, k, mc_samples, rng).value > 0:
-                est = _conditional_mc(spec, k, weight, mc_samples, rng)
-                return replace(est, value=est.value / scale, stderr=est.stderr / scale)
-    raise ValueError(f"P(d* = {k}) = 0; conditional limit undefined")
-
-
-def limit_conditional_clustering(
-    spec: LimitSpec,
-    k: int,
-    mc_samples: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> Estimate:
+def limit_conditional_clustering(spec: LimitSpec, k: int) -> Estimate:
     """Limit conditional clustering coefficient alpha_k* =
-    E[sum_i (Z_i)_2 | d* = k] / (k (k-1)): exact by truncated convolution,
-    else rejection Monte Carlo on ``rng``."""
+    E[sum_i (Z_i)_2 | d* = k] / (k (k-1)), exact."""
     if k < 2:
         raise ValueError("conditional clustering needs k >= 2")
-    return _conditional(spec, k, lambda m: m * (m - 1), k * (k - 1), mc_samples, rng)
+    return _conditional(spec, k, lambda m: m * (m - 1), k * (k - 1))
 
 
-def limit_conditional_assortativity(
-    spec: LimitSpec,
-    k: int,
-    mc_samples: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> Estimate:
+def limit_conditional_assortativity(spec: LimitSpec, k: int) -> Estimate:
     """Limit conditional assortativity r_k*: the conditional second-moment
-    term E[sum_i Z_i^2 | d* = k] / k (exact by truncated convolution, else
-    rejection Monte Carlo on ``rng``) plus the exact additive term
-    E (D1)_2 E (D2)_2 / (E D1 E D2)."""
+    term E[sum_i Z_i^2 | d* = k] / k plus the additive term
+    E (D1)_2 E (D2)_2 / (E D1 E D2), both exact."""
     if k < 1:
         raise ValueError("conditional assortativity needs k >= 1")
-    # an infinite moment raises before any Monte Carlo; the division waits
-    # for the helper, which rejects E D1 = 0
+    # an infinite moment raises before the sums run; the division waits for
+    # the helper, which rejects E D1 = 0
     d1_2, d2_2 = float(spec.D1.factorial_moment(2)), float(spec.D2.factorial_moment(2))
-    est = _conditional(spec, k, lambda m: m * m, k, mc_samples, rng)
+    est = _conditional(spec, k, lambda m: m * m, k)
     return replace(est, value=est.value + d1_2 * d2_2 / (float(spec.D1.mean()) * float(spec.D2.mean())))
 
 

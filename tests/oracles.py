@@ -17,10 +17,20 @@
 - The moments of d* by the composition expansion over E binom(D1, j) and
   the moments of Z (``z_moment``, ``dstar_moment_compositions``): the check
   of ``limits.dstar_moment``, which takes them as hom limits of stars.
-- Poisson and negative-binomial pmfs and tails in 50-digit decimal
-  arithmetic (``poisson_pmf_exact``, ``negative_binomial_pmf_exact`` and
-  their ``_tail_exact`` forms): the check of ``DegreeLaw.pmf`` and
-  ``DegreeLaw.tail_mass``, which evaluate them in floats.
+- d* and the weighted sums sum_i w(Z_i) drawn from depth-2 forests
+  (``sample_dstar``, ``z_sums``), and rejection Monte Carlo for
+  E[sum_i w(Z_i) | d* = k] (``conditional_mc``); and the same sums by
+  convolving the Z pmf, zeros included, once per value of D1
+  (``truncated_convolution``): the two checks of the thinned finite sums in
+  ``limits``.
+- Poisson and negative-binomial pmfs in 50-digit decimal arithmetic
+  (``poisson_pmf_exact``, ``negative_binomial_pmf_exact``), and the pmf of a
+  Poisson mixed over a Pareto weight by quadrature
+  (``pareto_poisson_pmf_quad``): the checks of ``DegreeLaw.pmf``, which
+  evaluates them in floats.
+- Graph helpers only the tests use: ``validate`` (CSR invariants),
+  ``degree_sequence``, ``part_degrees`` of a bipartite graph and the local
+  distance ``loc_distance``.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterable, Mapping
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,6 +54,13 @@ from rigsim.limits import Estimate, LimitSpec
 
 class CapExceeded(RuntimeError):
     """A tree taken out of a forest outgrew the node cap."""
+
+
+class McEstimate(NamedTuple):
+    """A Monte Carlo mean and its standard error."""
+
+    value: float
+    stderr: float
 
 
 @dataclass(frozen=True)
@@ -165,7 +183,7 @@ def rooted_emb_expectation_mc(
     samples: int,
     rng: np.random.Generator,
     hom_mode: bool = False,
-) -> Estimate:
+) -> McEstimate:
     """Monte Carlo E emb'(H, clique-tree ball, root) over sampled radius-r
     balls; requires the pattern radius to fit inside r.
 
@@ -181,12 +199,7 @@ def rooted_emb_expectation_mc(
     reps = np.unique(classes, return_index=True)[1].tolist()
     per_class = [rooted_emb_count(H, clique_tree(forest_tree(forest, i)), 0, hom_mode) for i in reps]
     counts = np.asarray(per_class, dtype=float)[classes]
-    return Estimate(
-        float(counts.mean()),
-        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
-        samples,
-        exact=False,
-    )
+    return McEstimate(float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf)
 
 
 def emb_backtrack(h: int, edges: tuple[tuple[int, int], ...], g: Graph) -> int:
@@ -285,7 +298,7 @@ def dstar_moment_compositions(spec: LimitSpec, k: int) -> Estimate:
     return Estimate(total)
 
 
-# -- Poisson and negative-binomial laws in 50-digit decimals -----------------------
+# -- pmfs in 50-digit decimals, and by quadrature ----------------------------------
 
 _DECIMAL = decimal.Context(prec=50)
 
@@ -311,30 +324,137 @@ def negative_binomial_pmf_exact(k: int, shape: float, rate: float) -> Decimal:
         return rising / math.factorial(k) * (n * p.ln()).exp() * (1 - p) ** k
 
 
-def _tail_exact(k: int, first: Decimal, ratio: Callable[[int], Decimal], mean: float) -> Decimal:
-    """P(X > k) from ``first`` = P(X = k + 1) and the pmf ratios
-    ``ratio(j)`` = P(X = j + 1) / P(X = j), summed upward until, well past
-    the mean, a term is below 1e-60 of the sum; 1 below the support."""
-    if k < 0:
-        return Decimal(1)
-    with decimal.localcontext(_DECIMAL):
-        total, t, j = Decimal(0), first, k + 1
-        while True:
-            total += t
-            if j > 2 * mean + 10 and t <= total * Decimal("1e-60"):
-                return total
-            t *= ratio(j)
-            j += 1
+def pareto_poisson_pmf_quad(k: int, a: float, s: float) -> float:
+    """P(D = k) for D Poisson with a Pareto(shape a, scale s) rate: the
+    integral over the weight x > s of e^-x x^k / k! against its density
+    a s^a x^(-a-1), by ``scipy.integrate.quad`` in log form, split at the
+    integrand's mode."""
+    from scipy import integrate
+
+    log_c = math.log(a) + a * math.log(s) - math.lgamma(k + 1)
+    f = lambda x: math.exp(log_c + (k - a - 1) * math.log(x) - x)  # noqa: E731
+    mode = max(s, k - a - 1)
+    cuts = sorted({s, mode, mode + 10 * math.sqrt(k + 1) + 50, math.inf})
+    return math.fsum(integrate.quad(f, lo, hi, epsabs=0, epsrel=2e-14, limit=400)[0] for lo, hi in zip(cuts, cuts[1:]))
 
 
-def poisson_tail_exact(k: int, lam: float) -> Decimal:
-    """P(Po(lam) > k)."""
-    lam_d = Decimal(lam)
-    return _tail_exact(k, poisson_pmf_exact(k + 1, lam), lambda j: lam_d / (j + 1), lam)
+# -- d* by sampling, and by convolution per value of D1 ----------------------------
 
 
-def negative_binomial_tail_exact(k: int, shape: float, rate: float) -> Decimal:
-    """P(X > k) for X as in ``negative_binomial_pmf_exact``."""
-    n, rate_d = Decimal(shape), Decimal(rate)
-    return _tail_exact(k, negative_binomial_pmf_exact(k + 1, shape, rate),
-                       lambda j: (j + n) / ((j + 1) * (1 + rate_d)), shape / rate)
+def z_sums(forest: GWForest, weight: Callable[[np.ndarray], np.ndarray] = lambda z: z) -> np.ndarray:
+    """sum_i w(Z_i) for each tree of an uncapped depth-2 forest (d* for the
+    identity w), by one np.add.reduceat over the trees whose D1 draw is not
+    0; the others draw no Z and sum to 0."""
+    nz = np.flatnonzero(forest.counts[0])
+    if not nz.size:
+        return np.zeros(forest.samples, dtype=np.int64)
+    wz = weight(forest.counts[1])
+    sums = np.zeros(forest.samples, dtype=wz.dtype)
+    sums[nz] = np.add.reduceat(wz, forest.starts[1][nz])
+    return sums
+
+
+def sample_dstar(spec: LimitSpec, size: int, rng: np.random.Generator) -> np.ndarray:
+    """iid samples of d* = sum_{i<=D1} Z_i (vectorized)."""
+    return z_sums(sample_gw_forest(spec.D1, spec.D2, 2, size, rng, math.inf))
+
+
+def conditional_mc(
+    spec: LimitSpec, k: int, weight: Callable[[np.ndarray], np.ndarray], samples: int, rng: np.random.Generator
+) -> McEstimate:
+    """Rejection Monte Carlo for E[sum_i w(Z_i) | d* = k] over ``samples``
+    trees drawn in batches.  The weighted sums are integers held in floats,
+    so their order of summation does not matter."""
+    accepted: list[np.ndarray] = []
+    batch = max(10000, samples // 10)
+    drawn = 0
+    while drawn < samples:
+        m = min(batch, samples - drawn)
+        drawn += m
+        forest = sample_gw_forest(spec.D1, spec.D2, 2, m, rng, math.inf)
+        hits = z_sums(forest) == k
+        if hits.any():  # k >= 1, so these trees drew Z
+            accepted.append(z_sums(forest, lambda z: weight(z.astype(np.float64)))[hits])
+    if not accepted:
+        raise RuntimeError(f"no Monte Carlo acceptances for d* = {k}")
+    arr = np.concatenate(accepted)
+    return McEstimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf)
+
+
+def truncated_convolution(
+    spec: LimitSpec, k: int, weight: Callable[[int], float], n_max: int = 400
+) -> tuple[float, float]:
+    """(E[sum_i w(Z_i); d* = k], P(d* = k)) by convolving the Z pmf, zeros
+    included, once for each value n of D1 up to its largest support point,
+    or up to ``n_max`` for an unbounded D1: the caller picks laws whose mass
+    past ``n_max`` is negligible.  This is how ``limits`` took these sums
+    before it thinned D1 to the non-zero Z_i."""
+    m2 = float(spec.D2.mean())
+    z = np.array([(m + 1) * spec.D2.pmf(m + 1) / m2 for m in range(k + 1)])
+    wz = np.array([weight(m) for m in range(k + 1)]) * z
+    top = spec.D1.max_support()
+    num = pk = 0.0
+    prev, conv = None, np.eye(1, k + 1)[0]  # the sum of zero Z's
+    for n, pn in enumerate(spec.D1.pmf_vector(n_max if top is None else top)):
+        if n > 0:
+            prev, conv = conv, np.convolve(conv, z)[: k + 1]
+        if pn > 0:
+            pk += pn * conv[k]
+            if n > 0:
+                num += pn * n * float(np.dot(wz, prev[k::-1]))
+    return num, pk
+
+
+# -- graph helpers the pipeline does not use ---------------------------------------
+
+
+def validate(g: Graph) -> None:
+    """Check the CSR invariants that construction guarantees: sorted, unique,
+    in-range, loop-free and symmetric adjacency."""
+    n = g.vertex_count
+    assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        assert (np.diff(nbrs) > 0).all() if nbrs.size > 1 else True, "adjacency not sorted/unique"
+        assert not (nbrs == v).any(), "self-loop"
+        if nbrs.size:
+            assert nbrs.min() >= 0 and nbrs.max() < n
+        for w in nbrs:
+            assert g.has_edge(int(w), v), "adjacency not symmetric"
+
+
+def degree_sequence(g: Graph) -> list[int]:
+    """Degrees of all vertices in index order."""
+    return [int(d) for d in g.degrees()]
+
+
+def part_degrees(H: BipartiteMultigraph, part: int) -> np.ndarray:
+    """Degrees (with multiplicity) of all vertices in the given part (1 or 2)."""
+    if part == 1:
+        return np.bincount(H.edge_u, weights=H.mult, minlength=H.n1).astype(np.int64)
+    if part == 2:
+        return np.bincount(H.edge_w, weights=H.mult, minlength=H.n2).astype(np.int64)
+    raise ValueError("part must be 1 or 2")
+
+
+class LocDistance(NamedTuple):
+    value: Fraction  # 2 ** (-agreement_radius)
+    agreement_radius: int
+    capped: bool  # balls still agreed at r_max; the true distance may be smaller
+
+
+def loc_distance(g1: RootedGraph, g2: RootedGraph, r_max: int) -> LocDistance:
+    """Local distance 2^(-s), s the largest r <= r_max with B_r(g1) ~ B_r(g2).
+
+    Radius-0 balls always agree, so the result is at most 1.  When the balls
+    agree all the way to r_max the result is 2^(-r_max) with ``capped`` set:
+    a finite computation cannot certify agreement at every radius.
+    """
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
+    s = 0
+    for r in range(1, r_max + 1):
+        if ball(g1.graph, g1.root, r).code != ball(g2.graph, g2.root, r).code:
+            break
+        s = r
+    return LocDistance(Fraction(1, 2**s), s, s == r_max)

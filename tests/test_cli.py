@@ -306,7 +306,7 @@ def test_config_keys_are_checked(tmp_path, capsys, cfg, message):
 
 
 def test_shipped_configs_parse():
-    paths = sorted(CONFIGS.glob("*.json")) + sorted((ROOT / "perfbench" / "plans").glob("*/*.json"))
+    paths = _shipped_configs()
     assert len(paths) >= 11
     for path in paths:
         cfg = json.loads(path.read_text())
@@ -333,8 +333,8 @@ def test_converge_keeps_the_plan_seed(tmp_path):
 
 
 def test_converge_pareto_conditional_limits(tmp_path):
-    # Pareto weights have no exact pmf or certified tail: pi, alpha_k and r_k
-    # limits fall back to Monte Carlo instead of aborting
+    # Pareto weights: pi, alpha_k and r_k limits are exact finite sums over
+    # the Pareto-mixed Poisson pmf
     laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
     plan = write_json(
         tmp_path / "pareto.json",
@@ -346,18 +346,17 @@ def test_converge_pareto_conditional_limits(tmp_path):
     rows = list(csv.DictReader(open(out / "converge.csv")))
     assert [r["statistic"] for r in rows] == ["pi(2)", "alpha_k(2)", "r_k(2)"]
     for r in rows:
-        assert math.isfinite(float(r["limit"])) and math.isfinite(float(r["limit_stderr"]))
-    # pins the Monte Carlo stream of the conditional limits: P(d* = k) draws
-    # first, then the rejection pass, on the row's own reference substream
+        assert math.isfinite(float(r["limit"])) and r["limit_stderr"] == "0"
+    # re-pinned when these limits moved from rejection Monte Carlo (digest
+    # d73b5efa...) to exact values; the empirical columns kept their bytes
     digest = hashlib.sha256((out / "converge.csv").read_bytes()).hexdigest()
-    assert digest == "d73b5efa72a3a0e9ef82dc343f2c4b2a7e52b41cc6bd087dc76e627c6127cc4f"
+    assert digest == "70535701d7e613387998e0bd777e547007ebf05531f725377d7406a73ffc0f76"
 
 
 def test_limits_report_on_pareto_weights(tmp_path):
     # Pareto(3) weights: d* has no third moment, so those quantities are
-    # error entries and the rest is still reported; d* has no certified tail,
-    # so pi, alpha_k and r_k come from Monte Carlo, the same limits converge
-    # prints on a plan over the same laws
+    # error entries and the rest is still reported; pi, alpha_k and r_k are
+    # exact, the same limits converge prints on a plan over the same laws
     out = tmp_path / "pareto"
     assert main(["limits", "--config", str(CONFIGS / "inhomogeneous_pareto.json"), "--out", str(out)]) == 0
     vals = {r["quantity"]: r for r in json.load(open(out / "limits.json"))}
@@ -379,14 +378,14 @@ def test_limits_report_on_pareto_weights(tmp_path):
     assert [r["statistic"] for r in rows] == ["r_k(2)", "pi(2)", "alpha_k(2)"]
     for r in rows:
         v = vals[r["statistic"]]
-        assert v["exact"] is False and math.isfinite(v["stderr"])
-        assert (format(v["value"], ".12g"), format(v["stderr"], ".12g")) == (r["limit"], r["limit_stderr"])
+        assert set(v) == {"quantity", "value", "provenance"}
+        assert (format(v["value"], ".12g"), "0") == (r["limit"], r["limit_stderr"])
 
 
 def test_limits_report_no_acceptances(tmp_path):
-    # at 500 samples and seed 2 the Monte Carlo P(d* = 25) of alpha_k(25) is
-    # positive but its rejection pass accepts no tree: limits reports it as an
-    # error entry, converge aborts
+    # alpha_k(25) on Pareto weights, where a 500-sample rejection pass once
+    # accepted no tree and converge aborted: both commands now print its
+    # exact limit, which seed and sample count no longer touch
     laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
     plan = write_json(
         tmp_path / "pareto.json",
@@ -394,26 +393,47 @@ def test_limits_report_no_acceptances(tmp_path):
     )
     assert main(["limits", "--config", plan, "--k-values", "25", "--out", str(tmp_path)]) == 0
     vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
-    assert vals["alpha_k(25)"]["error"] == "no Monte Carlo acceptances for d* = 25; increase samples"
-    assert "value" in vals["alpha"]
-    assert main(["converge", "--config", plan, "--out", str(tmp_path)]) == 2
+    assert 0 < vals["alpha_k(25)"]["value"] < 1 and vals["pi(25)"]["value"] > 0
+    assert main(["converge", "--config", plan, "--seed", "9", "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "converge.csv")))
+    assert [r["limit"] for r in rows] == [format(vals["alpha_k(25)"]["value"], ".12g")]
+
+
+def _shipped_configs():
+    return sorted(CONFIGS.glob("*.json")) + sorted((ROOT / "perfbench" / "plans").glob("*/*.json"))
+
+
+@pytest.mark.parametrize("path", _shipped_configs(), ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_limits_give_every_degree_limit_a_value(tmp_path, path):
+    # every pi, alpha_k and r_k of every shipped model and plan is a number,
+    # save a conditional at a degree d* never takes, which says so
+    assert main(["limits", "--config", str(path), "--k-values", "2", "3", "--out", str(tmp_path)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
+    for k in (2, 3):
+        assert vals[f"pi({k})"]["value"] >= 0
+        for name in (f"alpha_k({k})", f"r_k({k})"):
+            if vals[f"pi({k})"]["value"] == 0:
+                assert vals[name]["error"] == f"P(d* = {k}) = 0; conditional limit undefined"
+            else:
+                assert math.isfinite(vals[name]["value"]), (name, vals[name])
 
 
 def test_emb_limits_draw_no_clique_trees(tmp_path, monkeypatch):
     # the emb rows of converge and theorem21 read exact limits: no Monte
-    # Carlo over sampled clique trees runs.  Every limit in rigsim.limits
-    # samples through its sample_gw_forest binding; the ball reference of
-    # converge samples through rigsim.cliquetree's, which theorem21 never
-    # needs
+    # Carlo over sampled clique trees runs.  The ball reference of converge
+    # samples one forest, which theorem21 never needs
     import rigsim.cliquetree
-    import rigsim.limits
+
+    forests = []
+    sample = rigsim.cliquetree.sample_gw_forest
+    monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", lambda *a, **kw: forests.append(a) or sample(*a, **kw))
+    cfg = write_json(tmp_path / "r2.json", REFERENCE_R2)
+    assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / "c")]) == 0
+    assert [a[2:4] for a in forests] == [(4, REFERENCE_R2["mc_reference_samples"])]
 
     def refuse(*a, **kw):
         raise AssertionError("a clique tree was sampled for an emb limit")
 
-    monkeypatch.setattr(rigsim.limits, "sample_gw_forest", refuse)
-    cfg = write_json(tmp_path / "r2.json", REFERENCE_R2)
-    assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / "c")]) == 0
     monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", refuse)
     plan = write_json(tmp_path / "active.json", {"model": MODEL, "ladder": [300], "statistics": ["alpha"],
                                                   "replications": 2, "seed": 5})
@@ -488,16 +508,24 @@ PINNED_PLANS = [
     ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
       "ladder": [600, 1200], "statistics": ["moment:2"], "replications": 2, "perturbation": {"gamma": 0.5}},
      "f88f1e2198c2cdec00276d27c1c94076e86ac743b4b84cd11407936d063d8528"),
+    # Pareto(1.5) weights, whose D1 has an infinite variance: pi and alpha_k
+    # are exact finite sums over the Pareto-mixed Poisson pmf; r_k, whose
+    # additive term needs E (D1)_2, is infinite here
+    ({"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 1.5, "scale": 1.0},
+                "xi2": {"kind": "pareto", "shape": 2.5, "scale": 1.0}},
+      "ladder": [1000, 3000], "statistics": ["pi:3", "alpha_k:3"], "replications": 2},
+     "bef2711ddba82e93267830bca4789bf45851ce089213a44e0e91030d9c882a18"),
 ]
 
 
 @pytest.mark.parametrize("plan, digest", PINNED_PLANS,
                          ids=["active", "configuration", "inhomogeneous", "passive", "planted-ball1", "reference-r2",
-                              "planted-near"])
+                              "planted-near", "pareto1.5"])
 def test_pinned_plans_match_their_digests(tmp_path, plan, digest):
-    # the benchmark plans and a planted plan without a ball row at seed 7:
-    # any change that moves a sampler, a reference or a Monte Carlo limit
-    # changes a converge.csv here, and must re-pin it on purpose
+    # the benchmark plans, a planted plan without a ball row and a Pareto(1.5)
+    # scalar plan at seed 7: any change that moves a sampler, the ball
+    # reference or a limit's digits changes a converge.csv here, and must
+    # re-pin it on purpose
     cfg = write_json(tmp_path / "plan.json", plan)
     assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "converge.csv").read_bytes()).hexdigest() == digest

@@ -182,7 +182,7 @@ class TestCliqueTreeBall:
                 for _ in range(n)
             ]
         )
-        pmf, _ = limit_degree_pmf_vector(spec, 12)
+        pmf = limit_degree_pmf_vector(spec, 12)
         for k in range(13):
             p = pmf[k]
             if p * n < 10:

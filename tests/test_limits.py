@@ -14,7 +14,6 @@ from rigsim.generators import ModelConfig
 from rigsim.graphs import Graph
 from rigsim.laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law
 from rigsim.limits import (
-    Estimate,
     LimitSpec,
     dstar_moment,
     limit_assortativity,
@@ -27,7 +26,6 @@ from rigsim.limits import (
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
-    sample_dstar,
 )
 from rigsim.rng import substream
 from tests import oracles
@@ -36,12 +34,16 @@ from tests.oracles import (
     CapExceeded,
     clique_tree,
     clique_tree_ball_from_tree,
+    conditional_mc,
     dstar_moment_compositions,
     forest_tree,
     root_eccentricity,
     rooted_emb_count,
     rooted_emb_expectation_mc,
+    sample_dstar,
+    truncated_convolution,
     z_moment,
+    z_sums,
 )
 
 CONST = DegreeLaw.constant
@@ -81,14 +83,6 @@ class TestLimitSpec:
             for beta in (0.5, 1.0, 2.5):
                 s = remark1_limits(model, beta, **kw)
                 assert beta * float(s.D2.mean()) == pytest.approx(float(s.D1.mean()), rel=1e-9)
-
-
-class TestEstimate:
-    def test_exact_forces_zero_stderr(self):
-        with pytest.raises(AssertionError):
-            Estimate(1.0, stderr=0.1, exact=True)
-        # an MC run whose samples all coincide may legitimately report stderr 0
-        Estimate(1.0, stderr=0.0, samples=10, exact=False)
 
 
 class TestZMoment:
@@ -155,7 +149,7 @@ class TestDstarMoment:
         for sp in specs:
             for k in range(1, 8):
                 got = dstar_moment(sp, k)
-                assert got.exact and got.value == pytest.approx(dstar_moment_compositions(sp, k).value, rel=1e-12)
+                assert got.value == pytest.approx(dstar_moment_compositions(sp, k).value, rel=1e-12)
 
     def test_order_bounded_by_the_pattern_library(self):
         sp = LimitSpec(PO(2), PO(1.5))
@@ -174,7 +168,7 @@ class TestDstarMoment:
 
     def test_draw_order(self):
         # D1 first, then one Z draw for all the samples (the rejection
-        # sampler shares these draws); when every D1 draw is 0 the Z law is
+        # oracle shares these draws); when every D1 draw is 0 the Z law is
         # never built, which matters when it has none (D1 = D2 = 0)
         assert sample_dstar(LimitSpec(CONST(0), CONST(0)), 5, substream(1)).tolist() == [0] * 5
         sp = LimitSpec(PMF({0: 0.9, 2: 0.1}), PO(2))
@@ -204,15 +198,17 @@ class TestDegreePmf:
         assert limit_degree_pmf(sp, 0).value >= math.exp(-1) - 1e-12
 
     def test_sums_to_one_with_certified_deficit(self):
+        # the missing mass is P(d* > 80) <= E (d*)^7 / 81^7 (Markov), here
+        # below 1e-7, and no truncation of D1 takes more
         sp = LimitSpec(PO(2), PO(1.5))
-        vec, deficit = limit_degree_pmf_vector(sp, 80)
-        assert deficit < 1e-9
-        assert abs(vec.sum() - 1.0) < 1e-9
+        vec = limit_degree_pmf_vector(sp, 80)
+        deficit = 1.0 - math.fsum(vec)
+        assert -1e-15 <= deficit <= dstar_moment(sp, 7).value / 81**7 < 1e-7
 
     def test_matches_mc(self):
         sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PO(2))
         d = sample_dstar(sp, 400_000, substream(3))
-        vec, _ = limit_degree_pmf_vector(sp, 15)
+        vec = limit_degree_pmf_vector(sp, 15)
         for k in range(16):
             p = vec[k]
             if p * d.size < 20:
@@ -221,17 +217,46 @@ class TestDegreePmf:
             assert abs(phat - p) < 4 * math.sqrt(p * (1 - p) / d.size)
 
     def test_mc_fallback_stderr_scaling(self):
+        # Pareto weights, whose only limit path was this Monte Carlo, now
+        # have an exact P(d* = 2); the sampled frequency closes on it with a
+        # stderr that shrinks like samples^(-1/2): each step by ~2
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.5, 1.0)), PO(2))
-        with pytest.raises(MomentUnavailable):
-            limit_degree_pmf_vector(sp, 5)
+        exact = limit_degree_pmf(sp, 2).value
         ses = []
         for i, n in enumerate((4000, 16000, 64000)):
-            est = limit_degree_pmf(sp, 2, mc_samples=n, rng=substream(4, i))
-            assert not est.exact
-            ses.append(est.stderr)
-        # stderr should shrink like samples^(-1/2): each step by ~2
+            phat = float((sample_dstar(sp, n, substream(4, i)) == 2).mean())
+            ses.append(math.sqrt(phat * (1 - phat) / n))
+            assert abs(phat - exact) < 4 * ses[-1]
         assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.35)
         assert ses[1] / ses[2] == pytest.approx(2.0, rel=0.35)
+
+    @pytest.mark.parametrize("sp", [
+        LimitSpec(PO(2), PO(1.5)),
+        LimitSpec(PO(0.3), PO(4.0)),
+        LimitSpec(PMF({1: 0.5, 3: 0.5}), CONST(2)),
+        LimitSpec(PMF({0: 0.25, 1: 0.25, 4: 0.5}), PMF({1: 0.3, 2: 0.3, 5: 0.4})),
+        remark1_limits("passive", 0.5, P=PMF({2: 0.5, 4: 0.5})),
+        remark1_limits("inhomogeneous", 1.0, xi1=WeightLaw.gamma(2.0, 1.0), xi2=WeightLaw.exponential(1.0)),
+        LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.gamma(0.5, 0.3)),
+                  DegreeLaw.mixed_poisson(WeightLaw.finite([0.0, 1.5, 4.0], [0.2, 0.5, 0.3]))),
+    ], ids=["poisson", "sparse-poisson", "configuration", "finite", "passive", "nbinom", "nbinom-finite-mix"])
+    def test_thinned_sums_match_the_convolution_per_d1_value(self, sp):
+        # thinning D1 to the non-zero Z_i changes the order of the sums, not
+        # their terms: every value within 1e-14 relative of the convolution
+        # over each value of D1 with the zeros of Z kept
+        for k in range(9):
+            _, pk = truncated_convolution(sp, k, lambda m: 0)
+            assert limit_degree_pmf(sp, k).value == pytest.approx(pk, rel=1e-14, abs=0)
+            for weight, scale, limit in ((lambda m: m * (m - 1), k * (k - 1), limit_conditional_clustering),
+                                         (lambda m: m * m, k, limit_conditional_assortativity)):
+                if scale == 0 or pk == 0:
+                    continue
+                num, _ = truncated_convolution(sp, k, weight)
+                got = limit(sp, k).value
+                if limit is limit_conditional_assortativity:
+                    got -= (float(sp.D1.factorial_moment(2)) * float(sp.D2.factorial_moment(2))
+                            / (float(sp.D1.mean()) * float(sp.D2.mean())))
+                assert got == pytest.approx(num / (scale * pk), rel=1e-14, abs=1e-15)
 
 
 class TestClusteringLimit:
@@ -277,7 +302,7 @@ class TestAssortativityLimit:
         # just pin the closed form for an asymmetric case.
         sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PMF({1: 0.25, 2: 0.75}))
         est = limit_assortativity(sp)
-        assert est.exact and -1.0 <= est.value <= 1.0
+        assert -1.0 <= est.value <= 1.0
 
 
 class TestConditionalLimits:
@@ -300,14 +325,15 @@ class TestConditionalLimits:
             with pytest.raises(ValueError, match=rf"P\(d\* = {k}\) = 0"):
                 limit_conditional_assortativity(sp, k)
 
-    def test_infinite_additive_term_raises_before_drawing(self):
-        # E (D1)_2 = inf (Pareto(1.5) weights): r_k* is infinite, and no
-        # Monte Carlo runs to find that out
+    def test_infinite_additive_term_raises_before_drawing(self, monkeypatch):
+        # E (D1)_2 = inf (Pareto(1.5) weights): r_k* is infinite, and no pmf
+        # sum runs to find that out, while alpha_k*, which needs no moment,
+        # is finite
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(1.5, 1.0)), PO(1))
-        rng = np.random.default_rng(0)
+        assert 0 < limit_conditional_clustering(sp, 2).value < 1
+        monkeypatch.setattr(limits, "_thinned_laws", lambda *a: pytest.fail("the conditional sums ran"))
         with pytest.raises(MomentUnavailable, match="order 2 is infinite"):
-            limit_conditional_assortativity(sp, 2, mc_samples=20_000, rng=rng)
-        assert rng.random() == np.random.default_rng(0).random()
+            limit_conditional_assortativity(sp, 2)
 
     def test_poisson_shortcut_matches_exact(self):
         # with D2 ~ Po(lam): alpha_k* = lam P(d* = k-1) / (k P(d* = k))
@@ -315,21 +341,24 @@ class TestConditionalLimits:
             sp = LimitSpec(D1, PO(1))
             for k in (2, 3, 4):
                 a = limit_conditional_clustering(sp, k)
-                assert a.exact
                 lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k).value, limit_degree_pmf(sp, k - 1).value
                 assert a.value == pytest.approx(lam * pk1 / (k * pk), rel=1e-9)
 
     def test_mc_matches_exact(self):
-        sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PO(1.5))
-        for k in (2, 3):
-            exact = limit_conditional_clustering(sp, k)
-            assert exact.exact
-            scale = k * (k - 1)
-            mc = limits._conditional_mc(sp, k, lambda z: z * (z - 1), 150_000, substream(5, k))
-            assert abs(mc.value / scale - exact.value) < 3.5 * mc.stderr / scale
+        # with Pareto weights too, on which this rejection pass was once the
+        # only path; shapes in (1, 2) give D1 an infinite variance
+        laws = [(PMF({1: 0.5, 3: 0.5}), 3.5)] + [(DegreeLaw.mixed_poisson(WeightLaw.pareto(a, 1.0)), 4)
+                                                  for a in (1.2, 1.5, 3.0)]
+        for D1, bound in laws:
+            sp = LimitSpec(D1, PO(1.5))
+            for k in (2, 3):
+                exact = limit_conditional_clustering(sp, k)
+                scale = k * (k - 1)
+                mc = conditional_mc(sp, k, lambda z: z * (z - 1), 150_000, substream(5, k))
+                assert abs(mc.value / scale - exact.value) < bound * mc.stderr / scale, (D1, k)
 
     def test_weighted_sums_match_the_per_tree_loop(self):
-        # one np.add.reduceat against a sum per tree, as the rejection pass
+        # one np.add.reduceat against a sum per tree, as the rejection oracle
         # once took them; the weights are integers in floats, so exactly
         pareto = DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0))
         for li, (D1, D2) in enumerate([(PO(0.3), PO(2)), (pareto, pareto), (PMF({0: 0.5, 2: 0.5}), CONST(1))]):
@@ -339,9 +368,9 @@ class TestConditionalLimits:
                 for weight in (lambda m: m * (m - 1), lambda m: m * m):
                     loop = [float(weight(forest.counts[1][s[i] : s[i + 1]].astype(np.float64)).sum())
                             if forest.counts[0][i] else 0.0 for i in range(forest.samples)]
-                    sums = limits._z_sums(forest, lambda z: weight(z.astype(np.float64)))
+                    sums = z_sums(forest, lambda z: weight(z.astype(np.float64)))
                     assert sums.tolist() == loop
-                assert limits._z_sums(forest).tolist() == [
+                assert z_sums(forest).tolist() == [
                     int(forest.counts[1][s[i] : s[i + 1]].sum()) if forest.counts[0][i] else 0
                     for i in range(forest.samples)
                 ]
@@ -354,10 +383,9 @@ class TestConditionalLimits:
     def test_assortativity_mc_matches_exact(self):
         sp = LimitSpec(PMF({2: 0.5, 3: 0.5}), PO(1.2))
         exact = limit_conditional_assortativity(sp, 3)
-        assert exact.exact
         additive = (float(sp.D1.factorial_moment(2)) * float(sp.D2.factorial_moment(2))
                     / (float(sp.D1.mean()) * float(sp.D2.mean())))
-        mc = limits._conditional_mc(sp, 3, lambda z: z * z, 150_000, substream(6))
+        mc = conditional_mc(sp, 3, lambda z: z * z, 150_000, substream(6))
         assert abs(mc.value / 3 + additive - exact.value) < 3.5 * mc.stderr / 3
 
     def test_exact_path_matches_exhaustive_enumeration(self):
@@ -391,9 +419,9 @@ class TestConditionalLimits:
             assert limit_degree_pmf(sp, k).value == pytest.approx(float(pk), abs=1e-12)
             if k >= 2:
                 got = limit_conditional_clustering(sp, k)
-                assert got.exact and got.value == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
+                assert got.value == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
             got = limit_conditional_assortativity(sp, k)
-            assert got.exact and got.value == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
+            assert got.value == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
 
 
 class TestRootedEmbExpectation:
@@ -452,7 +480,6 @@ class TestRootedEmbExpectation:
             sp, pattern_from_name("P4").rooted(1), 2, 4000, substream(99), hom_mode=True
         )
         closed = limit_hom_per_vertex(sp, pattern_from_name("P4"))
-        assert closed.exact
         assert abs(est.value - closed.value) < 3.5 * est.stderr
 
 
@@ -486,7 +513,7 @@ class TestExactRootedEmbExpectation:
                 for p in connected_patterns(h):
                     for rp in distinct_rootings(p):
                         est = rooted_emb_expectation(sp, rp)
-                        assert est.exact and est.value == deterministic_tree_count(sp, rp), (d1, d2, rp.edge_tuple(), rp.root)
+                        assert est.value == deterministic_tree_count(sp, rp), (d1, d2, rp.edge_tuple(), rp.root)
                         checks += 1
         assert checks == 365
 
@@ -559,4 +586,4 @@ class TestHomLimit:
                     depth = 2 * root_eccentricity(rp)
                     T = clique_tree(forest_tree(sample_gw_forest(sp.D1, sp.D2, depth, 1, substream(0)), 0))
                     est = limit_hom_per_vertex(sp, p)
-                    assert est.exact and est.value == rooted_emb_count(rp, T, 0, hom_mode=True), (d1, d2, p.edge_tuple())
+                    assert est.value == rooted_emb_count(rp, T, 0, hom_mode=True), (d1, d2, p.edge_tuple())
