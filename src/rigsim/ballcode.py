@@ -47,7 +47,9 @@ from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball_adjacency
 if TYPE_CHECKING:
     from .cliquetree import GWForest
 
-__all__ = ["BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes"]
+__all__ = [
+    "BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes", "radius1_clique_sizes",
+]
 
 BLOCK_TAG = b"BLK1"
 # Half-edges of non-block balls per canon batch.  Coding the r=2 balls of
@@ -68,6 +70,19 @@ def _vertex(blocks: list[bytes]) -> bytes:
 def _block(members: list[bytes]) -> bytes:
     members.sort()
     return b"[" + b"".join(members) + b"]"
+
+
+def radius1_clique_sizes(code: bytes) -> list[int] | None:
+    """The sizes of the cliques at the root (other members, each >= 1) of a
+    radius-1 block code, largest first: the inverse of how ``_block_code``
+    and ``forest_codes`` code a root whose blocks hold childless members.
+    None for every code these sizes do not re-encode byte for byte: general
+    codes, the reserved buckets and deeper block trees."""
+    body = code[len(BLOCK_TAG) :] if code.startswith(BLOCK_TAG) else b""
+    sizes = [len(block) // 2 for block in body[1:-1].split(b"]")[:-1]]
+    if min(sizes, default=1) < 1 or BLOCK_TAG + _vertex([_block([_LEAF] * z) for z in sizes]) != code:
+        return None
+    return sizes
 
 
 def _block_code(ladj: list[list[int]]) -> bytes | None:

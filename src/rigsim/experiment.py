@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ballcode import _gather, block_codes, fill_codes
+from .ballcode import _gather, block_codes, fill_codes, radius1_clique_sizes
 from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, count_tv
 from .counting import distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
@@ -38,6 +38,7 @@ from .limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_assortativity,
+    limit_ball1_probabilities,
     limit_emb_per_vertex,
     limit_spec_for,
     rooted_emb_expectation,
@@ -60,7 +61,7 @@ __all__ = [
 
 CSV_HEADER = "n1,statistic,empirical,emp_stderr,limit,limit_stderr,gap,tv"
 
-_REF_STREAM = 0x5EED  # substream tag reserved for the ball reference
+_REF_STREAM = 0x5EED  # substream tag reserved for the ball reference at r >= 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class ExperimentPlan:
     replications: int = 1
     seed: int = 0
     gamma: float | None = None  # plant a clique of size ceil(n1^gamma)
-    mc_reference_samples: int = 10**5
+    mc_reference_samples: int = 10**5  # trees per ball reference at r >= 2
     edge_budget: int = 5 * 10**7
     threads: int = 1
     gap_tolerance: float | None = None  # None: 3 * emp stderr
@@ -208,8 +209,9 @@ class Statistic(NamedTuple):
     """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
     finite graph (a StatReport, a number or a ball histogram); ``limit``
     gives its exact limit (an Estimate) from the limit laws and the
-    statistic, and is None for balls, whose reference is the clique-tree
-    Monte Carlo histogram that ``run_experiment`` draws."""
+    statistic, and is None for balls, whose reference ``run_experiment``
+    takes: the exact law at radius r <= 1 (``_ball_limit_tv``), the
+    clique-tree Monte Carlo histogram at r >= 2."""
 
     arg: str | None  # the StatisticSpec field carrying the parameter
     graph: Callable[[Graph, StatisticSpec], object]
@@ -249,6 +251,25 @@ def _row_histogram(codes) -> CodeHistogram:
     codes as they are, every other ball (code None) under ``NON_BLOCK_BUCKET``."""
     counts = Counter(NON_BLOCK_BUCKET if code is None else code for code in codes)
     return CodeHistogram(dict(counts), sum(counts.values()))
+
+
+def _ball_limit_tv(spec: LimitSpec, r: int, hist: CodeHistogram) -> float:
+    """TV distance between ``hist`` and the exact law of the radius-r
+    clique-tree ball, r <= 1: a point mass on the one-vertex ball at r = 0,
+    ``limits.limit_ball1_probabilities`` at r = 1, and 0 for every code that
+    ``radius1_clique_sizes`` does not decode.  With q = c / N the histogram's
+    frequencies and p the law, it is sum_x max(q_x - p_x, 0) over the
+    histogram's codes, which equals half the L1 distance as p sums to 1,
+    without the cancellation of 1 - sum p; ``math.fsum`` rounds it
+    correctly, so it does not depend on the codes' order."""
+    codes = list(hist.counts)
+    sizes = [radius1_clique_sizes(code) for code in codes]
+    if r == 0:
+        probs = [float(s == []) for s in sizes]
+    else:
+        known = iter(limit_ball1_probabilities(spec, [s for s in sizes if s is not None]))
+        probs = [0.0 if s is None else next(known) for s in sizes]
+    return math.fsum(max(hist.counts[code] / hist.total - p, 0.0) for code, p in zip(codes, probs))
 
 
 def _measure(G: Graph, s: StatisticSpec):
@@ -414,12 +435,14 @@ def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
 def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     """Run the full plan: per size, replicate graphs, compare statistics with
     their limits; ball statistics compare pooled empirical code histograms
-    against a clique-tree Monte Carlo reference by total variation, with the
-    balls that are not block graphs pooled in one bucket.  A plan with a
-    perturbation then gets, after all the main rows, two rows per size from
-    the same graphs: the planted/unplanted ratio of the second degree moment
-    and the TV distance between their ball distributions at the plan's ball
-    radius (1 without a ball statistic)."""
+    by total variation with the exact clique-tree ball law at radius r <= 1,
+    and with a clique-tree Monte Carlo reference of ``mc_reference_samples``
+    trees at r >= 2, with the balls that are not block graphs pooled in one
+    bucket that no limit ball matches.  A plan with a perturbation then
+    gets, after all the main rows, two rows per size from the same graphs:
+    the planted/unplanted ratio of the second degree moment and the TV
+    distance between their ball distributions at the plan's ball radius (1
+    without a ball statistic)."""
     check_edge_budget(plan)
     balls = [s for s in plan.statistics if s.kind == "ball"]
     if len(balls) > 1:
@@ -427,8 +450,9 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     spec = limit_spec_for(plan.model)
     limits = {s.label(): STATISTICS[s.kind].limit(spec, s) for s in plan.statistics if s.kind != "ball"}
     for s in balls:
-        rng = substream(plan.seed, _REF_STREAM, 2)
-        limits[s.label()] = ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, rng)
+        if s.r >= 2:
+            rng = substream(plan.seed, _REF_STREAM, 2)
+            limits[s.label()] = ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, rng)
     pert = () if plan.gamma is None else (StatisticSpec("moment", k=2),
                                           StatisticSpec("ball", r=balls[0].r if balls else 1))
     rows: list[ConvergenceRow] = []
@@ -443,7 +467,7 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
             for values, _ in results:
                 for code, c in values[s.label()].counts.items():
                     pooled.add(code, c)
-            tv = pooled.tv(limits[s.label()])
+            tv = pooled.tv(limits[s.label()]) if s.r >= 2 else _ball_limit_tv(spec, s.r, pooled)
             rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, tv))
         if pert:
             pert_rows += _perturbation_rows(n1, pert, results)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "dstar_moment",
     "limit_degree_pmf",
     "limit_degree_pmf_vector",
+    "limit_ball1_probabilities",
     "limit_clustering",
     "limit_assortativity",
     "limit_conditional_clustering",
@@ -193,6 +194,29 @@ def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> np.ndarray:
     out = np.zeros(kmax + 1)
     for _, pn, _, conv in _d1_sums(*_thinned_laws(spec, kmax)):
         out += pn * conv
+    return out
+
+
+def limit_ball1_probabilities(spec: LimitSpec, balls: Sequence[Sequence[int]]) -> list[float]:
+    """Exact probability of each radius-1 clique-tree ball in ``balls``, each
+    given by the multiset of its cliques' sizes (other members, each >= 1):
+    the root's non-empty cliques number D1' and have iid sizes Z', so k
+    cliques, m_j of the j-th distinct size, have probability
+
+      P(D1' = k) k! / prod_j m_j! prod_i P(Z' = z_i),
+
+    summed in logs, so no factor overflows.  Both pmfs are built once, up to
+    the largest clique count or size among ``balls``."""
+    kmax = max((max(len(sizes), *sizes) for sizes in balls if sizes), default=0)
+    z, d1p = _thinned_laws(spec, kmax)
+    out = []
+    for sizes in balls:
+        terms = [d1p[len(sizes)]] + [z[s] for s in sizes]
+        if min(terms) <= 0:
+            out.append(0.0)
+            continue
+        log_orderings = math.lgamma(len(sizes) + 1) - sum(math.lgamma(m + 1) for m in Counter(sizes).values())
+        out.append(math.exp(log_orderings + math.fsum(map(math.log, terms))))
     return out
 
 

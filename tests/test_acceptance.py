@@ -14,7 +14,7 @@ import pytest
 
 from rigsim.cliquetree import CodeHistogram, ball_distribution_mc
 from rigsim.counting import connected_patterns, emb_count, hom_count, pattern_from_name, sidorenko_bound
-from rigsim.experiment import ExperimentPlan, run_experiment
+from rigsim.experiment import ExperimentPlan, _ball_limit_tv, run_experiment
 from rigsim.generators import gen_active, gen_configuration, gen_degree_sequences, gen_passive
 from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw, size_biased, stirling2
@@ -215,19 +215,25 @@ def test_criterion_07_ball_distribution(active_sweep, config_graph_13):
     spec = remark1_limits("active", 1.0, P=DegreeLaw.constant(3))
     ref = ball_distribution_mc(spec.D1, spec.D2, 1, 10**6, substream(SEED, 7, 0))
     tv_active = tv_distance(active_sweep.ball_hist.probabilities(), ref.probabilities())
+    ex_active = _ball_limit_tv(spec, 1, active_sweep.ball_hist)
 
     Hp = gen_passive(N1, N1, DegreeLaw.constant(2), substream(SEED, 7, 1))
     Gp = intersection_graph(Hp)
     specp = remark1_limits("passive", 1.0, P=DegreeLaw.constant(2))
     refp = ball_distribution_mc(specp.D1, specp.D2, 1, 10**6, substream(SEED, 7, 2))
-    tv_passive = tv_distance(netstats.empirical_ball_dist(Gp, 1).probabilities(), refp.probabilities())
+    histp = netstats.empirical_ball_dist(Gp, 1)
+    tv_passive = tv_distance(histp.probabilities(), refp.probabilities())
+    ex_passive = _ball_limit_tv(specp, 1, histp)
 
     cspec, Gc = config_graph_13
     refc = ball_distribution_mc(cspec.D1, cspec.D2, 1, 10**6, substream(SEED, 7, 3))
-    tv_conf = tv_distance(netstats.empirical_ball_dist(Gc, 1).probabilities(), refc.probabilities())
-    ok = max(tv_active, tv_passive, tv_conf) < 0.03
+    histc = netstats.empirical_ball_dist(Gc, 1)
+    tv_conf = tv_distance(histc.probabilities(), refc.probabilities())
+    ex_conf = _ball_limit_tv(cspec, 1, histc)
+    ok = max(tv_active, tv_passive, tv_conf, ex_active, ex_passive, ex_conf) < 0.03
     report(7, ok, f"r=1 ball TV vs 1e6-sample reference: active {tv_active:.4f}, "
-                  f"passive {tv_passive:.4f}, configuration {tv_conf:.4f} (<0.03)")
+                  f"passive {tv_passive:.4f}, configuration {tv_conf:.4f}; vs the exact law: "
+                  f"active {ex_active:.4f}, passive {ex_passive:.4f}, configuration {ex_conf:.4f} (<0.03)")
 
 
 def test_criterion_08_theorem21_consistency(active_sweep):

@@ -493,11 +493,13 @@ PINNED_PLANS = [
     ({"model": {"model": "passive", "n1": 100, "n2": 100, "P": {"kind": "pmf", "pmf": {"2": 0.5, "4": 0.5}}},
       "ladder": [2000, 7000], "statistics": SCALARS, "replications": 2},
      "0501e7686f464bf6a97ff2784385d982603640bfdd5da111298b291fcf442862"),
-    # planted clique, radius-1 balls against a 2e5-sample clique-tree reference
+    # planted clique, radius-1 balls against the exact clique-tree ball law
+    # (re-pinned from d12a1517... when it replaced a 2e5-sample Monte Carlo
+    # reference, which the plan still names: only the two ball(1) TVs moved)
     ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
       "ladder": [600, 1200], "statistics": ["moment:2", "ball:1"], "replications": 2,
       "perturbation": {"gamma": 0.5}, "mc_reference_samples": 200000},
-     "d12a15170248e96eba02fdd9796491ebb75ce16a810145de396f757500a36658"),
+     "a8234efe04272a9d798bd59c3026d1edbd2259b646f80a0c2c9d64a0ab1387f2"),
     # Pareto weights, radius-2 balls against a forest-sampled reference and
     # the exact emb(P4) limit 526.5 (re-pinned when the Monte Carlo estimate
     # 810.008 +- 244.3 gave way to it; only the emb(P4) rows moved)

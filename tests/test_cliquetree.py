@@ -1,14 +1,19 @@
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from rigsim.cliquetree import CAP_BUCKET, CodeHistogram, ball_distribution_mc, sample_gw_forest
+from rigsim.ballcode import forest_codes, radius1_clique_sizes
+from rigsim.canon import canonical_code
+from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, sample_gw_forest
+from rigsim.experiment import _ball_limit_tv
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
 from rigsim.laws import DegreeLaw, WeightLaw
-from rigsim.limits import LimitSpec, limit_degree_pmf_vector
+from rigsim.limits import LimitSpec, limit_ball1_probabilities, limit_degree_pmf_vector, remark1_limits
 from rigsim.rng import substream
 from tests.oracles import (
     CapExceeded,
@@ -257,3 +262,99 @@ class TestTV:
         rows = h.to_rows()
         assert sum(r["count"] for r in rows) == 4
         assert all(set(r) == {"code_hex", "count", "probability"} for r in rows)
+
+
+# Each bound is the mean plus four standard deviations of the TV between two
+# independent 10^6-sample references of the law, measured over ten pairs of
+# seeds before the exact law was written (mean / sd: active 0.0063 / 0.0004,
+# passive 0.0030 / 0.0004, configuration 0.0004 / 0.0003, gamma 0.0456 /
+# 0.0003, Pareto 0.0164 / 0.0007).  The exact law against one reference
+# carries about 1/sqrt(2) of that noise.
+EXACT_VS_MC = [
+    ("active", remark1_limits("active", 1.0, P=DegreeLaw.constant(3)), 0.0080),
+    ("passive", remark1_limits("passive", 1.0, P=DegreeLaw.from_pmf({2: 0.5, 4: 0.5})), 0.0047),
+    ("configuration", LimitSpec(DegreeLaw.from_pmf({1: 0.5, 3: 0.5}), DegreeLaw.constant(2)), 0.0015),
+    ("gamma", remark1_limits("inhomogeneous", 1.0, xi1=WeightLaw.gamma(2.0, 1.0),
+                             xi2=WeightLaw.exponential(1.0)), 0.047),
+    ("pareto", remark1_limits("inhomogeneous", 1.0, xi1=WeightLaw.pareto(3.0, 1.0),
+                              xi2=WeightLaw.exponential(1.0)), 0.019),
+]
+# Z takes 0, 1 and 2 and D1 at most 3, so the r=1 law has 10 balls: up to
+# three cliques of one or two other members
+SMALL = LimitSpec(DegreeLaw.from_pmf({0: 0.2, 2: 0.5, 3: 0.3}), DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}))
+SMALL_BALLS = [list(b) for k in range(4) for b in itertools.combinations_with_replacement((2, 1), k)]
+
+
+def r1_code(sizes):
+    """The radius-1 ball of a root with cliques of the given sizes."""
+    edges, n = [], 1
+    for z in sizes:
+        members = [0] + list(range(n, n + z))
+        edges += list(itertools.combinations(members, 2))
+        n += z
+    return RootedGraph(Graph.from_edges(n, edges), 0).code
+
+
+class TestExactBall1Law:
+    @pytest.mark.parametrize("name, spec, bound", EXACT_VS_MC, ids=[e[0] for e in EXACT_VS_MC])
+    def test_matches_the_monte_carlo_reference(self, name, spec, bound):
+        ref = ball_distribution_mc(spec.D1, spec.D2, 1, 10**6, substream(4242, 1))
+        assert _ball_limit_tv(spec, 1, ref) < bound
+
+    def test_enumerated_law(self):
+        # the probability of each multiset of non-zero Z_i, summed over every
+        # D1 value and every Z sequence, against the exact law; it sums to 1
+        z = {m: (m + 1) * SMALL.D2.pmf(m + 1) / float(SMALL.D2.mean()) for m in range(3)}
+        brute = Counter()
+        for d1 in range(4):
+            for zs in itertools.product(range(3), repeat=d1):
+                ball = tuple(sorted((m for m in zs if m), reverse=True))
+                brute[ball] += SMALL.D1.pmf(d1) * math.prod(z[m] for m in zs)
+        probs = limit_ball1_probabilities(SMALL, SMALL_BALLS)
+        assert sorted(brute) == sorted(map(tuple, SMALL_BALLS))
+        for sizes, p in zip(SMALL_BALLS, probs):
+            assert p == pytest.approx(brute[tuple(sizes)], rel=1e-13, abs=1e-16)
+        assert abs(math.fsum(probs) - 1.0) < 1e-12
+
+    def test_sizes_outside_the_support_have_probability_zero(self):
+        # P(Z = 0, 1, 2) = 0.15, 0.4, 0.45 and D1 <= 3: three cliques of two
+        # other members need D1 = 3
+        probs = limit_ball1_probabilities(SMALL, [[1, 1, 1, 1], [3], [2, 2, 2]])
+        assert probs == [0.0, 0.0, pytest.approx(0.3 * 0.45**3, rel=1e-13)]
+
+    @pytest.mark.parametrize("D1, D2", [(DegreeLaw.poisson(2.5), DegreeLaw.poisson(1.5)),
+                                        (DegreeLaw.from_pmf({1: 0.5, 4: 0.5}), DegreeLaw.from_pmf({1: 0.4, 3: 0.6}))])
+    def test_every_forest_code_decodes(self, D1, D2):
+        # each sampled tree's code decodes to the non-zero offspring counts
+        # of its attributes, whose sum is the root degree
+        forest = sample_gw_forest(D1, D2, 2, 20_000, substream(31))
+        classes, names = forest_codes(forest, 1)
+        sizes = [radius1_clique_sizes(code) for code in names]
+        assert None not in sizes
+        assert all(s == sorted(s, reverse=True) for s in sizes)
+        assert all(r1_code(s) == code for s, code in zip(sizes, names))
+        below = np.concatenate([[0], np.cumsum(forest.counts[1])])[forest.starts[1]]
+        assert [sum(sizes[c]) for c in classes.tolist()] == np.diff(below).tolist()
+
+    def test_codes_that_are_not_radius1_clique_trees(self):
+        c4 = RootedGraph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 0)
+        p3_end = RootedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0).code  # a radius-2 block tree
+        unsorted = b"BLK1([()][()()])"
+        for code in (c4.code, canonical_code(c4), p3_end, NON_BLOCK_BUCKET, CAP_BUCKET, b"BLK1([])", unsorted):
+            assert radius1_clique_sizes(code) is None
+        assert radius1_clique_sizes(ISOLATED) == []
+        assert radius1_clique_sizes(r1_code([1, 3, 1])) == [3, 1, 1]
+
+    def test_tv_is_half_the_l1_distance(self):
+        # the one-sided sum over the histogram's codes is half the L1
+        # distance to the whole law, with the bucket and a ball outside the
+        # support, [3], counted in full; at r = 0 the law is the one-vertex ball
+        balls = [[2, 2], [1], []]
+        hist = CodeHistogram()
+        for sizes, c in zip(balls, (5, 30, 7)):
+            hist.add(r1_code(sizes), c)
+        hist.add(NON_BLOCK_BUCKET, 3)
+        hist.add(r1_code([3]), 2)
+        law = dict(zip(map(r1_code, SMALL_BALLS), limit_ball1_probabilities(SMALL, SMALL_BALLS)))
+        assert _ball_limit_tv(SMALL, 1, hist) == pytest.approx(tv_distance(hist.probabilities(), law), abs=1e-15)
+        assert _ball_limit_tv(SMALL, 0, hist) == pytest.approx(1 - 7 / 47, abs=1e-15)

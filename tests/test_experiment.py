@@ -213,18 +213,22 @@ class TestRunExperiment:
 
 class TestBallConvergence:
     def test_degenerate_tv_zero(self):
-        plan = ExperimentPlan.from_config(
-            {
-                "model": {"model": "active", "n1": 50, "n2": 50, "P": {"kind": "constant", "value": 0}},
-                "ladder": [50],
-                "statistics": ["ball:1"],
-                "replications": 1,
-                "seed": 1,
-                "mc_reference_samples": 500,
-            }
-        )
-        rows = run_experiment(plan)
-        assert rows[0].tv == 0.0
+        # a degenerate root (D1 = 0, or Z = 0) makes every limit ball the one
+        # vertex, and so is every graph ball; r <= 1 rows take the exact law,
+        # r = 2 rows the Monte Carlo reference
+        for model in (
+            {"model": "active", "n1": 50, "n2": 50, "P": {"kind": "constant", "value": 0}},
+            {"model": "passive", "n1": 50, "n2": 50, "P": {"kind": "constant", "value": 0}},
+            {"model": "configuration", "n1": 50, "D1": {"kind": "constant", "value": 2},
+             "D2": {"kind": "constant", "value": 1}},
+        ):
+            for r in (0, 1, 2):
+                plan = ExperimentPlan.from_config(
+                    {"model": model, "ladder": [50], "statistics": [f"ball:{r}"], "replications": 1, "seed": 1,
+                     "mc_reference_samples": 500}
+                )
+                rows = run_experiment(plan)
+                assert rows[0].tv == 0.0, (model, r)
 
     def test_tv_shrinks_along_ladder(self):
         plan = active_plan(statistics=["ball:1"], ladder=[200, 1600], replications=2, mc_reference_samples=60000)
