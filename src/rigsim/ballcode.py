@@ -18,12 +18,14 @@ incidences of the bipartite graph H it projects, each remaining ball that
 H's non-backtracking unfolding shows to be a plain clique tree is coded from
 that unfolding, in numpy passes over many centres, by ``forest_codes``, the
 coder of the clique-tree reference (Dell, Grohe & Rattan 2018: a clique
-tree is fixed by its unfolding).  Last, the balls left, and every ball of a
-graph without H (read from a file, built from edges, a ``ball``), are walked
-and tested one at a time.  ``fill_codes`` codes the balls that are not
-block graphs in batches with ``canon.canonical_codes`` (``ball_codes`` runs
-the block pass, walks the balls it decided without a walk, and fills them
-in), and ``rooted_code`` codes one the same way.  A comparison with the
+tree is fixed by its unfolding); and for r >= 2 the same passes find the
+balls in which two paths of the unfolding close a cycle through two vertices
+that are not adjacent, which are not block graphs.  Last, the balls left,
+and every ball of a graph without H (read from a file, built from edges, a
+``ball``), are walked and tested one at a time.  ``fill_codes`` codes the
+balls that are not block graphs in batches with ``canon.canonical_codes``
+(``ball_codes`` runs the block pass, walks the balls it decided without a
+walk, and fills them in), and ``rooted_code`` codes one the same way.  A comparison with the
 clique-tree limit never needs a general code, since no limit ball can match
 a ball that is not a block graph.
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import canon
 from .counting import _cumsum0
-from .graphs import BipartiteMultigraph, Graph, RootedGraph, ball_adjacency
+from .graphs import BipartiteMultigraph, Graph, RootedGraph, _unique, ball_adjacency
 
 if TYPE_CHECKING:
     from .cliquetree import GWForest
@@ -155,8 +157,10 @@ def block_codes(
        B_{r-1}(u) that is not a block graph, neither is B_r(v): B_{r-1}(u) is
        a connected induced subgraph of B_r(v), and block graphs are closed
        under those.  The radius r - 1 verdicts come from this pass on N[v].
-    2. Clique trees coded from H, by ``_codes_from_h``, on a graph that
-       keeps H's incidences (``intersection_graph`` makes such graphs).
+    2. H's unfolding, by ``_codes_from_h``, on a graph that keeps H's
+       incidences (``intersection_graph`` makes such graphs): clique trees
+       are coded from it, and balls in which it shows a cycle through two
+       vertices that are not adjacent (r >= 2) are not block graphs.
     3. The walk: each remaining ball is read by ``ball_adjacency`` and
        block-tested by ``_block_code`` as its entry is reached, on
        neighbour lists converted row by row on first use; no per-ball
@@ -167,15 +171,16 @@ def block_codes(
     picks = _centres(G, vertices)
     todo = np.arange(picks.size)
     if r >= 2 and picks.size:
-        ring = np.unique(np.concatenate([picks, _gather(G.indptr, G.indices, picks)[0]]))
+        ring = _unique(np.concatenate([picks, _gather(G.indptr, G.indices, picks)[0]]))
         bad = np.zeros(G.vertex_count, dtype=bool)
         bad[ring] = [code is None for code, _ in block_codes(G, r - 1, ring)]
         seen = _cumsum0(bad[G.indices])
         todo = np.flatnonzero(~bad[picks] & (seen[G.indptr[picks + 1]] == seen[G.indptr[picks]]))
     codes: list[bytes | None] = [None] * picks.size
     walk = [False] * picks.size
-    for i, code in zip(todo.tolist(), _codes_from_h(G, r, picks[todo])):
-        codes[i], walk[i] = code, code is None
+    from_h, cycles = _codes_from_h(G, r, picks[todo])
+    for i, code, cycle in zip(todo.tolist(), from_h, cycles.tolist()):
+        codes[i], walk[i] = code, code is None and not cycle
     neighbors = _Rows(G).__getitem__
     for v, code, walk_it in zip(picks.tolist(), codes, walk):
         if walk_it:
@@ -229,10 +234,11 @@ def _keep_incidences(G: Graph, H: BipartiteMultigraph) -> None:
     object.__setattr__(G, "_incidences", tuple(map(small, (vptr, vatt, aptr, H.edge_u))))
 
 
-def _codes_from_h(G: Graph, r: int, centres: np.ndarray) -> list[bytes | None]:
+def _codes_from_h(G: Graph, r: int, centres: np.ndarray) -> tuple[list[bytes | None], np.ndarray]:
     """For each of the ``centres`` v, the code of B_r(G, v) when G keeps H's
     incidences and H's non-backtracking unfolding from v shows the ball to be
-    a plain clique tree, None otherwise.
+    a plain clique tree, None otherwise; and whether the unfolding shows a
+    cycle that makes B_r(G, v) no block graph.
 
     Generation 0 of the unfolding is v, and generation k + 1 lists, for each
     node of generation k, its H-neighbours other than its parent: attributes
@@ -251,35 +257,56 @@ def _codes_from_h(G: Graph, r: int, centres: np.ndarray) -> list[bytes | None]:
     generation 2r + 1, and by (b) it lies in the clique of their common
     parent after all.  The certified centres' first 2r generations are a
     ``GWForest`` that ``forest_codes`` codes, as it codes the clique-tree
-    reference.  Centres are unfolded in chunks whose walks of length at most
-    r in G number about ``_FOREST_CHUNK``, and a centre leaves its chunk as
-    soon as a vertex repeats."""
+    reference.
+
+    A centre whose generations 0, 2, ..., 2r - 2 repeat no vertex has a
+    cycle when
+
+    (C4) a vertex x first seen at generation 2r lies under two different
+         vertices of generation 2r - 2, or
+    (C5) after (a) holds, an attribute of generation 2r + 1 holds two
+         vertices x, y of generation 2r whose ancestors in generation 2r - 2
+         differ.
+
+    The two tree paths from v then part at a last common vertex c, at
+    distance at most r - 2 from v, and with x (and the edge x-y) they close
+    a simple cycle through c and x, which lie at distances <= r - 2 and r
+    from v and so are not adjacent.  The block of B_r(v) that holds the
+    cycle is then not a clique.  Radius 1 has no such cycle: generation 0 is
+    v alone.
+
+    Centres are unfolded in chunks whose walks of length at most r in G
+    number about ``_FOREST_CHUNK``, and a centre leaves its chunk as soon as
+    a vertex repeats."""
     codes: list[bytes | None] = [None] * centres.size
+    cycles = np.zeros(centres.size, dtype=bool)
     incidences = G.__dict__.get("_incidences")
     if incidences is None or not centres.size:
-        return codes
+        return codes, cycles
     walks = np.ones(G.vertex_count)
     for _ in range(r):
         s = np.concatenate([[0.0], np.cumsum(walks[G.indices])])
         walks = 1 + s[G.indptr[1:]] - s[G.indptr[:-1]]
     cost = np.cumsum(walks[centres])
-    cuts = np.unique(np.append(np.searchsorted(cost, np.arange(0, cost[-1], _FOREST_CHUNK)), centres.size))
+    cuts = _unique(np.append(np.searchsorted(cost, np.arange(0, cost[-1], _FOREST_CHUNK)), centres.size))
     for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
-        ok, forest = _unfold(incidences, centres[a:b], r)
+        ok, cycles[a:b], forest = _unfold(incidences, centres[a:b], r)
         classes, names = forest_codes(forest, r)
         for i, c in zip((a + np.flatnonzero(ok)).tolist(), classes.tolist()):
             codes[i] = names[c]
-    return codes
+    return codes, cycles
 
 
-def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> tuple[np.ndarray, GWForest]:
+def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, GWForest]:
     """Which ``centres`` the tests (a) and (b) of ``_codes_from_h``
-    certify, and the first 2r generations of their unfoldings."""
+    certify, which have a cycle (C4) or (C5), and the first 2r generations
+    of the certified centres' unfoldings."""
     from .cliquetree import GWForest, _add_starts  # cliquetree imports this module
 
     vptr, vatt, aptr, amem = incidences
     n1, n2 = vptr.size - 1, aptr.size - 1
     ok = np.ones(centres.size, dtype=bool)
+    cycle = np.zeros(centres.size, dtype=bool)
     owner, ids, parents = np.arange(centres.size), centres, np.full(centres.size, -1)
     ball = owner * n1 + ids  # sorted keys owner * n1 + vertex of generations 0, 2, ...
     grand = parents  # each node's parent's parent
@@ -290,24 +317,42 @@ def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> 
         keep = kids != np.repeat(parents, lens)
         up = up[keep]
         counts.append(np.bincount(up, minlength=ids.size))
+        if r > 1 and k == 2 * r:
+            great = grand[up]  # each new node's parent's parent's parent, for (C5)
         owner, grand, parents, ids = owner[up], parents[up], ids[up], kids[keep].astype(np.int64)
         if k % 2:  # generation k + 1 holds vertices
-            ball = np.sort(np.concatenate([ball, owner * n1 + ids]))
+            new = owner * n1 + ids
+            if r > 1 and k == 2 * r - 1:  # (C4): a fresh vertex under two grandparents
+                fresh = ball[np.searchsorted(ball, new).clip(max=ball.size - 1)] != new
+                cycle[_parted(new[fresh], grand[fresh])[0] // n1] = True
+            ball = np.sort(np.concatenate([ball, new]))
             ok[ball[1:][ball[1:] == ball[:-1]] // n1] = False
             live = ok[owner]
             owner, grand, parents, ids = owner[live], grand[live], parents[live], ids[live]
         owners.append(owner)
     # generation 2r + 1: the same attribute twice under one centre must have
-    # the same grandparent
+    # the same grandparent (b), and has a cycle when the vertices above it
+    # part in generation 2r - 2 (C5; radius 1 has none)
     key = owner * n2 + ids
-    order = np.argsort(key)
-    key, grand = key[order], grand[order]
-    ok[key[1:][(key[1:] == key[:-1]) & (grand[1:] != grand[:-1])] // n2] = False
+    if r > 1:
+        split, cycled = _parted(key, grand, great)
+        cycle[cycled // n2] = True
+    else:
+        (split,) = _parted(key, grand)
+    ok[split // n2] = False
     # as sampled forests do, keep no array for a generation without nodes
     counts = [c for c in (c[ok[o]] for c, o in zip(counts[: 2 * r], owners)) if c.size]
     starts: list[np.ndarray] = []
     _add_starts(starts, counts, int(ok.sum()), len(counts) - 1)
-    return ok, GWForest(2 * r, tuple(counts), tuple(starts), np.zeros(int(ok.sum()), dtype=bool))
+    return ok, cycle, GWForest(2 * r, tuple(counts), tuple(starts), np.zeros(int(ok.sum()), dtype=bool))
+
+
+def _parted(key: np.ndarray, *tags: np.ndarray) -> list[np.ndarray]:
+    """For each of ``tags``, the keys that occur twice with different tags."""
+    order = np.argsort(key)
+    key = key[order]
+    twice = key[1:] == key[:-1]
+    return [key[1:][twice & (t[1:] != t[:-1])] for t in (t[order] for t in tags)]
 
 
 def ball_codes(G: Graph, r: int, vertices: Iterable[int] | None = None) -> Iterator[bytes]:
@@ -375,7 +420,7 @@ def forest_codes(forest: GWForest, r: int) -> tuple[np.ndarray, list[bytes]]:
     roots = np.zeros(forest.samples, dtype=np.int64)
     if top:  # chunks of about _FOREST_CHUNK nodes of generation top - 1
         s = forest.starts[top - 1]
-        cuts = np.unique(np.append(np.searchsorted(s, np.arange(0, s[-1], _FOREST_CHUNK)), forest.samples)).tolist()
+        cuts = _unique(np.append(np.searchsorted(s, np.arange(0, s[-1], _FOREST_CHUNK)), forest.samples)).tolist()
         for a, b in zip(cuts, cuts[1:]):
             cls = None  # the chunk's classes one generation down
             for k in range(top - 1, -1, -1):

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, RootedGraph, ball_adjacency
+from .graphs import Graph, RootedGraph, _unique, ball_adjacency
 
 __all__ = ["TAG", "canonical_code", "canonical_codes", "unrooted_code"]
 
@@ -213,7 +213,7 @@ def _confirm(order: np.ndarray, step: np.ndarray, ptr: np.ndarray, seq: np.ndarr
     if not bad.size:
         return
     group = np.cumsum(step) - 1
-    for gid in np.unique(group[at[pair[bad]]]).tolist():
+    for gid in _unique(group[at[pair[bad]]]).tolist():
         pos = np.flatnonzero(group == gid)
         rows = sorted((seq[ptr[v] : ptr[v + 1]].tolist(), v) for v in order[pos].tolist())
         order[pos] = [v for _, v in rows]

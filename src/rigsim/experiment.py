@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -376,6 +375,8 @@ def _replications(plan: ExperimentPlan, i: int, pert: tuple[StatisticSpec, ...] 
     replication order."""
     tasks = [(plan, i, rep, pert) for rep in range(plan.replications)]
     if plan.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only runs with workers pay for its import
+
         with ProcessPoolExecutor(max_workers=plan.threads) as ex:
             return list(ex.map(_replicate, tasks))
     return [_replicate(t) for t in tasks]

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import BipartiteMultigraph
+from .graphs import BipartiteMultigraph, _unique
 from .laws import DegreeLaw, WeightLaw, check_config_keys, config_number, degree_law_from_config, weight_law_from_config
 
 __all__ = [
@@ -58,7 +58,7 @@ def _floyd_pairs(rng: np.random.Generator, m: int, k: np.ndarray) -> np.ndarray:
     start = np.cumsum(k) - k
     member = rng.integers(0, m - k[owner] + np.arange(owner.size) - start[owner] + 1)
     key = np.sort(owner * np.int64(m) + member)
-    for i in np.unique(key[1:][np.diff(key) == 0] // m):
+    for i in _unique(key[1:][np.diff(key) == 0] // m).tolist():
         run = slice(start[i], start[i] + k[i])
         member[run] = _floyd_resolve(member[run].tolist(), m)
     return np.stack([owner, member], axis=1)

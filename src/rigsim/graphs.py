@@ -29,6 +29,21 @@ __all__ = [
 ]
 
 
+def _unique(a: np.ndarray, return_counts: bool = False):
+    """The distinct values of ``a`` in increasing order, and with
+    ``return_counts`` how often each occurs: ``np.unique`` by one sort.
+    Asked for the values alone, numpy 2's ``np.unique`` hashes integer keys,
+    many times slower than this sort, and its first call imports
+    ``numpy.ma``."""
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)  # an empty array has no first value
+    first[1:] = a[1:] != a[:-1]
+    if not return_counts:
+        return a[first]
+    starts = np.flatnonzero(first)
+    return a[starts], np.diff(np.append(starts, a.size))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1, CSR adjacency.
@@ -67,13 +82,9 @@ class Graph:
     def _from_endpoints(n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         """The graph with edges {u[i], v[i]}, u[i] != v[i], repeats allowed.
 
-        Sorting the keys src * n + dst of both half-edges gives the CSR order
-        directly; numpy 2's ``np.unique`` hashes int64 keys and is many times
-        slower than this one sort."""
-        half = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
-        keep = np.ones(half.size, dtype=bool)  # an edgeless graph has no first key
-        keep[1:] = half[1:] != half[:-1]
-        half = half[keep]
+        The distinct keys src * n + dst of both half-edges, sorted, are the
+        CSR order directly."""
+        half = _unique(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(half // n, minlength=n), out=indptr[1:])
         return Graph(n, indptr, half % n)
@@ -155,7 +166,7 @@ class BipartiteMultigraph:
         u, w = arr[:, 0], arr[:, 1]
         if u.min() < 0 or u.max() >= n1 or w.min() < 0 or w.max() >= n2:
             raise ValueError("edge endpoint out of range")
-        packed, counts = np.unique(w * np.int64(max(n1, 1)) + u, return_counts=True)
+        packed, counts = _unique(w * np.int64(max(n1, 1)) + u, return_counts=True)
         return BipartiteMultigraph(n1, n2, packed % max(n1, 1), packed // max(n1, 1), counts)
 
     @property

@@ -351,8 +351,10 @@ class DegreeLaw:
             return sum(math.comb(k, j) * c ** (k - j) * self.base.raw_moment(j) for j in range(k + 1))
         raise AssertionError(self.kind)
 
+    @lru_cache(maxsize=None)
     def factorial_moment(self, k: int) -> float | Fraction:
-        """E (X)_k = E X(X-1)...(X-k+1)."""
+        """E (X)_k = E X(X-1)...(X-k+1), computed once per equal law and k:
+        the count limits read the same few moments many times."""
         if k == 0:
             return Fraction(1)
         if self.kind == "finite":

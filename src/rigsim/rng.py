@@ -10,8 +10,7 @@ identical results.
 from __future__ import annotations
 
 import numpy as np
-# numpy loads these lazily (np.unique loads numpy.ma): load them at start-up, not mid-run
-import numpy.ma  # noqa: F401
+# numpy loads numpy.random lazily: load it at start-up, not mid-run
 import numpy.random  # noqa: F401
 
 __all__ = ["substream"]

@@ -120,17 +120,29 @@ def test_all_vertex_entry_matches_ball_code(seed, r):
 
 @st.composite
 def bipartite_graphs(draw) -> BipartiteMultigraph:
-    """H from one of the samplers, or from arbitrary (u, w) pairs with
-    repeats (multiplicities, attributes sharing several members,
-    single-member attributes, isolated vertices, no edges at all); with a
-    planted clique or without."""
+    """H from one of the samplers; from arbitrary (u, w) pairs with repeats
+    (multiplicities, attributes sharing several members, single-member
+    attributes, isolated vertices, no edges at all); or from member sets,
+    mostly pairs, followed by copies of subsets of them (two attributes
+    sharing a pair, an attribute inside another); with a planted clique or
+    without."""
     seed = draw(SEEDS)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["sampler", "pairs", "sets"]))
+    if kind == "sampler":
         H = generate_bipartite(ModelConfig.from_config(draw(st.sampled_from(SMALL_MODELS))), substream(seed))
-    else:
+    elif kind == "pairs":
         n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 8))
         pairs = draw(st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), max_size=30))
         H = BipartiteMultigraph.from_pairs(n1, n2, pairs)
+    else:
+        n1 = draw(st.integers(2, 12))
+        members = st.sampled_from([2, 2, 2, 3, 4]).flatmap(
+            lambda z: st.sets(st.integers(0, n1 - 1), min_size=min(z, n1), max_size=min(z, n1)))
+        sets = draw(st.lists(members, min_size=1, max_size=14))
+        for _ in range(draw(st.integers(0, 4))):
+            source = sorted(draw(st.sampled_from(sets)))
+            sets.append(draw(st.sets(st.sampled_from(source), min_size=2)))
+        H = BipartiteMultigraph.from_pairs(n1, len(sets), [(u, w) for w, members in enumerate(sets) for u in members])
     s = draw(st.integers(0, min(H.n1, 8)))
     return plant_clique(H, s, substream(seed, 1)) if s else H
 
@@ -169,7 +181,8 @@ def walk(G: Graph, v: int, r: int) -> list[list[int]]:
 @given(bipartite_graphs(), st.integers(1, 3), st.sampled_from([1, 30, ballcode._FOREST_CHUNK]), st.data())
 def test_pass_from_h_matches_ball_codes(H, r, chunk, data):
     # the H pass codes exactly the balls H shows to be plain clique trees,
-    # each as ``ball`` codes it, in one unfolding or in several; every entry
+    # each as ``ball`` codes it, in one unfolding or in several, and the
+    # balls it finds a cycle in are not block graphs; every entry
     # of the block pass, on G, on a bare copy of G and on vertex subsets of
     # either, is the walk's verdict, with the walk's adjacency wherever the
     # pass walked
@@ -179,9 +192,13 @@ def test_pass_from_h_matches_ball_codes(H, r, chunk, data):
     want = [ball(G, v, r).code for v in range(n)]
     walks = [walk(G, v, r) for v in range(n)]
     with mock.patch.object(ballcode, "_FOREST_CHUNK", chunk):
-        from_h = _codes_from_h(G, r, np.arange(n))
+        from_h, cycles = _codes_from_h(G, r, np.arange(n))
     assert [c is not None for c in from_h] == [plain_clique_tree(H, G, v, r) for v in range(n)]
     assert all(c == w for c, w in zip(from_h, want) if c is not None)
+    # a centre with a cycle in its unfolding has a ball that is not a block
+    # graph, and there are none at radius 1
+    assert all(_block_code(walks[v]) is None and from_h[v] is None for v in np.flatnonzero(cycles).tolist())
+    assert r > 1 or not cycles.any()
     assert list(ball_codes(G, r)) == list(ball_codes(bare, r)) == want
     picks = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
     for g in (G, bare):
@@ -198,8 +215,9 @@ def test_pass_from_h_needs_h():
     G = intersection_graph(gen_active(30, 30, DegreeLaw.constant(2), substream(3)))
     bare = Graph.from_edges(G.vertex_count, G.edge_array())
     for r in (1, 2):
-        assert any(c is not None for c in _codes_from_h(G, r, np.arange(10)))
-        assert _codes_from_h(bare, r, np.arange(10)) == [None] * 10
+        assert any(c is not None for c in _codes_from_h(G, r, np.arange(10))[0])
+        codes, cycles = _codes_from_h(bare, r, np.arange(10))
+        assert codes == [None] * 10 and not cycles.any()
     want = {r: list(ball_codes(G, r)) for r in (1, 2)}
     with mock.patch.object(ballcode, "_unfold", side_effect=AssertionError):
         assert list(ball_codes(bare, 2)) == want[2]
@@ -219,7 +237,7 @@ def test_non_block_verdicts_inherited(chord, r):
     balls = [walk(G, v, r) for v in range(11)]
     assert not any(walk(G, v, k) in balls for v in range(11) for k in range(1, r))
     assert [_block_code(b) is None for b in balls] == [True] * 5 + [False] * 6
-    assert all(c is not None for c in _codes_from_h(G, r, np.arange(5, 11)))
+    assert all(c is not None for c in _codes_from_h(G, r, np.arange(5, 11))[0])
     block_code = ballcode._block_code
 
     def guarded(ladj):
@@ -230,6 +248,63 @@ def test_non_block_verdicts_inherited(chord, r):
         entries = list(block_codes(G, r))
     assert entries[:5] == [(None, None)] * 5
     assert [code for code, _ in entries[5:]] == [ball(G, v, r).code for v in range(5, 11)]
+
+
+def hung(r: int, attributes: list[tuple[int, ...]]) -> Graph:
+    """The projection of an H whose attributes are the pairs of the path 0,
+    1, ..., r - 2 and ``attributes``, on vertices numbered from r - 2: local
+    vertex 0 lies at distance r - 2 from vertex 0."""
+    sets = [(i, i + 1) for i in range(r - 2)] + [tuple(x + r - 2 for x in a) for a in attributes]
+    n1 = 1 + max(map(max, sets))
+    H = BipartiteMultigraph.from_pairs(n1, len(sets), [(x, j) for j, a in enumerate(sets) for x in a])
+    return intersection_graph(H)
+
+
+HUNG = {
+    # vertex x = 3 under the two parents 1, 2, which are not adjacent (C4)
+    "square": ([(0, 1), (0, 2), (1, 3), (2, 3)], True),
+    # the same with 1 ~ 2: the two tree paths part at an attribute (C4)
+    "diamond": ([(0, 1, 2), (1, 3), (2, 3)], True),
+    # the edge 3-4 joins the ends of two paths that part at 0 (C5)
+    "pentagon": ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], True),
+    # a triangle of three pair attributes at distance r - 1: a block graph
+    "hanging triangle": ([(0, 1), (1, 2), (1, 3), (2, 3)], False),
+    # the pair 1, 2 in two attributes: a block graph
+    "shared pair": ([(0, 1), (1, 2), (1, 2)], False),
+    # 3 under 1 and 2 through two pairs inside a clique, but first seen a
+    # generation earlier: a block graph
+    "pairs in a clique": ([(0, 1, 2, 3), (1, 3), (2, 3)], False),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", list(HUNG))
+def test_unfolding_cycles(name, r):
+    # H's unfolding from vertex 0 is no plain clique tree in each case; it
+    # shows a cycle exactly in the balls that are not block graphs
+    attributes, cycle = HUNG[name]
+    G = hung(r, attributes)
+    codes, cycles = _codes_from_h(G, r, np.array([0]))
+    assert codes == [None]
+    assert cycles.tolist() == [cycle]
+    assert (_block_code(walk(G, 0, r)) is None) == cycle
+    if r > 2:
+        return
+    # at radius 2 no radius-1 ball here is a non-block graph, so the block
+    # pass reaches stage 2, and walks the radius-2 ball of 0 only without a
+    # cycle
+    block_code = ballcode._block_code
+    walked = []
+
+    def recorded(ladj):
+        walked.append(ladj)
+        return block_code(ladj)
+
+    with mock.patch.object(ballcode, "_block_code", side_effect=recorded):
+        entry = list(block_codes(G, r, [0]))
+    assert (walk(G, 0, r) in walked) != cycle
+    assert entry == [(None, None)] if cycle else [(ball(G, 0, r).code, None)]
+    assert list(ball_codes(G, r, [0])) == [ball(G, 0, r).code]
 
 
 def radius1_groups(d1s: np.ndarray, zs: np.ndarray, node_cap: int) -> tuple[dict[tuple[int, ...], int], int]:

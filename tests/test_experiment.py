@@ -17,6 +17,7 @@ from rigsim.experiment import (
     _measure,
     CSV_HEADER,
     ConvergenceRow,
+    STATISTICS,
     ExperimentPlan,
     StatisticSpec,
     check_edge_budget,
@@ -384,3 +385,35 @@ class TestLimitEmbPerVertex:
         spec = LimitSpec(DegreeLaw.constant(2), DegreeLaw.constant(3))
         est = limit_emb_per_vertex(spec, pattern_from_name("P4"))
         assert est.value == deterministic_tree_count(spec, pattern_from_name("P4").rooted(0)) == 32
+
+
+def test_factorial_moments_computed_once():
+    # the limits of four scalar plans, one per sampler, read E (D)_k 456
+    # times, for 22 distinct (law, k) pairs; each pair is computed once, and
+    # a second pass computes none
+    models = [
+        {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
+        {"model": "configuration", "n1": 100, "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}},
+         "D2": {"kind": "constant", "value": 2}},
+        {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+         "xi2": {"kind": "exponential", "rate": 1.0}},
+        {"model": "passive", "n1": 100, "n2": 100, "P": {"kind": "pmf", "pmf": {"2": 0.5, "4": 0.5}}},
+    ]
+    statistics = ["alpha", "assort", "alpha_k:3", "r_k:3", "pi:3", "moment:2", "emb:K3"]
+    cache = DegreeLaw.factorial_moment
+    cache.cache_clear()
+
+    def limits():
+        out = []
+        for model in models:
+            plan = ExperimentPlan.from_config({"model": model, "ladder": [2000, 7000], "statistics": statistics})
+            check_edge_budget(plan)
+            spec = limit_spec_for(plan.model)
+            out += [STATISTICS[s.kind].limit(spec, s) for s in plan.statistics]
+        return out
+
+    first = limits()
+    info = cache.cache_info()
+    assert (info.hits + info.misses, info.misses) == (456, 22)
+    assert limits() == first
+    assert cache.cache_info().misses == 22

@@ -9,6 +9,7 @@ from rigsim.graphs import (
     BipartiteMultigraph,
     Graph,
     RootedGraph,
+    _unique,
     ball,
     intersection_graph,
     read_bipartite,
@@ -25,6 +26,15 @@ P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@given(st.lists(st.integers(-5, 5), max_size=30))
+def test_unique_is_np_unique(xs):
+    a = np.asarray(xs, dtype=np.int64)
+    values, counts = np.unique(a, return_counts=True)
+    assert np.array_equal(_unique(a), values)
+    got = _unique(a, return_counts=True)
+    assert np.array_equal(got[0], values) and np.array_equal(got[1], counts) and got[1].dtype == counts.dtype
 
 
 class TestGraph:

@@ -273,10 +273,11 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
     import rigsim
 
-    # In a fresh process, importing rigsim loads no scipy module at all, and
-    # a converge run afterwards, on a gamma-mixed model whose limits read the
-    # negative-binomial pmf, loads no numpy or scipy module that the
-    # import did not: first-use import costs stay in start-up.
+    # In a fresh process, importing rigsim loads no scipy module at all, nor
+    # numpy.ma or concurrent.futures, and a converge run afterwards, on a
+    # gamma-mixed model whose limits read the negative-binomial pmf, loads no
+    # numpy or scipy module that the import did not: first-use import costs
+    # stay in start-up.
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
@@ -287,7 +288,8 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     code = f"""
 import contextlib, io, sys
 import rigsim, rigsim.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "concurrent") or m.split(".")[:2] == ["numpy", "ma"]))
 loaded = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert rigsim.cli.main({argv!r}) == 0
