@@ -47,7 +47,7 @@ from .limits import (
     LimitSpec,
     dstar_moment,
     limit_assortativity,
-    limit_ball1_probabilities,
+    limit_ball_probabilities,
     limit_clustering,
     limit_conditional_assortativity,
     limit_conditional_clustering,

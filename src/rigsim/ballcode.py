@@ -10,24 +10,14 @@ root, and a block's children are its other members.  A tagged AHU string of
 that tree (Aho, Hopcroft & Ullman 1974), with children sorted, codes it
 exactly in linear time.
 
-``block_codes`` is that pass over a graph's radius-r balls, in three stages.
-First, verdicts are inherited: a ball around a vertex with a neighbour (or
-itself) whose radius r - 1 ball is not a block graph is not one either.
-Second, on a graph made by ``intersection_graph``, which keeps the
-incidences of the bipartite graph H it projects, each remaining ball that
-H's non-backtracking unfolding shows to be a plain clique tree is coded from
-that unfolding, in numpy passes over many centres, by ``forest_codes``, the
-coder of the clique-tree reference (Dell, Grohe & Rattan 2018: a clique
-tree is fixed by its unfolding); and for r >= 2 the same passes find the
-balls in which two paths of the unfolding close a cycle through two vertices
-that are not adjacent, which are not block graphs.  Last, the balls left,
-and every ball of a graph without H (read from a file, built from edges, a
-``ball``), are walked and tested one at a time.  ``fill_codes`` codes the
-balls that are not block graphs in batches with ``canon.canonical_codes``
-(``ball_codes`` runs the block pass, walks the balls it decided without a
-walk, and fills them in), and ``rooted_code`` codes one the same way.  A comparison with the
-clique-tree limit never needs a general code, since no limit ball can match
-a ball that is not a block graph.
+``block_codes`` is that pass over a graph's radius-r balls in three stages:
+inherited verdicts, H's unfolding, whose clique trees ``forest_codes`` codes
+(Dell, Grohe & Rattan 2018: a clique tree is fixed by its unfolding), and a
+walk of the rest.  ``fill_codes`` codes the balls that are not block graphs
+in batches with ``canon.canonical_codes`` (``ball_codes`` walks the balls
+the block pass decided without a walk and fills them in), and
+``rooted_code`` one the same way.  ``block_tree`` decodes a block-tree code
+for the exact clique-tree ball law, which no general code can match.
 
 So there are two code families: block-tree codes, which start with
 ``BLOCK_TAG``, and general codes, which start with ``canon.TAG`` (``RGC2``).
@@ -50,7 +40,7 @@ if TYPE_CHECKING:
     from .cliquetree import GWForest
 
 __all__ = [
-    "BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes", "radius1_clique_sizes",
+    "BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes", "block_tree",
 ]
 
 BLOCK_TAG = b"BLK1"
@@ -74,17 +64,34 @@ def _block(members: list[bytes]) -> bytes:
     return b"[" + b"".join(members) + b"]"
 
 
-def radius1_clique_sizes(code: bytes) -> list[int] | None:
-    """The sizes of the cliques at the root (other members, each >= 1) of a
-    radius-1 block code, largest first: the inverse of how ``_block_code``
-    and ``forest_codes`` code a root whose blocks hold childless members.
-    None for every code these sizes do not re-encode byte for byte: general
-    codes, the reserved buckets and deeper block trees."""
-    body = code[len(BLOCK_TAG) :] if code.startswith(BLOCK_TAG) else b""
-    sizes = [len(block) // 2 for block in body[1:-1].split(b"]")[:-1]]
-    if min(sizes, default=1) < 1 or BLOCK_TAG + _vertex([_block([_LEAF] * z) for z in sizes]) != code:
+def block_tree(code: bytes, r: int) -> tuple | None:
+    """The rooted block tree of a block code as nested tuples (a vertex is the
+    tuple of its child blocks, a block of its other members, in code order);
+    None for codes the tree does not re-encode byte for byte (general codes,
+    the buckets, empty or unsorted blocks) and trees deeper than r."""
+    if not code.startswith(BLOCK_TAG):
         return None
-    return sizes
+    # one token per leaf; a vertex of depth d with blocks is open at stack height 2d + 2, its blocks at 2d + 3
+    stack: list[list[tuple]] = [[]]
+    for c in code[len(BLOCK_TAG) :].replace(_LEAF, b"."):
+        if c == 46:
+            stack[-1].append(())
+        elif c == 40 or c == 91:  # ( or [
+            if len(stack) > 2 * r:
+                return None
+            stack.append([])
+        else:
+            node = tuple(stack.pop())
+            if not stack or (len(stack) % 2 == 0 and not node):  # unbalanced, or an empty block
+                return None
+            stack[-1].append(node)
+    if len(stack) != 1 or len(stack[0]) != 1 or _tree_code(stack[0][0]) != code[len(BLOCK_TAG) :]:
+        return None
+    return stack[0][0]
+
+
+def _tree_code(vertex: tuple) -> bytes:
+    return _vertex([_block([_tree_code(m) if m else _LEAF for m in block]) for block in vertex])
 
 
 def _block_code(ladj: list[list[int]]) -> bytes | None:
@@ -322,11 +329,18 @@ def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> 
         owner, grand, parents, ids = owner[up], parents[up], ids[up], kids[keep].astype(np.int64)
         if k % 2:  # generation k + 1 holds vertices
             new = owner * n1 + ids
-            if r > 1 and k == 2 * r - 1:  # (C4): a fresh vertex under two grandparents
-                fresh = ball[np.searchsorted(ball, new).clip(max=ball.size - 1)] != new
-                cycle[_parted(new[fresh], grand[fresh])[0] // n1] = True
-            ball = np.sort(np.concatenate([ball, new]))
-            ok[ball[1:][ball[1:] == ball[:-1]] // n1] = False
+            if r > 1 and k == 2 * r - 1:  # (C4); a stable sort puts a key's old entries first
+                old, keys = ball.size, np.concatenate([ball, new])
+                order = np.argsort(keys, kind="stable")
+                ball, tag = keys[order], np.concatenate([np.full(old, -1), grand])[order]
+                twice = ball[1:] == ball[:-1]
+                run = np.maximum.accumulate(np.where(np.concatenate([[True], ~twice]), np.arange(ball.size), 0))
+                fresh = order[run] >= old  # the key's run starts with a new entry
+                cycle[ball[1:][twice & fresh[1:] & (tag[1:] != tag[:-1])] // n1] = True
+            else:
+                ball = np.sort(np.concatenate([ball, new]))
+                twice = ball[1:] == ball[:-1]
+            ok[ball[1:][twice] // n1] = False
             live = ok[owner]
             owner, grand, parents, ids = owner[live], grand[live], parents[live], ids[live]
         owners.append(owner)

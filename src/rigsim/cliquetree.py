@@ -7,9 +7,10 @@ the two parts of a bipartite graph and projecting onto the even part yields
 the random clique tree whose radius-r ball around the root only depends on
 the first 2r generations, so sampling truncates there.
 
-Every Monte Carlo reference samples its trees together, one offspring draw
-per generation for all of them (``sample_gw_forest``), and codes them
-together (``ballcode.forest_codes``).
+A Monte Carlo sample of the ball law (``rigsim balls --config``, the tests'
+oracle of ``limits.limit_ball_probabilities``) draws one offspring array per
+generation for all its trees (``sample_gw_forest``) and codes them together
+(``ballcode.forest_codes``); ``converge`` samples none.
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ class CodeHistogram:
 
     def probabilities(self) -> dict[bytes, float]:
         return {c: k / self.total for c, k in self.counts.items()}
-
-    def tv(self, other: CodeHistogram) -> float:
-        """Total variation distance to ``other``, from the counts."""
-        return count_tv(self.counts, self.total, other.counts, other.total)
 
     def to_rows(self) -> list[dict]:
         rows = []

@@ -36,7 +36,6 @@ rooted count at the clique-tree root, is a sum over ``clique_families``
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -124,20 +123,22 @@ def pattern_from_name(name: str) -> Pattern:
 def connected_patterns(h: int) -> list[Pattern]:
     """All connected patterns on exactly h vertices, up to isomorphism.
 
-    A graph's class is its ``canon.unrooted_code``, the least code over its
-    rootings; the rootings of all graphs are coded in one batch."""
+    Removing a spanning tree's leaf leaves a graph connected, so each class
+    is one on h - 1 vertices plus a vertex joined to a non-empty set of them;
+    its ``canon.unrooted_code`` is the least code over its rootings, all
+    candidates' rootings coded in one batch."""
+    if not 2 <= h <= MAX_PATTERN_VERTICES:
+        raise ValueError(f"patterns have between 2 and {MAX_PATTERN_VERTICES} vertices")
+    if h == 2:
+        return [Pattern(Graph.from_edges(2, [(0, 1)]))]
     graphs: list[Graph] = []
     rootings: list[list[list[int]]] = []
-    pairs = list(itertools.combinations(range(h), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        if len(edges) < h - 1:
-            continue
-        g = Graph.from_edges(h, edges)
-        balls = [ball_adjacency(lambda u: g.neighbors(u).tolist(), v, None) for v in range(h)]
-        if len(balls[0]) == h:  # connected
+    for p in connected_patterns(h - 1):
+        for bits in range(1, 1 << (h - 1)):
+            g = Graph.from_edges(h, [*p.edge_tuple(), *((v, h - 1) for v in range(h - 1) if bits >> v & 1)])
+            nbrs = [g.neighbors(v).tolist() for v in range(h)]
             graphs.append(g)
-            rootings += balls
+            rootings += [ball_adjacency(nbrs.__getitem__, v, None) for v in range(h)]
     codes = canonical_codes(rootings)
     seen: dict[bytes, Pattern] = {}
     for i, g in enumerate(graphs):

@@ -22,8 +22,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ballcode import _gather, block_codes, fill_codes, radius1_clique_sizes
-from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, count_tv
+from .ballcode import _gather, block_codes, block_tree, fill_codes
+from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, count_tv
 from .counting import distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, ball_adjacency, intersection_graph
@@ -37,7 +37,7 @@ from .limits import (
     limit_conditional_clustering,
     limit_degree_pmf,
     limit_assortativity,
-    limit_ball1_probabilities,
+    limit_ball_probabilities,
     limit_emb_per_vertex,
     limit_spec_for,
     rooted_emb_expectation,
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "n1,statistic,empirical,emp_stderr,limit,limit_stderr,gap,tv"
-
-_REF_STREAM = 0x5EED  # substream tag reserved for the ball reference at r >= 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class ExperimentPlan:
     replications: int = 1
     seed: int = 0
     gamma: float | None = None  # plant a clique of size ceil(n1^gamma)
-    mc_reference_samples: int = 10**5  # trees per ball reference at r >= 2
+    mc_reference_samples: int = 10**5  # sizes nothing (every ball row is exact); plans naming it parse
     edge_budget: int = 5 * 10**7
     threads: int = 1
     gap_tolerance: float | None = None  # None: 3 * emp stderr
@@ -208,9 +206,8 @@ class Statistic(NamedTuple):
     """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
     finite graph (a StatReport, a number or a ball histogram); ``limit``
     gives its exact limit (an Estimate) from the limit laws and the
-    statistic, and is None for balls, whose reference ``run_experiment``
-    takes: the exact law at radius r <= 1 (``_ball_limit_tv``), the
-    clique-tree Monte Carlo histogram at r >= 2."""
+    statistic, and is None for balls, which ``run_experiment`` compares with
+    the exact clique-tree ball law (``_ball_limit_tv``)."""
 
     arg: str | None  # the StatisticSpec field carrying the parameter
     graph: Callable[[Graph, StatisticSpec], object]
@@ -253,21 +250,14 @@ def _row_histogram(codes) -> CodeHistogram:
 
 
 def _ball_limit_tv(spec: LimitSpec, r: int, hist: CodeHistogram) -> float:
-    """TV distance between ``hist`` and the exact law of the radius-r
-    clique-tree ball, r <= 1: a point mass on the one-vertex ball at r = 0,
-    ``limits.limit_ball1_probabilities`` at r = 1, and 0 for every code that
-    ``radius1_clique_sizes`` does not decode.  With q = c / N the histogram's
-    frequencies and p the law, it is sum_x max(q_x - p_x, 0) over the
-    histogram's codes, which equals half the L1 distance as p sums to 1,
-    without the cancellation of 1 - sum p; ``math.fsum`` rounds it
-    correctly, so it does not depend on the codes' order."""
+    """TV distance between ``hist``, of frequencies q, and the exact radius-r
+    clique-tree ball law p (0 where ``block_tree`` does not decode):
+    sum_x max(q_x - p_x, 0) over its codes, half the L1 distance as p sums to
+    1, rounded correctly by ``math.fsum`` whatever the codes' order."""
     codes = list(hist.counts)
-    sizes = [radius1_clique_sizes(code) for code in codes]
-    if r == 0:
-        probs = [float(s == []) for s in sizes]
-    else:
-        known = iter(limit_ball1_probabilities(spec, [s for s in sizes if s is not None]))
-        probs = [0.0 if s is None else next(known) for s in sizes]
+    trees = [block_tree(code, r) for code in codes]
+    known = iter(limit_ball_probabilities(spec, r, [t for t in trees if t is not None]))
+    probs = [0.0 if t is None else next(known) for t in trees]
     return math.fsum(max(hist.counts[code] / hist.total - p, 0.0) for code, p in zip(codes, probs))
 
 
@@ -436,10 +426,9 @@ def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
 def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
     """Run the full plan: per size, replicate graphs, compare statistics with
     their limits; ball statistics compare pooled empirical code histograms
-    by total variation with the exact clique-tree ball law at radius r <= 1,
-    and with a clique-tree Monte Carlo reference of ``mc_reference_samples``
-    trees at r >= 2, with the balls that are not block graphs pooled in one
-    bucket that no limit ball matches.  A plan with a perturbation then
+    by total variation with the exact clique-tree ball law, with the balls
+    that are not block graphs pooled in one bucket that no limit ball
+    matches.  A plan with a perturbation then
     gets, after all the main rows, two rows per size from the same graphs:
     the planted/unplanted ratio of the second degree moment and the TV
     distance between their ball distributions at the plan's ball radius (1
@@ -450,10 +439,6 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
         raise ValueError("at most one ball statistic per plan")
     spec = limit_spec_for(plan.model)
     limits = {s.label(): STATISTICS[s.kind].limit(spec, s) for s in plan.statistics if s.kind != "ball"}
-    for s in balls:
-        if s.r >= 2:
-            rng = substream(plan.seed, _REF_STREAM, 2)
-            limits[s.label()] = ball_distribution_mc(spec.D1, spec.D2, s.r, plan.mc_reference_samples, rng)
     pert = () if plan.gamma is None else (StatisticSpec("moment", k=2),
                                           StatisticSpec("ball", r=balls[0].r if balls else 1))
     rows: list[ConvergenceRow] = []
@@ -468,8 +453,7 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
             for values, _ in results:
                 for code, c in values[s.label()].counts.items():
                     pooled.add(code, c)
-            tv = pooled.tv(limits[s.label()]) if s.r >= 2 else _ball_limit_tv(spec, s.r, pooled)
-            rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, tv))
+            rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, _ball_limit_tv(spec, s.r, pooled)))
         if pert:
             pert_rows += _perturbation_rows(n1, pert, results)
     return rows + pert_rows

@@ -461,13 +461,13 @@ def thinned(law: DegreeLaw, p: float) -> DegreeLaw:
 
 
 def offspring_law(law: DegreeLaw) -> DegreeLaw:
-    """Offspring law of the branching process: size_biased(law) - 1."""
+    """Offspring law of the branching process: size_biased(law) - 1, which
+    is finite, Poisson or mixed Poisson, as ``size_biased`` returns a finite
+    law or one of the latter two shifted by 1."""
     sb = size_biased(law)
-    if sb.kind == "shifted" and sb.offset == 1:
-        return sb.base
     if sb.kind == "finite":
         return DegreeLaw.from_pmf({v - 1: p for v, p in zip(sb.values, sb.probs)})
-    return DegreeLaw.shifted(sb, -1)
+    return sb.base
 
 
 # -- config parsing (used by the CLI and experiment plans) ----------------------

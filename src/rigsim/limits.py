@@ -21,6 +21,8 @@ clustering / assortativity) are finite sums.  Only the non-zero Z_i add to
 d*: with p = P(Z >= 1), their number is D1' ~ Bin(D1, p) (``laws.thinned``)
 and each is distributed as Z' = (Z | Z >= 1) >= 1, so d* = k needs at most k
 of them, and k convolutions of the Z' pmf give P(d* = k) with no truncation.
+The same thinned pmfs, with D1* - 1 thinned for the deeper vertices, give
+each radius-r ball its probability as a finite product over its block tree.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +39,7 @@ import numpy as np
 from .counting import MAX_PATTERN_VERTICES, Pattern, _coincidence_terms, clique_families, pattern_from_name
 from .generators import ModelConfig
 from .graphs import Graph
-from .laws import DegreeLaw, MomentUnavailable, WeightLaw, thinned
+from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law, thinned
 
 __all__ = [
     "LimitSpec",
@@ -45,7 +49,7 @@ __all__ = [
     "dstar_moment",
     "limit_degree_pmf",
     "limit_degree_pmf_vector",
-    "limit_ball1_probabilities",
+    "limit_ball_probabilities",
     "limit_clustering",
     "limit_assortativity",
     "limit_conditional_clustering",
@@ -151,26 +155,22 @@ def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
 # -- degree pmf -------------------------------------------------------------------
 
 
-def _z_pmf_vector(spec: LimitSpec, kmax: int) -> np.ndarray:
-    """pmf of Z on 0..kmax: P(Z = m) = (m+1) P(D2 = m+1) / E D2."""
+def _thinning(spec: LimitSpec) -> tuple[float, Callable[[int], float]]:
+    """p = P(Z >= 1), 0 when E D1 = 0 (d* = 0 almost surely), and k -> P(Z' = k)
+    for k >= 1, Z' = (Z | Z >= 1), where P(Z = k) = (k+1) P(D2 = k+1) / E D2."""
     m2 = float(spec.D2.mean())
-    return np.array([(m + 1) * spec.D2.pmf(m + 1) / m2 for m in range(kmax + 1)])
+    p = 0.0 if spec.degenerate_root else 1.0 - spec.D2.pmf(1) / m2
+    return p, lambda k: (k + 1) * spec.D2.pmf(k + 1) / m2 / p
 
 
 def _thinned_laws(spec: LimitSpec, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pmf of Z' = (Z | Z >= 1), pmf of D1' ~ Bin(D1, P(Z >= 1))) on
-    0..kmax, so that d* = sum_{j <= D1'} Z'_j; D1' = 0 when d* = 0 almost
-    surely (E D1 = 0, or Z = 0)."""
-    root = np.zeros(kmax + 1)
-    root[0] = 1.0
-    if spec.degenerate_root:
-        return np.zeros(kmax + 1), root
-    z = _z_pmf_vector(spec, kmax)
-    p = 1.0 - z[0]
+    """(pmf of Z', pmf of D1' ~ Bin(D1, p)) on 0..kmax, so that
+    d* = sum_{j <= D1'} Z'_j; D1' = 0 when d* = 0 almost surely (E D1 = 0,
+    or Z = 0)."""
+    p, z = _thinning(spec)
     if p <= 0:
-        return np.zeros(kmax + 1), root
-    z[0] = 0.0
-    return z / p, thinned(spec.D1, p).pmf_vector(kmax)
+        return np.zeros(kmax + 1), np.eye(1, kmax + 1)[0]
+    return np.array([0.0] + [z(k) for k in range(1, kmax + 1)]), thinned(spec.D1, p).pmf_vector(kmax)
 
 
 def _d1_sums(z: np.ndarray, d1p: np.ndarray) -> Iterator[tuple[int, float, np.ndarray | None, np.ndarray]]:
@@ -197,27 +197,37 @@ def limit_degree_pmf_vector(spec: LimitSpec, kmax: int) -> np.ndarray:
     return out
 
 
-def limit_ball1_probabilities(spec: LimitSpec, balls: Sequence[Sequence[int]]) -> list[float]:
-    """Exact probability of each radius-1 clique-tree ball in ``balls``, each
-    given by the multiset of its cliques' sizes (other members, each >= 1):
-    the root's non-empty cliques number D1' and have iid sizes Z', so k
-    cliques, m_j of the j-th distinct size, have probability
+def limit_ball_probabilities(spec: LimitSpec, r: int, balls: Sequence[tuple]) -> list[float]:
+    """Exact probability of each radius-r clique-tree ball, given by its block
+    tree (``ballcode.block_tree``).  A vertex at depth d < r lies in K ~
+    Bin(D1, p) non-empty cliques at the root, Bin(D1* - 1, p) deeper, with
+    p = P(Z >= 1), each of Z' = (Z | Z >= 1) other members; a vertex at depth
+    r is a leaf.  So a vertex or clique with k iid children, m_j equal to the
+    j-th distinct one, has probability P(K = k) (or P(Z' = k)) k! / prod_j
+    m_j! times its children's, summed in logs once per subtree and depth.
+    With p = 0 or E D1 = 0 the ball is the root alone."""
+    if not r:
+        return [1.0] * len(balls)
+    p, z = _thinning(spec)
+    if p <= 0:
+        return [float(not ball) for ball in balls]
+    counts = (thinned(spec.D1, p), thinned(offspring_law(spec.D1), p) if r >= 2 else None)
 
-      P(D1' = k) k! / prod_j m_j! prod_i P(Z' = z_i),
+    @cache
+    def log_pmf(t: int, k: int) -> float:  # of K at the root (t = 0) or deeper (t = 2), of Z' (t = 1)
+        x = z(k) if t == 1 else counts[t // 2].pmf(k)
+        return math.log(x) if x > 0 else -math.inf
 
-    summed in logs, so no factor overflows.  Both pmfs are built once, up to
-    the largest clique count or size among ``balls``."""
-    kmax = max((max(len(sizes), *sizes) for sizes in balls if sizes), default=0)
-    z, d1p = _thinned_laws(spec, kmax)
-    out = []
-    for sizes in balls:
-        terms = [d1p[len(sizes)]] + [z[s] for s in sizes]
-        if min(terms) <= 0:
-            out.append(0.0)
-            continue
-        log_orderings = math.lgamma(len(sizes) + 1) - sum(math.lgamma(m + 1) for m in Counter(sizes).values())
-        out.append(math.exp(log_orderings + math.fsum(map(math.log, terms))))
-    return out
+    @cache
+    def log_prob(node: tuple, t: int) -> float:  # a vertex (t = 2d) or a clique (t = 2d + 1) of depth d
+        first = log_pmf(1 if t % 2 else min(t, 2), len(node))
+        if t == 2 * r - 1:  # childless members, one class: no other factor
+            return first
+        # equal children are adjacent, as a code sorts them
+        orderings = math.lgamma(len(node) + 1) - sum(math.lgamma(len(list(g)) + 1) for _, g in groupby(node))
+        return orderings + math.fsum([first, *(log_prob(c, t + 1) for c in node)])
+
+    return [math.exp(log_prob(ball, 0)) for ball in balls]
 
 
 def limit_degree_pmf(spec: LimitSpec, k: int) -> Estimate:

@@ -419,22 +419,20 @@ def test_limits_give_every_degree_limit_a_value(tmp_path, path):
 
 
 def test_emb_limits_draw_no_clique_trees(tmp_path, monkeypatch):
-    # the emb rows of converge and theorem21 read exact limits: no Monte
-    # Carlo over sampled clique trees runs.  The ball reference of converge
-    # samples one forest, which theorem21 never needs
+    # the emb and ball rows of converge and theorem21 read exact limits: no
+    # clique tree is sampled, for a radius-2 ball row or a planted radius-1
+    # one either
     import rigsim.cliquetree
 
-    forests = []
-    sample = rigsim.cliquetree.sample_gw_forest
-    monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", lambda *a, **kw: forests.append(a) or sample(*a, **kw))
-    cfg = write_json(tmp_path / "r2.json", REFERENCE_R2)
-    assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / "c")]) == 0
-    assert [a[2:4] for a in forests] == [(4, REFERENCE_R2["mc_reference_samples"])]
-
     def refuse(*a, **kw):
-        raise AssertionError("a clique tree was sampled for an emb limit")
+        raise AssertionError("a clique tree was sampled for a limit")
 
     monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", refuse)
+    planted = {"model": MODEL, "ladder": [300], "statistics": ["moment:2", "ball:1"], "replications": 2, "seed": 5,
+               "perturbation": {"gamma": 0.5}}
+    for name, plan in (("r2", REFERENCE_R2), ("planted", planted)):
+        cfg = write_json(tmp_path / f"{name}.json", plan)
+        assert main(["converge", "--config", cfg, "--seed", "7", "--threads", "1", "--out", str(tmp_path / name)]) == 0
     plan = write_json(tmp_path / "active.json", {"model": MODEL, "ladder": [300], "statistics": ["alpha"],
                                                   "replications": 2, "seed": 5})
     assert main(["theorem21", "--config", plan, "--pattern", "P4", "--out", str(tmp_path / "t")]) == 0
@@ -500,11 +498,12 @@ PINNED_PLANS = [
       "ladder": [600, 1200], "statistics": ["moment:2", "ball:1"], "replications": 2,
       "perturbation": {"gamma": 0.5}, "mc_reference_samples": 200000},
      "a8234efe04272a9d798bd59c3026d1edbd2259b646f80a0c2c9d64a0ab1387f2"),
-    # Pareto weights, radius-2 balls against a forest-sampled reference and
-    # the exact emb(P4) limit 526.5 (re-pinned when the Monte Carlo estimate
-    # 810.008 +- 244.3 gave way to it; only the emb(P4) rows moved)
+    # Pareto weights, radius-2 balls against the exact clique-tree ball law
+    # and the exact emb(P4) limit 526.5 (re-pinned from 34d5d28e... when the
+    # law replaced a 500-tree reference, which the plan still names: only the
+    # two ball(2) TVs moved, 0.7 -> 0.676568976542 and 0.6815 -> 0.62924754718)
     (REFERENCE_R2,
-     "34d5d28e730923d1afde54e86a71ae521dc9fb100791f725550672c76e7229e3"),
+     "5ac69ca41f53df18b20dc9a0ee6322b3b0d1b034704fee81850c6b0341b106a2"),
     # planted clique without a ball statistic: only the balls near the clique
     # are coded, on both graphs
     ({"model": {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},

@@ -7,13 +7,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from rigsim.ballcode import forest_codes, radius1_clique_sizes
+from rigsim.ballcode import BLOCK_TAG, block_tree, forest_codes
 from rigsim.canon import canonical_code
 from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, sample_gw_forest
 from rigsim.experiment import _ball_limit_tv
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
 from rigsim.laws import DegreeLaw, WeightLaw
-from rigsim.limits import LimitSpec, limit_ball1_probabilities, limit_degree_pmf_vector, remark1_limits
+from rigsim.limits import LimitSpec, limit_ball_probabilities, limit_degree_pmf_vector, remark1_limits
 from rigsim.rng import substream
 from tests.oracles import (
     CapExceeded,
@@ -295,6 +295,11 @@ def r1_code(sizes):
     return RootedGraph(Graph.from_edges(n, edges), 0).code
 
 
+def r1_tree(sizes):
+    """The block tree of that ball, as ``block_tree`` gives it."""
+    return tuple(((),) * z for z in sizes)
+
+
 class TestExactBall1Law:
     @pytest.mark.parametrize("name, spec, bound", EXACT_VS_MC, ids=[e[0] for e in EXACT_VS_MC])
     def test_matches_the_monte_carlo_reference(self, name, spec, bound):
@@ -310,7 +315,7 @@ class TestExactBall1Law:
             for zs in itertools.product(range(3), repeat=d1):
                 ball = tuple(sorted((m for m in zs if m), reverse=True))
                 brute[ball] += SMALL.D1.pmf(d1) * math.prod(z[m] for m in zs)
-        probs = limit_ball1_probabilities(SMALL, SMALL_BALLS)
+        probs = limit_ball_probabilities(SMALL, 1, list(map(r1_tree, SMALL_BALLS)))
         assert sorted(brute) == sorted(map(tuple, SMALL_BALLS))
         for sizes, p in zip(SMALL_BALLS, probs):
             assert p == pytest.approx(brute[tuple(sizes)], rel=1e-13, abs=1e-16)
@@ -319,7 +324,7 @@ class TestExactBall1Law:
     def test_sizes_outside_the_support_have_probability_zero(self):
         # P(Z = 0, 1, 2) = 0.15, 0.4, 0.45 and D1 <= 3: three cliques of two
         # other members need D1 = 3
-        probs = limit_ball1_probabilities(SMALL, [[1, 1, 1, 1], [3], [2, 2, 2]])
+        probs = limit_ball_probabilities(SMALL, 1, [r1_tree([1, 1, 1, 1]), r1_tree([3]), r1_tree([2, 2, 2])])
         assert probs == [0.0, 0.0, pytest.approx(0.3 * 0.45**3, rel=1e-13)]
 
     @pytest.mark.parametrize("D1, D2", [(DegreeLaw.poisson(2.5), DegreeLaw.poisson(1.5)),
@@ -329,8 +334,9 @@ class TestExactBall1Law:
         # of its attributes, whose sum is the root degree
         forest = sample_gw_forest(D1, D2, 2, 20_000, substream(31))
         classes, names = forest_codes(forest, 1)
-        sizes = [radius1_clique_sizes(code) for code in names]
-        assert None not in sizes
+        trees = [block_tree(code, 1) for code in names]
+        assert None not in trees
+        sizes = [list(map(len, tree)) for tree in trees]
         assert all(s == sorted(s, reverse=True) for s in sizes)
         assert all(r1_code(s) == code for s, code in zip(sizes, names))
         below = np.concatenate([[0], np.cumsum(forest.counts[1])])[forest.starts[1]]
@@ -341,9 +347,9 @@ class TestExactBall1Law:
         p3_end = RootedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0).code  # a radius-2 block tree
         unsorted = b"BLK1([()][()()])"
         for code in (c4.code, canonical_code(c4), p3_end, NON_BLOCK_BUCKET, CAP_BUCKET, b"BLK1([])", unsorted):
-            assert radius1_clique_sizes(code) is None
-        assert radius1_clique_sizes(ISOLATED) == []
-        assert radius1_clique_sizes(r1_code([1, 3, 1])) == [3, 1, 1]
+            assert block_tree(code, 1) is None
+        assert block_tree(ISOLATED, 1) == ()
+        assert block_tree(r1_code([1, 3, 1]), 1) == r1_tree([3, 1, 1])
 
     def test_tv_is_half_the_l1_distance(self):
         # the one-sided sum over the histogram's codes is half the L1
@@ -355,6 +361,93 @@ class TestExactBall1Law:
             hist.add(r1_code(sizes), c)
         hist.add(NON_BLOCK_BUCKET, 3)
         hist.add(r1_code([3]), 2)
-        law = dict(zip(map(r1_code, SMALL_BALLS), limit_ball1_probabilities(SMALL, SMALL_BALLS)))
+        law = dict(zip(map(r1_code, SMALL_BALLS), limit_ball_probabilities(SMALL, 1, list(map(r1_tree, SMALL_BALLS)))))
         assert _ball_limit_tv(SMALL, 1, hist) == pytest.approx(tv_distance(hist.probabilities(), law), abs=1e-15)
         assert _ball_limit_tv(SMALL, 0, hist) == pytest.approx(1 - 7 / 47, abs=1e-15)
+
+
+def enumerated_ball_law(spec, r):
+    """P(code) of every radius-r clique-tree ball, summed over every draw of
+    the finite laws: D1 at the root, D1* - 1 at each deeper vertex and Z at
+    each attribute, with a node's draws for its children taken as ordered
+    tuples of their outcomes; codes are built as README "Ball codes" says."""
+    def pmf(law):
+        return {v: float(p) for v, p in zip(law.values, law.probs)}
+
+    def less_one_size_biased(law):
+        m = float(law.mean())
+        return {k - 1: k * p / m for k, p in pmf(law).items() if k > 0}
+
+    off, z = less_one_size_biased(spec.D1), less_one_size_biased(spec.D2)
+
+    def vertex(d, counts):  # code -> probability, for a vertex of depth d
+        if d == r:
+            return {b"()": 1.0}
+        kids = attribute(d)
+        out = Counter()
+        for k, pk in counts.items():
+            for draw in itertools.product(kids.items(), repeat=k):
+                out[b"(" + b"".join(sorted(c for c, _ in draw if c)) + b")"] += pk * math.prod(p for _, p in draw)
+        return out
+
+    def attribute(d):  # the clique of an attribute of a depth-d vertex; b"" when it holds no one else
+        members = vertex(d + 1, off)
+        out = Counter()
+        for k, pk in z.items():
+            for draw in itertools.product(members.items(), repeat=k):
+                out[b"[" + b"".join(sorted(c for c, _ in draw)) + b"]" if k else b""] += pk * math.prod(
+                    p for _, p in draw)
+        return out
+
+    return {BLOCK_TAG + c: p for c, p in vertex(0, pmf(spec.D1)).items()}
+
+
+# Each bound is the mean plus four standard deviations of the TV between two
+# independent 2e5-tree references of the law, measured over ten pairs of
+# seeds before the radius-r law was written (mean / sd, r = 2 and 3:
+# configuration 0.0028 / 0.0011 and 0.0049 / 0.0007, finite 0.0067 / 0.0011
+# and 0.0189 / 0.0005, passive 0.0305 / 0.0009 and 0.1397 / 0.0007).
+EXACT_VS_MC_DEEP = [
+    ("configuration", LimitSpec(DegreeLaw.from_pmf({1: 0.5, 3: 0.5}), DegreeLaw.constant(2)), 0.0072, 0.0078),
+    ("finite", LimitSpec(DegreeLaw.from_pmf({1: 0.6, 2: 0.4}), DegreeLaw.from_pmf({1: 0.3, 2: 0.5, 3: 0.2})),
+     0.0111, 0.0209),
+    ("passive", remark1_limits("passive", 0.3, P=DegreeLaw.from_pmf({2: 0.5, 3: 0.5})), 0.0341, 0.1426),
+]
+
+
+class TestExactBallLaw:
+    def test_enumerated_law_at_radius_2(self):
+        # every draw down to generation 4 of a law whose Z and D1* - 1 take
+        # 0, 1 and 2 and 1 and 2: the law gives each ball its probability,
+        # decodes each code, and sums to 1
+        brute = enumerated_ball_law(SMALL, 2)
+        trees = [block_tree(code, 2) for code in brute]
+        assert None not in trees
+        probs = limit_ball_probabilities(SMALL, 2, trees)
+        for (code, p), q in zip(brute.items(), probs):
+            assert q == pytest.approx(p, rel=1e-13, abs=1e-16), code
+        assert len(brute) > 100 and abs(math.fsum(probs) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("name, spec, bound2, bound3", EXACT_VS_MC_DEEP, ids=[e[0] for e in EXACT_VS_MC_DEEP])
+    def test_matches_the_monte_carlo_reference(self, name, spec, bound2, bound3, r):
+        ref = ball_distribution_mc(spec.D1, spec.D2, r, 200_000, substream(4243, r))
+        assert _ball_limit_tv(spec, r, ref) < (bound2 if r == 2 else bound3)
+
+    def test_codes_that_do_not_decode(self):
+        p3_end = RootedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0).code
+        assert block_tree(p3_end, 2) == (((((),),),),)
+        assert block_tree(p3_end, 1) is None  # deeper than r
+        assert block_tree(ISOLATED, 0) == () and block_tree(r1_code([1]), 0) is None
+        c4 = RootedGraph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 0)
+        bad = [canonical_code(c4), NON_BLOCK_BUCKET, CAP_BUCKET,
+               b"BLK1([([()])()])",  # members unsorted
+               b"BLK1([()][()()])",  # blocks unsorted
+               b"BLK1([([])])", b"BLK1([])",  # empty blocks
+               b"BLK1(([()]))", b"BLK1([()]", b"BLK1([()])()", b"BLK1([(x)])", b"BLK1"]
+        for code in bad:
+            assert block_tree(code, 3) is None, code
+        assert block_tree(b"BLK1([()([()])])", 2) == (((), (((),),)),)
+
+    def test_radius_zero(self):
+        assert limit_ball_probabilities(SMALL, 0, [()]) == [1.0]

@@ -17,6 +17,8 @@ from rigsim.laws import (
     stirling2,
     thinned,
 )
+from rigsim.generators import ModelConfig
+from rigsim.limits import limit_spec_for
 from rigsim.rng import substream
 from tests.oracles import negative_binomial_pmf_exact, pareto_poisson_pmf_quad, poisson_pmf_exact
 
@@ -161,6 +163,21 @@ class TestSizeBiased:
         assert sb.mean() == law.raw_moment(2) / law.mean()
 
 
+# a model of each sampler, over every degree-law and weight-law kind
+MODEL_LAWS = [
+    {"model": "active", "n1": 100, "n2": 100, "P": {"kind": "constant", "value": 3}},
+    {"model": "passive", "n1": 100, "n2": 100, "P": {"kind": "pmf", "pmf": {"2": 0.5, "4": 0.5}}},
+    {"model": "configuration", "n1": 100, "D1": {"kind": "pmf", "pmf": {"1": 0.5, "3": 0.5}},
+     "D2": {"kind": "mixed_poisson", "weight": {"kind": "gamma", "shape": 2.0, "rate": 1.0}}},
+    {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "point", "value": 1.5},
+     "xi2": {"kind": "finite", "values": [1.0, 3.0], "probs": [0.5, 0.5]}},
+    {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+     "xi2": {"kind": "exponential", "rate": 1.0}},
+    {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
+     "xi2": {"kind": "pareto", "shape": 2.5, "scale": 1.0}},
+]
+
+
 class TestOffspringLaw:
     def test_examples(self):
         assert offspring_law(DegreeLaw.constant(2)).values == (1,)
@@ -168,6 +185,21 @@ class TestOffspringLaw:
         assert off.kind == "poisson" and off.lam == 1.7
         off2 = offspring_law(DegreeLaw.from_pmf({1: 0.5, 3: 0.5}))
         assert dict(zip(off2.values, off2.probs)) == {0: Fraction(1, 4), 2: Fraction(3, 4)}
+
+    @pytest.mark.parametrize("model", MODEL_LAWS, ids=[f"{m['model']}-{i}" for i, m in enumerate(MODEL_LAWS)])
+    def test_every_model_law_can_be_thinned(self, model):
+        # the radius-r ball law thins D1* - 1, so offspring_law must give a
+        # law that thinned accepts, for every D1 and D2 a model produces:
+        # finite, Poisson, and mixed over point, finite, gamma and Pareto
+        # weights; its pmf is (k + 1) P(D = k + 1) / E D
+        spec = limit_spec_for(ModelConfig.from_config(model))
+        for law in (spec.D1, spec.D2):
+            off = offspring_law(law)
+            assert off.kind in ("finite", "poisson", "mixed")
+            kept = thinned(off, 0.4)
+            assert math.isfinite(kept.pmf(0))
+            for k in range(6):
+                assert off.pmf(k) == pytest.approx((k + 1) * law.pmf(k + 1) / float(law.mean()), rel=1e-12, abs=1e-300)
 
 
 def test_stirling_numbers():
