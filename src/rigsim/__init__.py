@@ -21,7 +21,6 @@ from .generators import (
     generate_bipartite,
     plant_clique,
 )
-from .cliquetree import CodeHistogram, ball_distribution_mc
 from .counting import (
     Pattern,
     clique_families,
@@ -45,6 +44,7 @@ from .stats import (
 from .limits import (
     Estimate,
     LimitSpec,
+    ball_distribution_mc,
     dstar_moment,
     limit_assortativity,
     limit_ball_probabilities,

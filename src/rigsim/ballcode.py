@@ -28,7 +28,8 @@ isomorphic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,11 +37,8 @@ from . import canon
 from .counting import _cumsum0
 from .graphs import BipartiteMultigraph, Graph, RootedGraph, _unique, ball_adjacency
 
-if TYPE_CHECKING:
-    from .cliquetree import GWForest
-
 __all__ = [
-    "BLOCK_TAG", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes", "block_tree",
+    "BLOCK_TAG", "GWForest", "rooted_code", "block_codes", "ball_codes", "fill_codes", "forest_codes", "block_tree",
 ]
 
 BLOCK_TAG = b"BLK1"
@@ -241,6 +239,37 @@ def _keep_incidences(G: Graph, H: BipartiteMultigraph) -> None:
     object.__setattr__(G, "_incidences", tuple(map(small, (vptr, vatt, aptr, H.edge_u))))
 
 
+@dataclass(frozen=True)
+class GWForest:
+    """Independent trees truncated after ``depth`` generations: the sampled
+    two-type branching trees of the clique-tree limit
+    (``limits.sample_gw_forest``) and the unfoldings of a graph's balls
+    (``_unfold``) alike.
+
+    Generation k lists the generation-k nodes of tree 0, then of tree 1, and
+    so on.  Node j of generation k has ``counts[k][j]`` children, the next
+    ones of generation k + 1, and tree i's generation-k nodes are
+    ``starts[k][i]`` up to ``starts[k][i + 1]``.  There is one array of each
+    per generation that drew offspring.  A capped tree outgrew the node cap;
+    the offspring it drew then are set to 0."""
+
+    depth: int
+    counts: tuple[np.ndarray, ...]
+    starts: tuple[np.ndarray, ...]
+    capped: np.ndarray  # one flag per tree
+
+    @property
+    def samples(self) -> int:
+        return int(self.capped.size)
+
+
+def _add_starts(starts: list[np.ndarray], counts: list[np.ndarray], samples: int, k: int) -> None:
+    """Extend ``starts`` to generations 0..k."""
+    while len(starts) <= k:
+        j = len(starts)
+        starts.append(np.arange(samples + 1, dtype=np.int64) if j == 0 else _cumsum0(counts[j - 1])[starts[j - 1]])
+
+
 def _codes_from_h(G: Graph, r: int, centres: np.ndarray) -> tuple[list[bytes | None], np.ndarray]:
     """For each of the ``centres`` v, the code of B_r(G, v) when G keeps H's
     incidences and H's non-backtracking unfolding from v shows the ball to be
@@ -308,8 +337,6 @@ def _unfold(incidences: tuple[np.ndarray, ...], centres: np.ndarray, r: int) -> 
     """Which ``centres`` the tests (a) and (b) of ``_codes_from_h``
     certify, which have a cycle (C4) or (C5), and the first 2r generations
     of the certified centres' unfoldings."""
-    from .cliquetree import GWForest, _add_starts  # cliquetree imports this module
-
     vptr, vatt, aptr, amem = incidences
     n1, n2 = vptr.size - 1, aptr.size - 1
     ok = np.ones(centres.size, dtype=bool)

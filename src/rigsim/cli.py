@@ -11,11 +11,9 @@ import json
 import os
 import sys
 
-from .cliquetree import CodeHistogram, ball_distribution_mc
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import intersection_graph, read_graph, write_bipartite, write_graph
 from .laws import check_config_keys, degree_law_from_config
-from .limits import LimitSpec, limit_spec_for
 from .experiment import (
     STATISTICS,
     ExperimentPlan,
@@ -26,6 +24,7 @@ from .experiment import (
     theorem21_suite,
 )
 from .rng import substream
+from . import limits
 from . import stats as netstats
 
 __all__ = ["main"]
@@ -47,6 +46,13 @@ def _write(args, name: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
     print(path)
+
+
+def _ball_rows(hist) -> str:
+    """Code counts as JSON rows, one per code in byte order."""
+    total = hist.total()
+    rows = [{"code_hex": code.hex(), "count": hist[code], "probability": hist[code] / total} for code in sorted(hist)]
+    return json.dumps(rows, indent=1)
 
 
 def _write_rows(args, rows, stem: str) -> None:
@@ -74,23 +80,23 @@ def cmd_stats(args) -> int:
     for text in args.stats.split(","):
         s = StatisticSpec.parse(text)
         rep = STATISTICS[s.kind].graph(G, s)
-        if isinstance(rep, CodeHistogram):
-            _write(args, f"ball_{s.r}.json", json.dumps(rep.to_rows(), indent=1))
+        if s.kind == "ball":
+            _write(args, f"ball_{s.r}.json", _ball_rows(rep))
         else:
             rows.append(rep.to_row() if isinstance(rep, netstats.StatReport) else {"name": s.label(), "value": rep})
     _write(args, "stats.json", json.dumps(rows, indent=1))
     return 0
 
 
-def _limit_spec(cfg: dict) -> LimitSpec:
+def _limit_spec(cfg: dict) -> limits.LimitSpec:
     """Limit laws from a model file, a file whose "model" is a model object
     (a plan, say), or direct {"D1", "D2"} laws."""
     if isinstance(cfg, dict) and isinstance(cfg.get("model"), dict):
         cfg = cfg["model"]
     if isinstance(cfg, dict) and "model" in cfg:
-        return limit_spec_for(ModelConfig.from_config(cfg))
+        return limits.limit_spec_for(ModelConfig.from_config(cfg))
     check_config_keys(cfg, "laws", ("D1", "D2"))
-    return LimitSpec(degree_law_from_config(cfg["D1"]), degree_law_from_config(cfg["D2"]))
+    return limits.LimitSpec(degree_law_from_config(cfg["D1"]), degree_law_from_config(cfg["D2"]))
 
 
 _MC_SAMPLES = 10**5
@@ -131,8 +137,9 @@ def cmd_balls(args) -> int:
     else:
         spec = _limit_spec(_load_config(args.config))
         samples = _MC_SAMPLES if args.samples is None else args.samples
-        hist = ball_distribution_mc(spec.D1, spec.D2, args.r, samples, substream(0 if args.seed is None else args.seed))
-    _write(args, f"balls_r{args.r}.json", json.dumps(hist.to_rows(), indent=1))
+        seed = 0 if args.seed is None else args.seed
+        hist = limits.ball_distribution_mc(spec.D1, spec.D2, args.r, samples, substream(seed))
+    _write(args, f"balls_r{args.r}.json", _ball_rows(hist))
     return 0
 
 

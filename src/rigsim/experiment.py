@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .ballcode import _gather, block_codes, block_tree, fill_codes
-from .cliquetree import NON_BLOCK_BUCKET, CodeHistogram, count_tv
 from .counting import distinct_rootings, emb_count, pattern_from_name, sidorenko_bound
 from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, ball_adjacency, intersection_graph
@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "n1,statistic,empirical,emp_stderr,limit,limit_stderr,gap,tv"
+# the key of the graph-side balls that are not block graphs, which no
+# clique-tree ball is: it counts in full in every comparison with the limit
+NON_BLOCK_BUCKET = b"__not_a_block_graph__"
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class ExperimentPlan:
     replications: int = 1
     seed: int = 0
     gamma: float | None = None  # plant a clique of size ceil(n1^gamma)
-    mc_reference_samples: int = 10**5  # sizes nothing (every ball row is exact); plans naming it parse
     edge_budget: int = 5 * 10**7
     threads: int = 1
     gap_tolerance: float | None = None  # None: 3 * emp stderr
@@ -121,8 +123,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         # the one check of the plan's numbers, for plans read from a config
         # and built directly alike; it stores integral floats as ints
-        for name, low in (("replications", 1), ("seed", None), ("mc_reference_samples", 1), ("edge_budget", None),
-                          ("threads", 1)):
+        for name, low in (("replications", 1), ("seed", None), ("edge_budget", None), ("threads", 1)):
             object.__setattr__(self, name, config_number(f"plan {name}", getattr(self, name), low))
         object.__setattr__(self, "ladder", tuple(config_number("plan ladder entry", n) for n in self.ladder))
         if self.gap_tolerance is not None:
@@ -130,8 +131,11 @@ class ExperimentPlan:
             object.__setattr__(self, "gap_tolerance", tol)
         if not self.ladder or any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("size ladder must be non-empty and strictly increasing")
-        if self.gamma is not None and not 0 < self.gamma < 1:
-            raise ValueError("perturbation exponent must lie in (0, 1)")
+        if self.gamma is not None:
+            gamma = config_number("plan perturbation gamma", self.gamma, integral=False)
+            if not 0 < gamma < 1:
+                raise ValueError("perturbation exponent must lie in (0, 1)")
+            object.__setattr__(self, "gamma", gamma)
         if not self.statistics:
             raise ValueError("no statistics requested")
 
@@ -146,17 +150,17 @@ class ExperimentPlan:
         check_config_keys(cfg, "plan", ("model", "ladder", "statistics"), optional)
         model = ModelConfig.from_config(cfg["model"])
         stats = tuple(StatisticSpec.parse(s) for s in cfg["statistics"])
-        pert = cfg.get("perturbation")
+        numbers = {key: cfg[key] for key in optional if key in cfg}
+        pert = numbers.pop("perturbation", None)
         if pert is not None:
             check_config_keys(pert, "perturbation", ("gamma",))
-        numbers = {key: cfg[key] for key in optional if key in cfg and key != "perturbation"}
-        return ExperimentPlan(
-            model=model,
-            ladder=tuple(cfg["ladder"]),
-            statistics=stats,
-            gamma=None if pert is None else float(pert["gamma"]),
-            **numbers,
-        )
+            # checked here too, so that a null gamma fails rather than read as no perturbation
+            numbers["gamma"] = config_number("plan perturbation gamma", pert["gamma"], integral=False)
+        if "mc_reference_samples" in numbers:
+            # sizes nothing, as every ball row is scored against the exact
+            # law; the benchmark's plans set it, so it is checked and dropped
+            config_number("plan mc_reference_samples", numbers.pop("mc_reference_samples"), 1)
+        return ExperimentPlan(model=model, ladder=tuple(cfg["ladder"]), statistics=stats, **numbers)
 
     def sized_model(self, n1: int) -> ModelConfig:
         n2 = max(1, int(round(self.beta * n1)))
@@ -238,31 +242,38 @@ STATISTICS: dict[str, Statistic] = {
     "emb": Statistic("pattern", _emb, lambda spec, s: limit_emb_per_vertex(spec, pattern_from_name(s.pattern)),
                      per_vertex=True),
     "ball": Statistic("r", lambda G, s: netstats.empirical_ball_dist(G, s.r), None,
-                      row=lambda G, s: _row_histogram(code for code, _ in block_codes(G, s.r))),
+                      row=lambda G, s: Counter(NON_BLOCK_BUCKET if code is None else code
+                                               for code, _ in block_codes(G, s.r))),
 }
 
 
-def _row_histogram(codes) -> CodeHistogram:
-    """The histogram a ball row compares with the clique-tree reference: block
-    codes as they are, every other ball (code None) under ``NON_BLOCK_BUCKET``."""
-    counts = Counter(NON_BLOCK_BUCKET if code is None else code for code in codes)
-    return CodeHistogram(dict(counts), sum(counts.values()))
+def count_tv(c: Mapping[object, int], N: int, d: Mapping[object, int], M: int) -> float:
+    """Total variation distance between counts ``c`` out of N and ``d`` out
+    of M, sum_k |c_k M - d_k N| / (2 N M): summed on integers and divided
+    once, so it is exactly rounded and does not depend on key order.  A key
+    missing on one side counts 0 there.  Counts both sides share may be left
+    out when N == M, since they cancel."""
+    if N < 1 or M < 1:
+        raise ValueError("total variation needs two non-empty samples")
+    num = sum(abs(c.get(k, 0) * M - d.get(k, 0) * N) for k in c.keys() | d.keys())
+    return float(Fraction(num, 2 * N * M))
 
 
-def _ball_limit_tv(spec: LimitSpec, r: int, hist: CodeHistogram) -> float:
-    """TV distance between ``hist``, of frequencies q, and the exact radius-r
-    clique-tree ball law p (0 where ``block_tree`` does not decode):
-    sum_x max(q_x - p_x, 0) over its codes, half the L1 distance as p sums to
-    1, rounded correctly by ``math.fsum`` whatever the codes' order."""
-    codes = list(hist.counts)
-    trees = [block_tree(code, r) for code in codes]
+def _ball_limit_tv(spec: LimitSpec, r: int, hist: Counter) -> float:
+    """TV distance between the code counts ``hist``, of frequencies q, and
+    the exact radius-r clique-tree ball law p (0 where ``block_tree`` does
+    not decode): sum_x max(q_x - p_x, 0) over its codes, half the L1
+    distance as p sums to 1, rounded correctly by ``math.fsum`` whatever the
+    codes' order."""
+    total = hist.total()
+    trees = [block_tree(code, r) for code in hist]
     known = iter(limit_ball_probabilities(spec, r, [t for t in trees if t is not None]))
     probs = [0.0 if t is None else next(known) for t in trees]
-    return math.fsum(max(hist.counts[code] / hist.total - p, 0.0) for code, p in zip(codes, probs))
+    return math.fsum(max(c / total - p, 0.0) for c, p in zip(hist.values(), probs))
 
 
 def _measure(G: Graph, s: StatisticSpec):
-    """The value a plan reports for ``s`` on ``G``: a float, or the ball histogram."""
+    """The value a plan reports for ``s`` on ``G``: a float, or the ball code counts."""
     kind = STATISTICS[s.kind]
     out = (kind.row or kind.graph)(G, s)
     if isinstance(out, netstats.StatReport):
@@ -305,10 +316,10 @@ def _replicate(task: tuple) -> tuple[dict, tuple[float, float] | None]:
         raise RuntimeError(f"replication failed at n1={n1}, replication={rep}: {e}") from e
 
 
-def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHistogram | None, float]:
+def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[Counter | None, float]:
     """TV distance between the radius-r ball distributions of G and G0, where
-    G is G0 plus edges, and G's ball-row histogram when ``row`` is set (None
-    otherwise).
+    G is G0 plus edges, and G's ball-row code counts when ``row`` is set
+    (None otherwise).
 
     A ball can differ between the two only if it holds an endpoint of a new
     edge, so only the vertices within distance r (in G) of a vertex whose
@@ -329,9 +340,9 @@ def _ball_perturbation(G0: Graph, G: Graph, r: int, row: bool) -> tuple[CodeHist
     nearby = np.flatnonzero(near).tolist()
     hist = None
     if row:
-        hist, planted = CodeHistogram(), []
+        hist, planted = Counter(), []
         for v, entry in enumerate(block_codes(G, r)):
-            hist.add(NON_BLOCK_BUCKET if entry[0] is None else entry[0])
+            hist[NON_BLOCK_BUCKET if entry[0] is None else entry[0]] += 1
             if near[v]:
                 planted.append(entry)
     else:
@@ -449,10 +460,9 @@ def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:
             if s.kind != "ball":
                 rows.append(_scalar_row(n1, s.label(), [values[s.label()] for values, _ in results], limits[s.label()]))
         for s in balls:  # after the scalar rows of the size
-            pooled = CodeHistogram()
+            pooled = Counter()
             for values, _ in results:
-                for code, c in values[s.label()].counts.items():
-                    pooled.add(code, c)
+                pooled.update(values[s.label()])
             rows.append(ConvergenceRow(n1, s.label(), None, None, None, None, None, _ball_limit_tv(spec, s.r, pooled)))
         if pert:
             pert_rows += _perturbation_rows(n1, pert, results)

@@ -23,6 +23,11 @@ and each is distributed as Z' = (Z | Z >= 1) >= 1, so d* = k needs at most k
 of them, and k convolutions of the Z' pmf give P(d* = k) with no truncation.
 The same thinned pmfs, with D1* - 1 thinned for the deeper vertices, give
 each radius-r ball its probability as a finite product over its block tree.
+
+That ball law also has a Monte Carlo sample (``ball_distribution_mc``, for
+``rigsim balls --config`` and the tests): ``sample_gw_forest`` grows the
+first 2r generations of many trees at once and ``ballcode.forest_codes``
+codes them.  ``converge`` draws no tree.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import MAX_PATTERN_VERTICES, Pattern, _coincidence_terms, clique_families, pattern_from_name
+from .ballcode import GWForest, _add_starts, forest_codes
+from .counting import MAX_PATTERN_VERTICES, Pattern, _coincidence_terms, _cumsum0, clique_families, pattern_from_name
 from .generators import ModelConfig
 from .graphs import Graph
 from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law, thinned
@@ -50,6 +56,9 @@ __all__ = [
     "limit_degree_pmf",
     "limit_degree_pmf_vector",
     "limit_ball_probabilities",
+    "sample_gw_forest",
+    "ball_distribution_mc",
+    "DEFAULT_NODE_CAP",
     "limit_clustering",
     "limit_assortativity",
     "limit_conditional_clustering",
@@ -58,6 +67,11 @@ __all__ = [
     "limit_emb_per_vertex",
     "limit_hom_per_vertex",
 ]
+
+DEFAULT_NODE_CAP = 10**7
+# the key of the Monte Carlo samples whose tree passed the node cap, which
+# no ball code matches
+CAP_BUCKET = b"__cap_exceeded__"
 
 
 @dataclass(frozen=True)
@@ -228,6 +242,76 @@ def limit_ball_probabilities(spec: LimitSpec, r: int, balls: Sequence[tuple]) ->
         return orderings + math.fsum([first, *(log_prob(c, t + 1) for c in node)])
 
     return [math.exp(log_prob(ball, 0)) for ball in balls]
+
+
+def sample_gw_forest(
+    D1: DegreeLaw,
+    D2: DegreeLaw,
+    depth: int,
+    samples: int,
+    rng: np.random.Generator,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> GWForest:
+    """Sample ``samples`` trees of the two-type branching process, each
+    generation of every tree in one draw.
+
+    Root offspring ~ D1; a node in generation k >= 1 has offspring count
+    distributed as the size-biased D2 (k odd, attributes) or D1 (k even)
+    minus one, a law made only once reached (D1 == 0 gives single-node
+    trees).  A tree whose node count would pass ``node_cap`` is capped and
+    draws nothing more.  The starts are built after the last draw, out of
+    its peak memory, unless the whole forest passes the cap before."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    counts: list[np.ndarray] = []
+    starts: list[np.ndarray] = []
+    capped = np.zeros(samples, dtype=bool)
+    sizes = None  # nodes per tree so far
+    total = n = samples
+    for k in range(depth):
+        if n == 0:
+            break
+        c = (D1 if k == 0 else offspring_law(D2 if k % 2 else D1)).sample(rng, n)
+        n = int(c.sum())
+        if sizes is not None or total + n > node_cap:
+            _add_starts(starts, counts, samples, k)
+            if sizes is None:
+                sizes = sum(np.diff(s) for s in starts)
+            new = np.diff(_cumsum0(c)[starts[k]])
+            over = sizes + new > node_cap
+            capped |= over
+            c[np.repeat(over, np.diff(starts[k]))] = 0
+            new[over] = 0
+            n = int(new.sum())
+            sizes += new
+        total += n
+        counts.append(c)
+    _add_starts(starts, counts, samples, len(counts) - 1)
+    return GWForest(depth, tuple(counts), tuple(starts), capped)
+
+
+def ball_distribution_mc(
+    D1: DegreeLaw,
+    D2: DegreeLaw,
+    r: int,
+    samples: int,
+    rng: np.random.Generator,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Counter:
+    """Monte Carlo counts of the code of the radius-r clique-tree ball: the
+    first 2r generations of ``samples`` trees, sampled and coded together;
+    capped trees count under ``CAP_BUCKET``."""
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    forest = sample_gw_forest(D1, D2, 2 * r, samples, rng, node_cap)
+    classes, codes = forest_codes(forest, r)
+    hist = Counter(dict(zip(codes, np.bincount(classes[classes >= 0], minlength=len(codes)).tolist())))
+    capped = int(forest.capped.sum())
+    if capped:
+        hist[CAP_BUCKET] = capped
+    return hist
 
 
 def limit_degree_pmf(spec: LimitSpec, k: int) -> Estimate:

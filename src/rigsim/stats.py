@@ -11,11 +11,11 @@ vanishing denominator yields value 0 with the ``degenerate`` flag set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ballcode import ball_codes
-from .cliquetree import CodeHistogram
 from .counting import _host, _power_sum, emb_count, hom_count, pattern_from_name
 from .graphs import Graph
 
@@ -112,12 +112,9 @@ def conditional_assortativity(G: Graph, k: int) -> StatReport:
     return _ratio(f"r_k({k})", _power_sum(host.Ad[centers]), k * int(centers.sum()))
 
 
-def empirical_ball_dist(G: Graph, r: int) -> CodeHistogram:
+def empirical_ball_dist(G: Graph, r: int) -> Counter:
     """Distribution of the code of B_r(G, v) over all vertices v, as counts;
     codes come from ``ballcode.ball_codes``."""
     if G.vertex_count < 1:
         raise ValueError("empirical_ball_dist needs a non-empty graph")
-    hist = CodeHistogram()
-    for code in ball_codes(G, r):
-        hist.add(code)
-    return hist
+    return Counter(ball_codes(G, r))

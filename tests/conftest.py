@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rigsim.cliquetree import sample_gw_forest
 from rigsim.graphs import Graph
+from rigsim.limits import sample_gw_forest
 from rigsim.rng import substream
 from tests.oracles import clique_tree, forest_tree, root_eccentricity, rooted_emb_count
 

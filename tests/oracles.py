@@ -5,7 +5,8 @@
   incidence graph (``tree_to_bipartite``, ``clique_tree``,
   ``clique_tree_ball_from_tree``): the one-tree-at-a-time path that
   ``ballcode.forest_codes`` must agree with.
-- ``tv_distance`` between probability maps, in floats.
+- ``probabilities`` of a map of counts, and ``tv_distance`` between
+  probability maps, in floats.
 - Rooted embedding (or homomorphism) counts by backtracking from the root
   (``rooted_emb_count``), and their Monte Carlo mean over sampled clique-tree
   balls (``rooted_emb_expectation_mc``): the independent check of the exact
@@ -44,12 +45,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from rigsim.ballcode import forest_codes
-from rigsim.cliquetree import DEFAULT_NODE_CAP, GWForest, sample_gw_forest
+from rigsim.ballcode import GWForest, forest_codes
 from rigsim.counting import Pattern
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, ball_adjacency, intersection_graph
 from rigsim.laws import DegreeLaw
-from rigsim.limits import Estimate, LimitSpec
+from rigsim.limits import DEFAULT_NODE_CAP, Estimate, LimitSpec, sample_gw_forest
 
 
 class CapExceeded(RuntimeError):
@@ -126,6 +126,12 @@ def clique_tree(tree: GWTree) -> Graph:
 def clique_tree_ball_from_tree(tree: GWTree, r: int) -> RootedGraph:
     """The radius-r root ball of a (depth >= 2r) tree's clique tree."""
     return ball(clique_tree(tree), 0, r)
+
+
+def probabilities(counts: Mapping[bytes, int]) -> dict[bytes, float]:
+    """Each code's share of the total count."""
+    total = sum(counts.values())
+    return {code: c / total for code, c in counts.items()}
 
 
 def tv_distance(p: Mapping[bytes, float], q: Mapping[bytes, float]) -> float:

@@ -14,10 +14,10 @@ from rigsim.ballcode import (
     BLOCK_TAG, _block, _block_code, _codes_from_h, _vertex, ball_codes, block_codes, forest_codes,
 )
 from rigsim.canon import canonical_code
-from rigsim.cliquetree import CAP_BUCKET, ball_distribution_mc, sample_gw_forest
 from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, ball_adjacency, intersection_graph
 from rigsim.laws import DegreeLaw, offspring_law
+from rigsim.limits import CAP_BUCKET, ball_distribution_mc, sample_gw_forest
 from rigsim.rng import substream
 from tests.conftest import SMALL_MODELS, random_graph
 from tests.oracles import CapExceeded, clique_tree_ball_from_tree, forest_tree, sample_gw_tree
@@ -358,7 +358,7 @@ def test_batched_radius1_matches_loop(seed, law, samples, node_cap, chunk, r):
     D1, D2 = LAWS[law]
     expected = parent_histogram(D1, D2, r, samples, substream(seed), node_cap)
     with mock.patch.object(ballcode, "_FOREST_CHUNK", chunk):  # several chunks per forest
-        got = ball_distribution_mc(D1, D2, r, samples, substream(seed), node_cap).counts
+        got = ball_distribution_mc(D1, D2, r, samples, substream(seed), node_cap)
     if CAP_BUCKET not in expected:
         assert got == expected
     assert sum(got.values()) == samples  # a binding cap moves the stream: capped trees draw nothing more

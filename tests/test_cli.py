@@ -42,7 +42,6 @@ def plan_cfg(tmp_path):
             "statistics": ["alpha", "pi:2", "ball:1"],
             "replications": 2,
             "seed": 5,
-            "mc_reference_samples": 2000,
         },
     )
 
@@ -134,8 +133,10 @@ def test_stats_ball_writes_the_full_histogram(tmp_path, model_cfg):
     main(["generate", "--config", model_cfg, "--seed", "4", "--plant", "12", "--out", str(tmp_path)])
     assert main(["stats", "--graph", str(tmp_path / "graph.txt"), "--stats", "ball:1", "--out", str(tmp_path)]) == 0
     hist = empirical_ball_dist(read_graph(str(tmp_path / "graph.txt")), 1)
-    assert any(not code.startswith(BLOCK_TAG) for code in hist.counts)
-    assert (tmp_path / "ball_1.json").read_text() == json.dumps(hist.to_rows(), indent=1)
+    assert any(not code.startswith(BLOCK_TAG) for code in hist)
+    n = hist.total()
+    rows = [{"code_hex": code.hex(), "count": c, "probability": c / n} for code, c in sorted(hist.items())]
+    assert (tmp_path / "ball_1.json").read_text() == json.dumps(rows, indent=1)
 
 
 @pytest.mark.parametrize("stat, message", [("pi:-1", "non-negative"), ("alpha_k", "alpha_k needs k"),
@@ -192,7 +193,7 @@ def test_converge_deterministic_across_threads_and_runs(tmp_path, plan_cfg, monk
         tmp_path / "pareto.json",
         {"model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "pareto", "shape": 3.0, "scale": 1.0},
                    "xi2": {"kind": "exponential", "rate": 1.0}},
-         "ladder": [200, 300], "statistics": ["ball:2"], "replications": 2, "seed": 5, "mc_reference_samples": 300},
+         "ladder": [200, 300], "statistics": ["ball:2"], "replications": 2, "seed": 5},
     )
     batches = []
     codes = rigsim.canon.canonical_codes
@@ -229,7 +230,7 @@ def test_converge_builds_each_graph_once(tmp_path, monkeypatch):
     plan = write_json(
         tmp_path / "planted.json",
         {"model": MODEL, "ladder": [200, 300, 400], "statistics": ["moment:2", "ball:1"], "replications": 2,
-         "seed": 5, "perturbation": {"gamma": 0.5}, "mc_reference_samples": 2000},
+         "seed": 5, "perturbation": {"gamma": 0.5}},
     )
     assert main(["converge", "--config", plan, "--threads", "1", "--out", str(tmp_path / "o")]) == 0
     rows = list(csv.DictReader(open(tmp_path / "o" / "converge.csv")))
@@ -297,6 +298,9 @@ def test_balls_and_limits_on_a_plain_model_file(tmp_path):
          "model n1 must be an integer, got 100.7"),
         ({"model": {**MODEL, "P": {"kind": "constant", "value": 2.5}}, "ladder": [200], "statistics": ["alpha"]},
          "constant degree law value must be an integer, got 2.5"),
+        # a null gamma is an error too, not a plan without a perturbation
+        *(({"model": MODEL, "ladder": [200], "statistics": ["alpha"], "perturbation": {"gamma": gamma}},
+           f"plan perturbation gamma must be a finite number, got {gamma!r}") for gamma in ("0.5", "x", [0.5], None)),
     ],
 )
 def test_config_keys_are_checked(tmp_path, capsys, cfg, message):
@@ -321,7 +325,7 @@ def test_converge_keeps_the_plan_seed(tmp_path):
     plan = write_json(
         tmp_path / "seeded.json",
         {"model": MODEL, "ladder": [200], "statistics": ["alpha", "ball:1"], "replications": 2,
-         "seed": 42, "mc_reference_samples": 2000},
+         "seed": 42},
     )
     csvs = {}
     for name, seed in (("plan", []), ("flag", ["--seed", "42"]), ("zero", ["--seed", "0"])):
@@ -339,7 +343,7 @@ def test_converge_pareto_conditional_limits(tmp_path):
     plan = write_json(
         tmp_path / "pareto.json",
         {"model": laws, "ladder": [300], "statistics": ["pi:2", "alpha_k:2", "r_k:2"],
-         "replications": 2, "seed": 3, "mc_reference_samples": 20000},
+         "replications": 2, "seed": 3},
     )
     out = tmp_path / "pareto"
     assert main(["converge", "--config", plan, "--out", str(out)]) == 0
@@ -368,8 +372,7 @@ def test_limits_report_on_pareto_weights(tmp_path):
     laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
     plan = write_json(
         tmp_path / "pareto.json",
-        {"model": laws, "ladder": [300], "statistics": ["r_k:2", "pi:2", "alpha_k:2"], "seed": 3,
-         "mc_reference_samples": 20000},
+        {"model": laws, "ladder": [300], "statistics": ["r_k:2", "pi:2", "alpha_k:2"], "seed": 3},
     )
     assert main(["limits", "--config", plan, "--out", str(out)]) == 0
     assert main(["converge", "--config", plan, "--out", str(out)]) == 0
@@ -389,7 +392,7 @@ def test_limits_report_no_acceptances(tmp_path):
     laws = json.loads((CONFIGS / "inhomogeneous_pareto.json").read_text())
     plan = write_json(
         tmp_path / "pareto.json",
-        {"model": laws, "ladder": [300], "statistics": ["alpha_k:25"], "seed": 2, "mc_reference_samples": 500},
+        {"model": laws, "ladder": [300], "statistics": ["alpha_k:25"], "seed": 2},
     )
     assert main(["limits", "--config", plan, "--k-values", "25", "--out", str(tmp_path)]) == 0
     vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
@@ -422,12 +425,12 @@ def test_emb_limits_draw_no_clique_trees(tmp_path, monkeypatch):
     # the emb and ball rows of converge and theorem21 read exact limits: no
     # clique tree is sampled, for a radius-2 ball row or a planted radius-1
     # one either
-    import rigsim.cliquetree
+    import rigsim.limits
 
     def refuse(*a, **kw):
         raise AssertionError("a clique tree was sampled for a limit")
 
-    monkeypatch.setattr(rigsim.cliquetree, "sample_gw_forest", refuse)
+    monkeypatch.setattr(rigsim.limits, "sample_gw_forest", refuse)
     planted = {"model": MODEL, "ladder": [300], "statistics": ["moment:2", "ball:1"], "replications": 2, "seed": 5,
                "perturbation": {"gamma": 0.5}}
     for name, plan in (("r2", REFERENCE_R2), ("planted", planted)):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -9,16 +10,20 @@ import pytest
 
 from rigsim.ballcode import BLOCK_TAG, block_tree, forest_codes
 from rigsim.canon import canonical_code
-from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, CodeHistogram, ball_distribution_mc, sample_gw_forest
-from rigsim.experiment import _ball_limit_tv
+from rigsim.cli import _ball_rows
+from rigsim.experiment import NON_BLOCK_BUCKET, _ball_limit_tv
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph
 from rigsim.laws import DegreeLaw, WeightLaw
-from rigsim.limits import LimitSpec, limit_ball_probabilities, limit_degree_pmf_vector, remark1_limits
+from rigsim.limits import (
+    CAP_BUCKET, LimitSpec, ball_distribution_mc, limit_ball_probabilities, limit_degree_pmf_vector, remark1_limits,
+    sample_gw_forest,
+)
 from rigsim.rng import substream
 from tests.oracles import (
     CapExceeded,
     clique_tree_ball_from_tree,
     forest_tree,
+    probabilities,
     sample_gw_tree,
     tree_to_bipartite,
     tv_distance,
@@ -199,52 +204,50 @@ class TestCliqueTreeBall:
 class TestBallDistribution:
     def test_degenerate_masses(self):
         h = ball_distribution_mc(DegreeLaw.constant(0), DegreeLaw.constant(2), 1, 50, substream(11))
-        assert h.counts == {ISOLATED: 50}
+        assert h == {ISOLATED: 50}
         h = ball_distribution_mc(DegreeLaw.constant(2), DegreeLaw.constant(2), 1, 60, substream(12))
         P3c = RootedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 1)
-        assert h.counts == {P3c.code: 60}
+        assert h == {P3c.code: 60}
 
     def test_radius_zero(self):
         h = ball_distribution_mc(DegreeLaw.poisson(3), DegreeLaw.poisson(3), 0, 25, substream(13))
-        assert h.counts == {ISOLATED: 25}
+        assert h == {ISOLATED: 25}
 
     def test_isolated_probability_poisson(self):
         h = ball_distribution_mc(DegreeLaw.poisson(1), DegreeLaw.constant(2), 1, 100_000, substream(14))
-        p = h.counts.get(ISOLATED, 0) / h.total
+        p = h[ISOLATED] / h.total()
         target = math.exp(-1)
         assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / 100_000)
 
     def test_probabilities_sum_to_one(self):
         h = ball_distribution_mc(DegreeLaw.poisson(2), DegreeLaw.poisson(2), 1, 5000, substream(15))
-        assert abs(sum(h.probabilities().values()) - 1.0) < 1e-12
+        assert abs(sum(probabilities(h).values()) - 1.0) < 1e-12
 
     def test_deterministic(self):
         a = ball_distribution_mc(DegreeLaw.constant(3), DegreeLaw.poisson(3), 2, 300, substream(16, 1))
         b = ball_distribution_mc(DegreeLaw.constant(3), DegreeLaw.poisson(3), 2, 300, substream(16, 1))
-        assert a.counts == b.counts
+        assert a == b
 
     def test_cap_residual_bucket(self):
         h = ball_distribution_mc(
             DegreeLaw.constant(4), DegreeLaw.constant(4), 2, 40, substream(17), node_cap=8
         )
-        assert h.counts.get(CAP_BUCKET, 0) == 40
+        assert h[CAP_BUCKET] == 40
 
     def test_fast_path_matches_generic_sampling(self):
         # r=1 batched sampling and one-ball-at-a-time sampling draw the same law
         D1, D2 = DegreeLaw.from_pmf({1: 0.4, 3: 0.6}), DegreeLaw.poisson(2)
         fast = ball_distribution_mc(D1, D2, 1, 40_000, substream(18))
         gen = substream(19)
-        slow = CodeHistogram()
         n2 = 8000
-        for _ in range(n2):
-            slow.add(sample_ball(D1, D2, 1, gen).code)
-        pf, ps = fast.probabilities(), slow.probabilities()
+        slow = Counter(sample_ball(D1, D2, 1, gen).code for _ in range(n2))
+        pf, ps = probabilities(fast), probabilities(slow)
         for code in set(pf) | set(ps):
             a, b = pf.get(code, 0.0), ps.get(code, 0.0)
-            pbar = (fast.counts.get(code, 0) + slow.counts.get(code, 0)) / (fast.total + slow.total)
+            pbar = (fast[code] + slow[code]) / (fast.total() + slow.total())
             if pbar * n2 < 8:
                 continue
-            z = abs(a - b) / math.sqrt(pbar * (1 / fast.total + 1 / slow.total))
+            z = abs(a - b) / math.sqrt(pbar * (1 / fast.total() + 1 / slow.total()))
             assert z < 5, (code.hex(), a, b)
 
 
@@ -256,10 +259,7 @@ class TestTV:
         assert tv_distance(p, p) == 0.0
 
     def test_json_rows(self):
-        h = CodeHistogram()
-        h.add(b"xy", 3)
-        h.add(b"z", 1)
-        rows = h.to_rows()
+        rows = json.loads(_ball_rows(Counter({b"xy": 3, b"z": 1})))
         assert sum(r["count"] for r in rows) == 4
         assert all(set(r) == {"code_hex", "count", "probability"} for r in rows)
 
@@ -356,13 +356,11 @@ class TestExactBall1Law:
         # distance to the whole law, with the bucket and a ball outside the
         # support, [3], counted in full; at r = 0 the law is the one-vertex ball
         balls = [[2, 2], [1], []]
-        hist = CodeHistogram()
-        for sizes, c in zip(balls, (5, 30, 7)):
-            hist.add(r1_code(sizes), c)
-        hist.add(NON_BLOCK_BUCKET, 3)
-        hist.add(r1_code([3]), 2)
+        hist = Counter(dict(zip(map(r1_code, balls), (5, 30, 7))))
+        hist[NON_BLOCK_BUCKET] = 3
+        hist[r1_code([3])] = 2
         law = dict(zip(map(r1_code, SMALL_BALLS), limit_ball_probabilities(SMALL, 1, list(map(r1_tree, SMALL_BALLS)))))
-        assert _ball_limit_tv(SMALL, 1, hist) == pytest.approx(tv_distance(hist.probabilities(), law), abs=1e-15)
+        assert _ball_limit_tv(SMALL, 1, hist) == pytest.approx(tv_distance(probabilities(hist), law), abs=1e-15)
         assert _ball_limit_tv(SMALL, 0, hist) == pytest.approx(1 - 7 / 47, abs=1e-15)
 
 

@@ -50,6 +50,18 @@ class TestPattern:
         assert len(connected_patterns(3)) == 2
         assert len(connected_patterns(4)) == 6
         assert len(connected_patterns(5)) == 21
+        # the order, which seeds test_limits' Monte Carlo check of pattern i
+        # with substream(1, h, i) and picks its rooting by edge labels
+        assert [p.edge_tuple() for h in (2, 3, 4) for p in connected_patterns(h)] == [
+            ((0, 1),),
+            ((0, 1), (0, 2)), ((0, 1), (0, 2), (1, 2)),
+            ((0, 1), (0, 2), (0, 3)),  # S3
+            ((0, 1), (0, 2), (1, 3)),  # P4
+            ((0, 1), (0, 2), (0, 3), (1, 3)),  # paw
+            ((0, 1), (0, 2), (1, 3), (2, 3)),  # C4
+            ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)),  # diamond
+            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),  # K4
+        ]
 
     def test_connected_patterns_match_the_graph_atlas(self):
         # every connected graph on h vertices of networkx's atlas, once each;

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim.ballcode import BLOCK_TAG
-from rigsim.cliquetree import CAP_BUCKET, NON_BLOCK_BUCKET, ball_distribution_mc, count_tv
 from rigsim.experiment import (
+    NON_BLOCK_BUCKET,
     _ball_perturbation,
     _measure,
     CSV_HEADER,
@@ -21,6 +21,7 @@ from rigsim.experiment import (
     ExperimentPlan,
     StatisticSpec,
     check_edge_budget,
+    count_tv,
     rows_to_csv,
     run_experiment,
     theorem21_suite,
@@ -29,11 +30,13 @@ from rigsim.counting import pattern_from_name
 from rigsim.generators import ModelConfig, gen_active, generate_bipartite, plant_clique
 from rigsim.graphs import Graph, intersection_graph
 from rigsim.laws import DegreeLaw
-from rigsim.limits import LimitSpec, dstar_moment, limit_emb_per_vertex, limit_spec_for
+from rigsim.limits import (
+    CAP_BUCKET, LimitSpec, ball_distribution_mc, dstar_moment, limit_emb_per_vertex, limit_spec_for,
+)
 from rigsim.rng import substream
 from rigsim.stats import empirical_ball_dist
 from tests.conftest import deterministic_tree_count
-from tests.oracles import part_degrees, tv_distance
+from tests.oracles import part_degrees, probabilities, tv_distance
 
 
 def active_plan(**over):
@@ -43,7 +46,6 @@ def active_plan(**over):
         "statistics": ["alpha", "pi:2", "moment:2"],
         "replications": 2,
         "seed": 11,
-        "mc_reference_samples": 4000,
     }
     cfg.update(over)
     return ExperimentPlan.from_config(cfg)
@@ -96,7 +98,7 @@ class TestPlanParsing:
         calls = []
         k3 = C._CLOSED_FORMS[(2, 2, 2)]
         monkeypatch.setitem(C._CLOSED_FORMS, (2, 2, 2), lambda g, host: calls.append(g) or k3(g, host))
-        plan = active_plan(statistics=["alpha", "assort", "emb:K3"], mc_reference_samples=200)
+        plan = active_plan(statistics=["alpha", "assort", "emb:K3"])
         run_experiment(plan)
         assert len(calls) == len(plan.ladder) * plan.replications
         assert len({id(g) for g in calls}) == len(calls)
@@ -108,16 +110,22 @@ class TestPlanParsing:
             active_plan(replications=0)
         with pytest.raises(ValueError):
             active_plan(perturbation={"gamma": 1.5})
+        for gamma in ("0.5", "x", [0.5], None):  # null does not read as no perturbation
+            message = f"plan perturbation gamma must be a finite number, got {gamma!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                active_plan(perturbation={"gamma": gamma})
         with pytest.raises(ValueError):
             active_plan(statistics=[])
 
     @pytest.mark.parametrize("field, value, message", [
         ("threads", 0, "plan threads must be at least 1, got 0"),
         ("replications", 2.5, "plan replications must be an integer, got 2.5"),
-        ("mc_reference_samples", 0, "plan mc_reference_samples must be at least 1, got 0"),
+        ("gamma", "0.5", "plan perturbation gamma must be a finite number, got '0.5'"),
         ("ladder", (200.5,), "plan ladder entry must be an integer, got 200.5"),
         ("gap_tolerance", -1.0, "plan gap_tolerance must be at least 0, got -1.0"),
         ("gap_tolerance", math.inf, "plan gap_tolerance must be a finite number, got inf"),
+        ("gamma", "x", "plan perturbation gamma must be a finite number, got 'x'"),
+        ("gamma", [0.5], "plan perturbation gamma must be a finite number, got [0.5]"),
     ])
     def test_directly_built_plans_are_checked(self, field, value, message):
         # built without from_config, a bad plan fails on construction, before
@@ -225,14 +233,13 @@ class TestBallConvergence:
         ):
             for r in (0, 1, 2):
                 plan = ExperimentPlan.from_config(
-                    {"model": model, "ladder": [50], "statistics": [f"ball:{r}"], "replications": 1, "seed": 1,
-                     "mc_reference_samples": 500}
+                    {"model": model, "ladder": [50], "statistics": [f"ball:{r}"], "replications": 1, "seed": 1}
                 )
                 rows = run_experiment(plan)
                 assert rows[0].tv == 0.0, (model, r)
 
     def test_tv_shrinks_along_ladder(self):
-        plan = active_plan(statistics=["ball:1"], ladder=[200, 1600], replications=2, mc_reference_samples=60000)
+        plan = active_plan(statistics=["ball:1"], ladder=[200, 1600], replications=2)
         rows = run_experiment(plan)
         assert rows[0].tv > rows[1].tv
 
@@ -264,16 +271,16 @@ class TestPerturbation:
         H = gen_active(80, 60, DegreeLaw.from_pmf({1: 0.3, 2: 0.4, 3: 0.3}), rng)
         G0, G = intersection_graph(H), intersection_graph(plant_clique(H, s, rng))
         planted, direct = empirical_ball_dist(G, r), empirical_ball_dist(G0, r)
-        keys = planted.counts.keys() | direct.counts.keys()
-        diff = sum(abs(planted.counts.get(k, 0) - direct.counts.get(k, 0)) for k in keys)
+        keys = planted.keys() | direct.keys()
+        diff = sum(abs(planted[k] - direct[k]) for k in keys)
         exact = float(Fraction(diff, 2 * G.vertex_count))
         hist, tv = _ball_perturbation(G0, G, r, row=True)
         assert tv == exact
         assert _ball_perturbation(G0, G, r, row=False) == (None, exact)
         folded = Counter()
-        for code, c in planted.counts.items():
+        for code, c in planted.items():
             folded[code if code.startswith(BLOCK_TAG) else NON_BLOCK_BUCKET] += c
-        assert (hist.counts, hist.total) == (dict(folded), planted.total)
+        assert (hist, hist.total()) == (folded, planted.total())
 
     @pytest.mark.parametrize("n, edges, extra, r", [
         (7, [(0, 5), (1, 2), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6)], (0, 1), 2),
@@ -285,7 +292,7 @@ class TestPerturbation:
         # sorted degrees) but not a class: counting them under the key alone
         # would cancel them
         G0, G = Graph.from_edges(n, edges), Graph.from_edges(n, edges + [extra])
-        planted, direct = empirical_ball_dist(G, r).counts, empirical_ball_dist(G0, r).counts
+        planted, direct = empirical_ball_dist(G, r), empirical_ball_dist(G0, r)
         diff = sum(abs(planted.get(k, 0) - direct.get(k, 0)) for k in planted.keys() | direct.keys())
         assert _ball_perturbation(G0, G, r, row=False) == (None, float(Fraction(diff, 2 * n)))
 
@@ -305,14 +312,14 @@ def test_ball_row_tv_equals_the_full_histogram_tv(seed, r, node_cap):
     ref = ball_distribution_mc(spec.D1, spec.D2, r, 400, substream(seed, 1), node_cap=node_cap)
     full = empirical_ball_dist(G, r)
     row = _measure(G, StatisticSpec("ball", r=r))
-    assert NON_BLOCK_BUCKET in row.counts and any(not code.startswith(BLOCK_TAG) for code in full.counts)
-    assert (CAP_BUCKET in ref.counts) == (node_cap < 10**7)
-    N, M = full.total, ref.total
-    keys = full.counts.keys() | ref.counts.keys()
-    exact = Fraction(sum(abs(full.counts.get(k, 0) * M - ref.counts.get(k, 0) * N) for k in keys), 2 * N * M)
-    tv = count_tv(row.counts, row.total, ref.counts, ref.total)
+    assert NON_BLOCK_BUCKET in row and any(not code.startswith(BLOCK_TAG) for code in full)
+    assert (CAP_BUCKET in ref) == (node_cap < 10**7)
+    N, M = full.total(), ref.total()
+    keys = full.keys() | ref.keys()
+    exact = Fraction(sum(abs(full[k] * M - ref[k] * N) for k in keys), 2 * N * M)
+    tv = count_tv(row, row.total(), ref, ref.total())
     assert tv == float(exact)
-    assert tv == pytest.approx(tv_distance(full.probabilities(), ref.probabilities()), abs=1e-12)
+    assert tv == pytest.approx(tv_distance(probabilities(full), probabilities(ref)), abs=1e-12)
 
 
 class TestTheorem21:
@@ -345,7 +352,6 @@ class TestInhomogeneousIntegration:
     def test_weight_law_identification_end_to_end(self):
         # exponential weights give a mixed-Poisson (negative binomial) part-1
         # degree and a clique-tree ball law the empirical graph must approach
-        from rigsim.cliquetree import ball_distribution_mc
         from rigsim.generators import gen_inhomogeneous
         from rigsim.graphs import Graph, intersection_graph
         from rigsim.laws import WeightLaw
@@ -364,7 +370,7 @@ class TestInhomogeneousIntegration:
         assert tv_deg < 0.015
         G = intersection_graph(H)
         ref = ball_distribution_mc(spec.D1, spec.D2, 1, 300_000, substream(203, n))
-        tv_ball = tv_distance(empirical_ball_dist(G, 1).probabilities(), ref.probabilities())
+        tv_ball = tv_distance(probabilities(empirical_ball_dist(G, 1)), probabilities(ref))
         assert tv_ball < 0.03
 
 

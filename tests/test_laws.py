@@ -314,7 +314,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     plan.write_text(json.dumps({
         "model": {"model": "inhomogeneous", "n1": 100, "n2": 100, "xi1": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
                   "xi2": {"kind": "exponential", "rate": 1.0}},
-        "ladder": [200], "statistics": ["alpha_k:3", "pi:3", "ball:1"], "mc_reference_samples": 2000,
+        "ladder": [200], "statistics": ["alpha_k:3", "pi:3", "ball:1"],
     }))
     argv = ["converge", "--config", str(plan), "--threads", "1", "--out", str(tmp_path)]
     code = f"""

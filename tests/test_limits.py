@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigsim import limits
-from rigsim.cliquetree import sample_gw_forest
 from rigsim.counting import Pattern, clique_families, connected_patterns, distinct_rootings, pattern_from_name
 from rigsim.generators import ModelConfig
 from rigsim.graphs import Graph
@@ -26,6 +25,7 @@ from rigsim.limits import (
     limit_spec_for,
     remark1_limits,
     rooted_emb_expectation,
+    sample_gw_forest,
 )
 from rigsim.rng import substream
 from tests import oracles
