@@ -42,7 +42,6 @@ from .stats import (
     empirical_ball_dist,
 )
 from .limits import (
-    Estimate,
     LimitSpec,
     ball_distribution_mc,
     dstar_moment,

@@ -116,9 +116,9 @@ def cmd_limits(args) -> int:
     for s in report:
         name = f"dstar_moment({s.k})" if s.kind == "moment" else s.label()
         try:
-            value = STATISTICS[s.kind].limit(spec, s).value
+            value = STATISTICS[s.kind].limit(spec, s)
         except ValueError as e:
-            # an undefined or infinite quantity (degenerate variance,
+            # an undefined or infinite quantity (a ratio over a zero limit,
             # P(d*=k)=0, an infinite moment) gets an error entry instead of
             # aborting the whole report
             out.append({"quantity": name, "error": str(e), "provenance": spec.provenance})
@@ -155,7 +155,7 @@ def _plan_from_args(args) -> ExperimentPlan:
 def cmd_converge(args) -> int:
     plan = _plan_from_args(args)
     rows = run_experiment(plan)
-    scored = [v for v in (row_converged(r, plan) for r in rows) if v is not None]
+    scored = [v for v in (row_converged(r) for r in rows) if v is not None]
     if scored:
         print(f"converged: {sum(scored)}/{len(scored)} scalar rows within tolerance")
     _write_rows(args, rows, "converge")

@@ -29,7 +29,6 @@ from .generators import ModelConfig, generate_bipartite, plant_clique
 from .graphs import Graph, ball_adjacency, intersection_graph
 from .laws import check_config_keys, config_number
 from .limits import (
-    Estimate,
     LimitSpec,
     dstar_moment,
     limit_clustering,
@@ -118,7 +117,6 @@ class ExperimentPlan:
     gamma: float | None = None  # plant a clique of size ceil(n1^gamma)
     edge_budget: int = 5 * 10**7
     threads: int = 1
-    gap_tolerance: float | None = None  # None: 3 * emp stderr
 
     def __post_init__(self) -> None:
         # the one check of the plan's numbers, for plans read from a config
@@ -126,9 +124,6 @@ class ExperimentPlan:
         for name, low in (("replications", 1), ("seed", None), ("edge_budget", None), ("threads", 1)):
             object.__setattr__(self, name, config_number(f"plan {name}", getattr(self, name), low))
         object.__setattr__(self, "ladder", tuple(config_number("plan ladder entry", n) for n in self.ladder))
-        if self.gap_tolerance is not None:
-            tol = config_number("plan gap_tolerance", self.gap_tolerance, 0, integral=False)
-            object.__setattr__(self, "gap_tolerance", tol)
         if not self.ladder or any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("size ladder must be non-empty and strictly increasing")
         if self.gamma is not None:
@@ -145,10 +140,14 @@ class ExperimentPlan:
 
     @staticmethod
     def from_config(cfg: Mapping) -> "ExperimentPlan":
-        optional = ("replications", "seed", "perturbation", "mc_reference_samples", "edge_budget", "threads",
-                    "gap_tolerance")
+        optional = ("replications", "seed", "perturbation", "mc_reference_samples", "edge_budget", "threads")
         check_config_keys(cfg, "plan", ("model", "ladder", "statistics"), optional)
         model = ModelConfig.from_config(cfg["model"])
+        # a string would iterate by character and a number would not iterate
+        if not isinstance(cfg["ladder"], list):
+            raise ValueError(f"plan ladder must be a list of integers, got {cfg['ladder']!r}")
+        if not isinstance(cfg["statistics"], list) or not all(isinstance(s, str) for s in cfg["statistics"]):
+            raise ValueError(f"plan statistics must be a list of strings, got {cfg['statistics']!r}")
         stats = tuple(StatisticSpec.parse(s) for s in cfg["statistics"])
         numbers = {key: cfg[key] for key in optional if key in cfg}
         pert = numbers.pop("perturbation", None)
@@ -209,13 +208,13 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 class Statistic(NamedTuple):
     """One statistic kind.  ``graph`` gives what ``rigsim stats`` reports on a
     finite graph (a StatReport, a number or a ball histogram); ``limit``
-    gives its exact limit (an Estimate) from the limit laws and the
+    gives its exact limit (a float) from the limit laws and the
     statistic, and is None for balls, which ``run_experiment`` compares with
     the exact clique-tree ball law (``_ball_limit_tv``)."""
 
     arg: str | None  # the StatisticSpec field carrying the parameter
     graph: Callable[[Graph, StatisticSpec], object]
-    limit: Callable[[LimitSpec, StatisticSpec], Estimate] | None
+    limit: Callable[[LimitSpec, StatisticSpec], float] | None
     per_vertex: bool = False  # plans report the graph value divided by n1
     row: Callable[[Graph, StatisticSpec], object] | None = None  # what a plan compares, when not ``graph``
 
@@ -388,9 +387,9 @@ def _mean_se(xs) -> tuple[float, float]:
     return float(a.mean()), float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
 
 
-def _scalar_row(n1: int, label: str, xs, lim: Estimate) -> ConvergenceRow:
+def _scalar_row(n1: int, label: str, xs, lim: float) -> ConvergenceRow:
     emp, emp_se = _mean_se(xs)
-    return ConvergenceRow(n1, label, emp, emp_se, lim.value, 0.0, abs(emp - lim.value), None)
+    return ConvergenceRow(n1, label, emp, emp_se, lim, 0.0, abs(emp - lim), None)
 
 
 def _perturbation_rows(n1: int, pert: tuple[StatisticSpec, ...], results: list) -> list[ConvergenceRow]:
@@ -407,7 +406,7 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
     """Refuse plans whose top size would exceed the edge budget (estimated
     from the limit mean degree plus the planted clique)."""
     spec = limit_spec_for(plan.model)
-    mean_deg = dstar_moment(spec, 1).value
+    mean_deg = dstar_moment(spec, 1)
     for n1 in plan.ladder:
         est = 0.75 * n1 * mean_deg  # headroom over n1 E d* / 2
         s = plan.clique_size(n1)
@@ -422,16 +421,12 @@ def check_edge_budget(plan: ExperimentPlan) -> None:
 # -- public experiment entry points -------------------------------------------------------
 
 
-def row_converged(row: ConvergenceRow, plan: ExperimentPlan) -> bool | None:
-    """Tolerance verdict for a scalar row: gap below the plan's threshold
-    (default 3 * empirical stderr, the limit being exact); None for ball
-    rows."""
+def row_converged(row: ConvergenceRow) -> bool | None:
+    """Tolerance verdict for a scalar row: gap at most 3 empirical standard
+    errors, the limit being exact; None for ball rows."""
     if row.gap is None:
         return None
-    tol = plan.gap_tolerance
-    if tol is None:
-        tol = 3.0 * (row.emp_stderr or 0.0)
-    return row.gap <= tol
+    return row.gap <= 3.0 * (row.emp_stderr or 0.0)
 
 
 def run_experiment(plan: ExperimentPlan) -> list[ConvergenceRow]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
@@ -49,7 +49,6 @@ from .laws import DegreeLaw, MomentUnavailable, WeightLaw, offspring_law, thinne
 
 __all__ = [
     "LimitSpec",
-    "Estimate",
     "remark1_limits",
     "limit_spec_for",
     "dstar_moment",
@@ -72,15 +71,6 @@ DEFAULT_NODE_CAP = 10**7
 # the key of the Monte Carlo samples whose tree passed the node cap, which
 # no ball code matches
 CAP_BUCKET = b"__cap_exceeded__"
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """An exact limit value; ``degenerate`` marks a ratio whose denominator
-    limit is 0, reported as 0."""
-
-    value: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,7 @@ def limit_spec_for(config: ModelConfig) -> LimitSpec:
 # -- moments ---------------------------------------------------------------------
 
 
-def dstar_moment(spec: LimitSpec, k: int) -> Estimate:
+def dstar_moment(spec: LimitSpec, k: int) -> float:
     """E (d*)^k, the limit of (1/n) sum_v d(v)^k = hom(S_k, G_n) / n: the hom
     limit of the star S_k, so k is at most MAX_PATTERN_VERTICES - 1.
     Raises MomentUnavailable when the limit is infinite."""
@@ -314,43 +304,43 @@ def ball_distribution_mc(
     return hist
 
 
-def limit_degree_pmf(spec: LimitSpec, k: int) -> Estimate:
+def limit_degree_pmf(spec: LimitSpec, k: int) -> float:
     """P(d* = k), exact."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return Estimate(float(limit_degree_pmf_vector(spec, k)[k]))
+    return float(limit_degree_pmf_vector(spec, k)[k])
 
 
 # -- headline statistics ------------------------------------------------------------
 
 
-def limit_clustering(spec: LimitSpec) -> Estimate:
-    """Limit clustering coefficient, emb(K3) / emb(P3) in the limit; 0
-    (degenerate) when the P3 limit is 0."""
-    den = limit_emb_per_vertex(spec, pattern_from_name("P3")).value
+def limit_clustering(spec: LimitSpec) -> float:
+    """Limit clustering coefficient, emb(K3) / emb(P3) in the limit; raises
+    when the P3 limit is 0 (P(d* <= 1) = 1), where it is 0/0."""
+    den = limit_emb_per_vertex(spec, pattern_from_name("P3"))
     if den == 0.0:
-        return Estimate(0.0, degenerate=True)
-    return Estimate(limit_emb_per_vertex(spec, pattern_from_name("K3")).value / den)
+        raise ValueError("degenerate: clustering denominator vanishes (the P3 limit is 0)")
+    return limit_emb_per_vertex(spec, pattern_from_name("K3")) / den
 
 
-def limit_assortativity(spec: LimitSpec) -> Estimate:
+def limit_assortativity(spec: LimitSpec) -> float:
     """Limit assortativity (2e P - S1^2) / (2e S2 - S1^2) over the hom limits
     2e, S1, S2, P of K2, P3, S3, P4, as ``stats.assortativity`` takes it of
     the counts; raises for degenerate (regular-limit) inputs."""
-    two_e, S1, S2, P = (limit_hom_per_vertex(spec, pattern_from_name(name)).value
+    two_e, S1, S2, P = (limit_hom_per_vertex(spec, pattern_from_name(name))
                         for name in ("K2", "P3", "S3", "P4"))
     if S1 - two_e * two_e <= 1e-12 * max(1.0, S1):
         raise ValueError("degenerate: regular limit (Var(d*) = 0)")
     den = two_e * S2 - S1 * S1
     if abs(den) <= 1e-12 * max(1.0, two_e * S2):
         raise ValueError("degenerate: assortativity denominator vanishes")
-    return Estimate((two_e * P - S1 * S1) / den)
+    return (two_e * P - S1 * S1) / den
 
 
 # -- conditional statistics -----------------------------------------------------------
 
 
-def _conditional(spec: LimitSpec, k: int, weight: Callable[[int], float], scale: int) -> Estimate:
+def _conditional(spec: LimitSpec, k: int, weight: Callable[[int], float], scale: int) -> float:
     """E[sum_i w(Z_i) | d* = k] / scale, exactly, for a weight with w(0) = 0:
     the sum runs over the D1' non-zero Z_i only.  The value is
     num / (scale * pk) in one division, which rounds differently from
@@ -365,10 +355,10 @@ def _conditional(spec: LimitSpec, k: int, weight: Callable[[int], float], scale:
             num += pn * n * float(np.dot(wz, conv_prev[k::-1]))
     if pk <= 0:
         raise ValueError(f"P(d* = {k}) = 0; conditional limit undefined")
-    return Estimate(num / (scale * pk))
+    return float(num / (scale * pk))
 
 
-def limit_conditional_clustering(spec: LimitSpec, k: int) -> Estimate:
+def limit_conditional_clustering(spec: LimitSpec, k: int) -> float:
     """Limit conditional clustering coefficient alpha_k* =
     E[sum_i (Z_i)_2 | d* = k] / (k (k-1)), exact."""
     if k < 2:
@@ -376,7 +366,7 @@ def limit_conditional_clustering(spec: LimitSpec, k: int) -> Estimate:
     return _conditional(spec, k, lambda m: m * (m - 1), k * (k - 1))
 
 
-def limit_conditional_assortativity(spec: LimitSpec, k: int) -> Estimate:
+def limit_conditional_assortativity(spec: LimitSpec, k: int) -> float:
     """Limit conditional assortativity r_k*: the conditional second-moment
     term E[sum_i Z_i^2 | d* = k] / k plus the additive term
     E (D1)_2 E (D2)_2 / (E D1 E D2), both exact."""
@@ -385,14 +375,13 @@ def limit_conditional_assortativity(spec: LimitSpec, k: int) -> Estimate:
     # an infinite moment raises before the sums run; the division waits for
     # the helper, which rejects E D1 = 0
     d1_2, d2_2 = float(spec.D1.factorial_moment(2)), float(spec.D2.factorial_moment(2))
-    est = _conditional(spec, k, lambda m: m * m, k)
-    return replace(est, value=est.value + d1_2 * d2_2 / (float(spec.D1.mean()) * float(spec.D2.mean())))
+    return _conditional(spec, k, lambda m: m * m, k) + d1_2 * d2_2 / (float(spec.D1.mean()) * float(spec.D2.mean()))
 
 
 # -- rooted embedding expectations ------------------------------------------------------
 
 
-def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> Estimate:
+def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> float:
     """Exact E emb'(H, (T, o)): the expected number of embeddings of the
     rooted pattern H into the clique tree T that send its root to the root o
     of T, which is the limit of emb(H, G_n) / n for every rooting of H.
@@ -435,10 +424,10 @@ def rooted_emb_expectation(spec: LimitSpec, H: Pattern) -> Estimate:
                 f"the emb limit of the pattern with edges {list(H.edge_tuple())} is infinite: {e}"
             ) from e
         total += term
-    return Estimate(total)
+    return total
 
 
-def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
+def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> float:
     """Limit of emb(H, G_n) / n: E emb'(H, (T, o)) on the clique tree, exact
     for every connected pattern.  Every rooting gives the same value, so the
     pattern is rooted at vertex 0.  Raises MomentUnavailable when the limit
@@ -446,11 +435,11 @@ def limit_emb_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
     return rooted_emb_expectation(spec, pattern.rooted(0))
 
 
-def limit_hom_per_vertex(spec: LimitSpec, pattern: Pattern) -> Estimate:
+def limit_hom_per_vertex(spec: LimitSpec, pattern: Pattern) -> float:
     """Limit of hom(H, G_n) / n: the sum of the emb limits of H's coincidence
     quotients, the partitions ``counting.emb_count`` inverts over, each with
     weight 1 (equal quotients are evaluated once).  Raises MomentUnavailable
     when the limit is infinite."""
     quotients = Counter((h, edges) for h, edges, _ in _coincidence_terms(pattern.h, pattern.edge_tuple()))
-    return Estimate(sum(c * limit_emb_per_vertex(spec, Pattern(Graph.from_edges(h, edges))).value
-                        for (h, edges), c in quotients.items()))
+    return sum(c * limit_emb_per_vertex(spec, Pattern(Graph.from_edges(h, edges)))
+               for (h, edges), c in quotients.items())

@@ -49,7 +49,7 @@ from rigsim.ballcode import GWForest, forest_codes
 from rigsim.counting import Pattern
 from rigsim.graphs import BipartiteMultigraph, Graph, RootedGraph, ball, ball_adjacency, intersection_graph
 from rigsim.laws import DegreeLaw
-from rigsim.limits import DEFAULT_NODE_CAP, Estimate, LimitSpec, sample_gw_forest
+from rigsim.limits import DEFAULT_NODE_CAP, LimitSpec, sample_gw_forest
 
 
 class CapExceeded(RuntimeError):
@@ -258,7 +258,7 @@ def all_maps_count(pattern: Pattern, g: Graph, injective: bool) -> int:
     return int(ok.sum())
 
 
-def z_moment(D2: DegreeLaw, j: int) -> Estimate:
+def z_moment(D2: DegreeLaw, j: int) -> float:
     """E Z^j = E (D2 - 1)^j D2 / E D2 for Z ~ size_biased(D2) - 1.
     Raises MomentUnavailable when a required D2 moment is infinite."""
     if j < 0:
@@ -267,7 +267,7 @@ def z_moment(D2: DegreeLaw, j: int) -> Estimate:
     total = 0.0
     for i in range(j + 1):
         total += math.comb(j, i) * (-1) ** (j - i) * float(D2.raw_moment(i + 1))
-    return Estimate(total / m)
+    return total / m
 
 
 def _compositions(k: int) -> Iterable[tuple[int, ...]]:
@@ -280,14 +280,14 @@ def _compositions(k: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def dstar_moment_compositions(spec: LimitSpec, k: int) -> Estimate:
+def dstar_moment_compositions(spec: LimitSpec, k: int) -> float:
     """E (d*)^k via the composition expansion over E binom(D1, j) and E Z^k_i.
     Raises MomentUnavailable when a required D1 or D2 moment is infinite."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if spec.degenerate_root:
-        return Estimate(0.0)
-    zraw = [z_moment(spec.D2, j).value for j in range(k + 1)]
+        return 0.0
+    zraw = [z_moment(spec.D2, j) for j in range(k + 1)]
     total = 0.0
     for parts in _compositions(k):
         j = len(parts)
@@ -301,7 +301,7 @@ def dstar_moment_compositions(spec: LimitSpec, k: int) -> Estimate:
         for p in parts:
             prod *= zraw[p]
         total += multinom * ed1j * prod
-    return Estimate(total)
+    return total
 
 
 # -- pmfs in 50-digit decimals, and by quadrature ----------------------------------

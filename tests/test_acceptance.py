@@ -171,7 +171,7 @@ def test_criterion_04_moment_formula_cross_check():
         D1 = DegreeLaw.from_pmf(dict(zip(v1, rng.dirichlet(np.ones(3)))))
         D2 = DegreeLaw.from_pmf(dict(zip(v2, rng.dirichlet(np.ones(3)))))
         sp = LimitSpec(D1, D2)
-        z1, z2, z3 = (z_moment(D2, j).value for j in (1, 2, 3))
+        z1, z2, z3 = (z_moment(D2, j) for j in (1, 2, 3))
         e1, e12, e13 = (float(D1.factorial_moment(j)) for j in (1, 2, 3))
         displayed = {
             1: e1 * z1,
@@ -179,7 +179,7 @@ def test_criterion_04_moment_formula_cross_check():
             3: e1 * z3 + 3 * e12 * z1 * z2 + e13 * z1**3,
         }
         for k in (1, 2, 3):
-            got = dstar_moment(sp, k).value
+            got = dstar_moment(sp, k)
             worst = max(worst, abs(got - displayed[k]) / max(1.0, abs(displayed[k])))
     assert worst < 1e-9
     sp = LimitSpec(DegreeLaw.poisson(2.0), DegreeLaw.poisson(1.5))
@@ -188,7 +188,7 @@ def test_criterion_04_moment_formula_cross_check():
     for k in (1, 2, 3):
         x = d**k
         se = x.std(ddof=1) / math.sqrt(x.size)
-        zs.append(abs(dstar_moment(sp, k).value - x.mean()) / se)
+        zs.append(abs(dstar_moment(sp, k) - x.mean()) / se)
     report(4, worst < 1e-9 and max(zs) < 3,
            f"star hom limits match the displayed composition formulas (rel err {worst:.1e} < 1e-9, 20 pairs) "
            f"and 1e6-sample MC (max |z| = {max(zs):.2f} < 3)")
@@ -243,7 +243,7 @@ def test_criterion_08_theorem21_consistency(active_sweep):
     spec = remark1_limits("active", 1.0, P=DegreeLaw.constant(3))
     # closed-form limits: E D1 E (Z)_2 = 27 and E (d*)_2 = 81
     lim_k3 = float(spec.D1.mean()) * float(spec.D2.factorial_moment(3)) / float(spec.D2.mean())
-    lim_s2 = dstar_moment(spec, 2).value - dstar_moment(spec, 1).value
+    lim_s2 = dstar_moment(spec, 2) - dstar_moment(spec, 1)
     m_k3, se_k3 = np.mean(active_sweep.emb_k3), np.std(active_sweep.emb_k3, ddof=1) / math.sqrt(REPS_HEAVY)
     m_s2, se_s2 = np.mean(active_sweep.emb_s2), np.std(active_sweep.emb_s2, ddof=1) / math.sqrt(REPS_HEAVY)
     ok_counts = abs(m_k3 - lim_k3) < 3 * se_k3 and abs(m_s2 - lim_s2) < 3 * se_s2
@@ -319,7 +319,7 @@ def _balanced_sequences_bounded(n1, D1, D2, rng):
 def test_criterion_10_assortativity_limit():
     spec = LimitSpec(DegreeLaw.from_pmf({1: 0.5, 2: 0.5}), DegreeLaw.constant(2))
     rho = limit_assortativity(spec)
-    assert abs(rho.value) < 1e-9  # hand-derived rho* = 0
+    assert abs(rho) < 1e-9  # hand-derived rho* = 0
     emps = []
     for rep in range(3):
         d1, d2 = _balanced_sequences_bounded(N1, spec.D1, spec.D2, substream(SEED, 10, rep))
@@ -344,14 +344,14 @@ def test_criterion_11_conditional_statistics(active_sweep):
         scale = k * (k - 1)
         direct = conditional_mc(sp, k, lambda z: z * (z - 1), 10**6, substream(SEED, 11, i))
         # the Poisson shortcut lam P(d* = k-1) / (k P(d* = k)), valid for D2 ~ Po(lam)
-        lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k).value, limit_degree_pmf(sp, k - 1).value
+        lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k), limit_degree_pmf(sp, k - 1)
         shortcut = lam * pk1 / (k * pk)
         zs.append(abs(direct.value / scale - shortcut) / (direct.stderr / scale))
     ok_consistency = max(zs) < 3
     # empirical conditional statistics against the limit calculator
     spec = remark1_limits("active", 1.0, P=DegreeLaw.constant(3))
-    lim_a2 = limit_conditional_clustering(spec, 2).value
-    lim_r2 = limit_conditional_assortativity(spec, 2).value
+    lim_a2 = limit_conditional_clustering(spec, 2)
+    lim_r2 = limit_conditional_assortativity(spec, 2)
     emp_a2 = active_sweep.a2_num / active_sweep.a2_den
     emp_r2 = active_sweep.r2_num / active_sweep.r2_den
     ok_emp = abs(emp_a2 - lim_a2) < 0.03 and abs(emp_r2 - lim_r2) < 0.03

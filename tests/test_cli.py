@@ -114,6 +114,19 @@ def test_limits_undefined_conditionals_reported_not_fatal(tmp_path):
     assert vals["dstar_moment(1)"]["value"] == pytest.approx(2.0)
 
 
+def test_limits_report_a_zero_denominator_as_an_error(tmp_path):
+    # D1 = 1 and D2 = 2 give d* = 1 almost surely: the P3 limit and Var(d*)
+    # are 0, so alpha and assort are 0/0, error entries like any undefined limit
+    cfg = write_json(
+        tmp_path / "lim4.json", {"D1": {"kind": "constant", "value": 1}, "D2": {"kind": "constant", "value": 2}}
+    )
+    assert main(["limits", "--config", cfg, "--out", str(tmp_path)]) == 0
+    vals = {r["quantity"]: r for r in json.load(open(tmp_path / "limits.json"))}
+    assert vals["alpha"]["error"] == "degenerate: clustering denominator vanishes (the P3 limit is 0)"
+    assert vals["assort"]["error"] == "degenerate: regular limit (Var(d*) = 0)"
+    assert vals["dstar_moment(1)"]["value"] == 1.0
+
+
 def test_balls_mc_and_empirical(tmp_path, model_cfg):
     cfg = write_json(tmp_path / "spec.json", {"model": MODEL})
     out = tmp_path / "balls"
@@ -291,8 +304,8 @@ def test_balls_and_limits_on_a_plain_model_file(tmp_path):
             ("seed", "7", "plan seed must be an integer, got '7'"),
             ("mc_reference_samples", 2.5, "plan mc_reference_samples must be an integer, got 2.5"),
             ("mc_reference_samples", 0, "plan mc_reference_samples must be at least 1, got 0"),
-            ("gap_tolerance", -1, "plan gap_tolerance must be at least 0, got -1"),
-            ("gap_tolerance", float("nan"), "plan gap_tolerance must be a finite number, got nan"),
+            ("gap_tolerance", -1, "unknown plan key 'gap_tolerance'"),
+            ("ladder", 5, "plan ladder must be a list of integers, got 5"),
         ]),
         ({"model": {**MODEL, "n1": 100.7}, "ladder": [200], "statistics": ["alpha"]},
          "model n1 must be an integer, got 100.7"),
@@ -301,6 +314,12 @@ def test_balls_and_limits_on_a_plain_model_file(tmp_path):
         # a null gamma is an error too, not a plan without a perturbation
         *(({"model": MODEL, "ladder": [200], "statistics": ["alpha"], "perturbation": {"gamma": gamma}},
            f"plan perturbation gamma must be a finite number, got {gamma!r}") for gamma in ("0.5", "x", [0.5], None)),
+        # ladder and statistics are JSON lists, of integers and of strings; a string would iterate
+        *(({"model": MODEL, "ladder": [200], "statistics": ["alpha"], key: value}, message) for key, value, message in [
+            ("ladder", "12", "plan ladder must be a list of integers, got '12'"),
+            ("statistics", "alpha", "plan statistics must be a list of strings, got 'alpha'"),
+            ("statistics", [3], "plan statistics must be a list of strings, got [3]"),
+        ]),
     ],
 )
 def test_config_keys_are_checked(tmp_path, capsys, cfg, message):

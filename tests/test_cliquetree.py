@@ -1,3 +1,9 @@
+"""The clique-tree limit's ball law: the exact radius-r law
+(``limits.limit_ball_probabilities``), the Galton-Watson forest sampler and
+its Monte Carlo ball counts (``limits.sample_gw_forest``,
+``ball_distribution_mc``), and the clique-tree oracles they are checked
+against."""
+
 import hashlib
 import itertools
 import json

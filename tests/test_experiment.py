@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -122,8 +121,8 @@ class TestPlanParsing:
         ("replications", 2.5, "plan replications must be an integer, got 2.5"),
         ("gamma", "0.5", "plan perturbation gamma must be a finite number, got '0.5'"),
         ("ladder", (200.5,), "plan ladder entry must be an integer, got 200.5"),
-        ("gap_tolerance", -1.0, "plan gap_tolerance must be at least 0, got -1.0"),
-        ("gap_tolerance", math.inf, "plan gap_tolerance must be a finite number, got inf"),
+        ("edge_budget", 2.5, "plan edge_budget must be an integer, got 2.5"),
+        ("seed", True, "plan seed must be an integer, got True"),
         ("gamma", "x", "plan perturbation gamma must be a finite number, got 'x'"),
         ("gamma", [0.5], "plan perturbation gamma must be a finite number, got [0.5]"),
     ])
@@ -190,15 +189,18 @@ class TestRunExperiment:
     def test_gap_tolerance_policy(self):
         from rigsim.experiment import row_converged
 
-        plan = active_plan()
         row = ConvergenceRow(100, "alpha", 0.4, 0.01, 1 / 3, 0.0, abs(0.4 - 1 / 3), None)
-        assert row_converged(row, plan) is False  # default tol = 3 * 0.01
+        assert row_converged(row) is False  # tol = 3 * 0.01
         tight = ConvergenceRow(100, "alpha", 0.34, 0.01, 1 / 3, 0.0, abs(0.34 - 1 / 3), None)
-        assert row_converged(tight, plan) is True
-        explicit = active_plan(gap_tolerance=0.1)
-        assert row_converged(row, explicit) is True
+        assert row_converged(tight) is True
         ball_row = ConvergenceRow(100, "ball(1)", None, None, None, None, None, 0.2)
-        assert row_converged(ball_row, plan) is None
+        assert row_converged(ball_row) is None
+        # on a real run every limit is a float and every verdict a bool, which
+        # a caller's `is False` test sees
+        plan = active_plan(statistics=["alpha", "assort", "alpha_k:2", "r_k:2", "pi:2", "moment:2", "emb:K3"],
+                           ladder=[300])
+        for row in run_experiment(plan):
+            assert type(row.limit) is float and type(row_converged(row)) is bool, row.statistic
 
     def test_configuration_pi2_degenerate_limit(self):
         plan = ExperimentPlan.from_config(
@@ -378,20 +380,20 @@ class TestLimitEmbPerVertex:
     def test_closed_forms(self):
         spec = LimitSpec(DegreeLaw.constant(3), DegreeLaw.poisson(3.0))
         est = limit_emb_per_vertex(spec, pattern_from_name("K2"))
-        assert est.value == pytest.approx(9.0)
+        assert est == pytest.approx(9.0)
         est = limit_emb_per_vertex(spec, pattern_from_name("P3"))
-        assert est.value == pytest.approx(81.0)  # E (d*)_2 = 90 - 9
+        assert est == pytest.approx(81.0)  # E (d*)_2 = 90 - 9
         est = limit_emb_per_vertex(spec, pattern_from_name("S3"))
-        d1, d2, d3 = (dstar_moment(spec, k).value for k in (1, 2, 3))
-        assert est.value == pytest.approx(d3 - 3 * d2 + 2 * d1)
+        d1, d2, d3 = (dstar_moment(spec, k) for k in (1, 2, 3))
+        assert est == pytest.approx(d3 - 3 * d2 + 2 * d1)
         est = limit_emb_per_vertex(spec, pattern_from_name("K3"))
-        assert est.value == pytest.approx(27.0)
+        assert est == pytest.approx(27.0)
 
     def test_p4_is_exact(self):
         # P4 has no star or triangle form; its limit is exact all the same
         spec = LimitSpec(DegreeLaw.constant(2), DegreeLaw.constant(3))
         est = limit_emb_per_vertex(spec, pattern_from_name("P4"))
-        assert est.value == deterministic_tree_count(spec, pattern_from_name("P4").rooted(0)) == 32
+        assert est == deterministic_tree_count(spec, pattern_from_name("P4").rooted(0)) == 32
 
 
 def test_factorial_moments_computed_once():

@@ -59,8 +59,8 @@ class TestLimitSpec:
         # a childless root is an allowed degenerate case (d* = 0 a.s.)
         sp = LimitSpec(CONST(0), CONST(2))
         assert sp.degenerate_root
-        assert limit_degree_pmf(sp, 0).value == 1.0
-        assert dstar_moment(sp, 2).value == 0.0
+        assert limit_degree_pmf(sp, 0) == 1.0
+        assert dstar_moment(sp, 2) == 0.0
 
     def test_remark1_identifications(self):
         s = remark1_limits("active", 1.0, P=CONST(3))
@@ -87,8 +87,8 @@ class TestLimitSpec:
 
 class TestZMoment:
     def test_examples(self):
-        assert z_moment(CONST(2), 1).value == pytest.approx(1.0)
-        assert z_moment(PMF({1: 0.5, 3: 0.5}), 2).value == pytest.approx(3.0)
+        assert z_moment(CONST(2), 1) == pytest.approx(1.0)
+        assert z_moment(PMF({1: 0.5, 3: 0.5}), 2) == pytest.approx(3.0)
 
     def test_factorial_identity(self):
         # E (Z)_k = E (D2)_{k+1} / E D2, read where the program uses it: with
@@ -97,10 +97,10 @@ class TestZMoment:
         for k in range(1, 4):
             direct = float(D2.factorial_moment(k + 1)) / float(D2.mean())
             got = rooted_emb_expectation(LimitSpec(CONST(1), D2), pattern_from_name(f"K{k + 1}").rooted(0))
-            assert got.value == pytest.approx(direct)
+            assert got == pytest.approx(direct)
         for k in range(1, 5):  # Z ~ Po(1.7), so E (Z)_k = 1.7^k
             got = rooted_emb_expectation(LimitSpec(CONST(1), PO(1.7)), pattern_from_name(f"K{k + 1}").rooted(0))
-            assert got.value == pytest.approx(1.7**k)
+            assert got == pytest.approx(1.7**k)
 
     def test_unavailable_moment_raises(self):
         D2 = DegreeLaw.mixed_poisson(WeightLaw.pareto(5.5, 1.0))
@@ -112,11 +112,11 @@ class TestDstarMoment:
     def test_single_attribute(self):
         sp = LimitSpec(CONST(1), PO(2))
         for k in (1, 2, 3):
-            assert dstar_moment(sp, k).value == pytest.approx(z_moment(PO(2), k).value)
+            assert dstar_moment(sp, k) == pytest.approx(z_moment(PO(2), k))
 
     def test_deterministic(self):
         sp = LimitSpec(CONST(2), CONST(2))
-        assert dstar_moment(sp, 2).value == pytest.approx(4.0)
+        assert dstar_moment(sp, 2) == pytest.approx(4.0)
 
     def test_matches_displayed_expansions(self, rng):
         for _ in range(20):
@@ -125,12 +125,12 @@ class TestDstarMoment:
             D1 = PMF(dict(zip(v1, rng.dirichlet(np.ones(3)))))
             D2 = PMF(dict(zip(v2, rng.dirichlet(np.ones(3)))))
             sp = LimitSpec(D1, D2)
-            z1, z2, z3 = (z_moment(D2, j).value for j in (1, 2, 3))
+            z1, z2, z3 = (z_moment(D2, j) for j in (1, 2, 3))
             ed1 = float(D1.mean())
             ed12, ed13 = float(D1.factorial_moment(2)), float(D1.factorial_moment(3))
-            assert dstar_moment(sp, 1).value == pytest.approx(ed1 * z1, rel=1e-9)
-            assert dstar_moment(sp, 2).value == pytest.approx(ed1 * z2 + ed12 * z1**2, rel=1e-9)
-            assert dstar_moment(sp, 3).value == pytest.approx(
+            assert dstar_moment(sp, 1) == pytest.approx(ed1 * z1, rel=1e-9)
+            assert dstar_moment(sp, 2) == pytest.approx(ed1 * z2 + ed12 * z1**2, rel=1e-9)
+            assert dstar_moment(sp, 3) == pytest.approx(
                 ed1 * z3 + 3 * ed12 * z1 * z2 + ed13 * z1**3, rel=1e-9
             )
 
@@ -149,7 +149,7 @@ class TestDstarMoment:
         for sp in specs:
             for k in range(1, 8):
                 got = dstar_moment(sp, k)
-                assert got.value == pytest.approx(dstar_moment_compositions(sp, k).value, rel=1e-12)
+                assert got == pytest.approx(dstar_moment_compositions(sp, k), rel=1e-12)
 
     def test_order_bounded_by_the_pattern_library(self):
         sp = LimitSpec(PO(2), PO(1.5))
@@ -163,7 +163,7 @@ class TestDstarMoment:
         for k in (1, 2, 3):
             x = d**k
             se = x.std(ddof=1) / math.sqrt(x.size)
-            assert abs(dstar_moment(sp, k).value - x.mean()) < 3 * se
+            assert abs(dstar_moment(sp, k) - x.mean()) < 3 * se
 
 
     def test_draw_order(self):
@@ -187,15 +187,15 @@ class TestDstarMoment:
 
 class TestDegreePmf:
     def test_deterministic_cases(self):
-        assert limit_degree_pmf(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(1.0)
-        assert limit_degree_pmf(LimitSpec(CONST(2), CONST(2)), 3).value == 0.0
+        assert limit_degree_pmf(LimitSpec(CONST(2), CONST(2)), 2) == pytest.approx(1.0)
+        assert limit_degree_pmf(LimitSpec(CONST(2), CONST(2)), 3) == 0.0
 
     def test_poisson_compound(self):
         # D1 ~ Po(1), Z == 1 => d* = D1
         sp = LimitSpec(PO(1), CONST(2))
         for k in range(10):
-            assert limit_degree_pmf(sp, k).value == pytest.approx(PO(1).pmf(k), abs=1e-12)
-        assert limit_degree_pmf(sp, 0).value >= math.exp(-1) - 1e-12
+            assert limit_degree_pmf(sp, k) == pytest.approx(PO(1).pmf(k), abs=1e-12)
+        assert limit_degree_pmf(sp, 0) >= math.exp(-1) - 1e-12
 
     def test_sums_to_one_with_certified_deficit(self):
         # the missing mass is P(d* > 80) <= E (d*)^7 / 81^7 (Markov), here
@@ -203,7 +203,7 @@ class TestDegreePmf:
         sp = LimitSpec(PO(2), PO(1.5))
         vec = limit_degree_pmf_vector(sp, 80)
         deficit = 1.0 - math.fsum(vec)
-        assert -1e-15 <= deficit <= dstar_moment(sp, 7).value / 81**7 < 1e-7
+        assert -1e-15 <= deficit <= dstar_moment(sp, 7) / 81**7 < 1e-7
 
     def test_matches_mc(self):
         sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PO(2))
@@ -221,7 +221,7 @@ class TestDegreePmf:
         # have an exact P(d* = 2); the sampled frequency closes on it with a
         # stderr that shrinks like samples^(-1/2): each step by ~2
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.5, 1.0)), PO(2))
-        exact = limit_degree_pmf(sp, 2).value
+        exact = limit_degree_pmf(sp, 2)
         ses = []
         for i, n in enumerate((4000, 16000, 64000)):
             phat = float((sample_dstar(sp, n, substream(4, i)) == 2).mean())
@@ -246,13 +246,13 @@ class TestDegreePmf:
         # over each value of D1 with the zeros of Z kept
         for k in range(9):
             _, pk = truncated_convolution(sp, k, lambda m: 0)
-            assert limit_degree_pmf(sp, k).value == pytest.approx(pk, rel=1e-14, abs=0)
+            assert limit_degree_pmf(sp, k) == pytest.approx(pk, rel=1e-14, abs=0)
             for weight, scale, limit in ((lambda m: m * (m - 1), k * (k - 1), limit_conditional_clustering),
                                          (lambda m: m * m, k, limit_conditional_assortativity)):
                 if scale == 0 or pk == 0:
                     continue
                 num, _ = truncated_convolution(sp, k, weight)
-                got = limit(sp, k).value
+                got = limit(sp, k)
                 if limit is limit_conditional_assortativity:
                     got -= (float(sp.D1.factorial_moment(2)) * float(sp.D2.factorial_moment(2))
                             / (float(sp.D1.mean()) * float(sp.D2.mean())))
@@ -261,15 +261,15 @@ class TestDegreePmf:
 
 class TestClusteringLimit:
     def test_extremes(self):
-        assert limit_clustering(LimitSpec(CONST(1), PO(2))).value == pytest.approx(1.0)
-        assert limit_clustering(LimitSpec(PO(2), CONST(2))).value == pytest.approx(0.0)
+        assert limit_clustering(LimitSpec(CONST(1), PO(2))) == pytest.approx(1.0)
+        assert limit_clustering(LimitSpec(PO(2), CONST(2))) == pytest.approx(0.0)
 
     def test_active_simplification(self):
         for P in (CONST(3), PMF({1: 0.5, 3: 0.5}), PMF({2: 0.25, 4: 0.75})):
             for beta in (0.5, 1.0, 2.0):
                 s = remark1_limits("active", beta, P=P)
                 expect = float(P.mean()) / float(P.raw_moment(2))
-                assert limit_clustering(s).value == pytest.approx(expect, rel=1e-9)
+                assert limit_clustering(s) == pytest.approx(expect, rel=1e-9)
 
     def test_passive_simplification(self):
         # alpha* = E (D2)_3 / (E (D2)_3 + beta (E (D2)_2)^2)
@@ -277,17 +277,18 @@ class TestClusteringLimit:
         for beta in (0.5, 2.0):
             s = remark1_limits("passive", beta, P=P)
             f3, f2 = float(P.factorial_moment(3)), float(P.factorial_moment(2))
-            assert limit_clustering(s).value == pytest.approx(f3 / (f3 + beta * f2**2), rel=1e-9)
+            assert limit_clustering(s) == pytest.approx(f3 / (f3 + beta * f2**2), rel=1e-9)
 
     def test_degenerate(self):
-        est = limit_clustering(LimitSpec(CONST(1), CONST(2)))
-        assert est.value == 0.0 and est.degenerate
+        # d* = 1 almost surely, so the P3 limit is 0 and the ratio is 0/0
+        with pytest.raises(ValueError, match="the P3 limit is 0"):
+            limit_clustering(LimitSpec(CONST(1), CONST(2)))
 
 
 class TestAssortativityLimit:
     def test_zero_case(self):
         est = limit_assortativity(LimitSpec(PMF({1: 0.5, 2: 0.5}), CONST(2)))
-        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert est == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_raises(self):
         for c in (1, 2, 3):
@@ -302,13 +303,13 @@ class TestAssortativityLimit:
         # just pin the closed form for an asymmetric case.
         sp = LimitSpec(PMF({1: 0.5, 3: 0.5}), PMF({1: 0.25, 2: 0.75}))
         est = limit_assortativity(sp)
-        assert -1.0 <= est.value <= 1.0
+        assert -1.0 <= est <= 1.0
 
 
 class TestConditionalLimits:
     def test_clustering_examples(self):
-        assert limit_conditional_clustering(LimitSpec(CONST(1), CONST(3)), 2).value == pytest.approx(1.0)
-        assert limit_conditional_clustering(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(0.0)
+        assert limit_conditional_clustering(LimitSpec(CONST(1), CONST(3)), 2) == pytest.approx(1.0)
+        assert limit_conditional_clustering(LimitSpec(CONST(2), CONST(2)), 2) == pytest.approx(0.0)
 
     def test_pk_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -330,7 +331,7 @@ class TestConditionalLimits:
         # sum runs to find that out, while alpha_k*, which needs no moment,
         # is finite
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(1.5, 1.0)), PO(1))
-        assert 0 < limit_conditional_clustering(sp, 2).value < 1
+        assert 0 < limit_conditional_clustering(sp, 2) < 1
         monkeypatch.setattr(limits, "_thinned_laws", lambda *a: pytest.fail("the conditional sums ran"))
         with pytest.raises(MomentUnavailable, match="order 2 is infinite"):
             limit_conditional_assortativity(sp, 2)
@@ -341,8 +342,8 @@ class TestConditionalLimits:
             sp = LimitSpec(D1, PO(1))
             for k in (2, 3, 4):
                 a = limit_conditional_clustering(sp, k)
-                lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k).value, limit_degree_pmf(sp, k - 1).value
-                assert a.value == pytest.approx(lam * pk1 / (k * pk), rel=1e-9)
+                lam, pk, pk1 = sp.D2.lam, limit_degree_pmf(sp, k), limit_degree_pmf(sp, k - 1)
+                assert a == pytest.approx(lam * pk1 / (k * pk), rel=1e-9)
 
     def test_mc_matches_exact(self):
         # with Pareto weights too, on which this rejection pass was once the
@@ -355,7 +356,7 @@ class TestConditionalLimits:
                 exact = limit_conditional_clustering(sp, k)
                 scale = k * (k - 1)
                 mc = conditional_mc(sp, k, lambda z: z * (z - 1), 150_000, substream(5, k))
-                assert abs(mc.value / scale - exact.value) < bound * mc.stderr / scale, (D1, k)
+                assert abs(mc.value / scale - exact) < bound * mc.stderr / scale, (D1, k)
 
     def test_weighted_sums_match_the_per_tree_loop(self):
         # one np.add.reduceat against a sum per tree, as the rejection oracle
@@ -376,9 +377,9 @@ class TestConditionalLimits:
                 ]
 
     def test_assortativity_examples(self):
-        assert limit_conditional_assortativity(LimitSpec(CONST(2), CONST(2)), 2).value == pytest.approx(2.0)
-        assert limit_conditional_assortativity(LimitSpec(CONST(1), CONST(2)), 1).value == pytest.approx(1.0)
-        assert limit_conditional_assortativity(LimitSpec(PO(1), CONST(2)), 3).value == pytest.approx(2.0)
+        assert limit_conditional_assortativity(LimitSpec(CONST(2), CONST(2)), 2) == pytest.approx(2.0)
+        assert limit_conditional_assortativity(LimitSpec(CONST(1), CONST(2)), 1) == pytest.approx(1.0)
+        assert limit_conditional_assortativity(LimitSpec(PO(1), CONST(2)), 3) == pytest.approx(2.0)
 
     def test_assortativity_mc_matches_exact(self):
         sp = LimitSpec(PMF({2: 0.5, 3: 0.5}), PO(1.2))
@@ -386,7 +387,7 @@ class TestConditionalLimits:
         additive = (float(sp.D1.factorial_moment(2)) * float(sp.D2.factorial_moment(2))
                     / (float(sp.D1.mean()) * float(sp.D2.mean())))
         mc = conditional_mc(sp, 3, lambda z: z * z, 150_000, substream(6))
-        assert abs(mc.value / 3 + additive - exact.value) < 3.5 * mc.stderr / 3
+        assert abs(mc.value / 3 + additive - exact) < 3.5 * mc.stderr / 3
 
     def test_exact_path_matches_exhaustive_enumeration(self):
         import itertools
@@ -416,19 +417,19 @@ class TestConditionalLimits:
         for k in (1, 2, 3, 4):
             num_cc, pk = brute(k, lambda z: z * (z - 1))
             num_ca, _ = brute(k, lambda z: z * z)
-            assert limit_degree_pmf(sp, k).value == pytest.approx(float(pk), abs=1e-12)
+            assert limit_degree_pmf(sp, k) == pytest.approx(float(pk), abs=1e-12)
             if k >= 2:
                 got = limit_conditional_clustering(sp, k)
-                assert got.value == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
+                assert got == pytest.approx(float(num_cc / pk) / (k * (k - 1)), abs=1e-12)
             got = limit_conditional_assortativity(sp, k)
-            assert got.value == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
+            assert got == pytest.approx(float(num_ca / pk) / k + additive, abs=1e-12)
 
 
 class TestRootedEmbExpectation:
     def test_rooted_k2_estimates_mean_degree(self):
         sp = LimitSpec(PO(2), PO(1.5))
         est = rooted_emb_expectation_mc(sp, pattern_from_name("K2").rooted(0), 1, 4000, substream(7))
-        lim = dstar_moment(sp, 1).value
+        lim = dstar_moment(sp, 1)
         assert abs(est.value - lim) < 3 * est.stderr
 
     def test_rooted_k3_degenerate(self):
@@ -480,7 +481,7 @@ class TestRootedEmbExpectation:
             sp, pattern_from_name("P4").rooted(1), 2, 4000, substream(99), hom_mode=True
         )
         closed = limit_hom_per_vertex(sp, pattern_from_name("P4"))
-        assert abs(est.value - closed.value) < 3.5 * est.stderr
+        assert abs(est.value - closed) < 3.5 * est.stderr
 
 
 def _config_specs():
@@ -513,7 +514,7 @@ class TestExactRootedEmbExpectation:
                 for p in connected_patterns(h):
                     for rp in distinct_rootings(p):
                         est = rooted_emb_expectation(sp, rp)
-                        assert est.value == deterministic_tree_count(sp, rp), (d1, d2, rp.edge_tuple(), rp.root)
+                        assert est == deterministic_tree_count(sp, rp), (d1, d2, rp.edge_tuple(), rp.root)
                         checks += 1
         assert checks == 365
 
@@ -531,7 +532,7 @@ class TestExactRootedEmbExpectation:
                 values = []
                 for rp in distinct_rootings(p):
                     try:
-                        values.append(rooted_emb_expectation(sp, rp).value)
+                        values.append(rooted_emb_expectation(sp, rp))
                     except MomentUnavailable:
                         values.append(math.inf)
                 # an infinite limit is infinite from every root
@@ -543,7 +544,7 @@ class TestExactRootedEmbExpectation:
             for i, p in enumerate(connected_patterns(h)):
                 rp = min(distinct_rootings(p), key=root_eccentricity)
                 try:
-                    exact = rooted_emb_expectation(sp, rp).value
+                    exact = rooted_emb_expectation(sp, rp)
                 except MomentUnavailable:
                     continue  # an infinite mean has no Monte Carlo estimate
                 mc = rooted_emb_expectation_mc(sp, rp, root_eccentricity(rp), 2000, substream(1, h, i))
@@ -554,8 +555,8 @@ class TestExactRootedEmbExpectation:
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0)), PO(2))
         with pytest.raises(MomentUnavailable, match="infinite"):
             rooted_emb_expectation(sp, pattern_from_name("S3").rooted(0))
-        assert rooted_emb_expectation(sp, pattern_from_name("P3").rooted(0)).value == pytest.approx(
-            dstar_moment(sp, 2).value - dstar_moment(sp, 1).value
+        assert rooted_emb_expectation(sp, pattern_from_name("P3").rooted(0)) == pytest.approx(
+            dstar_moment(sp, 2) - dstar_moment(sp, 1)
         )
 
     def test_zero_factor_skips_an_infinite_moment(self):
@@ -565,13 +566,13 @@ class TestExactRootedEmbExpectation:
         # in such families
         sp = LimitSpec(DegreeLaw.mixed_poisson(WeightLaw.pareto(3.0, 1.0)), CONST(2))
         pattern = Pattern(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]))
-        assert rooted_emb_expectation(sp, pattern.rooted(0)).value == 0.0
-        assert rooted_emb_expectation(sp, pattern_from_name("K3").rooted(0)).value == 0.0
+        assert rooted_emb_expectation(sp, pattern.rooted(0)) == 0.0
+        assert rooted_emb_expectation(sp, pattern_from_name("K3").rooted(0)) == 0.0
         with pytest.raises(MomentUnavailable):
             rooted_emb_expectation(sp, pattern_from_name("S3").rooted(0))
 
     def test_degenerate_root(self):
-        assert rooted_emb_expectation(LimitSpec(CONST(0), CONST(0)), pattern_from_name("P4").rooted(1)).value == 0.0
+        assert rooted_emb_expectation(LimitSpec(CONST(0), CONST(0)), pattern_from_name("P4").rooted(1)) == 0.0
 
 
 class TestHomLimit:
@@ -586,4 +587,4 @@ class TestHomLimit:
                     depth = 2 * root_eccentricity(rp)
                     T = clique_tree(forest_tree(sample_gw_forest(sp.D1, sp.D2, depth, 1, substream(0)), 0))
                     est = limit_hom_per_vertex(sp, p)
-                    assert est.value == rooted_emb_count(rp, T, 0, hom_mode=True), (d1, d2, p.edge_tuple())
+                    assert est == rooted_emb_count(rp, T, 0, hom_mode=True), (d1, d2, p.edge_tuple())
